@@ -20,7 +20,7 @@ import numpy as np
 from . import market_io
 from .config import DEFAULT_NORM, DEFAULT_TOL, VERSION
 from .convexify import solve_lp
-from .demand import classify_money, count_nonconvex_demand, demand_set
+from .demand import NonconvexStats, classify_money, demand_set, nonconvexity
 from .equilibria import (convex_hull_pricing, detect_equilibrium,
                          lost_opportunity_cost)
 from .euphemia import ClearingComplexityError, clear_euphemia_style
@@ -77,22 +77,25 @@ def cmd_clear(args) -> int:
                 _err("no feasible clearing")
                 return EXIT_INFEASIBLE
             lam, allocation, welfare = res.lam, res.allocation, res.welfare
-            cert = detect_equilibrium(market, lam, allocation, args.tol, args.norm)
-            equilibrium = cert.is_equilibrium
+            priced = lam
         elif args.mode == "exact":
             cfg["node_budget"] = args.node_budget
-            dual = solve_lp(market, args.tol)
-            exact = solve_welfare(market, node_budget=args.node_budget, tol=args.tol)
-            lam, allocation, welfare = dual.lambda_star, exact.allocation, exact.welfare
-            cert = detect_equilibrium(market, lam, allocation, args.tol, args.norm)
-            equilibrium = cert.is_equilibrium
+            priced = solve_lp(market, args.tol)
+            exact = solve_welfare(priced, node_budget=args.node_budget, tol=args.tol)
+            lam, allocation, welfare = priced.lambda_star, exact.allocation, exact.welfare
         else:  # chp
             cfg["node_budget"] = args.node_budget
             pricing = convex_hull_pricing(market, args.tol, args.norm,
                                           node_budget=args.node_budget)
-            lam = np.asarray(pricing.lambda_star)
-            allocation, welfare = pricing.allocation, pricing.exact.welfare
+            lam, allocation, welfare = (pricing.lambda_star, pricing.allocation,
+                                        pricing.exact.welfare)
             equilibrium = pricing.certificate.is_equilibrium
+            total_loc, per_agent_loc = pricing.total_loc, pricing.per_agent_loc
+        if args.mode != "chp":
+            equilibrium = detect_equilibrium(market, priced, allocation, args.tol,
+                                             args.norm).is_equilibrium
+            total_loc, per_agent_loc = lost_opportunity_cost(market, allocation,
+                                                             priced, args.tol)
     except NodeBudgetExceeded as exc:
         best = exc.best.welfare if exc.best is not None else float("-inf")
         _err(f"node budget exceeded (best welfare so far {best})")
@@ -104,7 +107,6 @@ def cmd_clear(args) -> int:
         _err("no feasible clearing")
         return EXIT_INFEASIBLE
 
-    total_loc, per_agent_loc = lost_opportunity_cost(market, allocation, lam, args.tol)
     per_value = {a.agent_id: agent_value(a, allocation.acceptances, args.tol)
                  for a in market.agents}
     convex_vol, nonconvex_vol = market_io.market_volumes(market)
@@ -127,19 +129,20 @@ def cmd_analyze(args) -> int:
         _err(str(exc))
         return EXIT_INPUT
 
+    K = market.num_commodities
     if args.price is not None:
         lam = np.asarray(args.price, dtype=float)
-        if lam.size != market.num_commodities:
-            _err(f"need {market.num_commodities} prices, got {lam.size}")
+        if lam.size != K:
+            _err(f"need {K} prices, got {lam.size}")
             return EXIT_INPUT
     else:
         lam = solve_lp(market, args.tol).lambda_star
 
-    stats = count_nonconvex_demand(market, lam, tol=args.tol, norm=args.norm)
+    sets = [demand_set(a, lam, K, args.tol) for a in market.agents]
+    stats = NonconvexStats.rank([nonconvexity(ds, args.norm) for ds in sets], K, args.tol)
     money = classify_money(market, lam, args.tol)
     agents = {}
-    for agent, rho in zip(market.agents, stats.per_agent):
-        ds = demand_set(agent, lam, market.num_commodities, args.tol)
+    for agent, ds, rho in zip(market.agents, sets, stats.per_agent):
         agents[agent.agent_id] = {
             "nonconvexity": rho,
             "singleton_demand": ds.is_singleton(),

@@ -14,13 +14,14 @@ a finite LP; `solve_lp` asserts primal = dual on every call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import lp
 from .config import resolve_tol
-from .demand import agent_best_surplus
+from .demand import (DemandSet, NonconvexStats, agent_best_surplus, demand_set,
+                     nonconvexity)
 from .model import Agent, Allocation, BlockBid, HourlyCurveBid, Market
 
 
@@ -48,7 +49,6 @@ class ConvexifiedProgram:
     var_info: tuple[VarInfo, ...]
     block_col: dict
     curve_cols: dict
-    row_labels: tuple[str, ...]
 
     @property
     def num_vars(self) -> int:
@@ -74,19 +74,6 @@ class ConvexifiedProgram:
         for bid_id, cols in self.curve_cols.items():
             acc[bid_id] = float(sum(x[c] * self.var_info[c].contribution for c in cols))
         return Allocation(acc)
-
-    def interior_block_count(self, x: np.ndarray, tol: float = 1e-7) -> int:
-        n = 0
-        for col in self.block_col.values():
-            if self.lo[col] + tol < x[col] < self.hi[col] - tol:
-                n += 1
-        return n
-
-    def binding_ub_rows(self, x: np.ndarray, tol: float = 1e-7) -> int:
-        if self.a_ub.shape[0] == 0:
-            return 0
-        resid = self.b_ub - self.a_ub @ x
-        return int(np.sum(resid <= tol * (1.0 + np.abs(self.b_ub))))
 
 
 def build_convexified(market: Market) -> ConvexifiedProgram:
@@ -125,7 +112,6 @@ def build_convexified(market: Market) -> ConvexifiedProgram:
 
     ub_rows: list[np.ndarray] = []
     b_ub: list[float] = []
-    labels: list[str] = []
     groups: dict[str, list[int]] = {}
     for agent in market.agents:
         for bid in agent.block_bids:
@@ -136,7 +122,6 @@ def build_convexified(market: Market) -> ConvexifiedProgram:
         row[groups[gid]] = 1.0
         ub_rows.append(row)
         b_ub.append(1.0)
-        labels.append(f"group:{gid}")
     seen_loops: set[frozenset] = set()
     for agent in market.agents:
         for bid in agent.block_bids:
@@ -147,7 +132,6 @@ def build_convexified(market: Market) -> ConvexifiedProgram:
                 row[block_col[bid.parent]] = -1.0
                 ub_rows.append(row)
                 b_ub.append(0.0)
-                labels.append(f"link:{bid.bid_id}")
             if bid.loop is not None and bid.loop in block_col:
                 key = frozenset((bid.bid_id, bid.loop))
                 if key in seen_loops:
@@ -160,7 +144,6 @@ def build_convexified(market: Market) -> ConvexifiedProgram:
                     row[block_col[this.bid_id]] = -1.0
                     ub_rows.append(row)
                     b_ub.append(0.0)
-                    labels.append(f"loop:{this.bid_id}")
 
     a_ub = np.array(ub_rows).reshape(len(ub_rows), n) if ub_rows else np.zeros((0, n))
     return ConvexifiedProgram(
@@ -174,13 +157,17 @@ def build_convexified(market: Market) -> ConvexifiedProgram:
         var_info=tuple(info),
         block_col=block_col,
         curve_cols={k: tuple(v) for k, v in curve_cols.items()},
-        row_labels=tuple(labels),
     )
 
 
 @dataclass
 class DualSolution:
-    """Optimal prices and a vertex allocation of the convexified welfare LP."""
+    """Optimal prices and a vertex allocation of the convexified welfare LP.
+
+    It is also the market priced at lambda*: per-agent quantities at these
+    prices (agent i is `market.agents[i]`) are computed on first use and
+    kept for the life of the object, keyed by every argument they depend on.
+    """
 
     lambda_star: np.ndarray
     primal_value: float
@@ -188,6 +175,53 @@ class DualSolution:
     allocation: Allocation
     var_values: np.ndarray
     program: ConvexifiedProgram
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def market(self) -> Market:
+        return self.program.market
+
+    def _memo(self, key: tuple, compute):
+        if key not in self._cache:
+            self._cache[key] = compute()
+        return self._cache[key]
+
+    def lp_bundle(self, i: int) -> np.ndarray:
+        """Agent i's bundle in the LP vertex allocation."""
+        return self._memo(("bundle", i), lambda: self.allocation.bundle(
+            self.market, self.market.agents[i]))
+
+    def demand(self, i: int, tol: float | None = None) -> DemandSet:
+        t = resolve_tol(tol)
+        return self._memo(("demand", i, t), lambda: demand_set(
+            self.market.agents[i], self.lambda_star, self.market.num_commodities, t))
+
+    def demand_sets(self, tol: float | None = None) -> list[DemandSet]:
+        return [self.demand(i, tol) for i in range(len(self.market.agents))]
+
+    def lp_in_demand(self, i: int, tol: float | None = None) -> bool:
+        t = resolve_tol(tol)
+        return self._memo(("in_demand", i, t),
+                          lambda: self.demand(i, t).contains(self.lp_bundle(i)))
+
+    def measure(self, i: int, tol: float | None = None, norm: str = "l2") -> float:
+        """Nonconvexity of agent i's demand set, probed at its LP bundle."""
+        t = resolve_tol(tol)
+        return self._memo(("measure", i, t, norm), lambda: nonconvexity(
+            self.demand(i, t), norm, probes=(self.lp_bundle(i),)))
+
+    def nonconvex_stats(self, tol: float | None = None,
+                        norm: str = "l2") -> NonconvexStats:
+        """Probed measures ranked over K: agents outside demand count as nonconvex."""
+        t = resolve_tol(tol)
+        return NonconvexStats.rank([self.measure(i, t, norm)
+                                    for i in range(len(self.market.agents))],
+                                   self.market.num_commodities, t)
+
+    def best_surplus(self, i: int, tol: float | None = None) -> float:
+        t = resolve_tol(tol)
+        return self._memo(("surplus", i, t), lambda: agent_best_surplus(
+            self.market.agents[i], self.lambda_star, t))
 
 
 def dual_value(market: Market, lam, tol: float | None = None) -> float:

@@ -279,10 +279,15 @@ def _union_distance_norm(pieces, x, norm: str) -> float:
 def nonconvexity(demand: DemandSet, norm: str = "l2", probes=()) -> float:
     """Largest distance from a hull point of the demand set back to the set.
 
-    Exact for collinear unions (interval arithmetic on the carrier line);
-    otherwise the maximum is taken over an exact candidate family: piece
-    corners, pairwise closest-approach midpoints, and caller-supplied probe
-    points (which must lie in the hull).
+    Exact for collinear unions (interval arithmetic on the carrier line).
+    Otherwise the value is the maximum over a candidate family of hull
+    points: piece corners, pairwise closest-approach midpoints, and
+    caller-supplied probe points (which must lie in the hull).  That family
+    is not exhaustive once the set spans two or more dimensions, so the value
+    is then a lower bound on the measure: two at-the-money all-or-nothing
+    blocks in one exclusive group, at q=(1, 0) and q=(1/2, sqrt(3)/2), demand
+    {0, q1, q2}, and the family gives 0.5 where the circumcenter of that
+    triangle lies 1/sqrt(3) ~ 0.577 from the set.
     """
     pieces = demand.pieces
     if len(pieces) == 1 and not probes:
@@ -322,16 +327,18 @@ class NonconvexStats:
     def top_sum(self) -> float:
         return float(sum(self.top))
 
+    @classmethod
+    def rank(cls, measures, k: int, tol: float) -> NonconvexStats:
+        """Count the measures above tol and keep the k largest."""
+        ranked = sorted(measures, reverse=True)[:k]
+        return cls(sum(1 for r in measures if r > tol),
+                   tuple(ranked + [0.0] * (k - len(ranked))), tuple(measures))
+
 
 def count_nonconvex_demand(market: Market, lam, k: int | None = None,
                            tol: float | None = None, norm: str = "l2") -> NonconvexStats:
     """Number of agents demanding nonconvexly at lam and the k largest measures."""
     t = resolve_tol(tol)
-    k = market.num_commodities if k is None else k
-    rhos = []
-    for agent in market.agents:
-        rhos.append(agent_nonconvexity(agent, lam, market.num_commodities, t, norm))
-    count = sum(1 for r in rhos if r > t)
-    ranked = sorted(rhos, reverse=True)[:k]
-    ranked += [0.0] * (k - len(ranked))
-    return NonconvexStats(count, tuple(ranked), tuple(rhos))
+    K = market.num_commodities
+    return NonconvexStats.rank([agent_nonconvexity(a, lam, K, t, norm) for a in market.agents],
+                               K if k is None else k, t)

@@ -18,12 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import lsq_linear
 
+from . import geometry
 from .config import resolve_tol, vector_norm
-from .convexify import DualSolution, dual_value, solve_lp
-from .demand import (agent_best_surplus, demand_set, nonconvexity,
-                     NonconvexStats)
-from .model import Agent, Allocation, Market, agent_value, zero_allocation
+from .convexify import DualSolution, solve_lp
+from .curves import demand_interval
+from .demand import (NonconvexStats, _money_class, agent_best_surplus, block_margin,
+                     demand_set)
+from .model import Agent, Allocation, Market, agent_value, iter_patterns
 from .welfare import ExactSolution, solve_welfare
 
 
@@ -43,13 +46,18 @@ class EquilibriumCertificate:
 
 def detect_equilibrium(market: Market, lam, allocation: Allocation,
                        tol: float | None = None, norm: str = "l2") -> EquilibriumCertificate:
-    """Exact equilibrium iff every bundle is demanded at lam and trade balances."""
+    """Exact equilibrium iff every bundle is demanded at lam and trade balances.
+
+    `lam` may be the market's DualSolution, whose demand sets are then reused.
+    """
     t = resolve_tol(tol)
-    lam = np.asarray(lam, dtype=float)
-    flags = []
-    for agent in market.agents:
-        ds = demand_set(agent, lam, market.num_commodities, t)
-        flags.append(ds.contains(allocation.bundle(market, agent)))
+    if isinstance(lam, DualSolution):
+        lam, sets = lam.lambda_star, lam.demand_sets(t)
+    else:
+        lam = np.asarray(lam, dtype=float)
+        sets = [demand_set(a, lam, market.num_commodities, t) for a in market.agents]
+    flags = [ds.contains(allocation.bundle(market, agent))
+             for ds, agent in zip(sets, market.agents)]
     imbalance = vector_norm(allocation.imbalance(market), norm)
     scale = 1.0 + float(np.max(np.abs(allocation.bundles(market)), initial=0.0))
     ok = all(flags) and imbalance <= t * scale
@@ -80,33 +88,15 @@ def balanced_lp_allocation(market: Market, dual: DualSolution | None = None,
     bound would mean the LP solution is not a vertex, so it is asserted.
     """
     t = resolve_tol(tol)
-    if dual is None:
-        dual = solve_lp(market, t)
-    lam = dual.lambda_star
-    K = market.num_commodities
-    bad: list[str] = []
-    sets = []
-    for agent in market.agents:
-        ds = demand_set(agent, lam, K, t)
-        x = dual.allocation.bundle(market, agent)
-        sets.append((ds, x))
-        if not ds.contains(x):
-            bad.append(agent.agent_id)
-    if stats or bad:
-        # The LP bundle is a probe so every violator registers as nonconvex.
-        rhos = [nonconvexity(ds, norm, probes=(x,)) for ds, x in sets]
-        count = sum(1 for r in rhos if r > t)
-        ranked = sorted(rhos, reverse=True)[:K]
-        ncs = NonconvexStats(count, tuple(ranked + [0.0] * (K - len(ranked))),
-                             tuple(rhos))
-    else:
-        ncs = NonconvexStats(0, (), ())
-    if bad:
-        limit = min(ncs.count, K)
-        if len(bad) > limit:
-            raise AssertionError(
-                f"{len(bad)} agents outside demand, bound is {limit}")
-    return LpAllocationResult(dual, dual.allocation, len(bad), tuple(bad), ncs)
+    dual = solve_lp(market, t) if dual is None else dual
+    bad = tuple(agent.agent_id for i, agent in enumerate(market.agents)
+                if not dual.lp_in_demand(i, t))
+    ncs = (dual.nonconvex_stats(t, norm) if stats or bad
+           else NonconvexStats(0, (), ()))
+    limit = min(ncs.count, market.num_commodities)
+    if len(bad) > limit:
+        raise AssertionError(f"{len(bad)} agents outside demand, bound is {limit}")
+    return LpAllocationResult(dual, dual.allocation, len(bad), bad, ncs)
 
 
 @dataclass
@@ -130,37 +120,29 @@ def demand_snapped_allocation(market: Market, dual: DualSolution | None = None,
 
     Every agent ends inside its demand set; the aggregate imbalance is
     bounded by the sum of the K largest nonconvexity measures (asserted,
-    with the projected points fed back as candidate probes so the bound is
+    with each LP bundle fed back as a candidate probe so the bound is
     evaluated safely even off the closed-form path).
     """
     t = resolve_tol(tol)
-    if dual is None:
-        dual = solve_lp(market, t)
-    lam = dual.lambda_star
-    K = market.num_commodities
+    dual = solve_lp(market, t) if dual is None else dual
     acc: dict[str, float] = dict(dual.allocation.acceptances)
-    total = np.zeros(K)
-    rhos = []
-    for agent in market.agents:
-        ds = demand_set(agent, lam, K, t)
-        x = dual.allocation.bundle(market, agent)
-        dist, y = ds.nearest(x)
-        rhos.append(nonconvexity(ds, norm, probes=(x,)))
-        if dist > t * (1.0 + float(np.linalg.norm(x))):
-            _reassign_agent(agent, acc, ds, x, y, lam, t)
-            x = y
+    total = np.zeros(market.num_commodities)
+    for i, agent in enumerate(market.agents):
+        x = dual.lp_bundle(i)
+        if not dual.lp_in_demand(i, t):
+            _, x = dual.demand(i, t).nearest(x)
+            _reassign_agent(agent, acc, x, dual.lambda_star, t)
         total += x
     imbalance = vector_norm(total, norm)
-    ranked = sorted(rhos, reverse=True)[:K]
-    bound = float(sum(ranked))
+    bound = dual.nonconvex_stats(t, norm).top_sum
     if imbalance > bound + t * (1.0 + bound):
         raise AssertionError(
             f"imbalance {imbalance} exceeds nonconvexity bound {bound}")
     return SnappedAllocationResult(dual, Allocation(acc), imbalance, bound)
 
 
-def _reassign_agent(agent: Agent, acc: dict, ds, x_old: np.ndarray,
-                    y: np.ndarray, lam: np.ndarray, tol: float) -> None:
+def _reassign_agent(agent: Agent, acc: dict, y: np.ndarray, lam: np.ndarray,
+                    tol: float) -> None:
     """Rewrite the agent's acceptances so its bundle becomes y.
 
     For each feasible indicator pattern the bundle is an affine map of the
@@ -169,10 +151,8 @@ def _reassign_agent(agent: Agent, acc: dict, ds, x_old: np.ndarray,
     box-constrained least squares per pattern finds the combination hitting
     y; at least one pattern must, since y lies in the demand set.
     """
-    from .curves import demand_interval
-    from .demand import block_margin, _money_class
     best = None
-    for z in _agent_patterns(agent):
+    for z in iter_patterns(agent.block_bids):
         fixed = np.zeros(lam.size)
         setting = {}
         cols: list[np.ndarray] = []
@@ -213,7 +193,6 @@ def _reassign_agent(agent: Agent, acc: dict, ds, x_old: np.ndarray,
                 owners.append(bid.bid_id)
         target = y - fixed
         if cols:
-            from scipy.optimize import lsq_linear
             A = np.column_stack(cols)
             lo = np.array([b[0] for b in bounds])
             hi = np.array([b[1] for b in bounds])
@@ -232,11 +211,6 @@ def _reassign_agent(agent: Agent, acc: dict, ds, x_old: np.ndarray,
     acc.update(best[1])
 
 
-def _agent_patterns(agent: Agent):
-    from .model import iter_patterns
-    return iter_patterns(agent.block_bids)
-
-
 # ---------------------------------------------------------------------------
 # Lost opportunity cost and convex hull pricing
 
@@ -245,12 +219,17 @@ def lost_opportunity_cost(market: Market, allocation: Allocation, lam,
     """Total and per-agent surplus shortfall against the best response at lam.
 
     Infinite for agents whose acceptances are outside their true feasible set.
+    `lam` may be the market's DualSolution, whose best surpluses are then reused.
     """
     t = resolve_tol(tol)
-    lam = np.asarray(lam, dtype=float)
+    if isinstance(lam, DualSolution):
+        lam, surpluses = lam.lambda_star, [lam.best_surplus(i, t)
+                                           for i in range(len(market.agents))]
+    else:
+        lam = np.asarray(lam, dtype=float)
+        surpluses = [agent_best_surplus(a, lam, t) for a in market.agents]
     per_agent: dict[str, float] = {}
-    for agent in market.agents:
-        best = agent_best_surplus(agent, lam, t)
+    for agent, best in zip(market.agents, surpluses):
         val = agent_value(agent, allocation.acceptances, t)
         if val == float("-inf"):
             per_agent[agent.agent_id] = float("inf")
@@ -278,8 +257,8 @@ class PricingResult:
 
 
 def convex_hull_pricing(market: Market, tol: float | None = None,
-                        norm: str = "l2",
-                        node_budget: int | None = None) -> PricingResult:
+                        norm: str = "l2", node_budget: int | None = None,
+                        dual: DualSolution | None = None) -> PricingResult:
     """Price the exact welfare allocation at lambda*.
 
     The total lost opportunity cost equals the gap between the convexified
@@ -287,18 +266,17 @@ def convex_hull_pricing(market: Market, tol: float | None = None,
     an equilibrium exists.
     """
     t = resolve_tol(tol)
-    dual = solve_lp(market, t)
+    dual = solve_lp(market, t) if dual is None else dual
     kwargs = {} if node_budget is None else {"node_budget": node_budget}
-    exact = solve_welfare(market, tol=t, **kwargs)
-    lam = dual.lambda_star
-    total, per_agent = lost_opportunity_cost(market, exact.allocation, lam, t)
+    exact = solve_welfare(dual, tol=t, **kwargs)
+    total, per_agent = lost_opportunity_cost(market, exact.allocation, dual, t)
     gap = dual.dual_objective - exact.welfare
     scale = 1.0 + abs(dual.dual_objective) + abs(exact.welfare)
     if abs(total - gap) > 1e-6 * scale:
         raise AssertionError(f"pricing loc {total} != duality gap {gap}")
-    cert = detect_equilibrium(market, lam, exact.allocation, t, norm)
-    return PricingResult(tuple(float(v) for v in lam), exact.allocation, exact,
-                         dual, total, per_agent, cert)
+    cert = detect_equilibrium(market, dual, exact.allocation, t, norm)
+    return PricingResult(tuple(float(v) for v in dual.lambda_star), exact.allocation,
+                         exact, dual, total, per_agent, cert)
 
 
 def check_loc_dominance(market: Market, allocation: Allocation, lam,
@@ -333,18 +311,11 @@ def singleton_demand_equilibrium_check(market: Market, tol: float | None = None,
     equilibrium exists and is returned via the snapped allocation."""
     t = resolve_tol(tol)
     dual = solve_lp(market, t)
-    lam = dual.lambda_star
-    applies = True
-    for agent in market.agents:
-        if agent.has_blocks:
-            ds = demand_set(agent, lam, market.num_commodities, t)
-            if not ds.is_singleton():
-                applies = False
-                break
-    if not applies:
+    if not all(dual.demand(i, t).is_singleton()
+               for i, agent in enumerate(market.agents) if agent.has_blocks):
         return ExistenceCheck(False, False, None)
     snapped = demand_snapped_allocation(market, dual, t, norm)
-    cert = detect_equilibrium(market, lam, snapped.allocation, t, norm)
+    cert = detect_equilibrium(market, dual, snapped.allocation, t, norm)
     return ExistenceCheck(True, cert.is_equilibrium, cert)
 
 
@@ -370,11 +341,8 @@ def aggregate_demand_convexity_check(market: Market, tol: float | None = None,
                          "markets only")
     t = resolve_tol(tol)
     dual = solve_lp(market, t)
-    lam = dual.lambda_star
     per_agent: list[list[tuple[float, float]]] = []
-    from . import geometry
-    for agent in market.agents:
-        ds = demand_set(agent, lam, 1, t)
+    for ds in dual.demand_sets(t):
         model = geometry.collinear_model(ds.pieces)
         assert model is not None  # one dimension is always collinear
         origin, unit, intervals = model
@@ -394,16 +362,15 @@ def aggregate_demand_convexity_check(market: Market, tol: float | None = None,
     allocation = None
     cert = None
     if convex and total[0][0] <= t and total[0][1] >= -t:
-        allocation = _select_balancing_points(market, per_agent, lam, t)
+        allocation = _select_balancing_points(dual, per_agent, t)
         if allocation is not None:
-            cert = detect_equilibrium(market, lam, allocation, t, norm)
+            cert = detect_equilibrium(market, dual, allocation, t, norm)
     return AggregateConvexityCheck(convex, tuple(tuple(iv) for iv in total),
                                    allocation, cert)
 
 
-def _select_balancing_points(market: Market, per_agent, lam, tol: float):
+def _select_balancing_points(dual: DualSolution, per_agent, tol: float):
     """Pick x_i in D_i summing to zero by a reachability sweep (1-D exact)."""
-    from . import geometry
     n = len(per_agent)
     reach = [None] * (n + 1)
     reach[n] = [(0.0, 0.0)]
@@ -416,7 +383,7 @@ def _select_balancing_points(market: Market, per_agent, lam, tol: float):
         return None
     acc: dict[str, float] = {}
     target = 0.0
-    for i, agent in enumerate(market.agents):
+    for i, agent in enumerate(dual.market.agents):
         chosen = None
         for a, b in per_agent[i]:
             # need x in [a,b] with target - x reachable by the rest
@@ -430,17 +397,10 @@ def _select_balancing_points(market: Market, per_agent, lam, tol: float):
                 break
         if chosen is None:
             return None
-        _assign_1d_point(agent, chosen, lam, tol, acc)
+        _, y = dual.demand(i, tol).nearest(np.array([chosen]))
+        _reassign_agent(agent, acc, y, dual.lambda_star, tol)
         target -= chosen
     return Allocation(acc)
-
-
-def _assign_1d_point(agent: Agent, x: float, lam, tol: float, acc: dict) -> None:
-    """Write acceptances realizing demand point x for a 1-D agent."""
-    ds = demand_set(agent, lam, 1, tol)
-    _, y = ds.nearest(np.array([x]))
-    _reassign_agent(agent, acc, ds, np.array([x]), y,
-                    np.asarray(lam, dtype=float), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -462,9 +422,8 @@ class ApproxEquilibria:
 
 def approximate_equilibria(market: Market, tol: float | None = None,
                            norm: str = "l2") -> ApproxEquilibria:
-    t = resolve_tol(tol)
-    dual = solve_lp(market, t)
-    lp_res = balanced_lp_allocation(market, dual, t, norm)
-    snapped = demand_snapped_allocation(market, dual, t, norm)
-    pricing = convex_hull_pricing(market, t, norm)
-    return ApproxEquilibria(dual, lp_res, snapped, pricing)
+    """The three allocations at lambda*, sharing one solved convexified LP."""
+    dual = solve_lp(market, tol)
+    return ApproxEquilibria(dual, balanced_lp_allocation(market, dual, tol, norm),
+                            demand_snapped_allocation(market, dual, tol, norm),
+                            convex_hull_pricing(market, tol, norm, dual=dual))

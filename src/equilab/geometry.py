@@ -86,18 +86,6 @@ def make_piece(offset, gens=()) -> Piece:
     return Piece(tuple(offset), units, ranges)
 
 
-def shift_piece(piece: Piece, delta) -> Piece:
-    off = np.asarray(piece.offset) + np.asarray(delta, dtype=float)
-    return Piece(tuple(off), piece.units, piece.ranges)
-
-
-def combine_pieces(a: Piece, b: Piece) -> Piece:
-    """Minkowski sum of two pieces."""
-    gens = [(np.array(u), lo, hi) for u, (lo, hi) in zip(a.units, a.ranges)]
-    gens += [(np.array(u), lo, hi) for u, (lo, hi) in zip(b.units, b.ranges)]
-    return make_piece(np.asarray(a.offset) + np.asarray(b.offset), gens)
-
-
 def piece_vertices(piece: Piece) -> np.ndarray:
     """All bound-combination corners; a superset of the piece's extreme points."""
     g = len(piece.units)

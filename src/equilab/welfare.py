@@ -19,7 +19,7 @@ import numpy as np
 
 from . import lp
 from .config import resolve_tol
-from .convexify import ConvexifiedProgram, build_convexified
+from .convexify import ConvexifiedProgram, DualSolution, build_convexified
 from .model import Allocation, Market, pattern_feasible
 
 GAP_TOL = 1e-6
@@ -73,15 +73,18 @@ def _implied_violations(market: Market, program: ConvexifiedProgram,
     return mar_viol, group_viol
 
 
-def solve_welfare(market: Market, node_budget: int = DEFAULT_NODE_BUDGET,
+def solve_welfare(market: Market | DualSolution, node_budget: int = DEFAULT_NODE_BUDGET,
                   tol: float | None = None) -> ExactSolution:
     """Best-bound branch and bound; deterministic, gap-certified.
 
-    Raises NodeBudgetExceeded (carrying the incumbent) if the node budget
-    runs out before the gap closes.
+    `market` may be its solved convexified LP (a DualSolution), whose program
+    and root relaxation are then reused.  Raises NodeBudgetExceeded (carrying
+    the incumbent) if the node budget runs out before the gap closes.
     """
     t = resolve_tol(tol)
-    program = build_convexified(market)
+    dual = market if isinstance(market, DualSolution) else None
+    program = build_convexified(market) if dual is None else dual.program
+    market = program.market
     siblings: dict[str, list[str]] = {}
     for agent in market.agents:
         for bid in agent.block_bids:
@@ -98,13 +101,17 @@ def solve_welfare(market: Market, node_budget: int = DEFAULT_NODE_BUDGET,
             res, alloc = program.solve_raw(overrides)
         except lp.InfeasibleError:
             return
-        heapq.heappush(heap, (-res.value, next(counter), overrides, res, alloc))
+        heapq.heappush(heap, (-res.value, next(counter), overrides, res.x, alloc))
 
-    push({})
+    if dual is None:
+        push({})
+    else:
+        heapq.heappush(heap, (-dual.primal_value, next(counter), {},
+                              dual.var_values, dual.allocation))
     nodes = 0
     gap = 0.0
     while heap:
-        neg_bound, _, overrides, res, alloc = heapq.heappop(heap)
+        neg_bound, _, overrides, x, alloc = heapq.heappop(heap)
         bound = -neg_bound
         if bound <= best_val + 1e-9 * (1.0 + abs(best_val)):
             # Best-first: every remaining node is bounded by this one.
@@ -115,10 +122,10 @@ def solve_welfare(market: Market, node_budget: int = DEFAULT_NODE_BUDGET,
             open_gap = bound - best_val if np.isfinite(best_val) else float("inf")
             raise NodeBudgetExceeded(
                 ExactSolution(best_val, best_alloc or Allocation({}), nodes, open_gap))
-        mar_viol, group_viol = _implied_violations(market, program, res.x, t)
+        mar_viol, group_viol = _implied_violations(market, program, x, t)
         if not mar_viol and group_viol is None:
-            if res.value > best_val:
-                best_val, best_alloc = res.value, alloc
+            if bound > best_val:
+                best_val, best_alloc = bound, alloc
             continue
         if mar_viol:
             # Most fractional implied indicator first, ties by lowest bid id.

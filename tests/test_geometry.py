@@ -5,18 +5,28 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import lsq_linear
 
-from equilab.geometry import (Piece, closest_pair, collinear_model,
-                              combine_pieces, in_hull,
+from equilab.geometry import (Piece, closest_pair, collinear_model, in_hull,
                               interval_union_gap_radius, make_piece,
                               merge_intervals, piece_contains, piece_nearest,
-                              piece_subset, piece_vertices, shift_piece,
-                              union_nearest)
+                              piece_subset, piece_vertices, union_nearest)
 
 
 def seg(lo, hi, axis=0, dim=1):
     u = np.zeros(dim)
     u[axis] = 1.0
     return make_piece(np.zeros(dim), [(u, lo, hi)])
+
+
+def shift_piece(piece: Piece, delta) -> Piece:
+    off = np.asarray(piece.offset) + np.asarray(delta, dtype=float)
+    return Piece(tuple(off), piece.units, piece.ranges)
+
+
+def combine_pieces(a: Piece, b: Piece) -> Piece:
+    """Minkowski sum of two pieces."""
+    gens = [(np.array(u), lo, hi) for u, (lo, hi) in zip(a.units, a.ranges)]
+    gens += [(np.array(u), lo, hi) for u, (lo, hi) in zip(b.units, b.ranges)]
+    return make_piece(np.asarray(a.offset) + np.asarray(b.offset), gens)
 
 
 def test_point_piece():

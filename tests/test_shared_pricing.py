@@ -1,0 +1,105 @@
+"""One solved convexified LP shared by every analysis at lambda*.
+
+`approximate_equilibria` must build the program once, solve the root
+relaxation once, build one demand set and one nonconvexity measure per
+agent, and give exactly what the standalone allocation functions give.
+"""
+
+import dataclasses
+import sys
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from equilab import convexify, demand
+from equilab.config import DEFAULT_TOL
+from equilab.convexify import ConvexifiedProgram, solve_lp
+from equilab.demand import demand_set, nonconvexity
+from equilab.equilibria import (approximate_equilibria, balanced_lp_allocation,
+                                convex_hull_pricing, demand_snapped_allocation)
+
+from market_corpus import random_market
+
+DIMS = (1, 2, 4, 24)
+CORPUS = 20
+
+
+def corpus_market(i):
+    return random_market(np.random.default_rng((4242, i)), K=DIMS[i % len(DIMS)],
+                         max_blocks=8)
+
+
+@pytest.fixture(params=["four-agent"] + list(range(CORPUS)))
+def market(request, four_agent_market):
+    if request.param == "four-agent":
+        return four_agent_market
+    return corpus_market(request.param)
+
+
+def count_calls(monkeypatch, counts: Counter, name: str, fn, when=None):
+    """Count calls of `fn` through every equilab module binding of it."""
+    def counted(*args, **kwargs):
+        if when is None or when(*args, **kwargs):
+            counts[name] += 1
+        return fn(*args, **kwargs)
+    for modname, module in list(sys.modules.items()):
+        if modname.split(".")[0] != "equilab" or module is None:
+            continue
+        for key, value in list(vars(module).items()):
+            if value is fn:
+                monkeypatch.setattr(module, key, counted)
+    return counted
+
+
+def test_one_build_solve_demand_set_and_measure_per_agent(monkeypatch, market):
+    counts: Counter = Counter()
+    count_calls(monkeypatch, counts, "build", convexify.build_convexified)
+    count_calls(monkeypatch, counts, "demand_set", demand.demand_set)
+    count_calls(monkeypatch, counts, "nonconvexity", demand.nonconvexity)
+    monkeypatch.setattr(ConvexifiedProgram, "solve_raw", count_calls(
+        monkeypatch, counts, "root_solve", ConvexifiedProgram.solve_raw,
+        when=lambda program, overrides=None: not overrides))
+
+    approximate_equilibria(market)
+
+    n = len(market.agents)
+    assert counts == Counter(build=1, root_solve=1, demand_set=n, nonconvexity=n)
+
+
+def assert_same(a, b, path="result"):
+    """Field-by-field equality with ==; arrays must match exactly."""
+    if dataclasses.is_dataclass(a):
+        assert type(a) is type(b), path
+        for f in dataclasses.fields(a):
+            if f.compare:
+                assert_same(getattr(a, f.name), getattr(b, f.name), f"{path}.{f.name}")
+    elif isinstance(a, np.ndarray):
+        assert np.array_equal(a, b), path
+    else:
+        assert a == b, path
+
+
+def test_bundle_equals_standalone_functions(market):
+    res = approximate_equilibria(market)
+    assert_same(res.lp_result, balanced_lp_allocation(market), "lp_result")
+    assert_same(res.snapped, demand_snapped_allocation(market), "snapped")
+    assert_same(res.pricing, convex_hull_pricing(market), "pricing")
+    assert_same(res.dual, solve_lp(market), "dual")
+
+
+def test_caches_keyed_by_tolerance_and_norm(four_agent_market):
+    market = four_agent_market
+    dual = solve_lp(market)
+    K = market.num_commodities
+    for i, agent in enumerate(market.agents):
+        x = dual.allocation.bundle(market, agent)
+        assert np.array_equal(dual.lp_bundle(i), x)
+        for tol in (DEFAULT_TOL, 1e-3):
+            ds = dual.demand(i, tol)
+            assert ds.tol == tol
+            assert ds.pieces == demand_set(agent, dual.lambda_star, K, tol).pieces
+            for norm in ("l1", "l2", "linf"):
+                assert dual.measure(i, tol, norm) == nonconvexity(ds, norm, probes=(x,))
+        assert dual.demand(i, DEFAULT_TOL) is dual.demand(i)
+        assert dual.demand(i, 1e-3) is not dual.demand(i)
