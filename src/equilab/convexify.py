@@ -224,15 +224,19 @@ class DualSolution:
             self.market.agents[i], self.lambda_star, t))
 
 
-def dual_value(market: Market, lam, tol: float | None = None) -> float:
+def dual_value(market: Market, lam, tol: float | None = None,
+               surpluses: list[float] | None = None) -> float:
     """Price dual: sum over agents of the best surplus at prices lam.
 
     The per-agent maximum over the true feasible set equals the maximum of
     the concave envelope over the hull (the value is linear on each piece),
     so this is exactly the dual function of the convexified market.
+    `surpluses`, when given, are those per-agent maxima, already computed.
     """
-    lam = np.asarray(lam, dtype=float)
-    return float(sum(agent_best_surplus(a, lam, tol) for a in market.agents))
+    if surpluses is None:
+        lam = np.asarray(lam, dtype=float)
+        surpluses = [agent_best_surplus(a, lam, tol) for a in market.agents]
+    return float(sum(surpluses))
 
 
 def solve_lp(market_or_program, tol: float | None = None) -> DualSolution:
@@ -241,18 +245,22 @@ def solve_lp(market_or_program, tol: float | None = None) -> DualSolution:
     Accepts a Market or a prebuilt ConvexifiedProgram.  Returns the vertex
     primal allocation, the balance-row multipliers lambda*, and the dual
     objective evaluated at lambda* (equal to the primal value within
-    tolerance, by LP duality).
+    tolerance, by LP duality).  The per-agent best surpluses behind that
+    objective seed the DualSolution's `best_surplus` cache.
     """
     t = resolve_tol(tol)
     program = (market_or_program if isinstance(market_or_program, ConvexifiedProgram)
                else build_convexified(market_or_program))
     res, allocation = program.solve_raw()
     lam = res.duals_eq
-    vd = dual_value(program.market, lam, t)
+    surpluses = [agent_best_surplus(a, lam, t) for a in program.market.agents]
+    vd = dual_value(program.market, lam, t, surpluses)
     vp = res.value
     if abs(vp - vd) > t * (1.0 + abs(vp)):
         raise AssertionError(
             f"duality gap in convexified LP: primal {vp!r}, dual {vd!r}")
     if vd < vp - t * (1.0 + abs(vp)):
         raise AssertionError("weak duality violated")
-    return DualSolution(lam, vp, vd, allocation, res.x, program)
+    dual = DualSolution(lam, vp, vd, allocation, res.x, program)
+    dual._cache.update({("surplus", i, t): v for i, v in enumerate(surpluses)})
+    return dual

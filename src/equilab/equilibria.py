@@ -48,16 +48,19 @@ def detect_equilibrium(market: Market, lam, allocation: Allocation,
                        tol: float | None = None, norm: str = "l2") -> EquilibriumCertificate:
     """Exact equilibrium iff every bundle is demanded at lam and trade balances.
 
-    `lam` may be the market's DualSolution, whose demand sets are then reused.
+    `lam` may be the market's DualSolution, whose demand sets are then reused,
+    and so is its containment check wherever a bundle equals the LP bundle.
     """
     t = resolve_tol(tol)
+    bundles = [allocation.bundle(market, agent) for agent in market.agents]
     if isinstance(lam, DualSolution):
-        lam, sets = lam.lambda_star, lam.demand_sets(t)
+        dual, lam = lam, lam.lambda_star
+        flags = [dual.lp_in_demand(i, t) if np.array_equal(x, dual.lp_bundle(i))
+                 else dual.demand(i, t).contains(x) for i, x in enumerate(bundles)]
     else:
         lam = np.asarray(lam, dtype=float)
-        sets = [demand_set(a, lam, market.num_commodities, t) for a in market.agents]
-    flags = [ds.contains(allocation.bundle(market, agent))
-             for ds, agent in zip(sets, market.agents)]
+        flags = [demand_set(a, lam, market.num_commodities, t).contains(x)
+                 for a, x in zip(market.agents, bundles)]
     imbalance = vector_norm(allocation.imbalance(market), norm)
     scale = 1.0 + float(np.max(np.abs(allocation.bundles(market)), initial=0.0))
     ok = all(flags) and imbalance <= t * scale

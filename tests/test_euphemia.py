@@ -1,5 +1,7 @@
 """Block-order clearing with uniform prices and no-loss block rules."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,11 +10,14 @@ from equilab.convexify import solve_lp
 from equilab.curves import canonical_steps
 from equilab.demand import block_margin
 from equilab.equilibria import lost_opportunity_cost
-from equilab.euphemia import (ClearingComplexityError, clear_euphemia_style)
+from equilab.euphemia import (ClearingComplexityError, _price_excess, _reach,
+                              _row_excess, _screened_out, clear_euphemia_style)
+from equilab.lp import InfeasibleError, solve_lp as lp_solve
 from equilab.model import (Agent, BlockBid, HourlyCurveBid, Market,
-                           acceptance_feasible)
+                           acceptance_feasible, iter_patterns)
 from equilab.welfare import solve_welfare
 
+from euphemia_oracle import clear_euphemia_style as oracle_clear
 from market_corpus import random_market
 
 
@@ -141,3 +146,149 @@ def test_convex_market_equals_relaxation(seed):
     res = clear_euphemia_style(market)
     assert res.cleared
     assert res.welfare == pytest.approx(solve_lp(market).primal_value, abs=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# Optimality oracle: the unscreened enumerator gives the same result
+
+def _fields(res):
+    # a no-clearing result's prices are nan, which == cannot compare
+    return (res.status, res.lam if res.cleared else None, res.welfare,
+            res.active_blocks, res.combos_checked,
+            list(res.allocation.acceptances.items()))
+
+
+def _assert_same_as_oracle(market):
+    try:
+        expected = oracle_clear(market)
+    except ClearingComplexityError:
+        with pytest.raises(ClearingComplexityError):
+            clear_euphemia_style(market)
+        return
+    assert _fields(clear_euphemia_style(market)) == _fields(expected)
+
+
+def _combo_count(market):
+    blocks = tuple(b for a in market.agents for b in a.block_bids)
+    n = sum(1 for _ in iter_patterns(blocks))
+    for hour in range(market.num_commodities):
+        prices = {st.price for a in market.agents for bid in a.curve_bids
+                  if bid.hour == hour for st in bid.steps}
+        n *= 2 * len(prices) + 1
+    return n
+
+
+# markets per floor(log2(pattern/situation count)) for K=1, max_blocks=4
+_K1_QUOTAS = {3: 12, 4: 50, 5: 60, 6: 40, 7: 23, 8: 15}
+
+
+def _k1_stratified_corpus():
+    strata = {key: [] for key in _K1_QUOTAS}
+    for draw in range(20000):
+        market = random_market(np.random.default_rng((2024, draw)), K=1, max_blocks=4)
+        key = int(math.log2(_combo_count(market)))
+        if key in strata and len(strata[key]) < _K1_QUOTAS[key]:
+            strata[key].append(market)
+        if all(len(strata[k]) == q for k, q in _K1_QUOTAS.items()):
+            break
+    return [m for key in sorted(strata) for m in strata[key]]
+
+
+def test_oracle_reference_market(four_agent_market):
+    _assert_same_as_oracle(four_agent_market)
+
+
+def test_oracle_k1_corpus_every_stratum():
+    markets = _k1_stratified_corpus()
+    assert len(markets) == sum(_K1_QUOTAS.values()) >= 200
+    for market in markets:
+        _assert_same_as_oracle(market)
+
+
+def test_oracle_k2_corpus():
+    for i in range(40):
+        _assert_same_as_oracle(
+            random_market(np.random.default_rng((2025, i)), K=2, max_blocks=2))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from([1, 2]))
+def test_oracle_random_markets(seed, K):
+    rng = np.random.default_rng(seed)
+    _assert_same_as_oracle(random_market(rng, K=K, max_blocks=4 if K == 1 else 2))
+
+
+# ---------------------------------------------------------------------------
+# The screens are sound: "empty" means the simplex raises InfeasibleError
+
+def _grid(rng, size, lo, hi, step=0.5):
+    return rng.integers(round(lo / step), round(hi / step) + 1, size=size) * step
+
+
+def _nudge(rng, x):
+    """x moved by amounts around the screen margin, so that some violations
+    fall inside its band and some just outside."""
+    step = rng.choice([0.0, 1e-9, 1e-7, 1e-6, 1e-5], size=x.shape)
+    return x + step * rng.choice([-1.0, 1.0], size=x.shape)
+
+
+def _box(rng, n, lo, hi):
+    a, b = _grid(rng, n, lo, hi), _grid(rng, n, lo, hi)
+    return np.minimum(a, b), np.maximum(a, b)
+
+
+def _lp_feasible(**lp_args):
+    try:
+        lp_solve(**lp_args)
+    except InfeasibleError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from([1, 2, 3]))
+def test_price_screen_is_sound(seed, K):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 5))
+    Q = (_grid(rng, (n, K), -3, 3) * (rng.random((n, K)) < 0.8)
+         * 10.0 ** rng.integers(-4, 1, size=(n, K)))
+    # rows pass through, or a grid step away from, one point near the box
+    through = Q @ _grid(rng, K, -6, 6)
+    p = _nudge(rng, through + _grid(rng, n, -1, 1) * (rng.random(n) < 0.5))
+    lo, hi = _box(rng, K, -6, 6)
+    excess = _price_excess(Q, p, lo, hi)
+    scale = float(np.max(np.abs(p)))
+    feasible = _lp_feasible(c=np.zeros(K), a_ub=Q, b_ub=p, lo=lo, hi=hi)
+    if _screened_out(excess, scale):
+        assert not feasible
+    if K == 1 and _screened_out(-excess, scale):
+        assert feasible
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from([1, 2, 3]))
+def test_balance_screen_is_sound(seed, K):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 6))
+    A = (_grid(rng, (K, n), -3, 3) * (rng.random((K, n)) < 0.7)
+         * 10.0 ** rng.integers(-4, 1, size=(K, n)))
+    lo, hi = _box(rng, n, 0, 2)
+    through = A @ _grid(rng, n, 0, 2)
+    b = _nudge(rng, through + _grid(rng, K, -1, 1) * (rng.random(K) < 0.5))
+    excess = float(np.max(_row_excess(*_reach(A, lo, hi), b)))
+    scale = float(np.max(np.abs(b)))
+    feasible = _lp_feasible(c=np.zeros(n), a_eq=A, b_eq=b, lo=lo, hi=hi)
+    if _screened_out(excess, scale):
+        assert not feasible
+    if K == 1 and _screened_out(-excess, scale):
+        assert feasible
+
+
+def test_price_screen_weighs_a_crossing_by_the_cheaper_row():
+    # lam <= 1 (weight 3) and lam >= 1 + 2e-5 (weight 5e-5) cross, but at
+    # lam = 1 the total violation is 1e-9, inside the simplex's tolerance
+    Q = np.array([[3.0], [-5e-5]])
+    p = np.array([3.0, -5e-5 * (1.0 + 2e-5)])
+    lo, hi = np.array([-5.0]), np.array([5.0])
+    assert not _screened_out(_price_excess(Q, p, lo, hi), 3.0)
+    assert _lp_feasible(c=np.zeros(1), a_ub=Q, b_ub=p, lo=lo, hi=hi)

@@ -2,7 +2,9 @@
 
 `approximate_equilibria` must build the program once, solve the root
 relaxation once, build one demand set and one nonconvexity measure per
-agent, and give exactly what the standalone allocation functions give.
+agent, compute one best surplus per agent, test the LP bundle's containment
+once per agent, and give exactly what the standalone allocation functions
+give.
 """
 
 import dataclasses
@@ -15,9 +17,10 @@ import pytest
 from equilab import convexify, demand
 from equilab.config import DEFAULT_TOL
 from equilab.convexify import ConvexifiedProgram, solve_lp
-from equilab.demand import demand_set, nonconvexity
+from equilab.demand import DemandSet, agent_best_surplus, demand_set, nonconvexity
 from equilab.equilibria import (approximate_equilibria, balanced_lp_allocation,
-                                convex_hull_pricing, demand_snapped_allocation)
+                                convex_hull_pricing, demand_snapped_allocation,
+                                detect_equilibrium)
 
 from market_corpus import random_market
 
@@ -65,6 +68,38 @@ def test_one_build_solve_demand_set_and_measure_per_agent(monkeypatch, market):
 
     n = len(market.agents)
     assert counts == Counter(build=1, root_solve=1, demand_set=n, nonconvexity=n)
+
+
+def test_one_best_surplus_and_lp_containment_per_agent(monkeypatch, market):
+    counts: Counter = Counter()
+    count_calls(monkeypatch, counts, "best_surplus", demand.agent_best_surplus)
+    monkeypatch.setattr(DemandSet, "contains", count_calls(
+        monkeypatch, counts, "contains", DemandSet.contains))
+
+    res = approximate_equilibria(market)
+
+    dual = res.dual
+    moved = sum(not np.array_equal(res.pricing.allocation.bundle(market, agent),
+                                   dual.lp_bundle(i))
+                for i, agent in enumerate(market.agents))
+    assert counts["best_surplus"] == len(market.agents)
+    assert counts["contains"] == len(market.agents) + moved
+
+
+def test_duality_check_seeds_best_surplus(market):
+    dual = solve_lp(market)
+    assert dual.dual_objective == convexify.dual_value(market, dual.lambda_star,
+                                                       DEFAULT_TOL)
+    for i, agent in enumerate(market.agents):
+        assert dual.best_surplus(i) == agent_best_surplus(agent, dual.lambda_star,
+                                                          DEFAULT_TOL)
+
+
+def test_certificate_same_with_dual_or_prices(market):
+    dual = solve_lp(market)
+    for allocation in (dual.allocation, convex_hull_pricing(market, dual=dual).allocation):
+        assert (detect_equilibrium(market, dual, allocation)
+                == detect_equilibrium(market, dual.lambda_star, allocation))
 
 
 def assert_same(a, b, path="result"):
