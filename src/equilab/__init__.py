@@ -14,8 +14,7 @@ from .convexify import (ConvexifiedProgram, DualSolution, build_convexified,
 from .curves import CurveError, CurveStep, canonical_steps
 from .demand import (DemandSet, MoneyClasses, NonconvexStats,
                      agent_best_surplus, agent_nonconvexity, classify_money,
-                     convexified_demand, count_nonconvex_demand, demand_set,
-                     nonconvexity)
+                     count_nonconvex_demand, demand_set, nonconvexity)
 from .equilibria import (ApproxEquilibria, EquilibriumCertificate,
                          PricingResult, aggregate_demand_convexity_check,
                          approximate_equilibria, balanced_lp_allocation,
@@ -36,8 +35,7 @@ from .random_markets import (MonteCarloResult, SimpleRandomMarketSpec,
                              certified_equilibrium, gen_simple_random_market,
                              gen_tied_cost_market,
                              monte_carlo_equilibrium_probability)
-from .welfare import (ExactSolution, NodeBudgetExceeded, brute_force_welfare,
-                      solve_welfare)
+from .welfare import ExactSolution, NodeBudgetExceeded, solve_welfare
 
 __version__ = VERSION
 
@@ -51,10 +49,10 @@ __all__ = [
     "PricingResult", "SimpleRandomMarketSpec", "VERSION", "ValidationReport",
     "agent_best_surplus", "agent_nonconvexity", "agent_value",
     "aggregate_demand_convexity_check", "approximate_equilibria",
-    "balanced_lp_allocation", "brute_force_welfare", "build_convexified",
+    "balanced_lp_allocation", "build_convexified",
     "canonical_steps", "certified_equilibrium", "check_loc_dominance",
     "classify_money", "clear_euphemia_style", "convex_hull_pricing",
-    "convexified_demand", "count_nonconvex_demand", "demand_set",
+    "count_nonconvex_demand", "demand_set",
     "demand_snapped_allocation", "detect_equilibrium", "dual_value",
     "emit_market", "emit_outcome", "figure_data", "gen_simple_random_market",
     "gen_tied_cost_market", "load_market", "load_outcome",

@@ -1,17 +1,15 @@
 """Run-wide numeric configuration.
 
 Every tolerance in the package is relative by default: a comparison at scale s
-uses ``tol * (1 + s)``.  The global default can be overridden per call or via
-the ``EQUILAB_TOL`` environment variable.
+uses ``tol * (1 + s)``.  The default is a constant; a call overrides it with
+its ``tol`` argument, the CLI with ``--tol``.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-DEFAULT_TOL = float(os.environ.get("EQUILAB_TOL", "1e-7"))
+DEFAULT_TOL = 1e-7
 
 #: Norm used for nonconvexity measures and imbalance unless overridden.
 DEFAULT_NORM = "l2"
@@ -34,8 +32,3 @@ def vector_norm(v, norm: str = DEFAULT_NORM) -> float:
         return float(np.max(np.abs(v))) if v.size else 0.0
     raise ValueError(f"unknown norm {norm!r}")
 
-
-def close(a: float, b: float, tol: float | None = None) -> bool:
-    """Relative closeness at the magnitude of the larger operand."""
-    t = resolve_tol(tol)
-    return abs(a - b) <= t * (1.0 + max(abs(a), abs(b)))

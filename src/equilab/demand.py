@@ -1,11 +1,14 @@
-"""Exact demand sets, their hulls, and the price-specific nonconvexity measure.
+"""Exact demand sets, best responses, and the price-specific nonconvexity measure.
 
 At prices lam an agent's demand set is the argmax of u(x) - lam.x over its
 true feasible set.  Value is additive across bids and the only coupling
 between bids is through indicator constraints (groups, links, loops), so the
 argmax factorizes: curves contribute exact intervals, blocks contribute
 per-indicator-pattern points or ratio segments, and the agent set is a union
-of Minkowski combinations over the surplus-maximal patterns.
+of Minkowski combinations over the surplus-maximal patterns.  Each set keeps
+those combinations, so `DemandSet.acceptances` turns any demand point back
+into per-bid acceptances: this module is the one place that decides an
+agent's best response.
 
 The nonconvexity measure of a demand set D is the one-sided Hausdorff
 distance of D from its convex hull: the largest distance from a hull point to
@@ -16,10 +19,11 @@ equilibrium bounds consume.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.optimize import lsq_linear
 
 from . import geometry, lp
 from .config import resolve_tol, vector_norm
@@ -42,6 +46,16 @@ def _money_class(margin: float, scale: float, tol: float) -> str:
     if margin < -slack:
         return "out"
     return "at"
+
+
+def _block_money(bid: BlockBid, lam: np.ndarray, tol: float) -> tuple[float, str]:
+    """Margin of one block at lam and its in / at / out class.
+
+    The at-the-money band is relative to the block's money scale
+    |p_b| + |lam.q_b|.
+    """
+    margin = block_margin(bid, lam)
+    return margin, _money_class(margin, abs(bid.price) + abs(float(lam @ bid.q)), tol)
 
 
 @dataclass(frozen=True)
@@ -69,12 +83,12 @@ def classify_money(market: Market, lam, tol: float | None = None) -> MoneyClasse
     for agent in market.agents:
         for bid in agent.bids:
             if isinstance(bid, BlockBid):
-                m = block_margin(bid, lam)
-                scale = abs(bid.price) + abs(float(lam @ bid.q))
+                m, cls = _block_money(bid, lam, t)
             else:
                 m = curve_margin(bid.steps, float(lam[bid.hour]))
                 scale = max((abs(s.price) for s in bid.steps), default=0.0) + abs(float(lam[bid.hour]))
-            classes[bid.bid_id] = _money_class(m, scale, t)
+                cls = _money_class(m, scale, t)
+            classes[bid.bid_id] = cls
             margins[bid.bid_id] = m
     return MoneyClasses(classes, margins)
 
@@ -84,11 +98,19 @@ def classify_money(market: Market, lam, tol: float | None = None) -> MoneyClasse
 
 @dataclass
 class DemandSet:
-    """Union of structured pieces in bundle space."""
+    """Union of structured pieces in bundle space.
+
+    `patterns` holds, in build order, one (offset, fixed, free) entry per
+    surplus-maximal pattern combination the pieces were built from: `fixed`
+    the (bid_id, acceptance) of every block without freedom (off 0, in the
+    money 1, out of the money mar) and `free` the (bid_id, direction, lo, hi)
+    of every curve and then of every at-the-money block.
+    """
 
     dim: int
     pieces: tuple[Piece, ...]
     tol: float
+    patterns: tuple = field(default=(), compare=False, repr=False)
 
     @cached_property
     def _collinear(self):
@@ -113,49 +135,80 @@ class DemandSet:
         span = np.max(vs, axis=0) - np.min(vs, axis=0)
         return bool(np.all(span <= t * (1.0 + np.max(np.abs(vs)))))
 
+    def acceptances(self, y) -> dict[str, float]:
+        """Acceptances of the agent's bids that realise the demand point y.
 
-@dataclass(frozen=True)
-class HullSet:
-    """Convex hull of a demand set, held as a candidate vertex cloud."""
-
-    points: np.ndarray
-    tol: float
-
-    def contains(self, x, tol: float | None = None) -> bool:
-        t = self.tol if tol is None else tol
-        return geometry.in_hull(x, self.points, t)
+        The pattern combinations are tried in build order, each with one
+        box-constrained least squares over its free bids (a bid whose range
+        has zero width is fixed at lo).  The first combination that reaches y
+        within 1e-12 wins, otherwise the one with the least error; so when
+        two surplus-maximal patterns give the same bundle, the first built
+        is chosen.  Every result is a best response at the set's prices.
+        """
+        y = np.asarray(y, dtype=float)
+        best = None
+        for offset, fixed, free in self.patterns:
+            setting = dict(fixed)
+            shift = offset.copy()
+            cols, lo, hi, owners = [], [], [], []
+            for bid_id, d, a, b in free:
+                setting[bid_id] = a
+                if b - a <= 1e-12:
+                    shift += a * d
+                else:
+                    cols.append(d)
+                    lo.append(a)
+                    hi.append(b)
+                    owners.append(bid_id)
+            target = y - shift
+            if cols:
+                A = np.column_stack(cols)
+                sol = lsq_linear(A, target, bounds=(lo, hi), method="bvls")
+                err = float(np.linalg.norm(A @ sol.x - target))
+                setting.update(zip(owners, sol.x.tolist()))
+            else:
+                err = float(np.linalg.norm(target))
+            if best is None or err < best[0] - 1e-12:
+                best = (err, setting)
+            if best[0] <= 1e-12:
+                break
+        if best is None or best[0] > self.tol * (1.0 + float(np.linalg.norm(y))):
+            raise AssertionError("could not realize demand point by acceptances")
+        return best[1]
 
 
 def _pattern_factors(blocks: tuple[BlockBid, ...], lam: np.ndarray, tol: float):
     """Surplus-maximal indicator patterns of one linked component.
 
-    Returns (best_surplus, factors) where each factor is (offset, gens) for
-    one maximal pattern; ties within the relative tolerance are all kept.
+    Ties within the relative tolerance are all kept, in `iter_patterns`
+    order.  Each is returned as (offset, fixed, free): the bundle of its
+    fixed blocks, their (bid_id, acceptance), and the (bid_id, q, mar, 1) of
+    its active at-the-money blocks.
     """
-    margins = [block_margin(b, lam) for b in blocks]
-    scales = [abs(b.price) + abs(float(lam @ b.q)) for b in blocks]
+    money = [_block_money(b, lam, tol) for b in blocks]
     out = []
     for z in iter_patterns(blocks):
         surplus = 0.0
         offset = np.zeros(lam.size)
-        gens = []
-        for i, b in enumerate(blocks):
-            if not z[i]:
-                continue
-            cls = _money_class(margins[i], scales[i], tol)
-            if cls == "in":
-                surplus += margins[i]
+        fixed = []
+        free = []
+        for b, zi, (m, cls) in zip(blocks, z, money):
+            if not zi:
+                fixed.append((b.bid_id, 0.0))
+            elif cls == "in":
+                surplus += m
                 offset += b.q
+                fixed.append((b.bid_id, 1.0))
             elif cls == "at":
-                gens.append((b.q, b.mar, 1.0))
+                free.append((b.bid_id, b.q, b.mar, 1.0))
             else:
-                surplus += b.mar * margins[i]
+                surplus += b.mar * m
                 offset += b.mar * b.q
-        out.append((surplus, offset, gens))
-    best = max(s for s, _, _ in out)
+                fixed.append((b.bid_id, b.mar))
+        out.append((surplus, offset, tuple(fixed), tuple(free)))
+    best = max(f[0] for f in out)
     slack = tol * (1.0 + abs(best))
-    factors = [(off, gens) for s, off, gens in out if s >= best - slack]
-    return best, factors
+    return [f[1:] for f in out if f[0] >= best - slack]
 
 
 def demand_set(agent: Agent, lam, K: int | None = None,
@@ -165,30 +218,28 @@ def demand_set(agent: Agent, lam, K: int | None = None,
     lam = np.asarray(lam, dtype=float)
     K = lam.size if K is None else K
 
-    curve_gens = []
+    curve_free = []
     for bid in agent.curve_bids:
         a, b = demand_interval(bid.steps, float(lam[bid.hour]), t)
         e = np.zeros(K)
         e[bid.hour] = 1.0
-        curve_gens.append((e, a, b))
+        curve_free.append((bid.bid_id, e, a, b))
 
     blocks = agent.block_bids
-    combos: list[tuple[np.ndarray, list]] = [(np.zeros(K), list(curve_gens))]
+    combos = [(np.zeros(K), (), tuple(curve_free))]
     for comp in block_components(blocks):
         comp_blocks = tuple(blocks[i] for i in comp)
-        _, factors = _pattern_factors(comp_blocks, lam, t)
-        new = []
-        for off0, gens0 in combos:
-            for off1, gens1 in factors:
-                new.append((off0 + off1, gens0 + gens1))
-        combos = new
+        factors = _pattern_factors(comp_blocks, lam, t)
+        combos = [(off0 + off1, fixed0 + fixed1, free0 + free1)
+                  for off0, fixed0, free0 in combos
+                  for off1, fixed1, free1 in factors]
         if len(combos) > geometry.MAX_PIECES:
             raise ComplexityError(f"{len(combos)} demand pieces "
                                   f"(cap {geometry.MAX_PIECES})")
 
-    pieces = [make_piece(off, gens) for off, gens in combos]
+    pieces = [make_piece(off, [g[1:] for g in free]) for off, _, free in combos]
     pieces = _dedup_pieces(pieces, t)
-    return DemandSet(K, tuple(pieces), t)
+    return DemandSet(K, tuple(pieces), t, tuple(combos))
 
 
 def _dedup_pieces(pieces: list[Piece], tol: float) -> list[Piece]:
@@ -200,13 +251,6 @@ def _dedup_pieces(pieces: list[Piece], tol: float) -> list[Piece]:
         kept = [q for q in kept if not geometry.piece_subset(q, p, tol * scale)]
         kept.append(p)
     return kept
-
-
-def convexified_demand(agent: Agent, lam, K: int | None = None,
-                       tol: float | None = None) -> HullSet:
-    """Convex hull of the demand set (the relaxed agent's argmax)."""
-    d = demand_set(agent, lam, K, tol)
-    return HullSet(d.vertices, resolve_tol(tol))
 
 
 def agent_best_surplus(agent: Agent, lam, tol: float | None = None) -> float:

@@ -11,6 +11,11 @@ Three allocations matter at the convexified optimum prices lambda*:
 * the exact welfare allocation priced at lambda* (convex-hull pricing): the
   total lost opportunity cost equals the duality gap and is minimal among all
   balanced allocation/price pairs.
+
+Every agent the snap or an existence check moves takes its acceptances from
+`DemandSet.acceptances`, so it lands on a surplus-maximal indicator pattern
+and best-responds at lambda*.  When two surplus-maximal patterns give the
+same bundle, the first in the demand set's build order wins.
 """
 
 from __future__ import annotations
@@ -18,15 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import lsq_linear
 
 from . import geometry
 from .config import resolve_tol, vector_norm
 from .convexify import DualSolution, solve_lp
-from .curves import demand_interval
-from .demand import (NonconvexStats, _money_class, agent_best_surplus, block_margin,
-                     demand_set)
-from .model import Agent, Allocation, Market, agent_value, iter_patterns
+from .demand import NonconvexStats, agent_best_surplus, demand_set
+from .model import Allocation, Market, agent_value
 from .welfare import ExactSolution, solve_welfare
 
 
@@ -121,7 +123,10 @@ def demand_snapped_allocation(market: Market, dual: DualSolution | None = None,
                               norm: str = "l2") -> SnappedAllocationResult:
     """Move every agent to the nearest demand point; ties snap toward zero.
 
-    Every agent ends inside its demand set; the aggregate imbalance is
+    Every agent ends inside its demand set.  Every moved agent lands on a
+    surplus-maximal pattern (the first in build order when two give the same
+    bundle), so its lost opportunity cost at lambda* is zero.  The aggregate
+    imbalance is
     bounded by the sum of the K largest nonconvexity measures (asserted,
     with each LP bundle fed back as a candidate probe so the bound is
     evaluated safely even off the closed-form path).
@@ -130,11 +135,12 @@ def demand_snapped_allocation(market: Market, dual: DualSolution | None = None,
     dual = solve_lp(market, t) if dual is None else dual
     acc: dict[str, float] = dict(dual.allocation.acceptances)
     total = np.zeros(market.num_commodities)
-    for i, agent in enumerate(market.agents):
+    for i in range(len(market.agents)):
         x = dual.lp_bundle(i)
         if not dual.lp_in_demand(i, t):
-            _, x = dual.demand(i, t).nearest(x)
-            _reassign_agent(agent, acc, x, dual.lambda_star, t)
+            ds = dual.demand(i, t)
+            _, x = ds.nearest(x)
+            acc.update(ds.acceptances(x))
         total += x
     imbalance = vector_norm(total, norm)
     bound = dual.nonconvex_stats(t, norm).top_sum
@@ -142,76 +148,6 @@ def demand_snapped_allocation(market: Market, dual: DualSolution | None = None,
         raise AssertionError(
             f"imbalance {imbalance} exceeds nonconvexity bound {bound}")
     return SnappedAllocationResult(dual, Allocation(acc), imbalance, bound)
-
-
-def _reassign_agent(agent: Agent, acc: dict, y: np.ndarray, lam: np.ndarray,
-                    tol: float) -> None:
-    """Rewrite the agent's acceptances so its bundle becomes y.
-
-    For each feasible indicator pattern the bundle is an affine map of the
-    remaining degrees of freedom: stretches of at-the-money active blocks
-    over [mar, 1] and per-curve quantities over their demand intervals.  A
-    box-constrained least squares per pattern finds the combination hitting
-    y; at least one pattern must, since y lies in the demand set.
-    """
-    best = None
-    for z in iter_patterns(agent.block_bids):
-        fixed = np.zeros(lam.size)
-        setting = {}
-        cols: list[np.ndarray] = []
-        bounds: list[tuple[float, float]] = []
-        owners: list[str] = []
-        for bid, zi in zip(agent.block_bids, z):
-            if not zi:
-                setting[bid.bid_id] = 0.0
-                continue
-            m = block_margin(bid, lam)
-            scale = abs(bid.price) + abs(float(lam @ bid.q))
-            cls = _money_class(m, scale, tol)
-            if cls == "in":
-                setting[bid.bid_id] = 1.0
-                fixed += bid.q
-            elif cls == "out":
-                setting[bid.bid_id] = bid.mar
-                fixed += bid.mar * bid.q
-            elif 1.0 - bid.mar <= 1e-12:
-                setting[bid.bid_id] = 1.0
-                fixed += bid.q
-            else:
-                setting[bid.bid_id] = bid.mar
-                cols.append(bid.q.astype(float))
-                bounds.append((bid.mar, 1.0))
-                owners.append(bid.bid_id)
-        for bid in agent.curve_bids:
-            a, b = demand_interval(bid.steps, float(lam[bid.hour]), tol)
-            e = np.zeros(lam.size)
-            e[bid.hour] = 1.0
-            if b - a <= 1e-12:
-                setting[bid.bid_id] = a
-                fixed += a * e
-            else:
-                setting[bid.bid_id] = a
-                cols.append(e)
-                bounds.append((a, b))
-                owners.append(bid.bid_id)
-        target = y - fixed
-        if cols:
-            A = np.column_stack(cols)
-            lo = np.array([b[0] for b in bounds])
-            hi = np.array([b[1] for b in bounds])
-            sol = lsq_linear(A, target, bounds=(lo, hi), method="bvls")
-            err = float(np.linalg.norm(A @ sol.x - target))
-            for name, v in zip(owners, sol.x):
-                setting[name] = float(v)
-        else:
-            err = float(np.linalg.norm(target))
-        if best is None or err < best[0] - 1e-12:
-            best = (err, setting)
-        if best[0] <= 1e-12:
-            break
-    if best is None or best[0] > tol * (1.0 + float(np.linalg.norm(y))):
-        raise AssertionError("could not realize nearest demand point by acceptances")
-    acc.update(best[1])
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +322,7 @@ def _select_balancing_points(dual: DualSolution, per_agent, tol: float):
         return None
     acc: dict[str, float] = {}
     target = 0.0
-    for i, agent in enumerate(dual.market.agents):
+    for i in range(n):
         chosen = None
         for a, b in per_agent[i]:
             # need x in [a,b] with target - x reachable by the rest
@@ -400,8 +336,9 @@ def _select_balancing_points(dual: DualSolution, per_agent, tol: float):
                 break
         if chosen is None:
             return None
-        _, y = dual.demand(i, tol).nearest(np.array([chosen]))
-        _reassign_agent(agent, acc, y, dual.lambda_star, tol)
+        ds = dual.demand(i, tol)
+        _, y = ds.nearest(np.array([chosen]))
+        acc.update(ds.acceptances(y))
         target -= chosen
     return Allocation(acc)
 

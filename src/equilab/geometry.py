@@ -17,8 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import lsq_linear
 
-from . import lp
-
 MAX_GENS_PER_PIECE = 12
 MAX_PIECES = 64
 _PAR_TOL = 1e-9
@@ -239,30 +237,3 @@ def interval_union_gap_radius(intervals, tol: float) -> float:
     for (_, hi0), (lo1, _) in zip(merged, merged[1:]):
         worst = max(worst, 0.5 * (lo1 - hi0))
     return worst
-
-
-# ---------------------------------------------------------------------------
-# Convex hull membership (V-representation)
-
-def in_hull(x, points: np.ndarray, tol: float) -> bool:
-    """Is x within tol of conv(points)?  Small phase-1 LP on the weights."""
-    points = np.asarray(points, dtype=float)
-    x = np.asarray(x, dtype=float)
-    npts, dim = points.shape
-    scale = 1.0 + float(np.max(np.abs(points), initial=0.0)) + float(np.max(np.abs(x)))
-    # Variables: weights w, elementwise deviation e+ / e-.
-    n = npts + 2 * dim
-    c = np.zeros(n)
-    c[npts:] = -1.0
-    a_eq = np.zeros((dim + 1, n))
-    a_eq[:dim, :npts] = points.T
-    a_eq[:dim, npts:npts + dim] = np.eye(dim)
-    a_eq[:dim, npts + dim:] = -np.eye(dim)
-    a_eq[dim, :npts] = 1.0
-    b_eq = np.concatenate([x, [1.0]])
-    hi = np.concatenate([np.ones(npts), np.full(2 * dim, 2.0 * scale)])
-    try:
-        res = lp.solve_lp(c, a_eq=a_eq, b_eq=b_eq, lo=np.zeros(n), hi=hi)
-    except lp.InfeasibleError:
-        return False
-    return -res.value <= tol * scale

@@ -105,16 +105,6 @@ class Market:
     def all_bids(self) -> tuple:
         return tuple(b for a in self.agents for b in a.bids)
 
-    @cached_property
-    def block_count(self) -> int:
-        return sum(len(a.block_bids) for a in self.agents)
-
-    def agent(self, agent_id: str) -> Agent:
-        for a in self.agents:
-            if a.agent_id == agent_id:
-                return a
-        raise KeyError(agent_id)
-
 
 @dataclass(frozen=True)
 class Violation:

@@ -4,9 +4,7 @@ Branch and bound on the block indicators over the convexified LP relaxation.
 A node is a set of per-block bound overrides; branching fixes an indicator to
 0 (ratio pinned to zero) or 1 (ratio within [mar, 1]).  Candidate incumbents
 are LP solutions whose implied indicators are feasible, so the reported
-optimum is always truly feasible.  `brute_force_welfare` enumerates every
-feasible indicator pattern and solves the residual LP for each; it is the
-independent oracle the search is tested against.
+optimum is always truly feasible.
 """
 
 from __future__ import annotations
@@ -20,11 +18,10 @@ import numpy as np
 from . import lp
 from .config import resolve_tol
 from .convexify import ConvexifiedProgram, DualSolution, build_convexified
-from .model import Allocation, Market, pattern_feasible
+from .model import Allocation, Market
 
 GAP_TOL = 1e-6
 DEFAULT_NODE_BUDGET = 10 ** 6
-BRUTE_FORCE_MAX_BLOCKS = 20
 
 
 class NodeBudgetExceeded(RuntimeError):
@@ -148,30 +145,3 @@ def solve_welfare(market: Market | DualSolution, node_budget: int = DEFAULT_NODE
     if best_alloc is None:
         raise lp.InfeasibleError("no feasible indicator pattern")
     return ExactSolution(best_val, best_alloc, nodes, gap)
-
-
-def brute_force_welfare(market: Market, tol: float | None = None) -> ExactSolution:
-    """Enumerate all feasible indicator patterns; residual LP for each."""
-    blocks = tuple(b for a in market.agents for b in a.block_bids)
-    if len(blocks) > BRUTE_FORCE_MAX_BLOCKS:
-        raise ValueError(f"brute force limited to {BRUTE_FORCE_MAX_BLOCKS} blocks, "
-                         f"market has {len(blocks)}")
-    program = build_convexified(market)
-    best_val = -np.inf
-    best_alloc: Allocation | None = None
-    n_patterns = 0
-    for z in itertools.product((0, 1), repeat=len(blocks)):
-        if not pattern_feasible(blocks, z):
-            continue
-        n_patterns += 1
-        overrides = {b.bid_id: ((b.mar, 1.0) if zi else (0.0, 0.0))
-                     for b, zi in zip(blocks, z)}
-        try:
-            res, alloc = program.solve_raw(overrides)
-        except lp.InfeasibleError:
-            continue
-        if res.value > best_val + 1e-12 * (1.0 + abs(res.value)):
-            best_val, best_alloc = res.value, alloc
-    if best_alloc is None:
-        raise lp.InfeasibleError("no feasible indicator pattern")
-    return ExactSolution(best_val, best_alloc, n_patterns, 0.0)

@@ -1,0 +1,72 @@
+"""Reference implementations kept as test oracles.
+
+`brute_force_welfare` enumerates every feasible indicator pattern and solves
+the residual LP for each; the branch-and-bound welfare search is tested
+against it.  `in_hull` decides membership in the convex hull of a point cloud
+by a small phase-1 LP on the weights.  Both are kept verbatim as they were in
+the package.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+
+from equilab import lp
+from equilab.convexify import build_convexified
+from equilab.model import Allocation, Market, pattern_feasible
+from equilab.welfare import ExactSolution
+
+BRUTE_FORCE_MAX_BLOCKS = 20
+
+
+def brute_force_welfare(market: Market, tol: float | None = None) -> ExactSolution:
+    """Enumerate all feasible indicator patterns; residual LP for each."""
+    blocks = tuple(b for a in market.agents for b in a.block_bids)
+    if len(blocks) > BRUTE_FORCE_MAX_BLOCKS:
+        raise ValueError(f"brute force limited to {BRUTE_FORCE_MAX_BLOCKS} blocks, "
+                         f"market has {len(blocks)}")
+    program = build_convexified(market)
+    best_val = -np.inf
+    best_alloc: Allocation | None = None
+    n_patterns = 0
+    for z in itertools.product((0, 1), repeat=len(blocks)):
+        if not pattern_feasible(blocks, z):
+            continue
+        n_patterns += 1
+        overrides = {b.bid_id: ((b.mar, 1.0) if zi else (0.0, 0.0))
+                     for b, zi in zip(blocks, z)}
+        try:
+            res, alloc = program.solve_raw(overrides)
+        except lp.InfeasibleError:
+            continue
+        if res.value > best_val + 1e-12 * (1.0 + abs(res.value)):
+            best_val, best_alloc = res.value, alloc
+    if best_alloc is None:
+        raise lp.InfeasibleError("no feasible indicator pattern")
+    return ExactSolution(best_val, best_alloc, n_patterns, 0.0)
+
+
+def in_hull(x, points: np.ndarray, tol: float) -> bool:
+    """Is x within tol of conv(points)?  Small phase-1 LP on the weights."""
+    points = np.asarray(points, dtype=float)
+    x = np.asarray(x, dtype=float)
+    npts, dim = points.shape
+    scale = 1.0 + float(np.max(np.abs(points), initial=0.0)) + float(np.max(np.abs(x)))
+    # Variables: weights w, elementwise deviation e+ / e-.
+    n = npts + 2 * dim
+    c = np.zeros(n)
+    c[npts:] = -1.0
+    a_eq = np.zeros((dim + 1, n))
+    a_eq[:dim, :npts] = points.T
+    a_eq[:dim, npts:npts + dim] = np.eye(dim)
+    a_eq[:dim, npts + dim:] = -np.eye(dim)
+    a_eq[dim, :npts] = 1.0
+    b_eq = np.concatenate([x, [1.0]])
+    hi = np.concatenate([np.ones(npts), np.full(2 * dim, 2.0 * scale)])
+    try:
+        res = lp.solve_lp(c, a_eq=a_eq, b_eq=b_eq, lo=np.zeros(n), hi=hi)
+    except lp.InfeasibleError:
+        return False
+    return -res.value <= tol * scale

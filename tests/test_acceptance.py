@@ -21,17 +21,18 @@ from equilab.equilibria import (aggregate_demand_convexity_check,
                                 lost_opportunity_cost,
                                 singleton_demand_equilibrium_check)
 from equilab.euphemia import clear_euphemia_style
-from equilab.geometry import in_hull, merge_intervals, piece_vertices
+from equilab.geometry import merge_intervals, piece_vertices
 from equilab.market_io import (emit_market, emit_outcome, load_outcome,
                                parse_market, parse_outcome)
 from equilab.model import Market, zero_allocation
 from equilab.random_markets import (SimpleRandomMarketSpec,
                                     gen_tied_cost_market,
                                     monte_carlo_equilibrium_probability)
-from equilab.welfare import brute_force_welfare, solve_welfare
+from equilab.welfare import solve_welfare
 
 from market_corpus import (random_balanced_allocation, random_market,
                            random_price_vector)
+from reference_oracles import brute_force_welfare, in_hull
 
 CORPUS_DIMS = (1, 2, 4, 24)
 CORPUS_SIZE = 1000
@@ -104,6 +105,11 @@ def test_allocation_bounds_hold_at_scale(bound_corpus):
         imbalance = float(np.linalg.norm(
             snapped.allocation.imbalance(market)))
         assert imbalance <= snapped.bound + 1e-9 * (1.0 + snapped.bound)
+        # every agent the snap moves best-responds at lambda*
+        _, per_agent = lost_opportunity_cost(market, snapped.allocation, dual)
+        for i, agent in enumerate(market.agents):
+            if not dual.lp_in_demand(i):
+                assert per_agent[agent.agent_id] <= 1e-6, agent.agent_id
     assert time.perf_counter() - started < 600.0
 
 
@@ -146,7 +152,26 @@ def test_singleton_demand_always_certifies(bound_corpus):
             applied += 1
             assert chk.equilibrium_found
             assert chk.certificate.is_equilibrium
+            # the certified (snapped) allocation is a best response for all
+            snapped = demand_snapped_allocation(market)
+            total, _ = lost_opportunity_cost(market, snapped.allocation, snapped.dual)
+            assert total <= 1e-6
     assert applied > 0  # the sufficient condition must actually trigger
+
+
+def test_certified_aggregate_equilibria_best_respond(bound_corpus):
+    certified = 0
+    for market in bound_corpus:
+        if market.num_commodities != 1:
+            continue
+        chk = aggregate_demand_convexity_check(market)
+        if chk.certificate is None or not chk.certificate.is_equilibrium:
+            continue
+        certified += 1
+        total, _ = lost_opportunity_cost(market, chk.equilibrium,
+                                         chk.certificate.lambda_star)
+        assert total <= 1e-6
+    assert certified > 0
 
 
 def test_tied_cost_family_aggregate_span_and_equilibrium():

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from equilab.demand import (agent_best_surplus, agent_nonconvexity,
-                            block_margin, classify_money, convexified_demand,
-                            count_nonconvex_demand, demand_set, nonconvexity)
+                            block_margin, classify_money, count_nonconvex_demand,
+                            demand_set, nonconvexity)
 from equilab.model import (Agent, BlockBid, HourlyCurveBid, agent_bundle,
                            agent_value, iter_patterns)
 
 from market_corpus import random_market, random_price_vector
+from reference_oracles import in_hull
 
 
 def _vertex_set(ds):
@@ -111,10 +112,44 @@ def test_linked_blocks_demand():
 
 
 def test_hull_contains_midpoints(four_agent_market):
-    hull = convexified_demand(four_agent_market.agents[3], [3.0])
-    assert hull.contains([-1.0])
-    assert hull.contains([-2.0])
-    assert not hull.contains([0.5])
+    verts = demand_set(four_agent_market.agents[3], [3.0]).vertices
+    assert in_hull([-1.0], verts, 1e-7)
+    assert in_hull([-2.0], verts, 1e-7)
+    assert not in_hull([0.5], verts, 1e-7)
+
+
+def test_acceptances_tie_rule_first_in_build_order():
+    # a1 needs its parent p; the component {a1, p} is rooted at p, listed
+    # after the lone block b, so it is built after b.  a1 and b are at the
+    # money with equal bundles.
+    agent = Agent("a", (
+        BlockBid("a1", 1.0, (1.0,), parent="p"),
+        BlockBid("b", 1.0, (1.0,)),
+        BlockBid("p", 2.0, (1.0,)),
+    ))
+    ds = demand_set(agent, [1.0])
+    # {b off, a1 on} is built before {b on, a1 off}: the first one wins
+    assert ds.acceptances([2.0]) == {"a1": 1.0, "b": 0.0, "p": 1.0}
+    assert ds.acceptances([3.0]) == {"a1": 1.0, "b": 1.0, "p": 1.0}
+    with pytest.raises(AssertionError):
+        ds.acceptances([0.5])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1))
+def test_acceptances_realise_vertices_as_best_responses(seed):
+    rng = np.random.default_rng(seed)
+    K = int(rng.integers(1, 3))
+    market = random_market(rng, K=K, max_blocks=6)
+    lam = np.asarray(random_price_vector(rng, market), dtype=float)
+    for agent in market.agents:
+        best = agent_best_surplus(agent, lam)
+        ds = demand_set(agent, lam, K)
+        for y in ds.vertices:
+            acc = ds.acceptances(y)
+            assert agent_bundle(agent, acc, K) == pytest.approx(y, abs=1e-7)
+            got = agent_value(agent, acc) - float(lam @ y)
+            assert got >= best - 1e-6 * (1.0 + abs(best))
 
 
 def test_probe_extends_candidates():

@@ -145,6 +145,23 @@ def test_aggregate_convexity_positive():
     assert chk.certificate.is_equilibrium
 
 
+def test_certified_equilibrium_best_responds():
+    # b1 is in the money and b2 at the money at lambda* = 5; either one
+    # realises the buyer's demand {1}, but only b1 is a best response
+    mk = Market(1, (
+        Agent("buyer", (BlockBid("b1", 10.0, (1.0,), group="g"),
+                        BlockBid("b2", 5.0, (1.0,), group="g"))),
+        Agent("seller", (HourlyCurveBid("c", 0, ((5.0, -2.0),)),)),
+    ))
+    chk = aggregate_demand_convexity_check(mk)
+    assert chk.certificate.is_equilibrium
+    assert chk.certificate.lambda_star == pytest.approx((5.0,))
+    assert chk.equilibrium["b1"] == 1.0
+    assert chk.equilibrium["b2"] == 0.0
+    total, _ = lost_opportunity_cost(mk, chk.equilibrium, chk.certificate.lambda_star)
+    assert total == pytest.approx(0.0, abs=1e-9)
+
+
 def test_aggregate_convexity_rejects_multi_commodity():
     mk = Market(2, (Agent("a", (BlockBid("b", 1.0, (1.0, 0.0)),)),))
     with pytest.raises(ValueError):

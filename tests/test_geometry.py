@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import lsq_linear
 
-from equilab.geometry import (Piece, closest_pair, collinear_model, in_hull,
+from equilab.geometry import (Piece, closest_pair, collinear_model,
                               interval_union_gap_radius, make_piece,
                               merge_intervals, piece_contains, piece_nearest,
                               piece_subset, piece_vertices, union_nearest)
+
+from reference_oracles import in_hull
 
 
 def seg(lo, hi, axis=0, dim=1):

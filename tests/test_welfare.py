@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from equilab.convexify import solve_lp
 from equilab.model import (Agent, BlockBid, HourlyCurveBid, Market,
                            acceptance_feasible)
-from equilab.welfare import (NodeBudgetExceeded, brute_force_welfare,
-                             solve_welfare)
+from equilab.welfare import NodeBudgetExceeded, solve_welfare
 
 from market_corpus import random_market
+from reference_oracles import brute_force_welfare
 
 
 def test_reference_welfare(four_agent_market):
