@@ -1,7 +1,8 @@
 """Command-line interface: clear, analyze, simulate, report.
 
 Exit codes: 0 success, 1 bad input (parse/validation/usage), 2 no feasible
-clearing, 3 search budget exceeded.  Diagnostics go to stderr; data to
+clearing, 3 search budget exceeded (branch-and-bound nodes, uniform-price
+combinations, or the demand-set piece cap).  Diagnostics go to stderr; data to
 stdout or the requested output file.  Outputs embed the tool version and the
 effective configuration so runs can be reproduced.
 """
@@ -24,11 +25,12 @@ from .demand import NonconvexStats, classify_money, demand_set, nonconvexity
 from .equilibria import (convex_hull_pricing, detect_equilibrium,
                          lost_opportunity_cost)
 from .euphemia import ClearingComplexityError, clear_euphemia_style
+from .geometry import ComplexityError
 from .lp import InfeasibleError
 from .model import Market, agent_value, validate_market
 from .random_markets import (SimpleRandomMarketSpec,
                              monte_carlo_equilibrium_probability)
-from .welfare import NodeBudgetExceeded, solve_welfare
+from .welfare import NodeBudgetExceeded
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -77,13 +79,11 @@ def cmd_clear(args) -> int:
                 _err("no feasible clearing")
                 return EXIT_INFEASIBLE
             lam, allocation, welfare = res.lam, res.allocation, res.welfare
-            priced = lam
-        elif args.mode == "exact":
-            cfg["node_budget"] = args.node_budget
-            priced = solve_lp(market, args.tol)
-            exact = solve_welfare(priced, node_budget=args.node_budget, tol=args.tol)
-            lam, allocation, welfare = priced.lambda_star, exact.allocation, exact.welfare
-        else:  # chp
+            equilibrium = detect_equilibrium(market, lam, allocation, args.tol,
+                                             args.norm).is_equilibrium
+            total_loc, per_agent_loc = lost_opportunity_cost(market, allocation,
+                                                             lam, args.tol)
+        else:  # exact and chp: the exact allocation priced at lambda*
             cfg["node_budget"] = args.node_budget
             pricing = convex_hull_pricing(market, args.tol, args.norm,
                                           node_budget=args.node_budget)
@@ -91,16 +91,11 @@ def cmd_clear(args) -> int:
                                         pricing.exact.welfare)
             equilibrium = pricing.certificate.is_equilibrium
             total_loc, per_agent_loc = pricing.total_loc, pricing.per_agent_loc
-        if args.mode != "chp":
-            equilibrium = detect_equilibrium(market, priced, allocation, args.tol,
-                                             args.norm).is_equilibrium
-            total_loc, per_agent_loc = lost_opportunity_cost(market, allocation,
-                                                             priced, args.tol)
     except NodeBudgetExceeded as exc:
         best = exc.best.welfare if exc.best is not None else float("-inf")
         _err(f"node budget exceeded (best welfare so far {best})")
         return EXIT_BUDGET
-    except ClearingComplexityError as exc:
+    except (ClearingComplexityError, ComplexityError) as exc:
         _err(str(exc))
         return EXIT_BUDGET
     except InfeasibleError:
@@ -135,11 +130,17 @@ def cmd_analyze(args) -> int:
         if lam.size != K:
             _err(f"need {K} prices, got {lam.size}")
             return EXIT_INPUT
+        sets = [demand_set(a, lam, K, args.tol) for a in market.agents]
     else:
-        lam = solve_lp(market, args.tol).lambda_star
+        dual = solve_lp(market, args.tol)
+        lam, sets = dual.lambda_star, dual.demand_sets(args.tol)
 
-    sets = [demand_set(a, lam, K, args.tol) for a in market.agents]
-    stats = NonconvexStats.rank([nonconvexity(ds, args.norm) for ds in sets], K, args.tol)
+    try:
+        stats = NonconvexStats.rank([nonconvexity(ds, args.norm) for ds in sets],
+                                    K, args.tol)
+    except ComplexityError as exc:
+        _err(str(exc))
+        return EXIT_BUDGET
     money = classify_money(market, lam, args.tol)
     agents = {}
     for agent, ds, rho in zip(market.agents, sets, stats.per_agent):

@@ -5,10 +5,12 @@ true feasible set.  Value is additive across bids and the only coupling
 between bids is through indicator constraints (groups, links, loops), so the
 argmax factorizes: curves contribute exact intervals, blocks contribute
 per-indicator-pattern points or ratio segments, and the agent set is a union
-of Minkowski combinations over the surplus-maximal patterns.  Each set keeps
-those combinations, so `DemandSet.acceptances` turns any demand point back
-into per-bid acceptances: this module is the one place that decides an
-agent's best response.
+of Minkowski combinations over the surplus-maximal patterns.  One pass over
+each block component's patterns gives the agent's best surplus and those
+patterns; their combinations and pieces are built on first use, and
+`DemandSet.acceptances` turns any demand point back into per-bid
+acceptances: this module is the one place that decides an agent's best
+response.
 
 The nonconvexity measure of a demand set D is the one-sided Hausdorff
 distance of D from its convex hull: the largest distance from a hull point to
@@ -96,21 +98,39 @@ def classify_money(market: Market, lam, tol: float | None = None) -> MoneyClasse
 # ---------------------------------------------------------------------------
 # Demand sets
 
-@dataclass
+@dataclass(eq=False)
 class DemandSet:
-    """Union of structured pieces in bundle space.
+    """Best surplus and demand set of one agent at given prices.
 
-    `patterns` holds, in build order, one (offset, fixed, free) entry per
-    surplus-maximal pattern combination the pieces were built from: `fixed`
-    the (bid_id, acceptance) of every block without freedom (off 0, in the
-    money 1, out of the money mar) and `free` the (bid_id, direction, lo, hi)
-    of every curve and then of every at-the-money block.
+    `factors` holds the surplus-maximal (offset, fixed, free) patterns of
+    the curves and then of each block component: `fixed` the (bid_id,
+    acceptance) of every block without freedom (off 0, in the money 1, out
+    of the money mar), `free` the (bid_id, direction, lo, hi) of every curve
+    or at-the-money block.  `patterns`, their cross product in build order,
+    and `pieces` are built on first use: only they raise ComplexityError.
     """
 
     dim: int
-    pieces: tuple[Piece, ...]
     tol: float
-    patterns: tuple = field(default=(), compare=False, repr=False)
+    best_surplus: float
+    factors: tuple = field(repr=False)
+
+    @cached_property
+    def patterns(self) -> tuple:
+        combos = self.factors[0]
+        for factor in self.factors[1:]:
+            combos = [(off0 + off1, fixed0 + fixed1, free0 + free1)
+                      for off0, fixed0, free0 in combos
+                      for off1, fixed1, free1 in factor]
+            if len(combos) > geometry.MAX_PIECES:
+                raise ComplexityError(f"{len(combos)} demand pieces "
+                                      f"(cap {geometry.MAX_PIECES})")
+        return tuple(combos)
+
+    @cached_property
+    def pieces(self) -> tuple[Piece, ...]:
+        pieces = [make_piece(off, [g[1:] for g in free]) for off, _, free in self.patterns]
+        return tuple(_dedup_pieces(pieces, self.tol))
 
     @cached_property
     def _collinear(self):
@@ -178,17 +198,33 @@ class DemandSet:
 
 
 def _pattern_factors(blocks: tuple[BlockBid, ...], lam: np.ndarray, tol: float):
-    """Surplus-maximal indicator patterns of one linked component.
+    """Best surplus and surplus-maximal patterns of one linked component.
 
-    Ties within the relative tolerance are all kept, in `iter_patterns`
-    order.  Each is returned as (offset, fixed, free): the bundle of its
-    fixed blocks, their (bid_id, acceptance), and the (bid_id, q, mar, 1) of
-    its active at-the-money blocks.
+    The best surplus is the max, and at least 0, over feasible patterns of
+    the sum of m if m > 0 else mar*m over active blocks in block order.  The
+    kept patterns score an at-the-money block as 0 and tie within the
+    relative tolerance, in `iter_patterns` order, each as (offset, fixed,
+    free): the bundle of its fixed blocks, their (bid_id, acceptance), and
+    the (bid_id, q, mar, 1) of its active at-the-money blocks.
     """
     money = [_block_money(b, lam, tol) for b in blocks]
-    out = []
+    best = 0.0
+    scored = []
     for z in iter_patterns(blocks):
-        surplus = 0.0
+        s = banded = 0.0
+        for b, zi, (m, cls) in zip(blocks, z, money):
+            if zi:
+                s += m if m > 0 else b.mar * m
+                if cls == "in":
+                    banded += m
+                elif cls == "out":
+                    banded += b.mar * m
+        best = max(best, s)
+        scored.append((banded, z))
+    top = max(f[0] for f in scored)
+    slack = tol * (1.0 + abs(top))
+    kept = []
+    for z in [z for banded, z in scored if banded >= top - slack]:
         offset = np.zeros(lam.size)
         fixed = []
         free = []
@@ -196,50 +232,42 @@ def _pattern_factors(blocks: tuple[BlockBid, ...], lam: np.ndarray, tol: float):
             if not zi:
                 fixed.append((b.bid_id, 0.0))
             elif cls == "in":
-                surplus += m
                 offset += b.q
                 fixed.append((b.bid_id, 1.0))
             elif cls == "at":
                 free.append((b.bid_id, b.q, b.mar, 1.0))
             else:
-                surplus += b.mar * m
                 offset += b.mar * b.q
                 fixed.append((b.bid_id, b.mar))
-        out.append((surplus, offset, tuple(fixed), tuple(free)))
-    best = max(f[0] for f in out)
-    slack = tol * (1.0 + abs(best))
-    return [f[1:] for f in out if f[0] >= best - slack]
+        kept.append((offset, tuple(fixed), tuple(free)))
+    return best, tuple(kept)
 
 
 def demand_set(agent: Agent, lam, K: int | None = None,
                tol: float | None = None) -> DemandSet:
-    """Exact demand set of one agent at prices lam."""
+    """Best surplus (curves first, then block components) and exact demand
+    set of one agent at prices lam."""
     t = resolve_tol(tol)
     lam = np.asarray(lam, dtype=float)
     K = lam.size if K is None else K
 
+    total = 0.0
     curve_free = []
     for bid in agent.curve_bids:
-        a, b = demand_interval(bid.steps, float(lam[bid.hour]), t)
+        price = float(lam[bid.hour])
+        total += best_surplus(bid.steps, price)
+        a, b = demand_interval(bid.steps, price, t)
         e = np.zeros(K)
         e[bid.hour] = 1.0
         curve_free.append((bid.bid_id, e, a, b))
 
+    factors = [((np.zeros(K), (), tuple(curve_free)),)]
     blocks = agent.block_bids
-    combos = [(np.zeros(K), (), tuple(curve_free))]
     for comp in block_components(blocks):
-        comp_blocks = tuple(blocks[i] for i in comp)
-        factors = _pattern_factors(comp_blocks, lam, t)
-        combos = [(off0 + off1, fixed0 + fixed1, free0 + free1)
-                  for off0, fixed0, free0 in combos
-                  for off1, fixed1, free1 in factors]
-        if len(combos) > geometry.MAX_PIECES:
-            raise ComplexityError(f"{len(combos)} demand pieces "
-                                  f"(cap {geometry.MAX_PIECES})")
-
-    pieces = [make_piece(off, [g[1:] for g in free]) for off, _, free in combos]
-    pieces = _dedup_pieces(pieces, t)
-    return DemandSet(K, tuple(pieces), t, tuple(combos))
+        best, kept = _pattern_factors(tuple(blocks[i] for i in comp), lam, t)
+        total += best
+        factors.append(kept)
+    return DemandSet(K, t, total, tuple(factors))
 
 
 def _dedup_pieces(pieces: list[Piece], tol: float) -> list[Piece]:
@@ -255,22 +283,7 @@ def _dedup_pieces(pieces: list[Piece], tol: float) -> list[Piece]:
 
 def agent_best_surplus(agent: Agent, lam, tol: float | None = None) -> float:
     """max over the agent's feasible set of u(x) - lam.x (closed form)."""
-    t = resolve_tol(tol)
-    lam = np.asarray(lam, dtype=float)
-    total = 0.0
-    for bid in agent.curve_bids:
-        total += best_surplus(bid.steps, float(lam[bid.hour]))
-    blocks = agent.block_bids
-    for comp in block_components(blocks):
-        comp_blocks = tuple(blocks[i] for i in comp)
-        margins = [block_margin(b, lam) for b in comp_blocks]
-        best = 0.0
-        for z in iter_patterns(comp_blocks):
-            s = sum((m if m > 0 else b.mar * m)
-                    for b, m, zi in zip(comp_blocks, margins, z) if zi)
-            best = max(best, s)
-        total += best
-    return total
+    return demand_set(agent, lam, None, tol).best_surplus
 
 
 # ---------------------------------------------------------------------------

@@ -83,8 +83,7 @@ class LpAllocationResult:
 
 
 def balanced_lp_allocation(market: Market, dual: DualSolution | None = None,
-                           tol: float | None = None, norm: str = "l2",
-                           stats: bool = True) -> LpAllocationResult:
+                           tol: float | None = None, norm: str = "l2") -> LpAllocationResult:
     """Vertex optimum of the convexified LP at its own prices.
 
     The allocation is balanced by construction.  The number of agents whose
@@ -96,8 +95,7 @@ def balanced_lp_allocation(market: Market, dual: DualSolution | None = None,
     dual = solve_lp(market, t) if dual is None else dual
     bad = tuple(agent.agent_id for i, agent in enumerate(market.agents)
                 if not dual.lp_in_demand(i, t))
-    ncs = (dual.nonconvex_stats(t, norm) if stats or bad
-           else NonconvexStats(0, (), ()))
+    ncs = dual.nonconvex_stats(t, norm)
     limit = min(ncs.count, market.num_commodities)
     if len(bad) > limit:
         raise AssertionError(f"{len(bad)} agents outside demand, bound is {limit}")
@@ -242,20 +240,21 @@ class ExistenceCheck:
     applies: bool              # sufficient condition holds at lambda*
     equilibrium_found: bool
     certificate: EquilibriumCertificate | None
+    allocation: Allocation | None   # the allocation certified
 
 
 def singleton_demand_equilibrium_check(market: Market, tol: float | None = None,
                                        norm: str = "l2") -> ExistenceCheck:
     """If every block-owning agent demands a single bundle at lambda*, an
-    equilibrium exists and is returned via the snapped allocation."""
+    equilibrium exists: the snapped allocation, certified and returned."""
     t = resolve_tol(tol)
     dual = solve_lp(market, t)
     if not all(dual.demand(i, t).is_singleton()
                for i, agent in enumerate(market.agents) if agent.has_blocks):
-        return ExistenceCheck(False, False, None)
+        return ExistenceCheck(False, False, None, None)
     snapped = demand_snapped_allocation(market, dual, t, norm)
     cert = detect_equilibrium(market, dual, snapped.allocation, t, norm)
-    return ExistenceCheck(True, cert.is_equilibrium, cert)
+    return ExistenceCheck(True, cert.is_equilibrium, cert, snapped.allocation)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ import numpy as np
 
 from .config import resolve_tol
 from .convexify import solve_lp
-from .demand import demand_set
 from .model import Agent, BlockBid, HourlyCurveBid, Market
 
 SUPPLIER_CAPACITY = 2.0
@@ -96,12 +95,7 @@ def certified_equilibrium(market: Market, tol: float | None = None) -> bool:
     """
     t = resolve_tol(tol)
     dual = solve_lp(market, t)
-    lam = dual.lambda_star
-    for agent in market.agents:
-        ds = demand_set(agent, lam, market.num_commodities, t)
-        if not ds.contains(dual.allocation.bundle(market, agent)):
-            return False
-    return True
+    return all(dual.lp_in_demand(i, t) for i in range(len(market.agents)))
 
 
 @dataclass(frozen=True)

@@ -153,8 +153,8 @@ def test_singleton_demand_always_certifies(bound_corpus):
             assert chk.equilibrium_found
             assert chk.certificate.is_equilibrium
             # the certified (snapped) allocation is a best response for all
-            snapped = demand_snapped_allocation(market)
-            total, _ = lost_opportunity_cost(market, snapped.allocation, snapped.dual)
+            total, _ = lost_opportunity_cost(market, chk.allocation,
+                                             chk.certificate.lambda_star)
             assert total <= 1e-6
     assert applied > 0  # the sufficient condition must actually trigger
 

@@ -97,6 +97,35 @@ def test_clear_budget_exceeded(capsys, tmp_path):
     assert "budget" in err
 
 
+@pytest.fixture
+def seven_blocks(tmp_path):
+    # seven independent all-or-nothing blocks, all at the money at price 1:
+    # 2**7 = 128 demand pieces, over the cap of 64
+    rows = ["header,1,EUR,MW,seven-blocks"]
+    rows += [f"block,a,b{k},{float(k)},1.0,,,,{float(k)}" for k in range(1, 8)]
+    rows.append("curve,s,c1,1,stepwise,1.0,-100.0")
+    path = tmp_path / "seven.market.csv"
+    path.write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("mode", ["exact", "chp"])
+def test_clear_demand_piece_cap_exits_budget(capsys, seven_blocks, mode):
+    code, out, err = run(capsys, "clear", seven_blocks, "--mode", mode)
+    assert code == 3
+    assert out == ""
+    assert err == "error: 128 demand pieces (cap 64)\n"
+
+
+@pytest.mark.parametrize("price", [[], ["--price", "1.0"]])
+def test_analyze_demand_piece_cap_exits_budget(capsys, seven_blocks, price):
+    # lambda* is 1 as well
+    code, out, err = run(capsys, "analyze", seven_blocks, *price)
+    assert code == 3
+    assert out == ""
+    assert err == "error: 128 demand pieces (cap 64)\n"
+
+
 def test_analyze_golden(capsys):
     code, out, _ = run(capsys, "analyze", FIXTURE_CSV)
     assert code == 0

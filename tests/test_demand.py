@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from equilab.convexify import solve_lp
+from equilab.curves import best_surplus
 from equilab.demand import (agent_best_surplus, agent_nonconvexity,
                             block_margin, classify_money, count_nonconvex_demand,
                             demand_set, nonconvexity)
-from equilab.model import (Agent, BlockBid, HourlyCurveBid, agent_bundle,
-                           agent_value, iter_patterns)
+from equilab.geometry import ComplexityError
+from equilab.model import (Agent, BlockBid, HourlyCurveBid, Market, agent_bundle,
+                           agent_value, block_components, iter_patterns)
 
 from market_corpus import random_market, random_price_vector
 from reference_oracles import in_hull
@@ -165,6 +168,62 @@ def test_best_surplus_reference(four_agent_market):
     assert agent_best_surplus(a2, [3.0]) == pytest.approx(0.0)
     assert agent_best_surplus(a3, [3.0]) == pytest.approx(4.0)
     assert agent_best_surplus(a4, [3.0]) == pytest.approx(0.0)
+
+
+def _closed_form_best_surplus(agent, lam):
+    """The best surplus by its own enumeration: curves first, then each block
+    component's max over feasible patterns of the sum, in block order, of
+    m if m > 0 else mar*m over the active blocks."""
+    lam = np.asarray(lam, dtype=float)
+    total = 0.0
+    for bid in agent.curve_bids:
+        total += best_surplus(bid.steps, float(lam[bid.hour]))
+    blocks = agent.block_bids
+    for comp in block_components(blocks):
+        comp_blocks = tuple(blocks[i] for i in comp)
+        margins = [block_margin(b, lam) for b in comp_blocks]
+        best = 0.0
+        for z in iter_patterns(comp_blocks):
+            s = sum((m if m > 0 else b.mar * m)
+                    for b, m, zi in zip(comp_blocks, margins, z) if zi)
+            best = max(best, s)
+        total += best
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1))
+def test_best_surplus_equals_closed_form_exactly(seed):
+    rng = np.random.default_rng(seed)
+    K = int(rng.integers(1, 4))
+    market = random_market(rng, K=K, max_blocks=6)
+    for lam in (random_price_vector(rng, market), solve_lp(market).lambda_star):
+        for agent in market.agents:
+            want = _closed_form_best_surplus(agent, lam)
+            assert agent_best_surplus(agent, lam) == want
+            assert demand_set(agent, lam, K).best_surplus == want
+
+
+def _seven_blocks_market():
+    # seven independent all-or-nothing blocks at 1 per unit against a seller
+    # at 1: every block is at the money, so demand has 2**7 = 128 pieces
+    buyer = Agent("a", tuple(BlockBid(f"b{k}", float(k), (float(k),))
+                             for k in range(1, 8)))
+    seller = Agent("s", (HourlyCurveBid("c1", 0, ((1.0, -100.0),)),))
+    return Market(1, (buyer, seller), label="seven-blocks")
+
+
+def test_best_surplus_never_hits_the_piece_cap():
+    market = _seven_blocks_market()
+    dual = solve_lp(market)
+    assert dual.lambda_star.tolist() == [1.0]
+    assert dual.dual_objective == 0.0
+    assert [agent_best_surplus(a, dual.lambda_star) for a in market.agents] == [0.0, 0.0]
+    assert agent_best_surplus(market.agents[0], [0.5]) == 14.0
+    ds = demand_set(market.agents[0], dual.lambda_star)
+    assert ds.best_surplus == 0.0
+    with pytest.raises(ComplexityError, match="128 demand pieces"):
+        ds.pieces
 
 
 # ---------------------------------------------------------------------------

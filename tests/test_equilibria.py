@@ -109,6 +109,7 @@ def test_singleton_check_inapplicable_on_reference(four_agent_market):
     chk = singleton_demand_equilibrium_check(four_agent_market)
     assert not chk.applies
     assert not chk.equilibrium_found
+    assert chk.allocation is None
 
 
 def test_singleton_check_finds_equilibrium():
@@ -123,6 +124,7 @@ def test_singleton_check_finds_equilibrium():
     assert chk.applies
     assert chk.equilibrium_found
     assert chk.certificate.is_equilibrium
+    assert chk.allocation.acceptances == {"b": 1.0, "c2": 1.0, "c": -3.0}
 
 
 def test_aggregate_convexity_on_reference(four_agent_market):

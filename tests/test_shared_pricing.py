@@ -2,7 +2,8 @@
 
 `approximate_equilibria` must build the program once, solve the root
 relaxation once, build one demand set and one nonconvexity measure per
-agent, compute one best surplus per agent, test the LP bundle's containment
+agent, enumerate each block component's indicator patterns once (for the
+best surplus and the demand set alike), test the LP bundle's containment
 once per agent, and give exactly what the standalone allocation functions
 give.
 """
@@ -14,13 +15,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from equilab import convexify, demand
+from equilab import convexify, demand, model
 from equilab.config import DEFAULT_TOL
 from equilab.convexify import ConvexifiedProgram, solve_lp
 from equilab.demand import DemandSet, agent_best_surplus, demand_set, nonconvexity
 from equilab.equilibria import (approximate_equilibria, balanced_lp_allocation,
                                 convex_hull_pricing, demand_snapped_allocation,
                                 detect_equilibrium)
+from equilab.model import block_components
+from equilab.random_markets import certified_equilibrium
 
 from market_corpus import random_market
 
@@ -71,8 +74,11 @@ def test_one_build_solve_demand_set_and_measure_per_agent(monkeypatch, market):
 
 
 def test_one_best_surplus_and_lp_containment_per_agent(monkeypatch, market):
+    # one pattern pass per block component gives both the best surplus and
+    # the demand set
+    components = sum(len(block_components(a.block_bids)) for a in market.agents)
     counts: Counter = Counter()
-    count_calls(monkeypatch, counts, "best_surplus", demand.agent_best_surplus)
+    count_calls(monkeypatch, counts, "patterns", model.iter_patterns)
     monkeypatch.setattr(DemandSet, "contains", count_calls(
         monkeypatch, counts, "contains", DemandSet.contains))
 
@@ -82,8 +88,12 @@ def test_one_best_surplus_and_lp_containment_per_agent(monkeypatch, market):
     moved = sum(not np.array_equal(res.pricing.allocation.bundle(market, agent),
                                    dual.lp_bundle(i))
                 for i, agent in enumerate(market.agents))
-    assert counts["best_surplus"] == len(market.agents)
+    assert counts["patterns"] == components
     assert counts["contains"] == len(market.agents) + moved
+
+    counts.clear()
+    certified_equilibrium(market)
+    assert counts["patterns"] == components
 
 
 def test_duality_check_seeds_best_surplus(market):
