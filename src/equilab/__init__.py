@@ -9,8 +9,8 @@ plus a day-ahead-auction-style clearing for comparison.
 """
 
 from .config import DEFAULT_NORM, DEFAULT_TOL, VERSION
-from .convexify import (ConvexifiedProgram, DualSolution, build_convexified,
-                        dual_value, solve_lp)
+from .convexify import (ConvexifiedProgram, DualSolution, PricedMarket,
+                        build_convexified, dual_value, priced_at, solve_lp)
 from .curves import CurveError, CurveStep, canonical_steps
 from .demand import (DemandSet, MoneyClasses, NonconvexStats,
                      agent_best_surplus, agent_nonconvexity, classify_money,
@@ -46,7 +46,7 @@ __all__ = [
     "EquilibriumCertificate", "EuphemiaResult", "ExactSolution",
     "HourlyCurveBid", "Market", "MarketParseError", "MonteCarloResult",
     "MoneyClasses", "NodeBudgetExceeded", "NonconvexStats", "OutcomeReport",
-    "PricingResult", "SimpleRandomMarketSpec", "VERSION", "ValidationReport",
+    "PricedMarket", "PricingResult", "SimpleRandomMarketSpec", "VERSION", "ValidationReport",
     "agent_best_surplus", "agent_nonconvexity", "agent_value",
     "aggregate_demand_convexity_check", "approximate_equilibria",
     "balanced_lp_allocation", "build_convexified",
@@ -58,7 +58,7 @@ __all__ = [
     "gen_tied_cost_market", "load_market", "load_outcome",
     "lost_opportunity_cost", "market_volumes",
     "monte_carlo_equilibrium_probability", "nonconvexity", "parse_market",
-    "parse_outcome", "save_market", "save_outcome",
+    "parse_outcome", "priced_at", "save_market", "save_outcome",
     "singleton_demand_equilibrium_check", "solve_lp", "solve_welfare",
     "validate_market", "zero_allocation",
 ]

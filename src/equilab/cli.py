@@ -20,8 +20,8 @@ import numpy as np
 
 from . import market_io
 from .config import DEFAULT_NORM, DEFAULT_TOL, VERSION
-from .convexify import solve_lp
-from .demand import NonconvexStats, classify_money, demand_set, nonconvexity
+from .convexify import priced_at, solve_lp
+from .demand import NonconvexStats, classify_money, nonconvexity
 from .equilibria import (convex_hull_pricing, detect_equilibrium,
                          lost_opportunity_cost)
 from .euphemia import ClearingComplexityError, clear_euphemia_style
@@ -78,11 +78,12 @@ def cmd_clear(args) -> int:
             if not res.cleared:
                 _err("no feasible clearing")
                 return EXIT_INFEASIBLE
+            priced = priced_at(market, res.lam)   # one demand set per agent
             lam, allocation, welfare = res.lam, res.allocation, res.welfare
-            equilibrium = detect_equilibrium(market, lam, allocation, args.tol,
+            equilibrium = detect_equilibrium(market, priced, allocation, args.tol,
                                              args.norm).is_equilibrium
             total_loc, per_agent_loc = lost_opportunity_cost(market, allocation,
-                                                             lam, args.tol)
+                                                             priced, args.tol)
         else:  # exact and chp: the exact allocation priced at lambda*
             cfg["node_budget"] = args.node_budget
             pricing = convex_hull_pricing(market, args.tol, args.norm,
@@ -130,10 +131,10 @@ def cmd_analyze(args) -> int:
         if lam.size != K:
             _err(f"need {K} prices, got {lam.size}")
             return EXIT_INPUT
-        sets = [demand_set(a, lam, K, args.tol) for a in market.agents]
+        priced = priced_at(market, lam)
     else:
-        dual = solve_lp(market, args.tol)
-        lam, sets = dual.lambda_star, dual.demand_sets(args.tol)
+        priced = solve_lp(market, args.tol)
+    lam, sets = priced.lambda_star, priced.demand_sets(args.tol)
 
     try:
         stats = NonconvexStats.rank([nonconvexity(ds, args.norm) for ds in sets],
@@ -256,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("clear", help="clear a market file")
     p.add_argument("input", help="market file (CSV or JSON)")
     p.add_argument("--mode", choices=["exact", "euphemia", "chp"],
-                   default="exact")
+                   default="exact", help="exact is an alias of chp")
     p.add_argument("--node-budget", type=int, default=10**6)
     common(p)
     p.set_defaults(func=cmd_clear)

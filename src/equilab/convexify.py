@@ -20,8 +20,7 @@ import numpy as np
 
 from . import lp
 from .config import resolve_tol
-from .demand import (DemandSet, NonconvexStats, agent_best_surplus, demand_set,
-                     nonconvexity)
+from .demand import DemandSet, NonconvexStats, demand_set, nonconvexity
 from .model import Agent, Allocation, BlockBid, HourlyCurveBid, Market
 
 
@@ -161,35 +160,22 @@ def build_convexified(market: Market) -> ConvexifiedProgram:
 
 
 @dataclass
-class DualSolution:
-    """Optimal prices and a vertex allocation of the convexified welfare LP.
+class PricedMarket:
+    """A market at fixed prices lambda_star.
 
-    It is also the market priced at lambda*: per-agent quantities at these
-    prices (agent i is `market.agents[i]`) are computed on first use and
-    kept for the life of the object, keyed by every argument they depend on.
+    Per-agent quantities at these prices (agent i is `market.agents[i]`) are
+    computed on first use and kept for the life of the object, keyed by every
+    argument they depend on.
     """
 
+    market: Market
     lambda_star: np.ndarray
-    primal_value: float
-    dual_objective: float
-    allocation: Allocation
-    var_values: np.ndarray
-    program: ConvexifiedProgram
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @property
-    def market(self) -> Market:
-        return self.program.market
 
     def _memo(self, key: tuple, compute):
         if key not in self._cache:
             self._cache[key] = compute()
         return self._cache[key]
-
-    def lp_bundle(self, i: int) -> np.ndarray:
-        """Agent i's bundle in the LP vertex allocation."""
-        return self._memo(("bundle", i), lambda: self.allocation.bundle(
-            self.market, self.market.agents[i]))
 
     def demand(self, i: int, tol: float | None = None) -> DemandSet:
         t = resolve_tol(tol)
@@ -199,10 +185,46 @@ class DualSolution:
     def demand_sets(self, tol: float | None = None) -> list[DemandSet]:
         return [self.demand(i, tol) for i in range(len(self.market.agents))]
 
+    def in_demand(self, i: int, x, tol: float | None = None) -> bool:
+        return self.demand(i, tol).contains(x)
+
+    def best_surplus(self, i: int, tol: float | None = None) -> float:
+        return self.demand(i, tol).best_surplus
+
+
+def priced_at(market: Market, lam) -> PricedMarket:
+    """`lam` itself when it is already a PricedMarket, else `market` at lam."""
+    if isinstance(lam, PricedMarket):
+        return lam
+    return PricedMarket(market, np.asarray(lam, dtype=float))
+
+
+@dataclass
+class DualSolution(PricedMarket):
+    """Optimal prices and a vertex allocation of the convexified welfare LP:
+    the market priced at lambda*, with the per-agent quantities of the LP
+    allocation."""
+
+    primal_value: float
+    dual_objective: float
+    allocation: Allocation
+    var_values: np.ndarray
+    program: ConvexifiedProgram
+
+    def lp_bundle(self, i: int) -> np.ndarray:
+        """Agent i's bundle in the LP vertex allocation."""
+        return self._memo(("bundle", i), lambda: self.allocation.bundle(
+            self.market, self.market.agents[i]))
+
     def lp_in_demand(self, i: int, tol: float | None = None) -> bool:
         t = resolve_tol(tol)
         return self._memo(("in_demand", i, t),
                           lambda: self.demand(i, t).contains(self.lp_bundle(i)))
+
+    def in_demand(self, i: int, x, tol: float | None = None) -> bool:
+        """Containment of x, reusing the LP bundle's check when x is that bundle."""
+        same = np.array_equal(x, self.lp_bundle(i))
+        return self.lp_in_demand(i, tol) if same else super().in_demand(i, x, tol)
 
     def measure(self, i: int, tol: float | None = None, norm: str = "l2") -> float:
         """Nonconvexity of agent i's demand set, probed at its LP bundle."""
@@ -218,19 +240,17 @@ class DualSolution:
                                     for i in range(len(self.market.agents))],
                                    self.market.num_commodities, t)
 
-    def best_surplus(self, i: int, tol: float | None = None) -> float:
-        return self.demand(i, tol).best_surplus
-
 
 def dual_value(market: Market, lam, tol: float | None = None) -> float:
     """Price dual: sum over agents of the best surplus at prices lam.
 
     The per-agent maximum over the true feasible set equals the maximum of
     the concave envelope over the hull (the value is linear on each piece),
-    so this is exactly the dual function of the convexified market.
+    so this is exactly the dual function of the convexified market.  `lam`
+    may be a PricedMarket of `market`, whose demand sets are then reused.
     """
-    lam = np.asarray(lam, dtype=float)
-    return float(sum(agent_best_surplus(a, lam, tol) for a in market.agents))
+    priced = priced_at(market, lam)
+    return float(sum(priced.best_surplus(i, tol) for i in range(len(market.agents))))
 
 
 def solve_lp(market_or_program, tol: float | None = None) -> DualSolution:
@@ -239,17 +259,16 @@ def solve_lp(market_or_program, tol: float | None = None) -> DualSolution:
     Accepts a Market or a prebuilt ConvexifiedProgram.  Returns the vertex
     primal allocation, the balance-row multipliers lambda*, and the dual
     objective evaluated at lambda* (equal to the primal value within
-    tolerance, by LP duality): the sum, in agent order, of the best surpluses
-    of the demand sets the DualSolution keeps.
+    tolerance, by LP duality) on the demand sets the DualSolution keeps.
     """
     t = resolve_tol(tol)
     program = (market_or_program if isinstance(market_or_program, ConvexifiedProgram)
                else build_convexified(market_or_program))
     res, allocation = program.solve_raw()
     vp = res.value
-    dual = DualSolution(res.duals_eq, vp, float("nan"), allocation, res.x, program)
-    vd = dual.dual_objective = float(sum(dual.best_surplus(i, t)
-                                         for i in range(len(program.market.agents))))
+    dual = DualSolution(program.market, res.duals_eq, vp, float("nan"), allocation,
+                        res.x, program)
+    vd = dual.dual_objective = dual_value(program.market, dual, t)
     if abs(vp - vd) > t * (1.0 + abs(vp)):
         raise AssertionError(
             f"duality gap in convexified LP: primal {vp!r}, dual {vd!r}")

@@ -26,8 +26,8 @@ import numpy as np
 
 from . import geometry
 from .config import resolve_tol, vector_norm
-from .convexify import DualSolution, solve_lp
-from .demand import NonconvexStats, agent_best_surplus, demand_set
+from .convexify import DualSolution, priced_at, solve_lp
+from .demand import NonconvexStats
 from .model import Allocation, Market, agent_value
 from .welfare import ExactSolution, solve_welfare
 
@@ -50,24 +50,19 @@ def detect_equilibrium(market: Market, lam, allocation: Allocation,
                        tol: float | None = None, norm: str = "l2") -> EquilibriumCertificate:
     """Exact equilibrium iff every bundle is demanded at lam and trade balances.
 
-    `lam` may be the market's DualSolution, whose demand sets are then reused,
-    and so is its containment check wherever a bundle equals the LP bundle.
+    `lam` may be a PricedMarket of `market` (such as its DualSolution), whose
+    demand sets are then reused; a DualSolution also reuses its containment
+    check wherever a bundle equals the LP bundle.
     """
     t = resolve_tol(tol)
-    bundles = [allocation.bundle(market, agent) for agent in market.agents]
-    if isinstance(lam, DualSolution):
-        dual, lam = lam, lam.lambda_star
-        flags = [dual.lp_in_demand(i, t) if np.array_equal(x, dual.lp_bundle(i))
-                 else dual.demand(i, t).contains(x) for i, x in enumerate(bundles)]
-    else:
-        lam = np.asarray(lam, dtype=float)
-        flags = [demand_set(a, lam, market.num_commodities, t).contains(x)
-                 for a, x in zip(market.agents, bundles)]
+    priced = priced_at(market, lam)
+    flags = [priced.in_demand(i, allocation.bundle(market, agent), t)
+             for i, agent in enumerate(market.agents)]
     imbalance = vector_norm(allocation.imbalance(market), norm)
     scale = 1.0 + float(np.max(np.abs(allocation.bundles(market)), initial=0.0))
     ok = all(flags) and imbalance <= t * scale
     return EquilibriumCertificate("exact" if ok else "none",
-                                  tuple(float(v) for v in lam),
+                                  tuple(float(v) for v in priced.lambda_star),
                                   tuple(flags), imbalance)
 
 
@@ -156,23 +151,20 @@ def lost_opportunity_cost(market: Market, allocation: Allocation, lam,
     """Total and per-agent surplus shortfall against the best response at lam.
 
     Infinite for agents whose acceptances are outside their true feasible set.
-    `lam` may be the market's DualSolution, whose best surpluses are then reused.
+    `lam` may be a PricedMarket of `market` (such as its DualSolution), whose
+    best surpluses are then reused.
     """
     t = resolve_tol(tol)
-    if isinstance(lam, DualSolution):
-        lam, surpluses = lam.lambda_star, [lam.best_surplus(i, t)
-                                           for i in range(len(market.agents))]
-    else:
-        lam = np.asarray(lam, dtype=float)
-        surpluses = [agent_best_surplus(a, lam, t) for a in market.agents]
+    priced = priced_at(market, lam)
+    lam = priced.lambda_star
     per_agent: dict[str, float] = {}
-    for agent, best in zip(market.agents, surpluses):
+    for i, agent in enumerate(market.agents):
         val = agent_value(agent, allocation.acceptances, t)
         if val == float("-inf"):
             per_agent[agent.agent_id] = float("inf")
             continue
         got = val - float(lam @ allocation.bundle(market, agent))
-        per_agent[agent.agent_id] = max(0.0, best - got)
+        per_agent[agent.agent_id] = max(0.0, priced.best_surplus(i, t) - got)
     return float(sum(per_agent.values())), per_agent
 
 

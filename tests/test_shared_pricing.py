@@ -17,11 +17,11 @@ import pytest
 
 from equilab import convexify, demand, model
 from equilab.config import DEFAULT_TOL
-from equilab.convexify import ConvexifiedProgram, solve_lp
+from equilab.convexify import ConvexifiedProgram, priced_at, solve_lp
 from equilab.demand import DemandSet, agent_best_surplus, demand_set, nonconvexity
 from equilab.equilibria import (approximate_equilibria, balanced_lp_allocation,
                                 convex_hull_pricing, demand_snapped_allocation,
-                                detect_equilibrium)
+                                detect_equilibrium, lost_opportunity_cost)
 from equilab.model import block_components
 from equilab.random_markets import certified_equilibrium
 
@@ -93,6 +93,25 @@ def test_one_best_surplus_and_lp_containment_per_agent(monkeypatch, market):
 
     counts.clear()
     certified_equilibrium(market)
+    assert counts["patterns"] == components
+
+
+def test_one_pattern_pass_per_component_at_other_prices(monkeypatch, market):
+    # at prices other than lambda* (a uniform-price clearing's, say) one
+    # PricedMarket gives the certificate and the lost opportunity cost
+    components = sum(len(block_components(a.block_bids)) for a in market.agents)
+    lam = solve_lp(market).lambda_star + 0.25
+    allocation = convex_hull_pricing(market).allocation
+    want = (detect_equilibrium(market, lam, allocation),
+            lost_opportunity_cost(market, allocation, lam))
+    counts: Counter = Counter()
+    count_calls(monkeypatch, counts, "patterns", model.iter_patterns)
+
+    priced = priced_at(market, lam)
+    got = (detect_equilibrium(market, priced, allocation),
+           lost_opportunity_cost(market, allocation, priced))
+
+    assert got == want
     assert counts["patterns"] == components
 
 
