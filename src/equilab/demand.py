@@ -10,7 +10,8 @@ each block component's patterns gives the agent's best surplus and those
 patterns; their combinations and pieces are built on first use, and
 `DemandSet.acceptances` turns any demand point back into per-bid
 acceptances: this module is the one place that decides an agent's best
-response.
+response.  Most sets (all one-commodity sets) lie on a line: `DemandSet.line`
+answers containment, the measure and the aggregate convexity check for them.
 
 The nonconvexity measure of a demand set D is the one-sided Hausdorff
 distance of D from its convex hull: the largest distance from a hull point to
@@ -21,8 +22,10 @@ equilibrium bounds consume.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import lsq_linear
@@ -98,6 +101,28 @@ def classify_money(market: Market, lam, tol: float | None = None) -> MoneyClasse
 # ---------------------------------------------------------------------------
 # Demand sets
 
+class CarrierLine(NamedTuple):
+    """A collinear demand set: origin + s * unit for s in the union of
+    `intervals` (sorted, disjoint, merged within 1e-12).  `unit` is zero when
+    the set is one point."""
+
+    origin: np.ndarray
+    unit: np.ndarray
+    intervals: tuple[tuple[float, float], ...]
+
+    def distance(self, x: np.ndarray) -> float:
+        r = x - self.origin
+        s = float(r.dot(self.unit))
+        perp = r - s * self.unit
+        return math.hypot(math.sqrt(perp.dot(perp)),
+                          min(max(lo - s, s - hi, 0.0) for lo, hi in self.intervals))
+
+    def gap_radius(self) -> float:
+        """Largest half-gap between consecutive intervals (0 if connected)."""
+        ivs = self.intervals
+        return max((0.5 * (lo - hi) for (_, hi), (lo, _) in zip(ivs, ivs[1:])), default=0.0)
+
+
 @dataclass(eq=False)
 class DemandSet:
     """Best surplus and demand set of one agent at given prices.
@@ -107,7 +132,8 @@ class DemandSet:
     acceptance) of every block without freedom (off 0, in the money 1, out
     of the money mar), `free` the (bid_id, direction, lo, hi) of every curve
     or at-the-money block.  `patterns`, their cross product in build order,
-    and `pieces` are built on first use: only they raise ComplexityError.
+    `line` and `pieces` are built on first use: only they raise
+    ComplexityError.
     """
 
     dim: int
@@ -133,8 +159,35 @@ class DemandSet:
         return tuple(_dedup_pieces(pieces, self.tol))
 
     @cached_property
-    def _collinear(self):
-        return geometry.collinear_model(self.pieces)
+    def line(self) -> CarrierLine | None:
+        """The carrier line of the union of the pattern pieces, None off a line.
+
+        Each pattern is read as `geometry.make_piece` reads it, and the line
+        runs along the first nonzero direction: a generator, else an offset's
+        difference from the first offset.  The test stops at the first
+        direction that leaves the line by more than 1e-9 * (1 + the longest).
+        """
+        shapes = [geometry.canonical_generators(off, [g[1:] for g in free])
+                  for off, _, free in self.patterns]
+        origin = shapes[0][0]
+        dirs = [u for _, gens in shapes for u, _, _ in gens]
+        dirs += [off - origin for off, _ in shapes[1:]]
+        norms = [math.sqrt(d.dot(d)) for d in dirs]
+        unit = next((d / n for d, n in zip(dirs, norms) if n > 1e-9), np.zeros(origin.size))
+        limit = 1e-9 * (1.0 + max(norms, default=0.0))
+        for d in dirs:
+            perp = d - d.dot(unit) * unit
+            if math.sqrt(perp.dot(perp)) > limit:
+                return None
+        intervals = []
+        for off, gens in shapes:
+            lo_t = hi_t = float((off - origin).dot(unit))
+            for u, lo, hi in gens:
+                s = float(u.dot(unit))
+                lo_t += min(s * lo, s * hi)
+                hi_t += max(s * lo, s * hi)
+            intervals.append((lo_t, hi_t))
+        return CarrierLine(origin, unit, tuple(geometry.merge_intervals(intervals, 1e-12)))
 
     @cached_property
     def vertices(self) -> np.ndarray:
@@ -146,8 +199,9 @@ class DemandSet:
 
     def contains(self, x, tol: float | None = None) -> bool:
         t = resolve_tol(self.tol if tol is None else tol)
-        d, _ = self.nearest(x)
-        return d <= t * (1.0 + float(np.linalg.norm(np.asarray(x, dtype=float))))
+        x = np.asarray(x, dtype=float)
+        d = self.nearest(x)[0] if self.line is None else self.line.distance(x)
+        return d <= t * (1.0 + math.sqrt(x.dot(x)))
 
     def is_singleton(self, tol: float | None = None) -> bool:
         t = resolve_tol(self.tol if tol is None else tol)
@@ -336,28 +390,25 @@ def _union_distance_norm(pieces, x, norm: str) -> float:
 def nonconvexity(demand: DemandSet, norm: str = "l2", probes=()) -> float:
     """Largest distance from a hull point of the demand set back to the set.
 
-    Exact for collinear unions (interval arithmetic on the carrier line).
+    Exact for a set on a carrier line (`DemandSet.line`): the largest
+    half-gap between its intervals, with the distances of caller-supplied
+    probe points (which must lie in the hull) measured on the pieces.
     Otherwise the value is the maximum over a candidate family of hull
-    points: piece corners, pairwise closest-approach midpoints, and
-    caller-supplied probe points (which must lie in the hull).  That family
-    is not exhaustive once the set spans two or more dimensions, so the value
-    is then a lower bound on the measure: two at-the-money all-or-nothing
-    blocks in one exclusive group, at q=(1, 0) and q=(1/2, sqrt(3)/2), demand
-    {0, q1, q2}, and the family gives 0.5 where the circumcenter of that
-    triangle lies 1/sqrt(3) ~ 0.577 from the set.
+    points: piece corners, pairwise closest-approach midpoints, and the
+    probes.  That family is not exhaustive once the set spans two or more
+    dimensions, so the value is then a lower bound on the measure: two
+    at-the-money all-or-nothing blocks in one exclusive group, at q=(1, 0)
+    and q=(1/2, sqrt(3)/2), demand {0, q1, q2}, and the family gives 0.5
+    where the circumcenter of that triangle lies 1/sqrt(3) ~ 0.577 from the
+    set.
     """
+    line = demand.line
+    if line is not None:
+        return max([line.gap_radius() * vector_norm(line.unit, norm)]
+                   + [_union_distance_norm(demand.pieces, x, norm) for x in probes])
     pieces = demand.pieces
     if len(pieces) == 1 and not probes:
         return 0.0
-    model = demand._collinear
-    if model is not None:
-        _, unit, intervals = model
-        radius = geometry.interval_union_gap_radius(intervals, 1e-12)
-        base = radius * vector_norm(unit, norm)
-        best = base
-        for x in probes:
-            best = max(best, _union_distance_norm(pieces, x, norm))
-        return best
     candidates = [v for p in pieces for v in geometry.piece_vertices(p)]
     for a, b in itertools.combinations(pieces, 2):
         _, pa, pb = geometry.closest_pair(a, b)

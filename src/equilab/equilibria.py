@@ -51,8 +51,7 @@ def detect_equilibrium(market: Market, lam, allocation: Allocation,
     """Exact equilibrium iff every bundle is demanded at lam and trade balances.
 
     `lam` may be a PricedMarket of `market` (such as its DualSolution), whose
-    demand sets are then reused; a DualSolution also reuses its containment
-    check wherever a bundle equals the LP bundle.
+    demand sets and containment checks are then reused.
     """
     t = resolve_tol(tol)
     priced = priced_at(market, lam)
@@ -263,8 +262,10 @@ def aggregate_demand_convexity_check(market: Market, tol: float | None = None,
     lambda* is convex (one interval), select per-agent demand points that
     balance exactly and certify the equilibrium.
 
-    Raises ValueError for markets with more than one commodity; the exact
-    interval arithmetic used here is one-dimensional.
+    Each agent's intervals are its demand set's carrier line
+    (`DemandSet.line`) mapped onto the commodity axis.  Raises ValueError for
+    markets with more than one commodity; the exact interval arithmetic used
+    here is one-dimensional.
     """
     if market.num_commodities != 1:
         raise ValueError("aggregate convexity check supports single-commodity "
@@ -273,12 +274,9 @@ def aggregate_demand_convexity_check(market: Market, tol: float | None = None,
     dual = solve_lp(market, t)
     per_agent: list[list[tuple[float, float]]] = []
     for ds in dual.demand_sets(t):
-        model = geometry.collinear_model(ds.pieces)
-        assert model is not None  # one dimension is always collinear
-        origin, unit, intervals = model
-        s = float(unit[0]) if np.linalg.norm(unit) else 0.0
-        o = float(origin[0])
-        ivs = [(o + min(s * a, s * b), o + max(s * a, s * b)) for a, b in intervals]
+        line = ds.line  # one dimension is always collinear
+        s, o = float(line.unit[0]), float(line.origin[0])
+        ivs = [(o + min(s * a, s * b), o + max(s * a, s * b)) for a, b in line.intervals]
         per_agent.append(geometry.merge_intervals(ivs, 1e-12))
 
     total = [(0.0, 0.0)]

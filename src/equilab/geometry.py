@@ -4,14 +4,15 @@ A demand set is a finite union of *pieces*; each piece is an offset plus a
 Minkowski sum of scaled segments (a zonotope), which is exactly what the bid
 language produces: curve sub-intervals along hour axes and block directions
 with ratio ranges.  Everything here is exact for that class at desk scale:
-distances via bounded-variable least squares, hulls via the piece vertex set
-(extreme points of a union of polytopes are extreme points of the members),
-and a closed-form path for collinear unions where the whole computation
-reduces to interval arithmetic on a line.
+distances via bounded-variable least squares and hulls via the piece vertex
+set (extreme points of a union of polytopes are extreme points of the
+members).  Collinear demand sets are measured on their carrier line in
+`equilab.demand`, from the same canonical generators `make_piece` uses.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,25 +46,25 @@ class Piece:
         return np.array(self.units, dtype=float).T.reshape(self.dim, len(self.units))
 
 
-def make_piece(offset, gens=()) -> Piece:
-    """Build a canonical piece: parallel generators merged, zero-width folded.
+def canonical_generators(offset, gens) -> tuple[np.ndarray, list[list]]:
+    """Offset and [unit, lo, hi] list of a piece: parallel generators merged,
+    zero-width folded into the offset.
 
     `gens` is an iterable of (direction, lo, hi) with lo <= hi.  Directions are
     normalized; antiparallel directions are flipped to a canonical orientation
-    (first nonzero component positive) with the range mirrored.
+    (first nonzero component positive) with the range mirrored.  More than
+    MAX_GENS_PER_PIECE merged generators raise ComplexityError.
     """
-    offset = np.asarray(offset, dtype=float).copy()
-    merged: dict[tuple, list[float]] = {}
-    order: list[tuple] = []
+    offset = np.array(offset, dtype=float)
+    merged: dict[tuple, list] = {}
     for direction, lo, hi in gens:
         d = np.asarray(direction, dtype=float)
-        nrm = float(np.linalg.norm(d))
+        nrm = math.sqrt(d.dot(d))
         if nrm <= _PAR_TOL:
             continue
         unit = d / nrm
         lo_s, hi_s = lo * nrm, hi * nrm
-        nz = np.flatnonzero(np.abs(unit) > _PAR_TOL)
-        if unit[nz[0]] < 0:
+        if next(v for v in unit.tolist() if abs(v) > _PAR_TOL) < 0:
             unit = -unit
             lo_s, hi_s = -hi_s, -lo_s
         if hi_s - lo_s <= _PAR_TOL * (1.0 + abs(lo_s) + abs(hi_s)):
@@ -75,13 +76,17 @@ def make_piece(offset, gens=()) -> Piece:
             merged[key][2] += hi_s
         else:
             merged[key] = [unit, lo_s, hi_s]
-            order.append(key)
-    if len(order) > MAX_GENS_PER_PIECE:
-        raise ComplexityError(f"{len(order)} generators in one piece "
+    if len(merged) > MAX_GENS_PER_PIECE:
+        raise ComplexityError(f"{len(merged)} generators in one piece "
                               f"(cap {MAX_GENS_PER_PIECE})")
-    units = tuple(tuple(merged[k][0]) for k in order)
-    ranges = tuple((merged[k][1], merged[k][2]) for k in order)
-    return Piece(tuple(offset), units, ranges)
+    return offset, list(merged.values())
+
+
+def make_piece(offset, gens=()) -> Piece:
+    """The canonical piece of `canonical_generators`."""
+    offset, merged = canonical_generators(offset, gens)
+    return Piece(tuple(offset), tuple(tuple(u) for u, _, _ in merged),
+                 tuple((lo, hi) for _, lo, hi in merged))
 
 
 def piece_vertices(piece: Piece) -> np.ndarray:
@@ -184,41 +189,6 @@ def piece_subset(inner: Piece, outer: Piece, tol: float) -> bool:
     return all(piece_contains(outer, v, tol) for v in piece_vertices(inner))
 
 
-# ---------------------------------------------------------------------------
-# Collinear fast path
-
-def collinear_model(pieces, tol: float = 1e-9):
-    """If the union lies on a line, return (origin, unit, intervals) else None."""
-    dirs: list[np.ndarray] = []
-    offs = [p.point() for p in pieces]
-    for p in pieces:
-        dirs.extend(np.asarray(u) for u in p.units)
-    for o in offs[1:]:
-        dirs.append(o - offs[0])
-    unit = None
-    for d in dirs:
-        if np.linalg.norm(d) > tol:
-            unit = d / np.linalg.norm(d)
-            break
-    if unit is None:  # all pieces are the same single point
-        return offs[0], np.zeros_like(offs[0]), [(0.0, 0.0) for _ in pieces]
-    scale = 1.0 + max(float(np.linalg.norm(d)) for d in dirs)
-    for d in dirs:
-        if np.linalg.norm(d - (d @ unit) * unit) > tol * scale:
-            return None
-    origin = offs[0]
-    intervals = []
-    for p, o in zip(pieces, offs):
-        t0 = float((o - origin) @ unit)
-        lo_t, hi_t = t0, t0
-        for u, (lo, hi) in zip(p.units, p.ranges):
-            s = float(np.asarray(u) @ unit)
-            lo_t += min(s * lo, s * hi)
-            hi_t += max(s * lo, s * hi)
-        intervals.append((lo_t, hi_t))
-    return origin, unit, intervals
-
-
 def merge_intervals(intervals, tol: float) -> list[tuple[float, float]]:
     ivs = sorted(intervals)
     out: list[list[float]] = []
@@ -228,12 +198,3 @@ def merge_intervals(intervals, tol: float) -> list[tuple[float, float]]:
         else:
             out.append([lo, hi])
     return [(lo, hi) for lo, hi in out]
-
-
-def interval_union_gap_radius(intervals, tol: float) -> float:
-    """Largest half-gap of the union within its hull (0 if connected)."""
-    merged = merge_intervals(intervals, tol)
-    worst = 0.0
-    for (_, hi0), (lo1, _) in zip(merged, merged[1:]):
-        worst = max(worst, 0.5 * (lo1 - hi0))
-    return worst

@@ -169,23 +169,18 @@ class _State:
             for pos, j in enumerate(self.basis):
                 delta = -sigma * w[pos]
                 if delta > tol:
-                    room = U[j] - self.values[j]
-                    t = room / delta
-                    if t < t_best - 1e-12:
-                        t_best, leave_pos, hit_upper = t, pos, True
-                    elif t <= t_best + 1e-12 and leave_pos >= 0:
-                        if (bland and j < self.basis[leave_pos]) or (
-                                not bland and abs(w[pos]) > abs(w[leave_pos]) + 1e-12):
-                            t_best, leave_pos, hit_upper = min(t, t_best), pos, True
+                    room, upper = U[j] - self.values[j], True
                 elif delta < -tol:
-                    room = self.values[j] - L[j]
-                    t = room / -delta
-                    if t < t_best - 1e-12:
-                        t_best, leave_pos, hit_upper = t, pos, False
-                    elif t <= t_best + 1e-12 and leave_pos >= 0:
-                        if (bland and j < self.basis[leave_pos]) or (
-                                not bland and abs(w[pos]) > abs(w[leave_pos]) + 1e-12):
-                            t_best, leave_pos, hit_upper = min(t, t_best), pos, False
+                    room, upper = self.values[j] - L[j], False
+                else:
+                    continue
+                t = room / abs(delta)
+                if t < t_best - 1e-12:
+                    t_best, leave_pos, hit_upper = t, pos, upper
+                elif t <= t_best + 1e-12 and leave_pos >= 0:
+                    if (bland and j < self.basis[leave_pos]) or (
+                            not bland and abs(w[pos]) > abs(w[leave_pos]) + 1e-12):
+                        t_best, leave_pos, hit_upper = min(t, t_best), pos, upper
             if not np.isfinite(t_best):
                 raise SimplexError("unbounded")
             t_best = max(t_best, 0.0)

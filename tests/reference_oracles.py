@@ -3,8 +3,9 @@
 `brute_force_welfare` enumerates every feasible indicator pattern and solves
 the residual LP for each; the branch-and-bound welfare search is tested
 against it.  `in_hull` decides membership in the convex hull of a point cloud
-by a small phase-1 LP on the weights.  Both are kept verbatim as they were in
-the package.
+by a small phase-1 LP on the weights.  `collinear_model` fits a line through
+a list of pieces and reads their intervals on it; `DemandSet.line` is tested
+against it.  All three are kept verbatim as they were in the package.
 """
 
 from __future__ import annotations
@@ -70,3 +71,35 @@ def in_hull(x, points: np.ndarray, tol: float) -> bool:
     except lp.InfeasibleError:
         return False
     return -res.value <= tol * scale
+
+
+def collinear_model(pieces, tol: float = 1e-9):
+    """If the union lies on a line, return (origin, unit, intervals) else None."""
+    dirs: list[np.ndarray] = []
+    offs = [p.point() for p in pieces]
+    for p in pieces:
+        dirs.extend(np.asarray(u) for u in p.units)
+    for o in offs[1:]:
+        dirs.append(o - offs[0])
+    unit = None
+    for d in dirs:
+        if np.linalg.norm(d) > tol:
+            unit = d / np.linalg.norm(d)
+            break
+    if unit is None:  # all pieces are the same single point
+        return offs[0], np.zeros_like(offs[0]), [(0.0, 0.0) for _ in pieces]
+    scale = 1.0 + max(float(np.linalg.norm(d)) for d in dirs)
+    for d in dirs:
+        if np.linalg.norm(d - (d @ unit) * unit) > tol * scale:
+            return None
+    origin = offs[0]
+    intervals = []
+    for p, o in zip(pieces, offs):
+        t0 = float((o - origin) @ unit)
+        lo_t, hi_t = t0, t0
+        for u, (lo, hi) in zip(p.units, p.ranges):
+            s = float(np.asarray(u) @ unit)
+            lo_t += min(s * lo, s * hi)
+            hi_t += max(s * lo, s * hi)
+        intervals.append((lo_t, hi_t))
+    return origin, unit, intervals

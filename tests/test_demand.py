@@ -6,17 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from equilab.config import vector_norm
 from equilab.convexify import solve_lp
 from equilab.curves import best_surplus
 from equilab.demand import (agent_best_surplus, agent_nonconvexity,
                             block_margin, classify_money, count_nonconvex_demand,
                             demand_set, nonconvexity)
-from equilab.geometry import ComplexityError
+from equilab.geometry import (ComplexityError, merge_intervals, piece_nearest,
+                              union_nearest)
 from equilab.model import (Agent, BlockBid, HourlyCurveBid, Market, agent_bundle,
                            agent_value, block_components, iter_patterns)
 
 from market_corpus import random_market, random_price_vector
-from reference_oracles import in_hull
+from reference_oracles import collinear_model, in_hull
 
 
 def _vertex_set(ds):
@@ -313,3 +315,52 @@ def test_hull_points_near_measure(seed):
             h = w @ vs
             d, _ = ds.nearest(h)
             assert d <= rho + 1e-7
+
+
+# ---------------------------------------------------------------------------
+# The carrier line against the piece-based oracles
+
+def _oracle_measure(ds, norm, probes=()):
+    """The measure of a collinear set as it was taken on the deduplicated
+    pieces: the largest half-gap of `collinear_model`'s intervals merged
+    within 1e-12, and the probes' distances to the nearest piece."""
+    pieces = ds.pieces
+    if len(pieces) == 1 and not probes:
+        return 0.0
+    _, unit, intervals = collinear_model(pieces)
+    merged = merge_intervals(intervals, 1e-12)
+    worst = 0.0
+    for (_, hi0), (lo1, _) in zip(merged, merged[1:]):
+        worst = max(worst, 0.5 * (lo1 - hi0))
+    best = worst * vector_norm(unit, norm)
+    for x in probes:
+        best = max(best, min(piece_nearest(p, x)[0] for p in pieces))
+    return best
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from((1, 2, 4)))
+def test_carrier_line_matches_piece_oracles(seed, K):
+    """On every collinear set, at lambda* and at random prices, containment
+    gives the verdict of the relative test on the nearest piece, and the
+    measure equals the `collinear_model` value exactly."""
+    rng = np.random.default_rng(seed)
+    market = random_market(rng, K=K, max_blocks=8)
+    dual = solve_lp(market)
+    for lam in (dual.lambda_star, np.asarray(random_price_vector(rng, market), dtype=float)):
+        for i, agent in enumerate(market.agents):
+            ds = demand_set(agent, lam, K)
+            assert (ds.line is None) == (collinear_model(ds.pieces) is None)
+            if ds.line is None:
+                continue
+            bundle = dual.lp_bundle(i)
+            for norm in ("l2", "l1", "linf"):
+                assert nonconvexity(ds, norm) == _oracle_measure(ds, norm)
+            assert (nonconvexity(ds, probes=(bundle,))
+                    == _oracle_measure(ds, "l2", probes=(bundle,)))
+            vs = ds.vertices
+            points = [bundle, *vs, vs[0] + 1e-6 * rng.normal(size=K),
+                      *(0.5 * (a + b) for a, b in itertools.combinations(vs, 2))]
+            for x in points:
+                d, _ = union_nearest(ds.pieces, x)
+                assert ds.contains(x) == (d <= ds.tol * (1.0 + float(np.linalg.norm(x))))

@@ -1,16 +1,16 @@
-"""Zonotope pieces: nearest points, unions, collinear path, hull tests."""
+"""Zonotope pieces: nearest points, unions, collinear oracle, hull tests."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import lsq_linear
 
-from equilab.geometry import (Piece, closest_pair, collinear_model,
-                              interval_union_gap_radius, make_piece,
-                              merge_intervals, piece_contains, piece_nearest,
-                              piece_subset, piece_vertices, union_nearest)
+from equilab.demand import DemandSet, nonconvexity
+from equilab.geometry import (Piece, closest_pair, make_piece, merge_intervals,
+                              piece_contains, piece_nearest, piece_subset,
+                              piece_vertices, union_nearest)
 
-from reference_oracles import in_hull
+from reference_oracles import collinear_model, in_hull
 
 
 def seg(lo, hi, axis=0, dim=1):
@@ -121,7 +121,7 @@ def test_containment_and_subset():
 
 
 # ---------------------------------------------------------------------------
-# Collinear fast path
+# Collinear oracle and the interval gap
 
 def test_collinear_model_on_line():
     pieces = [seg(0.0, 1.0, dim=2),
@@ -151,10 +151,17 @@ def test_merge_intervals():
     assert merge_intervals([(0.0, 1.0), (1.0, 2.0)], 1e-9) == [(0.0, 2.0)]
 
 
+def interval_demand(intervals) -> DemandSet:
+    """A one-commodity demand set that is the union of `intervals`."""
+    e = np.array([1.0])
+    patterns = tuple((np.zeros(1), (), (("x", e, lo, hi),)) for lo, hi in intervals)
+    return DemandSet(1, 1e-7, 0.0, (patterns,))
+
+
 def test_interval_gap_radius():
-    assert interval_union_gap_radius([(0.0, 1.0), (3.0, 4.0)], 1e-9) == pytest.approx(1.0)
-    assert interval_union_gap_radius([(0.0, 2.0), (1.0, 4.0)], 1e-9) == 0.0
-    assert interval_union_gap_radius([(0.0, 1.0)], 1e-9) == 0.0
+    assert nonconvexity(interval_demand([(0.0, 1.0), (3.0, 4.0)])) == pytest.approx(1.0)
+    assert nonconvexity(interval_demand([(0.0, 2.0), (1.0, 4.0)])) == 0.0
+    assert nonconvexity(interval_demand([(0.0, 1.0)])) == 0.0
 
 
 # ---------------------------------------------------------------------------

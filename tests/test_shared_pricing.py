@@ -15,7 +15,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from equilab import convexify, demand, model
+from equilab import convexify, demand, geometry, model
 from equilab.config import DEFAULT_TOL
 from equilab.convexify import ConvexifiedProgram, priced_at, solve_lp
 from equilab.demand import DemandSet, agent_best_surplus, demand_set, nonconvexity
@@ -23,7 +23,9 @@ from equilab.equilibria import (approximate_equilibria, balanced_lp_allocation,
                                 convex_hull_pricing, demand_snapped_allocation,
                                 detect_equilibrium, lost_opportunity_cost)
 from equilab.model import block_components
-from equilab.random_markets import certified_equilibrium
+from equilab.random_markets import (SimpleRandomMarketSpec, certified_equilibrium,
+                                    draw_costs, gen_simple_random_market,
+                                    marginal_supplier_is_convex)
 
 from market_corpus import random_market
 
@@ -94,6 +96,23 @@ def test_one_best_surplus_and_lp_containment_per_agent(monkeypatch, market):
     counts.clear()
     certified_equilibrium(market)
     assert counts["patterns"] == components
+
+
+def test_monte_carlo_certificate_builds_no_pieces(monkeypatch):
+    # every one-commodity demand set lies on its carrier line, so the
+    # certificate tests containment without a piece, a dedup or a nearest point
+    spec = SimpleRandomMarketSpec(6, 3, seed=4)
+    counts: Counter = Counter()
+    count_calls(monkeypatch, counts, "make_piece", geometry.make_piece)
+    count_calls(monkeypatch, counts, "dedup", demand._dedup_pieces)
+    count_calls(monkeypatch, counts, "union_nearest", geometry.union_nearest)
+
+    verdicts = [certified_equilibrium(gen_simple_random_market(spec, t)) for t in range(20)]
+
+    assert counts == Counter()
+    assert verdicts == [marginal_supplier_is_convex(spec, draw_costs(spec, t))
+                        for t in range(20)]
+    assert 0 < sum(verdicts) < 20
 
 
 def test_one_pattern_pass_per_component_at_other_prices(monkeypatch, market):
