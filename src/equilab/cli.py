@@ -93,8 +93,7 @@ def cmd_clear(args) -> int:
             equilibrium = pricing.certificate.is_equilibrium
             total_loc, per_agent_loc = pricing.total_loc, pricing.per_agent_loc
     except NodeBudgetExceeded as exc:
-        best = exc.best.welfare if exc.best is not None else float("-inf")
-        _err(f"node budget exceeded (best welfare so far {best})")
+        _err(f"node budget exceeded (best welfare so far {exc.best.welfare})")
         return EXIT_BUDGET
     except (ClearingComplexityError, ComplexityError) as exc:
         _err(str(exc))

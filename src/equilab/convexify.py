@@ -8,8 +8,11 @@ a_parent, and looped pairs become the two ratio inequalities a_i >= r_i*a_j,
 a_j >= r_j*a_i (the exact hull of the indicator-coupled pair; plain equality
 at ratio 1).  Curves are already concave and enter step by step.
 
-Strong duality needs no constraint qualification here because the program is
-a finite LP; `solve_lp` asserts primal = dual on every call.
+`solve_lp` is the one entry: it builds the program of a Market, solves it
+and prices the market at the balance-row multipliers lambda*.  Strong duality
+needs no constraint qualification here because the program is a finite LP;
+`solve_lp` asserts primal = dual on every call.  Branch and bound re-solves
+the same program with per-block bounds overridden (`solve_raw`).
 """
 
 from __future__ import annotations
@@ -21,39 +24,23 @@ import numpy as np
 from . import lp
 from .config import resolve_tol
 from .demand import DemandSet, NonconvexStats, demand_set, nonconvexity
-from .model import Agent, Allocation, BlockBid, HourlyCurveBid, Market
-
-
-@dataclass(frozen=True)
-class VarInfo:
-    kind: str            # "block" | "curve"
-    agent_index: int
-    bid_id: str
-    step_index: int = -1
-    contribution: float = 0.0   # signed bundle change at `hour` when fully taken
-    hour: int = -1
+from .model import Allocation, BlockBid, Market
 
 
 @dataclass
 class ConvexifiedProgram:
     """The welfare LP of the convexified market."""
 
-    market: Market
     objective: np.ndarray
     balance: np.ndarray          # (K, n) equality rows, rhs 0
     a_ub: np.ndarray             # group/link/loop rows, rhs b_ub
     b_ub: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    var_info: tuple[VarInfo, ...]
-    block_col: dict
-    curve_cols: dict
+    block_col: dict              # bid_id -> column
+    curve_cols: dict             # bid_id -> ((column, signed step width), ...)
 
-    @property
-    def num_vars(self) -> int:
-        return self.objective.size
-
-    def solve_raw(self, overrides: dict | None = None) -> tuple[lp.LpResult, Allocation]:
+    def solve_raw(self, overrides: dict | None = None) -> lp.LpResult:
         """Solve with optional per-block bound overrides {bid_id: (lo, hi)}."""
         lo = self.lo.copy()
         hi = self.hi.copy()
@@ -64,45 +51,42 @@ class ConvexifiedProgram:
         res = lp.solve_lp(self.objective, a_eq=self.balance,
                           b_eq=np.zeros(self.balance.shape[0]),
                           a_ub=self.a_ub, b_ub=self.b_ub, lo=lo, hi=hi)
-        return res, self.allocation_from(res.x)
+        return res
 
     def allocation_from(self, x: np.ndarray) -> Allocation:
         acc: dict[str, float] = {}
         for bid_id, col in self.block_col.items():
             acc[bid_id] = float(x[col])
         for bid_id, cols in self.curve_cols.items():
-            acc[bid_id] = float(sum(x[c] * self.var_info[c].contribution for c in cols))
+            acc[bid_id] = float(sum(x[c] * w for c, w in cols))
         return Allocation(acc)
 
 
 def build_convexified(market: Market) -> ConvexifiedProgram:
     K = market.num_commodities
     c: list[float] = []
-    info: list[VarInfo] = []
     block_col: dict[str, int] = {}
-    curve_cols: dict[str, list[int]] = {}
+    curve_cols: dict[str, tuple] = {}
     cols_balance: list[tuple[int, int, float]] = []   # (row, col, coeff)
 
-    for ai, agent in enumerate(market.agents):
+    for agent in market.agents:
         for bid in agent.bids:
             if isinstance(bid, BlockBid):
                 col = len(c)
                 block_col[bid.bid_id] = col
                 c.append(bid.price)
-                info.append(VarInfo("block", ai, bid.bid_id))
                 for k, qk in enumerate(bid.quantity):
                     if qk != 0.0:
                         cols_balance.append((k, col, float(qk)))
             else:
                 cols = []
-                for si, step in enumerate(bid.steps):
+                for step in bid.steps:
                     col = len(c)
                     contrib = step.width if step.is_buy else -step.width
                     c.append(step.price * contrib)
-                    info.append(VarInfo("curve", ai, bid.bid_id, si, contrib, bid.hour))
                     cols_balance.append((bid.hour, col, contrib))
-                    cols.append(col)
-                curve_cols[bid.bid_id] = cols
+                    cols.append((col, contrib))
+                curve_cols[bid.bid_id] = tuple(cols)
 
     n = len(c)
     balance = np.zeros((K, n))
@@ -146,16 +130,14 @@ def build_convexified(market: Market) -> ConvexifiedProgram:
 
     a_ub = np.array(ub_rows).reshape(len(ub_rows), n) if ub_rows else np.zeros((0, n))
     return ConvexifiedProgram(
-        market=market,
         objective=np.asarray(c, dtype=float),
         balance=balance,
         a_ub=a_ub,
         b_ub=np.asarray(b_ub, dtype=float),
         lo=np.zeros(n),
         hi=np.ones(n),
-        var_info=tuple(info),
         block_col=block_col,
-        curve_cols={k: tuple(v) for k, v in curve_cols.items()},
+        curve_cols=curve_cols,
     )
 
 
@@ -249,22 +231,23 @@ def dual_value(market: Market, lam, tol: float | None = None) -> float:
     return float(sum(priced.best_surplus(i, tol) for i in range(len(market.agents))))
 
 
-def solve_lp(market_or_program, tol: float | None = None) -> DualSolution:
-    """Solve the convexified welfare LP; asserts strong duality.
+def solve_lp(market: Market, tol: float | None = None) -> DualSolution:
+    """Build and solve the convexified welfare LP of `market`; asserts strong
+    duality.
 
-    Accepts a Market or a prebuilt ConvexifiedProgram.  Returns the vertex
-    primal allocation, the balance-row multipliers lambda*, and the dual
-    objective evaluated at lambda* (equal to the primal value within
-    tolerance, by LP duality) on the demand sets the DualSolution keeps.
+    Returns the vertex primal allocation, the balance-row multipliers
+    lambda*, and the dual objective evaluated at lambda* (equal to the primal
+    value within tolerance, by LP duality) on the demand sets the
+    DualSolution keeps.  Raises lp.InfeasibleError if the relaxation is
+    infeasible.
     """
     t = resolve_tol(tol)
-    program = (market_or_program if isinstance(market_or_program, ConvexifiedProgram)
-               else build_convexified(market_or_program))
-    res, allocation = program.solve_raw()
+    program = build_convexified(market)
+    res = program.solve_raw()
     vp = res.value
-    dual = DualSolution(program.market, res.duals_eq, vp, float("nan"), allocation,
-                        res.x, program)
-    vd = dual.dual_objective = dual_value(program.market, dual, t)
+    dual = DualSolution(market, res.duals_eq, vp, float("nan"),
+                        program.allocation_from(res.x), res.x, program)
+    vd = dual.dual_objective = dual_value(market, dual, t)
     if abs(vp - vd) > t * (1.0 + abs(vp)):
         raise AssertionError(
             f"duality gap in convexified LP: primal {vp!r}, dual {vd!r}")

@@ -33,7 +33,7 @@ from scipy.optimize import lsq_linear
 from . import geometry, lp
 from .config import resolve_tol, vector_norm
 from .curves import best_surplus, curve_margin, demand_interval
-from .geometry import ComplexityError, Piece, make_piece
+from .geometry import ComplexityError, Piece
 from .model import Agent, BlockBid, HourlyCurveBid, Market, block_components, iter_patterns
 
 
@@ -69,9 +69,6 @@ class MoneyClasses:
 
     classes: dict
     margins: dict
-
-    def __getitem__(self, bid_id: str) -> str:
-        return self.classes[bid_id]
 
 
 def classify_money(market: Market, lam, tol: float | None = None) -> MoneyClasses:
@@ -132,8 +129,9 @@ class DemandSet:
     acceptance) of every block without freedom (off 0, in the money 1, out
     of the money mar), `free` the (bid_id, direction, lo, hi) of every curve
     or at-the-money block.  `patterns`, their cross product in build order,
-    `line` and `pieces` are built on first use: only they raise
-    ComplexityError.
+    `canonical` (each pattern's `geometry.canonical_generators`, read by both
+    `line` and `pieces`), `line` and `pieces` are built on first use: only
+    they raise ComplexityError.
     """
 
     dim: int
@@ -154,21 +152,25 @@ class DemandSet:
         return tuple(combos)
 
     @cached_property
+    def canonical(self) -> tuple:
+        return tuple(geometry.canonical_generators(off, [g[1:] for g in free])
+                     for off, _, free in self.patterns)
+
+    @cached_property
     def pieces(self) -> tuple[Piece, ...]:
-        pieces = [make_piece(off, [g[1:] for g in free]) for off, _, free in self.patterns]
-        return tuple(_dedup_pieces(pieces, self.tol))
+        return tuple(_dedup_pieces([Piece.of(off, gens) for off, gens in self.canonical],
+                                   self.tol))
 
     @cached_property
     def line(self) -> CarrierLine | None:
         """The carrier line of the union of the pattern pieces, None off a line.
 
-        Each pattern is read as `geometry.make_piece` reads it, and the line
-        runs along the first nonzero direction: a generator, else an offset's
-        difference from the first offset.  The test stops at the first
-        direction that leaves the line by more than 1e-9 * (1 + the longest).
+        Each pattern is read in its canonical form, and the line runs along
+        the first nonzero direction: a generator, else an offset's difference
+        from the first offset.  The test stops at the first direction that
+        leaves the line by more than 1e-9 * (1 + the longest).
         """
-        shapes = [geometry.canonical_generators(off, [g[1:] for g in free])
-                  for off, _, free in self.patterns]
+        shapes = self.canonical
         origin = shapes[0][0]
         dirs = [u for _, gens in shapes for u, _, _ in gens]
         dirs += [off - origin for off, _ in shapes[1:]]

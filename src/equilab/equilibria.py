@@ -55,10 +55,10 @@ def detect_equilibrium(market: Market, lam, allocation: Allocation,
     """
     t = resolve_tol(tol)
     priced = priced_at(market, lam)
-    flags = [priced.in_demand(i, allocation.bundle(market, agent), t)
-             for i, agent in enumerate(market.agents)]
-    imbalance = vector_norm(allocation.imbalance(market), norm)
-    scale = 1.0 + float(np.max(np.abs(allocation.bundles(market)), initial=0.0))
+    bundles = allocation.bundles(market)
+    flags = [priced.in_demand(i, x, t) for i, x in enumerate(bundles)]
+    imbalance = vector_norm(bundles.sum(axis=0), norm)
+    scale = 1.0 + float(np.max(np.abs(bundles), initial=0.0))
     ok = all(flags) and imbalance <= t * scale
     return EquilibriumCertificate("exact" if ok else "none",
                                   tuple(float(v) for v in priced.lambda_star),
@@ -104,10 +104,6 @@ class SnappedAllocationResult:
     allocation: Allocation
     imbalance: float
     bound: float            # sum of the K largest nonconvexity measures
-
-    @property
-    def acceptances(self):
-        return self.allocation.acceptances
 
 
 def demand_snapped_allocation(market: Market, dual: DualSolution | None = None,

@@ -52,7 +52,7 @@ from .model import Allocation, BlockBid, HourlyCurveBid, Market, iter_patterns
 MAX_COMBOS = 200_000
 
 # A screen drops a combination when the violation it proves exceeds this
-# share of (1 + max |rhs|): a thousand times `lp.solve_lp`'s tolerance.
+# share of (1 + max |rhs|): a thousand times the simplex's fixed `lp.TOL`.
 _SCREEN_MARGIN = 1e-6
 
 
@@ -136,7 +136,8 @@ def _screened_out(excess: float, rhs_scale: float) -> bool:
     """Is a violation `excess`, proven for the whole box, large enough that
     `lp.solve_lp` on rows whose right-hand sides are at most `rhs_scale` in
     magnitude must raise InfeasibleError?  Its phase 1 ends at or above the
-    least total violation and raises above tol * (1 + max |rhs|), tol = 1e-9."""
+    least total violation and raises above `lp.TOL` * (1 + max |rhs|), with
+    `lp.TOL` = 1e-9 fixed for every call."""
     return excess > _SCREEN_MARGIN * (1.0 + rhs_scale)
 
 

@@ -7,7 +7,8 @@ with ratio ranges.  Everything here is exact for that class at desk scale:
 distances via bounded-variable least squares and hulls via the piece vertex
 set (extreme points of a union of polytopes are extreme points of the
 members).  Collinear demand sets are measured on their carrier line in
-`equilab.demand`, from the same canonical generators `make_piece` uses.
+`equilab.demand`, from the same canonical generators their pieces are built
+from (`Piece.of`).
 """
 
 from __future__ import annotations
@@ -44,6 +45,12 @@ class Piece:
 
     def unit_matrix(self) -> np.ndarray:
         return np.array(self.units, dtype=float).T.reshape(self.dim, len(self.units))
+
+    @classmethod
+    def of(cls, offset, merged) -> Piece:
+        """The piece of a canonical form from `canonical_generators`."""
+        return cls(tuple(offset), tuple(tuple(u) for u, _, _ in merged),
+                   tuple((lo, hi) for _, lo, hi in merged))
 
 
 def canonical_generators(offset, gens) -> tuple[np.ndarray, list[list]]:
@@ -84,9 +91,7 @@ def canonical_generators(offset, gens) -> tuple[np.ndarray, list[list]]:
 
 def make_piece(offset, gens=()) -> Piece:
     """The canonical piece of `canonical_generators`."""
-    offset, merged = canonical_generators(offset, gens)
-    return Piece(tuple(offset), tuple(tuple(u) for u, _, _ in merged),
-                 tuple((lo, hi) for _, lo, hi in merged))
+    return Piece.of(*canonical_generators(offset, gens))
 
 
 def piece_vertices(piece: Piece) -> np.ndarray:

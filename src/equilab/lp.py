@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+TOL = 1e-9           # feasibility, pricing and phase-1 tolerance
 _REFRESH_EVERY = 64  # recompute basic values from scratch to bound drift
 _STALL_LIMIT = 200   # degenerate pivots before switching to Bland's rule
 
@@ -37,8 +38,7 @@ class LpResult:
 
 
 def solve_lp(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None,
-             lo=None, hi=None, tol: float = 1e-9,
-             max_iter: int | None = None) -> LpResult:
+             lo=None, hi=None) -> LpResult:
     c = np.asarray(c, dtype=float)
     n = c.size
     a_eq = np.zeros((0, n)) if a_eq is None else np.asarray(a_eq, dtype=float).reshape(-1, n)
@@ -47,7 +47,7 @@ def solve_lp(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None,
     b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float).ravel()
     lo = np.zeros(n) if lo is None else np.asarray(lo, dtype=float).ravel()
     hi = np.ones(n) if hi is None else np.asarray(hi, dtype=float).ravel()
-    if np.any(lo > hi + tol):
+    if np.any(lo > hi + TOL):
         raise InfeasibleError("empty variable bound")
     hi = np.maximum(hi, lo)
 
@@ -83,16 +83,13 @@ def solve_lp(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None,
         values[n + m_ub + r] = abs(resid[r])
     basis = list(range(n + m_ub, N))
 
-    if max_iter is None:
-        max_iter = 200 * (N + m) + 2000
+    state = _State(A, b, L, U, values, at_upper, basis)
 
-    state = _State(A, b, L, U, values, at_upper, basis, tol, max_iter)
-
-    if np.max(np.abs(resid), initial=0.0) > tol:
+    if np.max(np.abs(resid), initial=0.0) > TOL:
         c1 = np.zeros(N)
         c1[n + m_ub:] = -1.0
         state.optimize(c1)
-        if -(c1 @ state.values) > tol * (1.0 + np.max(np.abs(b), initial=0.0)):
+        if -(c1 @ state.values) > TOL * (1.0 + np.max(np.abs(b), initial=0.0)):
             raise InfeasibleError("no feasible point")
     # Pin artificials for phase 2.
     state.L[n + m_ub:] = 0.0
@@ -110,10 +107,10 @@ def solve_lp(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None,
 
 
 class _State:
-    def __init__(self, A, b, L, U, values, at_upper, basis, tol, max_iter):
+    def __init__(self, A, b, L, U, values, at_upper, basis):
         self.A, self.b, self.L, self.U = A, b, L, U
         self.values, self.at_upper, self.basis = values, at_upper, basis
-        self.tol, self.max_iter = tol, max_iter
+        self.max_iter = 200 * sum(A.shape) + 2000
         self.total_iters = 0
 
     def _basic_solve(self, B, rhs):
@@ -131,7 +128,7 @@ class _State:
 
     def optimize(self, c):
         """Run the pivot loop for cost vector c; returns row multipliers."""
-        A, L, U, tol = self.A, self.L, self.U, self.tol
+        A, L, U, tol = self.A, self.L, self.U, TOL
         m, N = A.shape
         in_basis = np.zeros(N, dtype=bool)
         in_basis[self.basis] = True

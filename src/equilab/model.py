@@ -101,10 +101,6 @@ class Market:
                 out[bid.bid_id] = (agent, bid)
         return out
 
-    @cached_property
-    def all_bids(self) -> tuple:
-        return tuple(b for a in self.agents for b in a.bids)
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -308,7 +304,7 @@ class Allocation:
 
 
 def zero_allocation(market: Market) -> Allocation:
-    return Allocation({b.bid_id: 0.0 for b in market.all_bids})
+    return Allocation({b.bid_id: 0.0 for a in market.agents for b in a.bids})
 
 
 # ---------------------------------------------------------------------------

@@ -107,10 +107,6 @@ class MonteCarloResult:
     ci_lo: float
     ci_hi: float
 
-    @property
-    def ci(self) -> tuple[float, float]:
-        return self.ci_lo, self.ci_hi
-
 
 def monte_carlo_equilibrium_probability(spec: SimpleRandomMarketSpec,
                                         trials: int,

@@ -1,10 +1,12 @@
 """Exact welfare maximization over the true (nonconvex) feasible sets.
 
-Branch and bound on the block indicators over the convexified LP relaxation.
-A node is a set of per-block bound overrides; branching fixes an indicator to
-0 (ratio pinned to zero) or 1 (ratio within [mar, 1]).  Candidate incumbents
-are LP solutions whose implied indicators are feasible, so the reported
-optimum is always truly feasible.
+Best-bound branch and bound on the block indicators, started from the solved
+convexified relaxation (`convexify.solve_lp`): every other node re-solves the
+same program with per-block bound overrides.  Branching fixes an indicator to
+0 (ratio pinned to zero) or 1 (ratio within [mar, 1]; on a group branch the
+exclusive siblings are pinned to zero too).  Candidate incumbents are LP
+solutions whose implied indicators are feasible, so the reported optimum is
+always truly feasible.
 """
 
 from __future__ import annotations
@@ -17,10 +19,9 @@ import numpy as np
 
 from . import lp
 from .config import resolve_tol
-from .convexify import ConvexifiedProgram, DualSolution, build_convexified
+from .convexify import ConvexifiedProgram, DualSolution, solve_lp
 from .model import Allocation, Market
 
-GAP_TOL = 1e-6
 DEFAULT_NODE_BUDGET = 10 ** 6
 
 
@@ -43,45 +44,39 @@ def _implied_violations(market: Market, program: ConvexifiedProgram,
     """Blocks whose relaxed acceptance is not indicator-feasible.
 
     Returns (mar_violations, group_violation) where mar_violations is a list
-    of (fractionality, bid_id, acceptance ratio) and group_violation names a
-    group with more than one supported member.
+    of (fractionality, bid_id, acceptance ratio) and group_violation is the
+    (ratio, bid_id) of the largest member, ties by lowest bid id, of the
+    first group (by id) with more than one supported member.
     """
     mar_viol = []
-    active: dict[str, bool] = {}
-    for agent in market.agents:
-        for bid in agent.block_bids:
-            a = float(x[program.block_col[bid.bid_id]])
-            active[bid.bid_id] = a > tol
-            if tol < a < bid.mar - tol:
-                z = a / bid.mar
-                mar_viol.append((min(z, 1.0 - z), bid.bid_id, a))
     group_members: dict[str, list[tuple[float, str]]] = {}
     for agent in market.agents:
         for bid in agent.block_bids:
-            if bid.group is not None and active[bid.bid_id]:
-                a = float(x[program.block_col[bid.bid_id]])
+            a = float(x[program.block_col[bid.bid_id]])
+            if tol < a < bid.mar - tol:
+                z = a / bid.mar
+                mar_viol.append((min(z, 1.0 - z), bid.bid_id, a))
+            if bid.group is not None and a > tol:
                 group_members.setdefault(bid.group, []).append((a, bid.bid_id))
-    group_viol = None
     for gid in sorted(group_members):
         if len(group_members[gid]) > 1:
-            # Branch on the largest ratio, ties by lowest bid id.
-            group_viol = sorted(group_members[gid], key=lambda v: (-v[0], v[1]))[0]
-            break
-    return mar_viol, group_viol
+            return mar_viol, min(group_members[gid], key=lambda v: (-v[0], v[1]))
+    return mar_viol, None
 
 
 def solve_welfare(market: Market | DualSolution, node_budget: int = DEFAULT_NODE_BUDGET,
                   tol: float | None = None) -> ExactSolution:
     """Best-bound branch and bound; deterministic, gap-certified.
 
-    `market` may be its solved convexified LP (a DualSolution), whose program
-    and root relaxation are then reused.  Raises NodeBudgetExceeded (carrying
-    the incumbent) if the node budget runs out before the gap closes.
+    The root is the solved convexified LP: `market` itself when it is a
+    DualSolution, else `convexify.solve_lp(market)` (which raises
+    lp.InfeasibleError on an infeasible relaxation).  Raises
+    NodeBudgetExceeded (carrying the incumbent) if the node budget runs out
+    before the gap closes.
     """
     t = resolve_tol(tol)
-    dual = market if isinstance(market, DualSolution) else None
-    program = build_convexified(market) if dual is None else dual.program
-    market = program.market
+    dual = market if isinstance(market, DualSolution) else solve_lp(market, t)
+    program, market = dual.program, dual.market
     siblings: dict[str, list[str]] = {}
     for agent in market.agents:
         for bid in agent.block_bids:
@@ -91,24 +86,19 @@ def solve_welfare(market: Market | DualSolution, node_budget: int = DEFAULT_NODE
     best_val = -np.inf
     best_alloc: Allocation | None = None
     counter = itertools.count()
-    heap: list[tuple] = []
+    heap: list[tuple] = [(-dual.primal_value, next(counter), {}, dual.var_values)]
 
     def push(overrides: dict) -> None:
         try:
-            res, alloc = program.solve_raw(overrides)
+            res = program.solve_raw(overrides)
         except lp.InfeasibleError:
             return
-        heapq.heappush(heap, (-res.value, next(counter), overrides, res.x, alloc))
+        heapq.heappush(heap, (-res.value, next(counter), overrides, res.x))
 
-    if dual is None:
-        push({})
-    else:
-        heapq.heappush(heap, (-dual.primal_value, next(counter), {},
-                              dual.var_values, dual.allocation))
     nodes = 0
     gap = 0.0
     while heap:
-        neg_bound, _, overrides, x, alloc = heapq.heappop(heap)
+        neg_bound, _, overrides, x = heapq.heappop(heap)
         bound = -neg_bound
         if bound <= best_val + 1e-9 * (1.0 + abs(best_val)):
             # Best-first: every remaining node is bounded by this one.
@@ -120,27 +110,30 @@ def solve_welfare(market: Market | DualSolution, node_budget: int = DEFAULT_NODE
             raise NodeBudgetExceeded(
                 ExactSolution(best_val, best_alloc or Allocation({}), nodes, open_gap))
         mar_viol, group_viol = _implied_violations(market, program, x, t)
-        if not mar_viol and group_viol is None:
-            if bound > best_val:
-                best_val, best_alloc = bound, alloc
-            continue
         if mar_viol:
             # Most fractional implied indicator first, ties by lowest bid id.
-            mar_viol.sort(key=lambda v: (-v[0], v[1]))
-            _, bid_id, _ = mar_viol[0]
-            bid = market.bid_index[bid_id][1]
-            off = dict(overrides); off[bid_id] = (0.0, 0.0); push(off)
-            on = dict(overrides); on[bid_id] = (bid.mar, 1.0); push(on)
+            bid_id = min(mar_viol, key=lambda v: (-v[0], v[1]))[1]
+        elif group_viol is not None:
+            bid_id = group_viol[1]
         else:
-            _, bid_id = group_viol
-            bid = market.bid_index[bid_id][1]
-            off = dict(overrides); off[bid_id] = (0.0, 0.0); push(off)
-            on = dict(overrides)
-            on[bid_id] = (bid.mar, 1.0)
+            if bound > best_val:
+                best_val, best_alloc = bound, program.allocation_from(x)
+            continue
+        bid = market.bid_index[bid_id][1]
+        off = dict(overrides)
+        off[bid_id] = (0.0, 0.0)
+        push(off)
+        on = dict(overrides)
+        on[bid_id] = (bid.mar, 1.0)
+        if not mar_viol:
+            # A group branch pins the exclusive siblings off.  A minimum-
+            # acceptance branch leaves them to the group row: pinning them
+            # there too moves some child LPs to another vertex path, which
+            # changes outputs in the last bit.
             for sib in siblings[bid.group]:
                 if sib != bid_id:
                     on[sib] = (0.0, 0.0)
-            push(on)
+        push(on)
 
     if best_alloc is None:
         raise lp.InfeasibleError("no feasible indicator pattern")

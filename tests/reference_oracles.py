@@ -5,7 +5,8 @@ the residual LP for each; the branch-and-bound welfare search is tested
 against it.  `in_hull` decides membership in the convex hull of a point cloud
 by a small phase-1 LP on the weights.  `collinear_model` fits a line through
 a list of pieces and reads their intervals on it; `DemandSet.line` is tested
-against it.  All three are kept verbatim as they were in the package.
+against it.  All three are kept as they were in the package, except that
+`brute_force_welfare` reads its allocation through `allocation_from`.
 """
 
 from __future__ import annotations
@@ -39,11 +40,11 @@ def brute_force_welfare(market: Market, tol: float | None = None) -> ExactSoluti
         overrides = {b.bid_id: ((b.mar, 1.0) if zi else (0.0, 0.0))
                      for b, zi in zip(blocks, z)}
         try:
-            res, alloc = program.solve_raw(overrides)
+            res = program.solve_raw(overrides)
         except lp.InfeasibleError:
             continue
         if res.value > best_val + 1e-12 * (1.0 + abs(res.value)):
-            best_val, best_alloc = res.value, alloc
+            best_val, best_alloc = res.value, program.allocation_from(res.x)
     if best_alloc is None:
         raise lp.InfeasibleError("no feasible indicator pattern")
     return ExactSolution(best_val, best_alloc, n_patterns, 0.0)

@@ -115,6 +115,26 @@ def test_monte_carlo_certificate_builds_no_pieces(monkeypatch):
     assert 0 < sum(verdicts) < 20
 
 
+def test_one_canonical_form_per_pattern(monkeypatch, market):
+    # the carrier line and the pieces read each pattern's canonical
+    # generators from one pass
+    counts: Counter = Counter()
+    count_calls(monkeypatch, counts, "canonical", geometry.canonical_generators)
+    sets = []
+
+    def recorded(*args, **kwargs):
+        sets.append(demand_set(*args, **kwargs))
+        return sets[-1]
+
+    monkeypatch.setattr(convexify, "demand_set", recorded)
+
+    approximate_equilibria(market)
+
+    shaped = [ds for ds in sets if {"line", "pieces"} & vars(ds).keys()]
+    assert shaped
+    assert counts["canonical"] == sum(len(ds.patterns) for ds in shaped)
+
+
 def test_one_pattern_pass_per_component_at_other_prices(monkeypatch, market):
     # at prices other than lambda* (a uniform-price clearing's, say) one
     # PricedMarket gives the certificate and the lost opportunity cost

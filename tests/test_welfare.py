@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from equilab import welfare
 from equilab.convexify import solve_lp
+from equilab.market_io import load_market
 from equilab.model import (Agent, BlockBid, HourlyCurveBid, Market,
                            acceptance_feasible)
 from equilab.welfare import NodeBudgetExceeded, solve_welfare
 
+from conftest import FIXTURES
 from market_corpus import random_market
 from reference_oracles import brute_force_welfare
 
@@ -105,3 +108,43 @@ def test_structured_blocks_match_brute_force(seed):
     a = solve_welfare(market)
     b = brute_force_welfare(market)
     assert a.welfare == pytest.approx(b.welfare, abs=1e-7)
+
+
+def _equivalence_markets(four_agent_market):
+    yield four_agent_market
+    yield load_market(FIXTURES / "structured.csv")
+    # the relaxation takes half of each exclusive block, both above their
+    # floors: only the group rule can branch here, and no corpus market tried
+    # reached that rule
+    yield Market(1, (
+        Agent("s", (HourlyCurveBid("c", 0, ((1.0, -2.5),)),)),
+        Agent("b", (BlockBid("b1", 10.0, (2.0,), mar=0.25, group="g"),
+                    BlockBid("b2", 12.0, (3.0,), mar=0.25, group="g"))),
+    ))
+    for i in range(40):
+        K = (1, 2, 4, 24)[i % 4]
+        yield random_market(np.random.default_rng((11, i)), K=K, structured=True)
+
+
+def test_market_and_relaxation_roots_agree(monkeypatch, four_agent_market):
+    # a Market and its solved relaxation start the same search, and both
+    # branching rules run over the sample
+    fired = {"mar": 0, "group": 0}
+    implied = welfare._implied_violations
+
+    def counted(*args):
+        mar_viol, group_viol = implied(*args)
+        if mar_viol:
+            fired["mar"] += 1
+        elif group_viol is not None:
+            fired["group"] += 1
+        return mar_viol, group_viol
+
+    monkeypatch.setattr(welfare, "_implied_violations", counted)
+    for market in _equivalence_markets(four_agent_market):
+        a = solve_welfare(market)
+        b = solve_welfare(solve_lp(market))
+        assert a.welfare == b.welfare
+        assert a.allocation == b.allocation
+        assert (a.nodes, a.gap) == (b.nodes, b.gap)
+    assert fired["mar"] > 0 and fired["group"] > 0
