@@ -13,24 +13,48 @@ status of every step is constant, so prices and quantities decouple.  The
 quantity side is an LP over the active blocks and the at-the-money steps
 that balances every hour at maximal welfare; the price side is an LP for a
 smallest-magnitude price vector in the situation box on which no active
-block loses money.  Step statuses are classified once per (hour,
-situation), not once per combination.
+block loses money.  Step statuses are read once per (hour, situation) from
+each step's rank among its hour's prices, not once per combination.
 
-Few combinations are legal and fewer can win, so the LPs come last:
+Few combinations are legal and fewer can win, so the LPs come last.  Per
+pattern, two prefilters first drop situations of one hour that no
+combination holding them could keep past the screens below; the product
+then runs over what is left:
 
-1. the quantity screen compares each balance row's reach over the column
-   bounds with its right-hand side;
-2. the price screen propagates the no-loss rows q . lam <= p once over the
-   situation box;
-3. the quantity LP runs;
-4. the price LP runs only when that welfare would replace the incumbent.
+a. the quantity prefilter drops situation s of hour h when the quantity
+   screen's excess on row h alone is screened out against the largest
+   |rhs| any combination holding it can have: |forced[h][s]| or any
+   |forced| of another hour.  A combination's excess is at least that
+   row's and its scale at most that bound, so its screen drops it too.
+   Without active blocks a combination with no at-the-money step takes
+   the `tol` branch instead, so there the prefilter also needs
+   |forced[h][s]| > tol;
+b. the no-loss prefilter drops situation s of hour h when a no-loss row of
+   a block with quantity in hour h only is screened out over the
+   situation's bounds.  That row's least value minus its price is the same
+   in every combination holding s, and the price screen's excess is at
+   least it.
+
+Each survivor then runs:
+
+1. the quantity screen, which compares each balance row's reach over the
+   column bounds with its right-hand side;
+2. the price screen, which propagates the no-loss rows q . lam <= p once
+   over the situation box;
+3. the bound skip: the quantity LP's value c . x is at most
+   sum max(c lo, c hi) over its box, so a combination whose forced value
+   plus that bound, with a rounding allowance, does not beat the
+   incumbent is dropped;
+4. the quantity LP;
+5. the price LP, only when that welfare would replace the incumbent.
 
 A screen drops a combination only when it proves an LP infeasible by more
 than `_SCREEN_MARGIN` relative, a thousand times the simplex's own
 infeasibility tolerance, so the simplex would have raised.  For one hour
 both screens are exact; for more hours they are a sound filter.  The
-incumbent changes only where both LPs are feasible, so skipping the price
-LP elsewhere changes nothing.
+incumbent changes only where both LPs are feasible and the welfare beats
+it, so skipping an LP elsewhere changes nothing.  `combos_checked` counts
+the whole pattern/situation product, dropped or not.
 
 Patterns are visited in ascending bitmask order and situations in
 lexicographic order.  A combination replaces the incumbent only when its
@@ -54,6 +78,10 @@ MAX_COMBOS = 200_000
 # A screen drops a combination when the violation it proves exceeds this
 # share of (1 + max |rhs|): a thousand times the simplex's fixed `lp.TOL`.
 _SCREEN_MARGIN = 1e-6
+
+# Relative allowance for rounding when a welfare bound is compared with the
+# incumbent: far above the error of summing a few hundred float64 terms.
+_BOUND_ROUNDING = 1e-12
 
 
 class ClearingComplexityError(Exception):
@@ -109,26 +137,6 @@ def _price_bound(market: Market) -> float:
     return big + 1.0
 
 
-def _step_status(step, sit: Situation) -> str:
-    """in / out / at for one curve step under one price situation."""
-    p = step.price
-    if step.is_buy:
-        if sit.is_point:
-            if p > sit.lo:
-                return "in"
-            if p < sit.lo:
-                return "out"
-            return "at"
-        return "in" if p >= sit.hi else "out"
-    if sit.is_point:
-        if p < sit.lo:
-            return "in"
-        if p > sit.lo:
-            return "out"
-        return "at"
-    return "in" if p <= sit.lo else "out"
-
-
 # ---------------------------------------------------------------------------
 # Interval screens
 
@@ -153,6 +161,11 @@ def _row_excess(rmin: np.ndarray, rmax: np.ndarray, b: np.ndarray) -> np.ndarray
     return np.maximum(rmin - b, b - rmax)
 
 
+def _least_terms(Q: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Least value of each term Q_ih lam_h over the box lo <= lam <= hi."""
+    return np.where(Q > 0, Q * lo, Q * hi)
+
+
 def _price_excess(Q: np.ndarray, p: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
     """Largest total violation of the rows Q lam <= p that one pass of bound
     propagation proves for every lam in the box [lo, hi]; negative when the
@@ -167,7 +180,7 @@ def _price_excess(Q: np.ndarray, p: np.ndarray, lo: np.ndarray, hi: np.ndarray) 
     """
     if not p.size:
         return -np.inf
-    low = np.where(Q > 0, Q * lo, Q * hi)               # least value of each term
+    low = _least_terms(Q, lo, hi)
     reach = low.sum(axis=1)
     excess = float(np.max(reach - p))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -213,67 +226,73 @@ def _feasible_prices(market: Market, active: list[BlockBid],
     return res.x[:K]
 
 
-@dataclass(frozen=True)
-class _BidClass:
-    """One curve bid's steps under one situation of its hour."""
-
-    qty: float                               # signed quantity of the in steps
-    values: tuple[float, ...]                # price * signed width, in steps
-    at: tuple[tuple[float, float, float], ...]   # (sign, sign * price, width)
-
-
 class _StepTable:
-    """Curve steps classified once per (hour, situation).
+    """Curve steps classified by their rank among their hour's step prices.
 
-    Per hour h and situation s: `forced[h][s]`, the signed quantity of the
-    in steps; `at_lo[h][s]`/`at_hi[h][s]`, the reach of the at-the-money
-    steps on balance row h; `classes[bid][s]` per curve bid.  Sums run in
-    market order of bids and curve order of steps, as a per-combination
-    loop would run them, so every float is the same.
+    Situation 2k+1 of an hour is its k-th smallest step price, flanked by
+    the open intervals 2k and 2k+2.  A step priced at situation j is at the
+    money in j; a buy step is in the money in every situation below j, a
+    sell step in every one above j, and either is out of the money in the
+    rest.  `steps[b]` holds (j, sign, width, price) per step of curve bid b.
+
+    The situations of all hours lie in one flat sequence: those of hour h
+    at positions `start[h]` up to `start[h + 1]`, and `hour` maps each
+    position to its hour.  Per position: `forced`, the signed quantity of
+    the in steps; `at_lo`/`at_hi`, the reach of the at-the-money steps on
+    the hour's balance row; `lo`/`hi`, the situation bounds; and
+    `rhs_scale`, the largest |forced| that a combination holding that
+    situation can have in any hour.  Sums run in market order of bids and
+    curve order of steps, as a per-combination loop would run them, so
+    every float is the same.
     """
 
     def __init__(self, market: Market, situations: list[list[Situation]]):
         self.bids: list[HourlyCurveBid] = [bid for agent in market.agents
                                            for bid in agent.curve_bids]
-        self.forced = [[0.0] * len(sits) for sits in situations]
-        self.at_lo = [[0.0] * len(sits) for sits in situations]
-        self.at_hi = [[0.0] * len(sits) for sits in situations]
-        self.classes: list[list[_BidClass]] = []
+        sizes = [len(sits) for sits in situations]
+        self.start = [0, *itertools.accumulate(sizes)]
+        self.hour = np.repeat(np.arange(len(sizes)), sizes)
+        self.lo = np.array([s.lo for sits in situations for s in sits])
+        self.hi = np.array([s.hi for sits in situations for s in sits])
+        self.forced = np.zeros(self.start[-1])
+        self.at_lo = np.zeros(self.start[-1])
+        self.at_hi = np.zeros(self.start[-1])
+        rank = [{sits[j].lo: j for j in range(1, len(sits), 2)} for sits in situations]
+        self.steps: list[list[tuple[int, float, float, float]]] = []
         for bid in self.bids:
             h = bid.hour
+            first = self.start[h]
+            forced = self.forced[first:self.start[h + 1]]
             row = []
-            for si, sit in enumerate(situations[h]):
-                qty = 0.0
-                values = []
-                at = []
-                for st in bid.steps:
-                    status = _step_status(st, sit)
-                    sign = 1.0 if st.is_buy else -1.0
-                    if status == "in":
-                        qty += sign * st.width
-                        self.forced[h][si] += sign * st.width
-                        values.append(st.price * sign * st.width)
-                    elif status == "at":
-                        at.append((sign, st.price * sign, st.width))
-                        if sign > 0:
-                            self.at_hi[h][si] += st.width
-                        else:
-                            self.at_lo[h][si] -= st.width
-                row.append(_BidClass(qty, tuple(values), tuple(at)))
-            self.classes.append(row)
+            for st in bid.steps:
+                j = rank[h][st.price]
+                sign = 1.0 if st.is_buy else -1.0
+                inside = slice(0, j) if sign > 0 else slice(j + 1, None)
+                forced[inside] += sign * st.width
+                if sign > 0:
+                    self.at_hi[first + j] += st.width
+                else:
+                    self.at_lo[first + j] -= st.width
+                row.append((j, sign, st.width, st.price))
+            self.steps.append(row)
+        size = np.abs(self.forced)
+        top = [float(np.max(size[a:b])) for a, b in zip(self.start, self.start[1:])]
+        others = np.array([max(top[:h] + top[h + 1:], default=0.0) for h in range(len(top))])
+        self.rhs_scale = np.maximum(size, others[self.hour])
 
 
 @dataclass
 class _Pattern:
     """One block pattern with what its combinations share: the no-loss rows
-    q . lam <= price of the active blocks, and per hour h and situation s the
-    quantity screen's excess on balance row h (see `_row_excess`)."""
+    q . lam <= price of the active blocks, and per situation position (see
+    `_StepTable`) the quantity screen's excess on its hour's balance row
+    (see `_row_excess`)."""
 
     active: list[BlockBid]
     q: np.ndarray                # (active blocks, K)
     price: np.ndarray
     price_scale: float           # max |price|
-    excess: list[list[float]]
+    excess: np.ndarray
 
     @classmethod
     def of(cls, blocks, z, steps: _StepTable, K: int) -> _Pattern:
@@ -281,11 +300,25 @@ class _Pattern:
         q = np.array([b.q for b in active]).reshape(len(active), K)
         price = np.array([b.price for b in active])
         rmin, rmax = _reach(q.T, np.array([b.mar for b in active]), np.ones(len(active)))
-        excess = [_row_excess(rmin[h] + np.array(steps.at_lo[h]),
-                              rmax[h] + np.array(steps.at_hi[h]),
-                              -np.array(steps.forced[h])).tolist()
-                  for h in range(K)]
+        excess = _row_excess(rmin[steps.hour] + steps.at_lo, rmax[steps.hour] + steps.at_hi,
+                             -steps.forced)
         return cls(active, q, price, float(np.max(np.abs(price), initial=0.0)), excess)
+
+    def kept(self, steps: _StepTable, tol: float) -> list[list[int]]:
+        """Per hour, in ascending order, the situations that both prefilters
+        keep (see the module docstring)."""
+        drop = _screened_out(self.excess, steps.rhs_scale)
+        if not self.active:
+            # with no at-the-money step either, `_clear_combo` checks tol
+            drop &= np.abs(steps.forced) > tol
+        single = np.count_nonzero(self.q, axis=1) == 1
+        if single.any():
+            # each one-hour row's quantity in the hour of every position
+            qs = self.q[single][:, steps.hour]
+            violation = _least_terms(qs, steps.lo, steps.hi) - self.price[single][:, None]
+            drop |= (_screened_out(violation, self.price_scale) & (qs != 0)).any(axis=0)
+        return [np.flatnonzero(~drop[a:b]).tolist()
+                for a, b in zip(steps.start, steps.start[1:])]
 
 
 def clear_euphemia_style(market: Market, tol: float | None = None) -> EuphemiaResult:
@@ -311,16 +344,15 @@ def clear_euphemia_style(market: Market, tol: float | None = None) -> EuphemiaRe
 
     steps = _StepTable(market, situations)
     best = None
-    checked = 0
+    bar = -np.inf                   # the welfare a combination must beat
     for z in patterns:
         pattern = _Pattern.of(blocks, z, steps, K)
-        for idx in itertools.product(*(range(len(sits)) for sits in situations)):
-            checked += 1
-            out = _clear_combo(pattern, steps, situations, idx, t)
+        for idx in itertools.product(*pattern.kept(steps, t)):
+            out = _clear_combo(pattern, steps, idx, t, bar)
             if out is None:
                 continue
             welfare, shares = out
-            if best is not None and not welfare > best[0] + 1e-9 * (1.0 + abs(best[0])):
+            if best is not None and not welfare > bar:
                 continue
             lam = _feasible_prices(market, pattern.active,
                                    [situations[h][i] for h, i in enumerate(idx)])
@@ -328,69 +360,88 @@ def clear_euphemia_style(market: Market, tol: float | None = None) -> EuphemiaRe
                 continue
             best = (welfare, _acceptances(blocks, z, steps, idx, shares), lam,
                     tuple(b.bid_id for b in pattern.active))
+            bar = welfare + 1e-9 * (1.0 + abs(welfare))
 
     if best is None:
         return EuphemiaResult("no-clearing", (float("nan"),) * K,
-                              Allocation({}), float("-inf"), (), checked)
+                              Allocation({}), float("-inf"), (), n_combos)
     welfare, acc, lam, names = best
     return EuphemiaResult("cleared", tuple(float(v) for v in lam),
-                          Allocation(acc), welfare, names, checked)
+                          Allocation(acc), welfare, names, n_combos)
 
 
-def _clear_combo(pattern: _Pattern, steps: _StepTable, situations,
-                 idx: tuple[int, ...], tol: float):
+def _clear_combo(pattern: _Pattern, steps: _StepTable, idx: tuple[int, ...],
+                 tol: float, bar: float):
     """Welfare-maximal balanced quantities for one pattern/situation pair:
     (welfare, [(bid_id, signed LP share), ...]), or None when they do not
-    exist or a screen proves that no lossless prices do."""
-    forced = [steps.forced[h][i] for h, i in enumerate(idx)]
+    exist, a screen proves that no lossless prices do, or their welfare
+    cannot exceed `bar`."""
+    pos = [steps.start[h] + i for h, i in enumerate(idx)]
+    forced = steps.forced[pos]
     # steps have positive width, so a zero reach means no at-the-money step
-    if not pattern.active and not any(steps.at_lo[h][i] or steps.at_hi[h][i]
-                                      for h, i in enumerate(idx)):
+    if not pattern.active and not any(steps.at_lo[pos]) and not any(steps.at_hi[pos]):
         if float(np.max(np.abs(forced), initial=0.0)) > tol:
             return None
         return _forced_value(steps, idx), []
-    if _screened_out(max(pattern.excess[h][i] for h, i in enumerate(idx)),
-                     max(abs(f) for f in forced)):
+    if _screened_out(pattern.excess[pos].max(), abs(forced).max()):
         return None
-    if pattern.active:
-        sits = [situations[h][i] for h, i in enumerate(idx)]
-        if _screened_out(_price_excess(pattern.q, pattern.price,
-                                       np.array([s.lo for s in sits]),
-                                       np.array([s.hi for s in sits])),
-                         pattern.price_scale):
-            return None
+    if pattern.active and _screened_out(
+            _price_excess(pattern.q, pattern.price, steps.lo[pos], steps.hi[pos]),
+            pattern.price_scale):
+        return None
 
-    classes = [row[idx[bid.hour]] for bid, row in zip(steps.bids, steps.classes)]
     cols = [np.asarray(blk.q, dtype=float) for blk in pattern.active]
     cost = [blk.price for blk in pattern.active]
     lo = [blk.mar for blk in pattern.active]
     hi = [1.0] * len(pattern.active)
     owners = [(blk.bid_id, 1.0) for blk in pattern.active]
-    for bid, cls in zip(steps.bids, classes):
-        for sign, price, width in cls.at:
-            e = np.zeros(len(idx))
-            e[bid.hour] = 1.0
-            cols.append(e * sign)
-            cost.append(price)
-            lo.append(0.0)
-            hi.append(width)
-            owners.append((bid.bid_id, sign))
+    for bid, row in zip(steps.bids, steps.steps):
+        for j, sign, width, price in row:
+            if j == idx[bid.hour]:
+                e = np.zeros(len(idx))
+                e[bid.hour] = 1.0
+                cols.append(e * sign)
+                cost.append(price * sign)
+                lo.append(0.0)
+                hi.append(width)
+                owners.append((bid.bid_id, sign))
+    value = _forced_value(steps, idx)
+    cost, lo, hi = np.array(cost), np.array(lo), np.array(hi)
+    if not _may_exceed(value, cost, lo, hi, bar):
+        return None
     try:
-        res = solve_lp(np.array(cost), np.column_stack(cols), -np.array(forced),
-                       None, None, np.array(lo), np.array(hi))
+        res = solve_lp(cost, np.column_stack(cols), -forced, None, None, lo, hi)
     except InfeasibleError:
         return None
     shares = [(name, sign * float(v)) for (name, sign), v in zip(owners, res.x)]
-    return _forced_value(steps, idx) + res.value, shares
+    return value + res.value, shares
+
+
+def _may_exceed(value: float, cost: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                bar: float) -> bool:
+    """Can `value + cost @ x`, as the quantity LP computes it for some x in
+    [lo, hi], exceed `bar`?  The LP clips x into the box, so each term is at
+    most max(c lo, c hi); `_BOUND_ROUNDING` covers the rounding of the dot
+    product and of both sums."""
+    top = value + float(np.maximum(cost * lo, cost * hi).sum())
+    size = abs(value) + float(np.abs(cost) @ np.maximum(np.abs(lo), np.abs(hi)))
+    return top + _BOUND_ROUNDING * (1.0 + size) > bar
 
 
 def _forced_value(steps: _StepTable, idx) -> float:
     """Summed value of the in steps, in market order."""
     total = 0.0
-    for bid, row in zip(steps.bids, steps.classes):
-        for v in row[idx[bid.hour]].values:
-            total += v
+    for bid, row in zip(steps.bids, steps.steps):
+        s = idx[bid.hour]
+        for j, sign, width, price in row:
+            if _in_money(j, sign, s):
+                total += price * sign * width
     return total
+
+
+def _in_money(j: int, sign: float, s: int) -> bool:
+    """Is a step at the money in situation j in the money in situation s?"""
+    return j > s if sign > 0 else j < s
 
 
 def _acceptances(blocks, z, steps: _StepTable, idx, shares) -> dict[str, float]:
@@ -399,8 +450,13 @@ def _acceptances(blocks, z, steps: _StepTable, idx, shares) -> dict[str, float]:
     for b, zi in zip(blocks, z):
         if not zi:
             acc[b.bid_id] = 0.0
-    for bid, row in zip(steps.bids, steps.classes):
-        acc[bid.bid_id] = row[idx[bid.hour]].qty
+    for bid, row in zip(steps.bids, steps.steps):
+        s = idx[bid.hour]
+        qty = 0.0
+        for j, sign, width, _ in row:
+            if _in_money(j, sign, s):
+                qty += sign * width
+        acc[bid.bid_id] = qty
     for name, share in shares:
         acc[name] = acc.get(name, 0.0) + share
     return acc

@@ -89,11 +89,6 @@ def canonical_generators(offset, gens) -> tuple[np.ndarray, list[list]]:
     return offset, list(merged.values())
 
 
-def make_piece(offset, gens=()) -> Piece:
-    """The canonical piece of `canonical_generators`."""
-    return Piece.of(*canonical_generators(offset, gens))
-
-
 def piece_vertices(piece: Piece) -> np.ndarray:
     """All bound-combination corners; a superset of the piece's extreme points."""
     g = len(piece.units)

@@ -85,6 +85,42 @@ def random_market(rng, K: int = 1, max_blocks: int = 8,
             return market
 
 
+def split_group_market(rng, K: int = 1) -> Market:
+    """A market whose convexified relaxation splits an exclusive group.
+
+    One seller offers a capacity strictly between the two smallest of 2-3
+    buy blocks of one group in hour h.  Larger blocks are worth more in
+    total but less per unit, so the relaxation fills the capacity with a
+    part of each of two members, both at or above their minimum acceptance
+    ratios (at most 0.25).  Each other hour gets a random buy and sell curve.
+    """
+    h = int(rng.integers(K))
+    cost = _grid(rng, 1, 3)
+    while True:
+        sizes = np.cumsum([_grid(rng, 0.5, 2) for _ in range(int(rng.integers(2, 4)))])
+        unit = np.sort([_grid(rng, 4, 10) for _ in sizes])[::-1]
+        if np.all(np.diff(unit) < 0) and np.all(np.diff((unit - cost) * sizes) > 0):
+            break
+    if sizes[1] - sizes[0] >= 1.0:
+        capacity = _grid(rng, sizes[0] + 0.5, sizes[1] - 0.5)
+    else:
+        capacity = float(sizes[0] + sizes[1]) / 2
+    blocks = []
+    for i, (size, per_unit) in enumerate(zip(sizes, unit)):
+        q = np.zeros(K)
+        q[h] = size
+        blocks.append(BlockBid(f"g{i}", float(per_unit * size), tuple(q),
+                               mar=float(rng.choice([0.01, 0.25])), group="g"))
+    agents = [Agent("seller", (HourlyCurveBid("s", h, ((cost, -capacity),)),)),
+              Agent("grouped", tuple(blocks))]
+    for j, hour in enumerate(g for g in range(K) if g != h):
+        agents.append(Agent(f"buyer{j}", (random_curve(rng, f"d{j}", hour, 1.0),)))
+        agents.append(Agent(f"seller{j}", (random_curve(rng, f"o{j}", hour, -1.0),)))
+    market = Market(K, tuple(agents), label=f"split-group-K{K}")
+    assert validate_market(market).ok
+    return market
+
+
 def single_agent_market(rng, K: int = 1, max_blocks: int = 4) -> Market:
     """One agent with curves and blocks, for demand-set level properties."""
     while True:

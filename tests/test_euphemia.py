@@ -10,8 +10,8 @@ from equilab.convexify import solve_lp
 from equilab.curves import canonical_steps
 from equilab.demand import block_margin
 from equilab.equilibria import lost_opportunity_cost
-from equilab.euphemia import (ClearingComplexityError, _price_excess, _reach,
-                              _row_excess, _screened_out, clear_euphemia_style)
+from equilab.euphemia import (MAX_COMBOS, ClearingComplexityError, _price_excess,
+                              _reach, _row_excess, _screened_out, clear_euphemia_style)
 from equilab.lp import InfeasibleError, solve_lp as lp_solve
 from equilab.model import (Agent, BlockBid, HourlyCurveBid, Market,
                            acceptance_feasible, iter_patterns)
@@ -209,6 +209,44 @@ def test_oracle_k2_corpus():
     for i in range(40):
         _assert_same_as_oracle(
             random_market(np.random.default_rng((2025, i)), K=2, max_blocks=2))
+
+
+def _k4_corpus(max_combos=None):
+    markets = [random_market(np.random.default_rng((2026, i)), K=4, max_blocks=2)
+               for i in range(20)]
+    return [m for m in markets if max_combos is None or _combo_count(m) <= max_combos]
+
+
+def test_oracle_k4_corpus():
+    markets = _k4_corpus(max_combos=2000)
+    assert len(markets) >= 12
+    for market in markets:
+        _assert_same_as_oracle(market)
+
+
+def test_combos_checked_counts_the_whole_product(four_agent_market):
+    # the prefilters drop situations before the product is formed, but the
+    # count still covers every pattern/situation combination
+    markets = ([four_agent_market] + _k1_stratified_corpus() + _k4_corpus(MAX_COMBOS)
+               + [random_market(np.random.default_rng((2025, i)), K=2, max_blocks=2)
+                  for i in range(40)])
+    for market in markets:
+        assert clear_euphemia_style(market).combos_checked == _combo_count(market)
+
+
+def test_prefilter_keeps_the_tol_branch():
+    # With no block and no at-the-money step a combination passes when its
+    # forced imbalance is within `tol`, however the quantity screen would
+    # judge it.  The interval (3, 5) forces an excess demand of 1e-4, inside
+    # tol=1e-3 but far past the screen's margin, and it is the best
+    # combination: at 3 the sell step cannot serve 1.0001, at 5 it earns 2.
+    market = Market(1, (
+        Agent("b", (HourlyCurveBid("d", 0, ((5.0, 1.0001),)),)),
+        Agent("s", (HourlyCurveBid("o", 0, ((3.0, -1.0),)),)),
+    ))
+    res = clear_euphemia_style(market, tol=1e-3)
+    assert _fields(res) == _fields(oracle_clear(market, tol=1e-3))
+    assert res.welfare == pytest.approx(5.0 * 1.0001 - 3.0)
 
 
 @settings(max_examples=20, deadline=None)

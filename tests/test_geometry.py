@@ -6,11 +6,16 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import lsq_linear
 
 from equilab.demand import DemandSet, nonconvexity
-from equilab.geometry import (Piece, closest_pair, make_piece, merge_intervals,
-                              piece_contains, piece_nearest, piece_subset,
-                              piece_vertices, union_nearest)
+from equilab.geometry import (Piece, canonical_generators, closest_pair,
+                              merge_intervals, piece_contains, piece_nearest,
+                              piece_subset, piece_vertices, union_nearest)
 
 from reference_oracles import collinear_model, in_hull
+
+
+def make_piece(offset, gens=()) -> Piece:
+    """The canonical piece of `canonical_generators`."""
+    return Piece.of(*canonical_generators(offset, gens))
 
 
 def seg(lo, hi, axis=0, dim=1):

@@ -103,7 +103,8 @@ def test_monte_carlo_certificate_builds_no_pieces(monkeypatch):
     # certificate tests containment without a piece, a dedup or a nearest point
     spec = SimpleRandomMarketSpec(6, 3, seed=4)
     counts: Counter = Counter()
-    count_calls(monkeypatch, counts, "make_piece", geometry.make_piece)
+    monkeypatch.setattr(geometry.Piece, "of", count_calls(
+        monkeypatch, counts, "piece", geometry.Piece.of))
     count_calls(monkeypatch, counts, "dedup", demand._dedup_pieces)
     count_calls(monkeypatch, counts, "union_nearest", geometry.union_nearest)
 

@@ -12,7 +12,7 @@ from equilab.model import (Agent, BlockBid, HourlyCurveBid, Market,
 from equilab.welfare import NodeBudgetExceeded, solve_welfare
 
 from conftest import FIXTURES
-from market_corpus import random_market
+from market_corpus import random_market, split_group_market
 from reference_oracles import brute_force_welfare
 
 
@@ -110,6 +110,37 @@ def test_structured_blocks_match_brute_force(seed):
     assert a.welfare == pytest.approx(b.welfare, abs=1e-7)
 
 
+def _count_branches(monkeypatch) -> dict:
+    """Count, per node, which branching rule `solve_welfare` applies."""
+    fired = {"mar": 0, "group": 0}
+    implied = welfare._implied_violations
+
+    def counted(*args):
+        mar_viol, group_viol = implied(*args)
+        if mar_viol:
+            fired["mar"] += 1
+        elif group_viol is not None:
+            fired["group"] += 1
+        return mar_viol, group_viol
+
+    monkeypatch.setattr(welfare, "_implied_violations", counted)
+    return fired
+
+
+def test_group_branch_matches_brute_force(monkeypatch):
+    fired = _count_branches(monkeypatch)
+    for i in range(30):
+        market = split_group_market(np.random.default_rng((8, i)), K=(1, 2, 4)[i % 3])
+        before = fired["group"]
+        a = solve_welfare(market)
+        assert fired["group"] > before
+        assert a.welfare == pytest.approx(brute_force_welfare(market).welfare, abs=1e-7)
+        assert a.gap <= 1e-6
+        for agent in market.agents:
+            acc = {bid.bid_id: a.allocation[bid.bid_id] for bid in agent.bids}
+            assert acceptance_feasible(agent, acc, tol=1e-7)
+
+
 def _equivalence_markets(four_agent_market):
     yield four_agent_market
     yield load_market(FIXTURES / "structured.csv")
@@ -129,18 +160,7 @@ def _equivalence_markets(four_agent_market):
 def test_market_and_relaxation_roots_agree(monkeypatch, four_agent_market):
     # a Market and its solved relaxation start the same search, and both
     # branching rules run over the sample
-    fired = {"mar": 0, "group": 0}
-    implied = welfare._implied_violations
-
-    def counted(*args):
-        mar_viol, group_viol = implied(*args)
-        if mar_viol:
-            fired["mar"] += 1
-        elif group_viol is not None:
-            fired["group"] += 1
-        return mar_viol, group_viol
-
-    monkeypatch.setattr(welfare, "_implied_violations", counted)
+    fired = _count_branches(monkeypatch)
     for market in _equivalence_markets(four_agent_market):
         a = solve_welfare(market)
         b = solve_welfare(solve_lp(market))
