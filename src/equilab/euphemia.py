@@ -13,22 +13,24 @@ status of every step is constant, so prices and quantities decouple.  The
 quantity side is an LP over the active blocks and the at-the-money steps
 that balances every hour at maximal welfare; the price side is an LP for a
 smallest-magnitude price vector in the situation box on which no active
-block loses money.  Step statuses are read once per (hour, situation) from
-each step's rank among its hour's prices, not once per combination.
+block loses money.  Each step's status is read from its rank among its
+hour's prices; the situation bounds and each hour's in-step total are
+tabled once per (hour, situation), not once per combination.
 
 Few combinations are legal and fewer can win, so the LPs come last.  Per
 pattern, two prefilters first drop situations of one hour that no
-combination holding them could keep past the screens below; the product
-then runs over what is left:
+combination holding them could keep; the product then runs over what is
+left:
 
-a. the quantity prefilter drops situation s of hour h when the quantity
-   screen's excess on row h alone is screened out against the largest
-   |rhs| any combination holding it can have: |forced[h][s]| or any
-   |forced| of another hour.  A combination's excess is at least that
-   row's and its scale at most that bound, so its screen drops it too.
-   Without active blocks a combination with no at-the-money step takes
-   the `tol` branch instead, so there the prefilter also needs
-   |forced[h][s]| > tol;
+a. the quantity prefilter drops situation s of hour h when balance row h
+   alone is screened out over the column bounds, against the largest |rhs|
+   any combination holding s can have: |forced[h][s]| or any |forced| of
+   another hour.  Every such combination's quantity LP has that row, so
+   the simplex would raise.  Without active blocks a combination with no
+   at-the-money step has no LP and passes when every |forced| is within
+   `tol`, so there the prefilter also needs |forced[h][s]| > tol.  For one
+   hour the bound is the combination's own |rhs|, so a per-combination
+   quantity screen could drop nothing more;
 b. the no-loss prefilter drops situation s of hour h when a no-loss row of
    a block with quantity in hour h only is screened out over the
    situation's bounds.  That row's least value minus its price is the same
@@ -37,12 +39,13 @@ b. the no-loss prefilter drops situation s of hour h when a no-loss row of
 
 Each survivor then runs:
 
-1. the quantity screen, which compares each balance row's reach over the
-   column bounds with its right-hand side;
-2. the price screen, which propagates the no-loss rows q . lam <= p once
+1. the price screen, which propagates the no-loss rows q . lam <= p once
    over the situation box;
+2. one pass over the curve steps in market order, which sums the value and
+   each curve's quantity of the in steps and turns the at-the-money steps
+   into LP columns;
 3. the bound skip: the quantity LP's value c . x is at most
-   sum max(c lo, c hi) over its box, so a combination whose forced value
+   sum max(c lo, c hi) over its box, so a combination whose in-step value
    plus that bound, with a rounding allowance, does not beat the
    incumbent is dropped;
 4. the quantity LP;
@@ -51,10 +54,10 @@ Each survivor then runs:
 A screen drops a combination only when it proves an LP infeasible by more
 than `_SCREEN_MARGIN` relative, a thousand times the simplex's own
 infeasibility tolerance, so the simplex would have raised.  For one hour
-both screens are exact; for more hours they are a sound filter.  The
-incumbent changes only where both LPs are feasible and the welfare beats
-it, so skipping an LP elsewhere changes nothing.  `combos_checked` counts
-the whole pattern/situation product, dropped or not.
+the prefilters and the price screen are exact; for more hours they are a
+sound filter.  The incumbent changes only where both LPs are feasible and
+the welfare beats it, so skipping an LP elsewhere changes nothing.
+`combos_checked` counts the whole pattern/situation product, dropped or not.
 
 Patterns are visited in ascending bitmask order and situations in
 lexicographic order.  A combination replaces the incumbent only when its
@@ -88,16 +91,6 @@ class ClearingComplexityError(Exception):
     """The pattern/situation cross product is too large to enumerate."""
 
 
-@dataclass(frozen=True)
-class Situation:
-    lo: float
-    hi: float
-
-    @property
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
-
 @dataclass
 class EuphemiaResult:
     status: str                      # "cleared" | "no-clearing"
@@ -110,18 +103,6 @@ class EuphemiaResult:
     @property
     def cleared(self) -> bool:
         return self.status == "cleared"
-
-
-def _hour_situations(prices: list[float], big: float) -> list[Situation]:
-    pts = sorted(set(prices))
-    if not pts:
-        return [Situation(-big, big)]
-    sits = [Situation(-big, pts[0])]
-    for i, p in enumerate(pts):
-        sits.append(Situation(p, p))
-        hi = pts[i + 1] if i + 1 < len(pts) else big
-        sits.append(Situation(p, hi))
-    return sits
 
 
 def _price_bound(market: Market) -> float:
@@ -200,13 +181,11 @@ def _price_excess(Q: np.ndarray, p: np.ndarray, lo: np.ndarray, hi: np.ndarray) 
 # ---------------------------------------------------------------------------
 # The enumeration
 
-def _feasible_prices(market: Market, active: list[BlockBid],
-                     sits: list[Situation]) -> np.ndarray | None:
-    """Smallest-magnitude price vector in the situation box meeting all
-    active-block no-loss constraints, or None if the region is empty."""
-    K = market.num_commodities
-    lo = np.array([s.lo for s in sits] + [0.0] * K)
-    hi = np.array([s.hi for s in sits] + [max(abs(s.lo), abs(s.hi)) for s in sits])
+def _feasible_prices(active: list[BlockBid], lo: np.ndarray,
+                     hi: np.ndarray) -> np.ndarray | None:
+    """Smallest-magnitude price vector in the situation box [lo, hi] meeting
+    all active-block no-loss constraints, or None if the region is empty."""
+    K = len(lo)
     c = np.concatenate([np.zeros(K), -np.ones(K)])     # maximize -sum m
     rows = []
     rhs = []
@@ -220,17 +199,22 @@ def _feasible_prices(market: Market, active: list[BlockBid],
         rows.append(np.concatenate([-eye[h], -eye[h]]))
         rhs.append(0.0)
     try:
-        res = solve_lp(c, None, None, np.array(rows), np.array(rhs), lo, hi)
+        res = solve_lp(c, None, None, np.array(rows), np.array(rhs),
+                       np.concatenate([lo, np.zeros(K)]),
+                       np.concatenate([hi, np.maximum(np.abs(lo), np.abs(hi))]))
     except InfeasibleError:
         return None
     return res.x[:K]
 
 
 class _StepTable:
-    """Curve steps classified by their rank among their hour's step prices.
+    """Each hour's price situations, and the curve steps classified by their
+    rank among their hour's step prices.
 
-    Situation 2k+1 of an hour is its k-th smallest step price, flanked by
-    the open intervals 2k and 2k+2.  A step priced at situation j is at the
+    With p_0 < ... < p_last the distinct step prices of an hour, its
+    situations are [-big, p_0], [p_0, p_0], [p_0, p_1], ..., [p_last, p_last],
+    [p_last, big]; an hour without steps has the one situation [-big, big].
+    Situation 2k+1 is the point p_k.  A step priced at situation j is at the
     money in j; a buy step is in the money in every situation below j, a
     sell step in every one above j, and either is out of the money in the
     rest.  `steps[b]` holds (j, sign, width, price) per step of curve bid b.
@@ -246,18 +230,21 @@ class _StepTable:
     every float is the same.
     """
 
-    def __init__(self, market: Market, situations: list[list[Situation]]):
+    def __init__(self, market: Market, big: float):
         self.bids: list[HourlyCurveBid] = [bid for agent in market.agents
                                            for bid in agent.curve_bids]
-        sizes = [len(sits) for sits in situations]
-        self.start = [0, *itertools.accumulate(sizes)]
-        self.hour = np.repeat(np.arange(len(sizes)), sizes)
-        self.lo = np.array([s.lo for sits in situations for s in sits])
-        self.hi = np.array([s.hi for sits in situations for s in sits])
+        prices: list[set[float]] = [set() for _ in range(market.num_commodities)]
+        for bid in self.bids:
+            prices[bid.hour].update(st.price for st in bid.steps)
+        points = [sorted(ps) for ps in prices]
+        self.start = [0, *itertools.accumulate(2 * len(pts) + 1 for pts in points)]
+        self.hour = np.repeat(np.arange(len(points)), np.diff(self.start))
+        self.lo = np.concatenate([np.append(-big, np.repeat(pts, 2)) for pts in points])
+        self.hi = np.concatenate([np.append(np.repeat(pts, 2), big) for pts in points])
         self.forced = np.zeros(self.start[-1])
         self.at_lo = np.zeros(self.start[-1])
         self.at_hi = np.zeros(self.start[-1])
-        rank = [{sits[j].lo: j for j in range(1, len(sits), 2)} for sits in situations]
+        rank = [{p: 2 * k + 1 for k, p in enumerate(pts)} for pts in points]
         self.steps: list[list[tuple[int, float, float, float]]] = []
         for bid in self.bids:
             h = bid.hour
@@ -324,25 +311,17 @@ class _Pattern:
 def clear_euphemia_style(market: Market, tol: float | None = None) -> EuphemiaResult:
     t = resolve_tol(tol)
     K = market.num_commodities
-    big = _price_bound(market)
-
-    hour_prices: list[list[float]] = [[] for _ in range(K)]
-    for agent in market.agents:
-        for bid in agent.curve_bids:
-            for st in bid.steps:
-                hour_prices[bid.hour].append(st.price)
-    situations = [_hour_situations(ps, big) for ps in hour_prices]
+    steps = _StepTable(market, _price_bound(market))
 
     blocks = [b for agent in market.agents for b in agent.block_bids]
     patterns = list(iter_patterns(blocks))
     n_combos = len(patterns)
-    for sits in situations:
-        n_combos *= len(sits)
+    for a, b in zip(steps.start, steps.start[1:]):
+        n_combos *= b - a
         if n_combos > MAX_COMBOS:
             raise ClearingComplexityError(
                 f"more than {MAX_COMBOS} pattern/situation combinations")
 
-    steps = _StepTable(market, situations)
     best = None
     bar = -np.inf                   # the welfare a combination must beat
     for z in patterns:
@@ -351,15 +330,19 @@ def clear_euphemia_style(market: Market, tol: float | None = None) -> EuphemiaRe
             out = _clear_combo(pattern, steps, idx, t, bar)
             if out is None:
                 continue
-            welfare, shares = out
+            welfare, curves, shares = out
             if best is not None and not welfare > bar:
                 continue
-            lam = _feasible_prices(market, pattern.active,
-                                   [situations[h][i] for h, i in enumerate(idx)])
+            pos = [steps.start[h] + i for h, i in enumerate(idx)]
+            lam = _feasible_prices(pattern.active, steps.lo[pos], steps.hi[pos])
             if lam is None:
                 continue
-            best = (welfare, _acceptances(blocks, z, steps, idx, shares), lam,
-                    tuple(b.bid_id for b in pattern.active))
+            # acceptances: rejected blocks, then curves, then LP shares
+            acc = {b.bid_id: 0.0 for b, zi in zip(blocks, z) if not zi}
+            acc.update(curves)
+            for name, share in shares:
+                acc[name] = acc.get(name, 0.0) + share
+            best = (welfare, acc, lam, tuple(b.bid_id for b in pattern.active))
             bar = welfare + 1e-9 * (1.0 + abs(welfare))
 
     if best is None:
@@ -373,18 +356,10 @@ def clear_euphemia_style(market: Market, tol: float | None = None) -> EuphemiaRe
 def _clear_combo(pattern: _Pattern, steps: _StepTable, idx: tuple[int, ...],
                  tol: float, bar: float):
     """Welfare-maximal balanced quantities for one pattern/situation pair:
-    (welfare, [(bid_id, signed LP share), ...]), or None when they do not
-    exist, a screen proves that no lossless prices do, or their welfare
-    cannot exceed `bar`."""
+    (welfare, {curve bid_id: in-step quantity}, [(bid_id, signed LP share),
+    ...]), or None when they do not exist, a screen proves that no lossless
+    prices do, or their welfare cannot exceed `bar`."""
     pos = [steps.start[h] + i for h, i in enumerate(idx)]
-    forced = steps.forced[pos]
-    # steps have positive width, so a zero reach means no at-the-money step
-    if not pattern.active and not any(steps.at_lo[pos]) and not any(steps.at_hi[pos]):
-        if float(np.max(np.abs(forced), initial=0.0)) > tol:
-            return None
-        return _forced_value(steps, idx), []
-    if _screened_out(pattern.excess[pos].max(), abs(forced).max()):
-        return None
     if pattern.active and _screened_out(
             _price_excess(pattern.q, pattern.price, steps.lo[pos], steps.hi[pos]),
             pattern.price_scale):
@@ -395,9 +370,14 @@ def _clear_combo(pattern: _Pattern, steps: _StepTable, idx: tuple[int, ...],
     lo = [blk.mar for blk in pattern.active]
     hi = [1.0] * len(pattern.active)
     owners = [(blk.bid_id, 1.0) for blk in pattern.active]
+    value = 0.0
+    curves: dict[str, float] = {}
+    # in steps add to the value and their curve's quantity; at the money, a column
     for bid, row in zip(steps.bids, steps.steps):
+        s = idx[bid.hour]
+        qty = 0.0
         for j, sign, width, price in row:
-            if j == idx[bid.hour]:
+            if j == s:
                 e = np.zeros(len(idx))
                 e[bid.hour] = 1.0
                 cols.append(e * sign)
@@ -405,7 +385,15 @@ def _clear_combo(pattern: _Pattern, steps: _StepTable, idx: tuple[int, ...],
                 lo.append(0.0)
                 hi.append(width)
                 owners.append((bid.bid_id, sign))
-    value = _forced_value(steps, idx)
+            elif (j > s) == (sign > 0):
+                value += price * sign * width
+                qty += sign * width
+        curves[bid.bid_id] = qty
+    forced = steps.forced[pos]
+    if not cols:
+        if float(np.max(np.abs(forced), initial=0.0)) > tol:
+            return None
+        return value, curves, []
     cost, lo, hi = np.array(cost), np.array(lo), np.array(hi)
     if not _may_exceed(value, cost, lo, hi, bar):
         return None
@@ -414,7 +402,7 @@ def _clear_combo(pattern: _Pattern, steps: _StepTable, idx: tuple[int, ...],
     except InfeasibleError:
         return None
     shares = [(name, sign * float(v)) for (name, sign), v in zip(owners, res.x)]
-    return value + res.value, shares
+    return value + res.value, curves, shares
 
 
 def _may_exceed(value: float, cost: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -426,37 +414,3 @@ def _may_exceed(value: float, cost: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     top = value + float(np.maximum(cost * lo, cost * hi).sum())
     size = abs(value) + float(np.abs(cost) @ np.maximum(np.abs(lo), np.abs(hi)))
     return top + _BOUND_ROUNDING * (1.0 + size) > bar
-
-
-def _forced_value(steps: _StepTable, idx) -> float:
-    """Summed value of the in steps, in market order."""
-    total = 0.0
-    for bid, row in zip(steps.bids, steps.steps):
-        s = idx[bid.hour]
-        for j, sign, width, price in row:
-            if _in_money(j, sign, s):
-                total += price * sign * width
-    return total
-
-
-def _in_money(j: int, sign: float, s: int) -> bool:
-    """Is a step at the money in situation j in the money in situation s?"""
-    return j > s if sign > 0 else j < s
-
-
-def _acceptances(blocks, z, steps: _StepTable, idx, shares) -> dict[str, float]:
-    """Acceptance per bid: rejected blocks, then curves, then LP shares."""
-    acc: dict[str, float] = {}
-    for b, zi in zip(blocks, z):
-        if not zi:
-            acc[b.bid_id] = 0.0
-    for bid, row in zip(steps.bids, steps.steps):
-        s = idx[bid.hour]
-        qty = 0.0
-        for j, sign, width, _ in row:
-            if _in_money(j, sign, s):
-                qty += sign * width
-        acc[bid.bid_id] = qty
-    for name, share in shares:
-        acc[name] = acc.get(name, 0.0) + share
-    return acc

@@ -37,8 +37,9 @@ class SimpleRandomMarketSpec:
     def __post_init__(self):
         if not 0 <= self.k <= self.n:
             raise ValueError("need 0 <= k <= n")
-        if self.n < 3:
-            raise ValueError("need at least 3 suppliers to cover demand 5")
+        if not 0.0 < self.demand < SUPPLIER_CAPACITY * self.n:
+            raise ValueError(f"demand {self.demand:g} must lie strictly inside the "
+                             f"total capacity {SUPPLIER_CAPACITY * self.n:g}")
         if not self.cost_lo < self.cost_hi:
             raise ValueError("empty cost support")
 

@@ -10,14 +10,24 @@ version must return the same result, field for field.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
 from equilab.config import resolve_tol
-from equilab.euphemia import (MAX_COMBOS, ClearingComplexityError, EuphemiaResult,
-                              Situation)
+from equilab.euphemia import MAX_COMBOS, ClearingComplexityError, EuphemiaResult
 from equilab.lp import InfeasibleError, solve_lp
 from equilab.model import Allocation, BlockBid, Market, iter_patterns
+
+
+@dataclass(frozen=True)
+class Situation:
+    lo: float
+    hi: float
+
+    @property
+    def is_point(self) -> bool:
+        return self.lo == self.hi
 
 
 def _hour_situations(prices: list[float], big: float) -> list[Situation]:

@@ -175,6 +175,18 @@ def test_simulate_bad_spec(capsys):
     assert "error" in err
 
 
+def test_simulate_rejects_demand_beyond_capacity(capsys):
+    # three suppliers of capacity 2 cannot cover a demand of 7
+    code, out, err = run(capsys, "simulate", "--n", "3", "--k", "1",
+                         "--demand", "7", "--trials", "20")
+    assert code == 1
+    assert out == ""
+    assert "demand 7" in err
+    code, _, _ = run(capsys, "simulate", "--n", "2", "--k", "1",
+                     "--demand", "3", "--trials", "20")
+    assert code == 0
+
+
 def test_report_pipeline(capsys, tmp_path, four_agent_market):
     (tmp_path / "one.market.csv").write_text(emit_market(four_agent_market))
     code, out, _ = run(capsys, "clear", str(tmp_path / "one.market.csv"),

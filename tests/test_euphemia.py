@@ -1,6 +1,8 @@
 """Block-order clearing with uniform prices and no-loss block rules."""
 
+import importlib.util
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from equilab.convexify import solve_lp
 from equilab.curves import canonical_steps
 from equilab.demand import block_margin
 from equilab.equilibria import lost_opportunity_cost
+from equilab import euphemia
 from equilab.euphemia import (MAX_COMBOS, ClearingComplexityError, _price_excess,
                               _reach, _row_excess, _screened_out, clear_euphemia_style)
 from equilab.lp import InfeasibleError, solve_lp as lp_solve
@@ -247,6 +250,52 @@ def test_prefilter_keeps_the_tol_branch():
     res = clear_euphemia_style(market, tol=1e-3)
     assert _fields(res) == _fields(oracle_clear(market, tol=1e-3))
     assert res.welfare == pytest.approx(5.0 * 1.0001 - 3.0)
+
+
+def test_k1_corpus_runs_no_infeasible_lp(monkeypatch):
+    # For one hour the prefilters and the price screen are exact, so every
+    # LP that clearing still runs on the stratified corpus is feasible.
+    calls, infeasible = [], []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        try:
+            return lp_solve(*args, **kwargs)
+        except InfeasibleError:
+            infeasible.append(None)
+            raise
+
+    monkeypatch.setattr(euphemia, "solve_lp", counted)
+    for market in _k1_stratified_corpus():
+        clear_euphemia_style(market)
+    assert calls
+    assert not infeasible
+
+
+def _scaling_script():
+    path = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "euphemia_scaling.py"
+    spec = importlib.util.spec_from_file_location("euphemia_scaling", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# `scripts/euphemia_scaling.py` on its default 40 markets per hour count:
+# combinations checked and the digest of every result field
+_SCALING = {
+    1: (16643, "b27f91031d38182ec0ccfc31bd44e4b9b9b9288a98da3718ed19ae0f4c9e76c8"),
+    2: (75841, "03d8cf5610fcc484dc40f6290791b7c0460f40f575be73d54e6c4cc4e8b6d1b8"),
+    4: (240647, "4bf8792e185df52f326a29b73449b10ea2ca9736da4d03d36361aaa0f13fcea6"),
+}
+
+
+def test_scaling_corpus_output_is_locked():
+    # the oracle tests reach at most two blocks for K >= 2; these corpora
+    # hold up to eight, so their digests lock the multi-hour screens' output
+    measure = _scaling_script().measure
+    for K, (combos, digest) in _SCALING.items():
+        row = measure(K, 40)
+        assert (row["combos_checked"], row["digest"]) == (combos, digest), K
 
 
 @settings(max_examples=20, deadline=None)

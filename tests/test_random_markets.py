@@ -20,6 +20,13 @@ from equilab.random_markets import (SimpleRandomMarketSpec,
 def test_spec_validation():
     with pytest.raises(ValueError):
         SimpleRandomMarketSpec(n=2, k=1)
+    # demand must lie strictly inside the n suppliers' total capacity 2n
+    for n, demand in [(3, 7.0), (3, 6.0), (3, 0.0), (3, -1.0), (1, 2.0)]:
+        with pytest.raises(ValueError, match="demand"):
+            SimpleRandomMarketSpec(n=n, k=1, demand=demand)
+    for n, demand in [(2, 3.0), (1, 1.5), (3, 5.999)]:
+        spec = SimpleRandomMarketSpec(n=n, k=1, demand=demand)
+        marginal_supplier_is_convex(spec, draw_costs(spec))
     with pytest.raises(ValueError):
         SimpleRandomMarketSpec(n=4, k=5)
     with pytest.raises(ValueError):
