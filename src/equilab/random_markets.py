@@ -1,10 +1,14 @@
 """Synthetic single-commodity market families and Monte Carlo studies.
 
 The simple random family has k convex suppliers producing anywhere in [0, 2],
-n - k all-or-nothing suppliers producing 0 or 2, and an inelastic demand of 5
-units.  Costs are iid continuous, so the third-cheapest supplier sets the
-price and an equilibrium exists exactly when that supplier is convex, which
-happens with probability k / n.
+n - k all-or-nothing suppliers producing 0 or 2, and an inelastic demand, 5
+units by default.  Costs are iid continuous, so the ceil(demand / 2)-th
+cheapest supplier (the third at demand 5) sets the price and an equilibrium
+exists exactly when that supplier is convex, which happens with probability
+k / n.  The exception is a demand that is a whole multiple of the capacity 2:
+the demand / 2 cheapest suppliers then run at full output, any price between
+the last of their costs and the next one clears, and an equilibrium exists
+whoever is convex.
 
 The tied-cost family puts several suppliers at one shared marginal cost so
 that they set the price jointly; one convex supplier among them is enough to
@@ -81,8 +85,12 @@ def marginal_supplier_is_convex(spec: SimpleRandomMarketSpec, costs) -> bool:
     """Analytic equilibrium verdict: the price-setting supplier is convex.
 
     With capacity 2 per supplier, the marginal one is the ceil(demand/2)-th
-    cheapest; convex suppliers occupy indices below k.
+    cheapest; convex suppliers occupy indices below k.  At a demand that is a
+    whole multiple of the capacity no supplier is marginal, and the verdict
+    is True.
     """
+    if spec.demand % SUPPLIER_CAPACITY == 0.0:
+        return True
     rank = math.ceil(spec.demand / SUPPLIER_CAPACITY) - 1
     order = np.argsort(costs)
     return bool(order[rank] < spec.k)

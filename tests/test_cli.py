@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from equilab import cli
 from equilab.cli import main
 from equilab.market_io import (emit_market, load_outcome, parse_outcome,
                                save_outcome)
@@ -167,6 +168,14 @@ def test_simulate_golden(capsys):
     code2, out2, _ = run(capsys, "simulate", "--n", "4", "--k", "2",
                          "--trials", "50", "--seed", "3")
     assert out2 == out
+
+
+def test_parser_built_once_dispatches_to_the_current_handler(monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_simulate", lambda args: seen.append(args.n) or 0)
+    assert main(["simulate", "--n", "3", "--k", "1"]) == 0
+    assert seen == [3]
 
 
 def test_simulate_bad_spec(capsys):

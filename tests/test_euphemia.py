@@ -22,6 +22,8 @@ from equilab.welfare import solve_welfare
 
 from euphemia_oracle import clear_euphemia_style as oracle_clear
 from market_corpus import random_market
+from reference_oracles import (record_simplex_calls, reference_simplex,
+                               simplex_outcome)
 
 
 def test_reference_market_rejects_blocks(four_agent_market):
@@ -206,6 +208,17 @@ def test_oracle_k1_corpus_every_stratum():
     assert len(markets) == sum(_K1_QUOTAS.values()) >= 200
     for market in markets:
         _assert_same_as_oracle(market)
+
+
+def test_k1_corpus_lps_replay_on_reference(monkeypatch):
+    """The quantity and price LPs of uniform-price clearing, bit for bit."""
+    markets = _k1_stratified_corpus()
+    calls = record_simplex_calls(
+        monkeypatch, [euphemia],
+        lambda: [clear_euphemia_style(m) for m in markets])
+    assert len(calls) >= 200
+    for args, kwargs, outcome in calls:
+        assert simplex_outcome(reference_simplex, args, kwargs) == outcome
 
 
 def test_oracle_k2_corpus():

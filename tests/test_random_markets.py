@@ -74,6 +74,18 @@ def test_analytic_verdict_exact():
     assert marginal_supplier_is_convex(spec, [1.0, 5.0, 3.0, 9.0])
 
 
+@pytest.mark.parametrize("demand", [2.0, 4.0, 6.0])
+def test_verdict_at_whole_multiples_of_capacity(demand):
+    """No supplier is marginal, so every market has an equilibrium."""
+    for n, k in [(4, 0), (4, 1), (5, 3), (6, 6)]:
+        spec = SimpleRandomMarketSpec(n=n, k=k, demand=demand, seed=5)
+        for trial in range(8):
+            costs = draw_costs(spec, trial)
+            verdict = marginal_supplier_is_convex(spec, costs)
+            assert verdict
+            assert certified_equilibrium(market_from_costs(spec, costs)) == verdict
+
+
 def test_pipeline_agrees_with_analytic_verdict():
     spec = SimpleRandomMarketSpec(n=5, k=3, seed=7)
     for trial in range(60):
