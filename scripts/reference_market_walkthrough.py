@@ -9,8 +9,8 @@ reports about that failure and how close one can get.
 import numpy as np
 
 from equilab import (approximate_equilibria, clear_euphemia_style,
-                     count_nonconvex_demand, demand_set, detect_equilibrium,
-                     lost_opportunity_cost, singleton_demand_equilibrium_check)
+                     detect_equilibrium, lost_opportunity_cost, priced_at,
+                     singleton_demand_equilibrium_check)
 from equilab.model import Agent, BlockBid, HourlyCurveBid, Market
 
 
@@ -35,12 +35,12 @@ def main() -> None:
     print()
 
     print("demand sets at the clearing price:")
-    for agent in market.agents:
-        ds = demand_set(agent, lam)
+    priced = priced_at(market, lam)
+    for agent, ds in zip(market.agents, priced.demand_sets()):
         pts = ", ".join(f"{v[0]:+.1f}" for v in ds.vertices)
         tag = "singleton" if ds.is_singleton() else "nonconvex gap"
         print(f"  {agent.agent_id}: {{{pts}}}  ({tag})")
-    stats = count_nonconvex_demand(market, lam)
+    stats = priced.nonconvex_stats()
     print(f"nonconvex demands: {stats.count}, measures {stats.per_agent}")
     print()
 

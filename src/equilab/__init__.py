@@ -13,8 +13,8 @@ from .convexify import (ConvexifiedProgram, DualSolution, PricedMarket,
                         build_convexified, dual_value, priced_at, solve_lp)
 from .curves import CurveError, CurveStep, canonical_steps
 from .demand import (DemandSet, MoneyClasses, NonconvexStats,
-                     agent_best_surplus, agent_nonconvexity, classify_money,
-                     count_nonconvex_demand, demand_set, nonconvexity)
+                     agent_best_surplus, classify_money, demand_set,
+                     nonconvexity)
 from .equilibria import (ApproxEquilibria, EquilibriumCertificate,
                          PricingResult, aggregate_demand_convexity_check,
                          approximate_equilibria, balanced_lp_allocation,
@@ -47,12 +47,12 @@ __all__ = [
     "HourlyCurveBid", "Market", "MarketParseError", "MonteCarloResult",
     "MoneyClasses", "NodeBudgetExceeded", "NonconvexStats", "OutcomeReport",
     "PricedMarket", "PricingResult", "SimpleRandomMarketSpec", "VERSION", "ValidationReport",
-    "agent_best_surplus", "agent_nonconvexity", "agent_value",
+    "agent_best_surplus", "agent_value",
     "aggregate_demand_convexity_check", "approximate_equilibria",
     "balanced_lp_allocation", "build_convexified",
     "canonical_steps", "certified_equilibrium", "check_loc_dominance",
     "classify_money", "clear_euphemia_style", "convex_hull_pricing",
-    "count_nonconvex_demand", "demand_set",
+    "demand_set",
     "demand_snapped_allocation", "detect_equilibrium", "dual_value",
     "emit_market", "emit_outcome", "figure_data", "gen_simple_random_market",
     "gen_tied_cost_market", "load_market", "load_outcome",

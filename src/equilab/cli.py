@@ -22,7 +22,7 @@ import numpy as np
 from . import market_io
 from .config import DEFAULT_NORM, DEFAULT_TOL, VERSION
 from .convexify import priced_at, solve_lp
-from .demand import NonconvexStats, classify_money, nonconvexity
+from .demand import classify_money
 from .equilibria import (convex_hull_pricing, detect_equilibrium,
                          lost_opportunity_cost)
 from .euphemia import ClearingComplexityError, clear_euphemia_style
@@ -137,8 +137,7 @@ def cmd_analyze(args) -> int:
     lam, sets = priced.lambda_star, priced.demand_sets(args.tol)
 
     try:
-        stats = NonconvexStats.rank([nonconvexity(ds, args.norm) for ds in sets],
-                                    K, args.tol)
+        stats = priced.nonconvex_stats(args.tol, args.norm)
     except ComplexityError as exc:
         _err(str(exc))
         return EXIT_BUDGET
@@ -178,7 +177,7 @@ def cmd_simulate(args) -> int:
         "n": spec.n, "k": spec.k, "demand": spec.demand, "seed": spec.seed,
         "trials": res.trials, "successes": res.successes,
         "estimate": res.estimate, "ci95": [res.ci_lo, res.ci_hi],
-        "convex_share": spec.k / spec.n,
+        "convex_share": 1.0 if spec.fills_whole_suppliers else spec.k / spec.n,
         "config": _config_echo(args),
         "version": VERSION,
     }

@@ -147,7 +147,9 @@ class PricedMarket:
 
     Per-agent quantities at these prices (agent i is `market.agents[i]`) are
     computed on first use and kept for the life of the object, keyed by every
-    argument they depend on.
+    argument they depend on: demand sets, containment, best surplus, and the
+    nonconvexity measures and their ranking over K that the approximate
+    equilibrium bounds and `equilab analyze` read.
     """
 
     market: Market
@@ -176,6 +178,26 @@ class PricedMarket:
     def best_surplus(self, i: int, tol: float | None = None) -> float:
         return self.demand(i, tol).best_surplus
 
+    def probes(self, i: int) -> tuple:
+        """Hull points of agent i's demand set that its measure must cover."""
+        return ()
+
+    def measure(self, i: int, tol: float | None = None, norm: str = "l2") -> float:
+        """Nonconvexity of agent i's demand set, probed at `probes(i)`."""
+        t = resolve_tol(tol)
+        return self._memo(("measure", i, t, norm), lambda: nonconvexity(
+            self.demand(i, t), norm, probes=self.probes(i)))
+
+    def nonconvex_stats(self, tol: float | None = None,
+                        norm: str = "l2") -> NonconvexStats:
+        """The measures ranked over K: the count above tol and the K largest."""
+        t = resolve_tol(tol)
+        K = self.market.num_commodities
+        measures = [self.measure(i, t, norm) for i in range(len(self.market.agents))]
+        ranked = sorted(measures, reverse=True)[:K]
+        return NonconvexStats(sum(1 for r in measures if r > t),
+                              tuple(ranked + [0.0] * (K - len(ranked))), tuple(measures))
+
 
 def priced_at(market: Market, lam) -> PricedMarket:
     """`lam` itself when it is already a PricedMarket, else `market` at lam."""
@@ -188,7 +210,8 @@ def priced_at(market: Market, lam) -> PricedMarket:
 class DualSolution(PricedMarket):
     """Optimal prices and a vertex allocation of the convexified welfare LP:
     the market priced at lambda*, with the per-agent quantities of the LP
-    allocation."""
+    allocation.  Each agent's measure is also probed at its LP bundle, the
+    hull point that demand snapping moves the agent from."""
 
     primal_value: float
     dual_objective: float
@@ -204,19 +227,8 @@ class DualSolution(PricedMarket):
     def lp_in_demand(self, i: int, tol: float | None = None) -> bool:
         return self.in_demand(i, self.lp_bundle(i), tol)
 
-    def measure(self, i: int, tol: float | None = None, norm: str = "l2") -> float:
-        """Nonconvexity of agent i's demand set, probed at its LP bundle."""
-        t = resolve_tol(tol)
-        return self._memo(("measure", i, t, norm), lambda: nonconvexity(
-            self.demand(i, t), norm, probes=(self.lp_bundle(i),)))
-
-    def nonconvex_stats(self, tol: float | None = None,
-                        norm: str = "l2") -> NonconvexStats:
-        """Probed measures ranked over K: agents outside demand count as nonconvex."""
-        t = resolve_tol(tol)
-        return NonconvexStats.rank([self.measure(i, t, norm)
-                                    for i in range(len(self.market.agents))],
-                                   self.market.num_commodities, t)
+    def probes(self, i: int) -> tuple:
+        return (self.lp_bundle(i),)
 
 
 def dual_value(market: Market, lam, tol: float | None = None) -> float:

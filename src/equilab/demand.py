@@ -419,12 +419,6 @@ def nonconvexity(demand: DemandSet, norm: str = "l2", probes=()) -> float:
     return max(_union_distance_norm(pieces, x, norm) for x in candidates)
 
 
-def agent_nonconvexity(agent: Agent, lam, K: int | None = None,
-                       tol: float | None = None, norm: str = "l2",
-                       probes=()) -> float:
-    return nonconvexity(demand_set(agent, lam, K, tol), norm, probes)
-
-
 @dataclass(frozen=True)
 class NonconvexStats:
     """Count and ranking of demand nonconvexity across agents."""
@@ -436,19 +430,3 @@ class NonconvexStats:
     @property
     def top_sum(self) -> float:
         return float(sum(self.top))
-
-    @classmethod
-    def rank(cls, measures, k: int, tol: float) -> NonconvexStats:
-        """Count the measures above tol and keep the k largest."""
-        ranked = sorted(measures, reverse=True)[:k]
-        return cls(sum(1 for r in measures if r > tol),
-                   tuple(ranked + [0.0] * (k - len(ranked))), tuple(measures))
-
-
-def count_nonconvex_demand(market: Market, lam, k: int | None = None,
-                           tol: float | None = None, norm: str = "l2") -> NonconvexStats:
-    """Number of agents demanding nonconvexly at lam and the k largest measures."""
-    t = resolve_tol(tol)
-    K = market.num_commodities
-    return NonconvexStats.rank([agent_nonconvexity(a, lam, K, t, norm) for a in market.agents],
-                               K if k is None else k, t)

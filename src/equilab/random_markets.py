@@ -51,6 +51,11 @@ class SimpleRandomMarketSpec:
     def reservation_price(self) -> float:
         return self.cost_hi + 10.0
 
+    @property
+    def fills_whole_suppliers(self) -> bool:
+        """Demand is a whole multiple of the capacity: no supplier is marginal."""
+        return self.demand % SUPPLIER_CAPACITY == 0.0
+
 
 def draw_costs(spec: SimpleRandomMarketSpec, trial: int = 0) -> np.ndarray:
     """n distinct iid uniform costs; near-ties are re-drawn for stability."""
@@ -89,7 +94,7 @@ def marginal_supplier_is_convex(spec: SimpleRandomMarketSpec, costs) -> bool:
     whole multiple of the capacity no supplier is marginal, and the verdict
     is True.
     """
-    if spec.demand % SUPPLIER_CAPACITY == 0.0:
+    if spec.fills_whole_suppliers:
         return True
     rank = math.ceil(spec.demand / SUPPLIER_CAPACITY) - 1
     order = np.argsort(costs)

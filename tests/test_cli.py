@@ -1,16 +1,21 @@
 """CLI end to end: commands, exit codes, golden outputs."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from equilab import cli
 from equilab.cli import main
+from equilab.convexify import solve_lp
 from equilab.market_io import (emit_market, load_outcome, parse_outcome,
                                save_outcome)
 
 from conftest import FIXTURES
+from market_corpus import random_market
 
 FIXTURE_CSV = str(FIXTURES / "four_agent.csv")
 
@@ -142,6 +147,25 @@ def test_analyze_golden(capsys):
                                     "c3": "in", "b4": "at"}
 
 
+# (2, 180): the LP bundle of one agent is a hull point 0.4875 farther from
+# its demand set than any unprobed candidate; (1, 275): a last-bit difference
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from((1, 2, 4)), st.integers(0, 2 ** 31 - 1))
+@example(2, 180)
+@example(1, 275)
+def test_analyze_reports_the_bound_measures(K, seed):
+    market = random_market(np.random.default_rng((K, seed)), K=K, max_blocks=8)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "m.json", Path(tmp) / "a.json"
+        path.write_text(emit_market(market, "json"))
+        assert main(["analyze", str(path), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+    stats = solve_lp(market).nonconvex_stats()
+    assert doc["num_nonconvex_demands"] == stats.count
+    assert doc["top_nonconvexity"] == list(stats.top)
+    assert [a["nonconvexity"] for a in doc["agents"].values()] == list(stats.per_agent)
+
+
 def test_analyze_explicit_price(capsys):
     code, out, _ = run(capsys, "analyze", FIXTURE_CSV, "--price", "5.0")
     assert code == 0
@@ -168,6 +192,16 @@ def test_simulate_golden(capsys):
     code2, out2, _ = run(capsys, "simulate", "--n", "4", "--k", "2",
                          "--trials", "50", "--seed", "3")
     assert out2 == out
+
+
+def test_simulate_convex_share_at_whole_multiples_of_capacity(capsys):
+    """No supplier is marginal, so every trial has an equilibrium."""
+    code, out, _ = run(capsys, "simulate", "--n", "3", "--k", "0",
+                       "--demand", "4", "--trials", "20")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["estimate"] == 1.0
+    assert doc["convex_share"] == 1.0
 
 
 def test_parser_built_once_dispatches_to_the_current_handler(monkeypatch):

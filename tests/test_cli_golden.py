@@ -27,6 +27,8 @@ def _cases() -> dict[str, list[str]]:
         for mode in ("exact", "chp", "euphemia"):
             cases[f"clear-{mode}-{name}"] = ["clear", name, "--mode", mode]
         cases[f"analyze-{name}"] = ["analyze", name]
+        for norm in ("l1", "linf"):
+            cases[f"analyze-{norm}-{name}"] = ["analyze", name, "--norm", norm]
         hours = load_market(FIXTURES / name).num_commodities
         cases[f"analyze-price-{name}"] = ["analyze", name, "--price", *["2.5"] * hours]
     cases["simulate-n6-k3"] = ["simulate", "--n", "6", "--k", "3", "--demand", "5",

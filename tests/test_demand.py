@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from equilab.config import vector_norm
-from equilab.convexify import solve_lp
+from equilab.convexify import priced_at, solve_lp
 from equilab.curves import best_surplus
-from equilab.demand import (agent_best_surplus, agent_nonconvexity,
-                            block_margin, classify_money, count_nonconvex_demand,
+from equilab.demand import (agent_best_surplus, block_margin, classify_money,
                             demand_set, nonconvexity)
 from equilab.geometry import (ComplexityError, merge_intervals, piece_nearest,
                               union_nearest)
@@ -55,7 +54,7 @@ def test_reference_money_classes(four_agent_market):
 
 
 def test_reference_nonconvexity(four_agent_market):
-    stats = count_nonconvex_demand(four_agent_market, [3.0])
+    stats = priced_at(four_agent_market, [3.0]).nonconvex_stats()
     assert stats.count == 1
     assert stats.per_agent == pytest.approx((0.0, 0.0, 0.0, 1.0))
     assert stats.top == pytest.approx((1.0,))
@@ -82,10 +81,10 @@ def test_at_money_block_demand_is_ratio_segment():
 
 def test_two_hour_block_norm_choices():
     agent = Agent("a", (BlockBid("b", 2.0, (1.0, 1.0)),))
-    lam = [1.0, 1.0]
-    assert agent_nonconvexity(agent, lam, norm="l2") == pytest.approx(np.sqrt(2) / 2)
-    assert agent_nonconvexity(agent, lam, norm="l1") == pytest.approx(1.0)
-    assert agent_nonconvexity(agent, lam, norm="linf") == pytest.approx(0.5)
+    ds = demand_set(agent, [1.0, 1.0])
+    assert nonconvexity(ds, norm="l2") == pytest.approx(np.sqrt(2) / 2)
+    assert nonconvexity(ds, norm="l1") == pytest.approx(1.0)
+    assert nonconvexity(ds, norm="linf") == pytest.approx(0.5)
 
 
 def test_exclusive_group_demand():
@@ -159,8 +158,9 @@ def test_acceptances_realise_vertices_as_best_responses(seed):
 
 def test_probe_extends_candidates():
     agent = Agent("a", (BlockBid("b", 2.0, (1.0, 1.0)),))
-    base = agent_nonconvexity(agent, [1.0, 1.0])
-    probed = agent_nonconvexity(agent, [1.0, 1.0], probes=([0.5, 0.5],))
+    ds = demand_set(agent, [1.0, 1.0])
+    base = nonconvexity(ds)
+    probed = nonconvexity(ds, probes=([0.5, 0.5],))
     assert probed >= base - 1e-12
 
 

@@ -207,3 +207,13 @@ def test_caches_keyed_by_tolerance_and_norm(four_agent_market):
                 assert dual.measure(i, tol, norm) == nonconvexity(ds, norm, probes=(x,))
         assert dual.demand(i, DEFAULT_TOL) is dual.demand(i)
         assert dual.demand(i, 1e-3) is not dual.demand(i)
+
+
+def test_probing_at_the_lp_bundle_never_lowers_the_measure(market):
+    """The solved market measures the same sets as the market at its prices,
+    with each LP bundle added as a candidate."""
+    dual = solve_lp(market)
+    priced = priced_at(market, dual.lambda_star)
+    for i in range(len(market.agents)):
+        for norm in ("l1", "l2", "linf"):
+            assert dual.measure(i, norm=norm) >= priced.measure(i, norm=norm)
