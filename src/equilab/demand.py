@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import lsq_linear
 
-from . import geometry, lp
+from . import geometry
 from .config import resolve_tol, vector_norm
 from .curves import best_surplus, curve_margin, demand_interval
 from .geometry import ComplexityError, Piece
@@ -200,10 +200,27 @@ class DemandSet:
         return geometry.union_nearest(self.pieces, x)
 
     def contains(self, x, tol: float | None = None) -> bool:
+        """Is x within t * (1 + |x|) of the set, by its `nearest` distance?
+
+        On a carrier line the distance is the line's.  Off a line the answer
+        is the one `nearest` gives, mostly without calling it: the distance
+        `nearest` returns is at most the smallest piece distance plus the
+        1e-12 tie band once per piece.  So x is in as soon as one piece lies
+        within the bar less that band (and some rounding room), and out when
+        no piece lies within the bar; a piece whose box bound is above the
+        bar is not projected.  Only a smallest distance inside the band
+        below the bar asks `nearest` itself.
+        """
         t = resolve_tol(self.tol if tol is None else tol)
         x = np.asarray(x, dtype=float)
-        d = self.nearest(x)[0] if self.line is None else self.line.distance(x)
-        return d <= t * (1.0 + math.sqrt(x.dot(x)))
+        bar = t * (1.0 + math.sqrt(x.dot(x)))
+        if self.line is not None:
+            return self.line.distance(x) <= bar
+        band = 2e-12 * len(self.pieces) + 1e-15 * bar
+        d = geometry.union_distance(self.pieces, x, within=bar - band, cap=bar)
+        if d is None:
+            return True
+        return d <= bar and self.nearest(x)[0] <= bar
 
     def is_singleton(self, tol: float | None = None) -> bool:
         t = resolve_tol(self.tol if tol is None else tol)
@@ -345,50 +362,6 @@ def agent_best_surplus(agent: Agent, lam, tol: float | None = None) -> float:
 # ---------------------------------------------------------------------------
 # Nonconvexity measure
 
-def _piece_distance_norm(piece: Piece, x, norm: str) -> float:
-    if norm == "l2":
-        return geometry.piece_nearest(piece, x)[0]
-    x = np.asarray(x, dtype=float)
-    base = piece.point()
-    g = len(piece.units)
-    if g == 0:
-        return vector_norm(x - base, norm)
-    G = piece.unit_matrix()
-    los = np.array([lo for lo, _ in piece.ranges])
-    his = np.array([hi for _, hi in piece.ranges])
-    K = x.size
-    r = x - base
-    if norm == "l1":
-        # vars: t, e+, e-;   G t + e+ - e- = r;   min sum(e+ + e-)
-        n = g + 2 * K
-        c = np.zeros(n)
-        c[g:] = -1.0
-        a_eq = np.hstack([G, np.eye(K), -np.eye(K)])
-        span = 1.0 + float(np.max(np.abs(r))) + float(np.sum(np.abs(his - los)))
-        res = lp.solve_lp(c, a_eq=a_eq, b_eq=r,
-                          lo=np.concatenate([los, np.zeros(2 * K)]),
-                          hi=np.concatenate([his, np.full(2 * K, 2 * span)]))
-        return -res.value
-    if norm == "linf":
-        # vars: t, s;   -s <= (r - G t)_k <= s;   min s
-        n = g + 1
-        c = np.zeros(n)
-        c[g] = -1.0
-        a_ub = np.vstack([np.hstack([G, -np.ones((K, 1))]),
-                          np.hstack([-G, -np.ones((K, 1))])])
-        b_ub = np.concatenate([r, -r])
-        span = 1.0 + float(np.max(np.abs(r))) + float(np.sum(np.abs(his - los)))
-        res = lp.solve_lp(c, a_ub=a_ub, b_ub=b_ub,
-                          lo=np.concatenate([los, [0.0]]),
-                          hi=np.concatenate([his, [2 * span]]))
-        return -res.value
-    raise ValueError(f"unknown norm {norm!r}")
-
-
-def _union_distance_norm(pieces, x, norm: str) -> float:
-    return min(_piece_distance_norm(p, x, norm) for p in pieces)
-
-
 def nonconvexity(demand: DemandSet, norm: str = "l2", probes=()) -> float:
     """Largest distance from a hull point of the demand set back to the set.
 
@@ -403,20 +376,62 @@ def nonconvexity(demand: DemandSet, norm: str = "l2", probes=()) -> float:
     and q=(1/2, sqrt(3)/2), demand {0, q1, q2}, and the family gives 0.5
     where the circumcenter of that triangle lies 1/sqrt(3) ~ 0.577 from the
     set.
+
+    The value is the first maximal candidate distance, each distance the
+    `min` over the pieces in order, but a candidate's pieces are projected
+    only until its distance is known not to be that first maximum
+    (`geometry.union_distance`).  The midpoints and probes go first: their
+    largest distance is a floor the answer reaches, and each stops as soon
+    as one piece is nearer than the floor found so far.  The corners follow
+    in order, each from its own piece (which holds it, so usually that one
+    projection decides), and stop once a piece is nearer than the floor or
+    no farther than the largest corner distance before them.  A stopped
+    candidate cannot be the first maximum, and one not stopped takes its
+    minimum in piece order, so the float, signed zeros included, is the one
+    the full max-min loop returns.
     """
     line = demand.line
     if line is not None:
-        return max([line.gap_radius() * vector_norm(line.unit, norm)]
-                   + [_union_distance_norm(demand.pieces, x, norm) for x in probes])
+        worst = line.gap_radius() * vector_norm(line.unit, norm)
+        for x in probes:
+            d = geometry.union_distance(demand.pieces, x, norm, within=worst)
+            if d is not None:
+                worst = d
+        return worst
     pieces = demand.pieces
     if len(pieces) == 1 and not probes:
         return 0.0
-    candidates = [v for p in pieces for v in geometry.piece_vertices(p)]
-    for a, b in itertools.combinations(pieces, 2):
+    boxes = geometry.PieceBoxes.of(pieces)
+
+    def distance(x, below, first):
+        """The distance of x, or None once a piece is nearer than `below`."""
+        return geometry.union_distance(pieces, x, norm, boxes=boxes, first=first,
+                                       within=math.nextafter(below, -math.inf))
+
+    # The midpoints and probes follow the corners in candidate order, but
+    # are measured first: their largest distance is the floor.
+    later = []
+    for (i, a), (_, b) in itertools.combinations(enumerate(pieces), 2):
         _, pa, pb = geometry.closest_pair(a, b)
-        candidates.append(0.5 * (pa + pb))
-    candidates.extend(np.asarray(x, dtype=float) for x in probes)
-    return max(_union_distance_norm(pieces, x, norm) for x in candidates)
+        later.append((i, 0.5 * (pa + pb)))
+    later.extend((0, np.asarray(x, dtype=float)) for x in probes)
+    floor = -math.inf
+    values = []
+    for first, x in later:
+        d = distance(x, floor, first)
+        values.append(d)
+        if d is not None:
+            floor = max(floor, d)
+    worst = -math.inf
+    for i, piece in enumerate(pieces):
+        for v in geometry.piece_vertices(piece):
+            d = distance(v, max(math.nextafter(worst, math.inf), floor), i)
+            if d is not None:
+                worst = d
+    for d in values:
+        if d is not None and d > worst:
+            worst = d
+    return worst
 
 
 @dataclass(frozen=True)

@@ -4,24 +4,45 @@ A demand set is a finite union of *pieces*; each piece is an offset plus a
 Minkowski sum of scaled segments (a zonotope), which is exactly what the bid
 language produces: curve sub-intervals along hour axes and block directions
 with ratio ranges.  Everything here is exact for that class at desk scale:
-distances via bounded-variable least squares and hulls via the piece vertex
-set (extreme points of a union of polytopes are extreme points of the
-members).  Collinear demand sets are measured on their carrier line in
-`equilab.demand`, from the same canonical generators their pieces are built
-from (`Piece.of`).
+distances via bounded-variable least squares (l2) or a small LP (l1, linf)
+and hulls via the piece vertex set (extreme points of a union of polytopes
+are extreme points of the members).  Collinear demand sets are measured on
+their carrier line in `equilab.demand`, from the same canonical generators
+their pieces are built from (`Piece.of`).
+
+Distances to a union skip the projections that cannot change a bit of the
+answer.  Each piece caches its axis box (`Piece.box`); the distance from a
+point to that box, less a rounding allowance (`box_bounds`), never exceeds
+the distance to the piece, so a piece whose bound is above the best
+distance found so far need not be projected (`union_distance`,
+`union_nearest`, `piece_subset`).  Points, and segments in l2, are always
+projected: their closed form costs about what a bound does.  The
+projections that do run are the ones the full loop ran, on the same
+arguments, and the minimum is taken in piece order, so every returned
+float is the one the full loop returns.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import lsq_linear
 
+from . import lp
+from .config import vector_norm
+
 MAX_GENS_PER_PIECE = 12
 MAX_PIECES = 64
 _PAR_TOL = 1e-9
+# Relative rounding allowance of a box bound: ten times both the 1e-9
+# phase-1 tolerance of the l1/linf distance LPs and the 1e-9 off-axis
+# components `piece_nearest` drops from a near-axis unit.
+_BOX_SLACK = 1e-8
 
 
 class ComplexityError(RuntimeError):
@@ -45,6 +66,20 @@ class Piece:
 
     def unit_matrix(self) -> np.ndarray:
         return np.array(self.units, dtype=float).T.reshape(self.dim, len(self.units))
+
+    @cached_property
+    def box(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """Axis box (lo, hi) holding the piece, and the piece's size
+        |offset|inf + sum of max(|lo_g|, |hi_g|), which bounds every
+        coordinate of the piece."""
+        lo, hi = self.point(), self.point()
+        size = max((abs(v) for v in self.offset), default=0.0)
+        for u, (a, b) in zip(self.units, self.ranges):
+            u = np.asarray(u)
+            lo = lo + np.minimum(u * a, u * b)
+            hi = hi + np.maximum(u * a, u * b)
+            size += max(abs(a), abs(b))
+        return lo, hi, size
 
     @classmethod
     def of(cls, offset, merged) -> Piece:
@@ -165,11 +200,154 @@ def closest_pair(a: Piece, b: Piece) -> tuple[float, np.ndarray, np.ndarray]:
     return float(np.linalg.norm(pa - pb)), pa, pb
 
 
+class PieceBoxes(NamedTuple):
+    """The axis boxes of a sequence of pieces, stacked: lo and hi (one row
+    per piece) and each piece's size (see `Piece.box`)."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    size: np.ndarray
+
+    @classmethod
+    def of(cls, pieces) -> PieceBoxes:
+        boxes = [p.box for p in pieces]
+        return cls(np.array([b[0] for b in boxes]), np.array([b[1] for b in boxes]),
+                   np.array([b[2] for b in boxes]))
+
+    def bounds(self, x, norm: str = "l2") -> list[float]:
+        """Per piece, a lower bound on the norm-distance from x to it."""
+        return box_bounds(self.lo, self.hi, self.size, x, norm).tolist()
+
+
+def box_bounds(lo, hi, size, x, norm: str = "l2") -> np.ndarray:
+    """Lower bounds on norm-distances from points to pieces, from their boxes.
+
+    Broadcasts over leading axes: points `x` (..., K) against boxes `lo`,
+    `hi` (..., K) of sizes `size`.  The distance d to the box is at most the
+    distance to the piece; the bound is d less _BOX_SLACK * (1 + d + |x|inf
+    + sqrt(K) * size), which covers the rounding of the box, the snapped
+    units of `piece_nearest` and the tolerance of `piece_distance`'s LPs.
+    """
+    x = np.asarray(x, dtype=float)
+    gap = np.maximum(lo - x, x - hi)
+    np.maximum(gap, 0.0, out=gap)
+    if norm == "l2":
+        d = np.sqrt((gap * gap).sum(axis=-1))
+    elif norm == "l1":
+        d = gap.sum(axis=-1)
+    elif norm == "linf":
+        d = gap.max(axis=-1)
+    else:
+        raise ValueError(f"unknown norm {norm!r}")
+    reach = np.abs(x).max(axis=-1)
+    return d - _BOX_SLACK * (1.0 + d + reach + math.sqrt(x.shape[-1]) * size)
+
+
+def _closed_form(piece: Piece, norm: str) -> bool:
+    """Is the piece a point, or a segment in l2?  Its distance is then a
+    closed form that costs about what its box bound does."""
+    return len(piece.units) <= (1 if norm == "l2" else 0)
+
+
+def piece_distance(piece: Piece, x, norm: str = "l2") -> float:
+    """Distance from x to the piece: `piece_nearest` for l2, a small LP on
+    the residual r - G t for l1 and linf.
+
+    The LP caps each residual variable at twice 1 + |r|inf + sum of
+    max(|lo_g|, |hi_g|), which bounds every residual coordinate (the units
+    have norm 1), also for a range that excludes 0.
+    """
+    if norm == "l2":
+        return piece_nearest(piece, x)[0]
+    x = np.asarray(x, dtype=float)
+    base = piece.point()
+    g = len(piece.units)
+    if g == 0:
+        return vector_norm(x - base, norm)
+    G = piece.unit_matrix()
+    los = np.array([lo for lo, _ in piece.ranges])
+    his = np.array([hi for _, hi in piece.ranges])
+    K = x.size
+    r = x - base
+    span = 1.0 + float(np.max(np.abs(r))) + float(np.sum(np.maximum(np.abs(los), np.abs(his))))
+    if norm == "l1":
+        # vars: t, e+, e-;   G t + e+ - e- = r;   min sum(e+ + e-)
+        n = g + 2 * K
+        c = np.zeros(n)
+        c[g:] = -1.0
+        a_eq = np.hstack([G, np.eye(K), -np.eye(K)])
+        res = lp.solve_lp(c, a_eq=a_eq, b_eq=r,
+                          lo=np.concatenate([los, np.zeros(2 * K)]),
+                          hi=np.concatenate([his, np.full(2 * K, 2 * span)]))
+        return -res.value
+    if norm == "linf":
+        # vars: t, s;   -s <= (r - G t)_k <= s;   min s
+        n = g + 1
+        c = np.zeros(n)
+        c[g] = -1.0
+        a_ub = np.vstack([np.hstack([G, -np.ones((K, 1))]),
+                          np.hstack([-G, -np.ones((K, 1))])])
+        b_ub = np.concatenate([r, -r])
+        res = lp.solve_lp(c, a_ub=a_ub, b_ub=b_ub,
+                          lo=np.concatenate([los, [0.0]]),
+                          hi=np.concatenate([his, [2 * span]]))
+        return -res.value
+    raise ValueError(f"unknown norm {norm!r}")
+
+
+def union_distance(pieces, x, norm: str = "l2", *, boxes: PieceBoxes | None = None,
+                   within: float = -math.inf, cap: float = math.inf,
+                   first: int = 0) -> float | None:
+    """Distance from x to a union of pieces: the `min` of `piece_distance`
+    over the pieces in their order, with no projection that cannot change it.
+
+    Piece `first` is projected first, then the others in order.  A piece
+    whose box bound is above the smallest distance found so far, or above
+    `cap`, is skipped: its distance is larger.  Points, and segments in
+    l2, are always projected (`_closed_form`).  None is returned as soon as
+    one piece is within `within` (distance <= within).  Otherwise the value
+    is the min over the projected pieces, in piece order; it is the full
+    `min` whenever that is at most `cap`, and a value above `cap` (inf when
+    every piece was skipped) when it is not.  The bounds are computed only
+    once one is needed, from `boxes` when the caller keeps the pieces'
+    stacked boxes across points.
+    """
+    x = np.asarray(x, dtype=float)
+    bounds = None
+    found = [math.inf] * len(pieces)
+    best = math.inf
+    for i in itertools.chain((first,), range(first), range(first + 1, len(pieces))):
+        limit = min(best, cap)
+        if limit < math.inf and not _closed_form(pieces[i], norm):
+            if bounds is None:
+                bounds = (PieceBoxes.of(pieces) if boxes is None else boxes).bounds(x, norm)
+            if bounds[i] > limit:
+                continue
+        d = piece_distance(pieces[i], x, norm)
+        if d <= within:
+            return None
+        found[i] = d
+        best = min(best, d)
+    return min(found)
+
+
 def union_nearest(pieces, x) -> tuple[float, np.ndarray]:
-    """Nearest point of a union; ties broken toward smaller norm, then order."""
+    """Nearest point of a union; ties broken toward smaller norm, then order.
+
+    Pieces are visited in order, since the tie rule is not transitive.  A
+    piece whose box bound exceeds the current best distance by more than
+    the 1e-12 tie band is skipped, unless it is a point or a segment: it
+    could neither beat nor tie the best.
+    """
     best: tuple[float, float, int, np.ndarray] | None = None
     x = np.asarray(x, dtype=float)
+    bounds = None
     for idx, piece in enumerate(pieces):
+        if best is not None and not _closed_form(piece, "l2"):
+            if bounds is None:
+                bounds = PieceBoxes.of(pieces).bounds(x)
+            if bounds[idx] - best[0] > 1e-12:
+                continue
         d, p = piece_nearest(piece, x)
         key = (d, float(np.linalg.norm(p)), idx)
         if best is None or (key[0] < best[0] - 1e-12) or (
@@ -185,8 +363,16 @@ def piece_contains(piece: Piece, x, tol: float) -> bool:
 
 
 def piece_subset(inner: Piece, outer: Piece, tol: float) -> bool:
-    """inner subset of outer, decided on inner's corner set (outer is convex)."""
-    return all(piece_contains(outer, v, tol) for v in piece_vertices(inner))
+    """inner subset of outer, decided on inner's corner set (outer is convex).
+
+    False without a projection when one corner's box bound exceeds tol,
+    unless outer is a point or a segment."""
+    corners = piece_vertices(inner)
+    if not _closed_form(outer, "l2"):
+        lo, hi, size = outer.box
+        if np.any(box_bounds(lo, hi, size, corners) > tol):
+            return False
+    return all(piece_contains(outer, v, tol) for v in corners)
 
 
 def merge_intervals(intervals, tol: float) -> list[tuple[float, float]]:

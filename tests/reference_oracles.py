@@ -11,7 +11,11 @@ against it.  All three are kept as they were in the package, except that
 `lp.solve_lp` cut its numpy call overhead: one `np.linalg.solve` per basis
 solve, the basis matrix gathered afresh each pivot, and the ratio test over
 numpy scalars.  `lp.solve_lp` must return the same bytes and raise the same
-errors.
+errors.  `reference_nonconvexity` and `reference_union_nearest` are the
+measure's max-min loop and the union's nearest point as they were before
+the union distance skipped projections: every candidate hull point
+projected on every piece.  `nonconvexity` and `union_nearest` must return
+the same floats.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ import itertools
 
 import numpy as np
 
-from equilab import lp
+from equilab import geometry, lp
+from equilab.config import vector_norm
 from equilab.lp import (TOL, _REFRESH_EVERY, _STALL_LIMIT, InfeasibleError,
                         LpResult, SimplexError)
 from equilab.convexify import build_convexified
@@ -111,6 +116,41 @@ def collinear_model(pieces, tol: float = 1e-9):
             hi_t += max(s * lo, s * hi)
         intervals.append((lo_t, hi_t))
     return origin, unit, intervals
+
+
+def reference_union_nearest(pieces, x):
+    """Nearest point of a union; ties broken toward smaller norm, then order."""
+    best = None
+    x = np.asarray(x, dtype=float)
+    for idx, piece in enumerate(pieces):
+        d, p = geometry.piece_nearest(piece, x)
+        key = (d, float(np.linalg.norm(p)), idx)
+        if best is None or (key[0] < best[0] - 1e-12) or (
+                abs(key[0] - best[0]) <= 1e-12 and key[1] < best[1] - 1e-12):
+            best = (key[0], key[1], idx, p)
+    assert best is not None, "empty union"
+    return best[0], best[3]
+
+
+def _reference_union_distance(pieces, x, norm):
+    return min(geometry.piece_distance(p, x, norm) for p in pieces)
+
+
+def reference_nonconvexity(demand, norm="l2", probes=()):
+    """The measure with every candidate projected on every piece."""
+    line = demand.line
+    if line is not None:
+        return max([line.gap_radius() * vector_norm(line.unit, norm)]
+                   + [_reference_union_distance(demand.pieces, x, norm) for x in probes])
+    pieces = demand.pieces
+    if len(pieces) == 1 and not probes:
+        return 0.0
+    candidates = [v for p in pieces for v in geometry.piece_vertices(p)]
+    for a, b in itertools.combinations(pieces, 2):
+        _, pa, pb = geometry.closest_pair(a, b)
+        candidates.append(0.5 * (pa + pb))
+    candidates.extend(np.asarray(x, dtype=float) for x in probes)
+    return max(_reference_union_distance(pieces, x, norm) for x in candidates)
 
 
 def reference_simplex(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None,

@@ -166,6 +166,24 @@ def test_analyze_reports_the_bound_measures(K, seed):
     assert [a["nonconvexity"] for a in doc["agents"].values()] == list(stats.per_agent)
 
 
+@pytest.mark.parametrize("norm, top", [("l1", 99.0), ("linf", 49.5)])
+def test_analyze_pieces_whose_range_excludes_zero(capsys, tmp_path, norm, top):
+    # two at-the-money blocks with mar 0.99 in one group: segments over
+    # [0.99, 1] * q, whose l1 and linf distance LPs were once infeasible
+    path = tmp_path / "offset-range.market.csv"
+    path.write_text("header,2,EUR,MW,offset-range\n"
+                    "block,a,b1,99.0,0.99,g,,,100.0,0.0\n"
+                    "block,a,b2,99.0,0.99,g,,,0.0,100.0\n"
+                    "curve,s,c1,1,stepwise,0.99,-100.0\n"
+                    "curve,s,c2,2,stepwise,0.99,-100.0\n")
+    code, out, err = run(capsys, "analyze", str(path), "--norm", norm,
+                         "--price", "0.99", "0.99")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["top_nonconvexity"] == pytest.approx([top, 0.0])
+    assert doc["agents"]["a"]["nonconvexity"] == pytest.approx(top)
+
+
 def test_analyze_explicit_price(capsys):
     code, out, _ = run(capsys, "analyze", FIXTURE_CSV, "--price", "5.0")
     assert code == 0

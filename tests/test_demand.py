@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from equilab import geometry
 from equilab.config import vector_norm
 from equilab.convexify import priced_at, solve_lp
 from equilab.curves import best_surplus
@@ -17,7 +18,8 @@ from equilab.model import (Agent, BlockBid, HourlyCurveBid, Market, agent_bundle
                            agent_value, block_components, iter_patterns)
 
 from market_corpus import random_market, random_price_vector
-from reference_oracles import collinear_model, in_hull
+from reference_oracles import (collinear_model, in_hull, reference_nonconvexity,
+                               reference_union_nearest)
 
 
 def _vertex_set(ds):
@@ -364,3 +366,81 @@ def test_carrier_line_matches_piece_oracles(seed, K):
             for x in points:
                 d, _ = union_nearest(ds.pieces, x)
                 assert ds.contains(x) == (d <= ds.tol * (1.0 + float(np.linalg.norm(x))))
+
+
+# ---------------------------------------------------------------------------
+# The pruned union distance against the full max-min loop
+
+def _triangle_agent():
+    """Two at-the-money all-or-nothing blocks in one exclusive group at
+    q=(1, 0) and q=(1/2, sqrt(3)/2), priced at (1, 1): demand {0, q1, q2}."""
+    q2 = (0.5, float(np.sqrt(3.0)) / 2.0)
+    return Agent("a", (BlockBid("b1", 1.0, (1.0, 0.0), group="g"),
+                       BlockBid("b2", q2[0] + q2[1], q2, group="g"))), [1.0, 1.0]
+
+
+def _l_shape_agent():
+    """Two at-the-money blocks, mar 0.01, in one exclusive group at q=(1, 0)
+    and q=(0, 1), priced at (1, 1)."""
+    return Agent("a", (BlockBid("b1", 1.0, (1.0, 0.0), mar=0.01, group="g"),
+                       BlockBid("b2", 1.0, (0.0, 1.0), mar=0.01, group="g"))), [1.0, 1.0]
+
+
+def _offset_range_agent():
+    """Two at-the-money blocks, mar 0.99, in one exclusive group at
+    q=(100, 0) and q=(0, 100): two segments whose ranges exclude 0."""
+    return Agent("a", (BlockBid("b1", 99.0, (100.0, 0.0), mar=0.99, group="g"),
+                       BlockBid("b2", 99.0, (0.0, 100.0), mar=0.99, group="g"))), [0.99, 0.99]
+
+
+def test_offset_range_measure_in_every_norm():
+    # the l1 and linf distance LPs once capped the residual by the range
+    # widths (here 1), which made the LP infeasible at the origin
+    agent, lam = _offset_range_agent()
+    ds = demand_set(agent, lam)
+    assert ds.line is None and len(ds.pieces) == 3
+    assert nonconvexity(ds, "l1") == pytest.approx(99.0)
+    assert nonconvexity(ds, "linf") == pytest.approx(49.5)
+    assert nonconvexity(ds, "l2") == pytest.approx(np.hypot(99.0, 99.0) / 2.0)
+    segment = next(p for p in ds.pieces if p.units)
+    assert geometry.piece_distance(segment, [0.0, 0.0], "l1") == pytest.approx(99.0)
+    assert geometry.piece_distance(segment, [0.0, 0.0], "linf") == pytest.approx(99.0)
+
+
+def _assert_matches_full_loop(ds, probes, rng):
+    for norm in ("l2", "l1", "linf"):
+        assert repr(nonconvexity(ds, norm)) == repr(reference_nonconvexity(ds, norm))
+        assert (repr(nonconvexity(ds, norm, probes=probes))
+                == repr(reference_nonconvexity(ds, norm, probes=probes)))
+    vs = ds.vertices
+    points = [*probes, *vs[:8], vs[0] + 1e-10 * rng.normal(size=ds.dim),
+              *(0.5 * (a + b) for a, b in itertools.islice(itertools.combinations(vs, 2), 8))]
+    for x in points:
+        d, p = union_nearest(ds.pieces, x)
+        d_ref, p_ref = reference_union_nearest(ds.pieces, x)
+        assert (repr(d), p.tobytes()) == (repr(d_ref), p_ref.tobytes())
+        bar = ds.tol * (1.0 + float(np.linalg.norm(x)))
+        assert ds.contains(x) == (d_ref <= bar)
+
+
+@pytest.mark.parametrize("make", [_triangle_agent, _l_shape_agent, _offset_range_agent])
+def test_pruned_union_distance_matches_full_loop_examples(make):
+    agent, lam = make()
+    ds = demand_set(agent, lam)
+    _assert_matches_full_loop(ds, (np.mean(ds.vertices, axis=0),), np.random.default_rng(0))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from((2, 4, 24)))
+def test_pruned_union_distance_matches_full_loop(seed, K):
+    """At lambda* and at random prices, the measure in every norm, probed by
+    the LP bundle and unprobed, the nearest point and containment are the
+    bytes of the full max-min loop."""
+    rng = np.random.default_rng(seed)
+    market = random_market(rng, K=K, max_blocks=8)
+    dual = solve_lp(market)
+    for lam in (dual.lambda_star, np.asarray(random_price_vector(rng, market), dtype=float)):
+        for i, agent in enumerate(market.agents):
+            ds = demand_set(agent, lam, K)
+            if ds.line is None:
+                _assert_matches_full_loop(ds, (dual.lp_bundle(i),), rng)

@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import lsq_linear
 
 from equilab.demand import DemandSet, nonconvexity
-from equilab.geometry import (Piece, canonical_generators, closest_pair,
-                              merge_intervals, piece_contains, piece_nearest,
-                              piece_subset, piece_vertices, union_nearest)
+from equilab.geometry import (Piece, PieceBoxes, box_bounds, canonical_generators,
+                              closest_pair, merge_intervals, piece_contains,
+                              piece_distance, piece_nearest, piece_subset,
+                              piece_vertices, union_nearest)
 
 from reference_oracles import collinear_model, in_hull
 
@@ -227,3 +228,49 @@ def test_vertices_lie_in_piece_and_span_hull(seed):
     # random members are inside the hull of the vertex set
     for _ in range(20):
         assert in_hull(_random_member(rng, piece), verts, 1e-6)
+
+
+# ---------------------------------------------------------------------------
+# Box bounds
+
+def _bound_test_piece(rng, dim):
+    """A piece with random, axis, near-axis (off-axis parts of 1e-10) and
+    opposite-axis generators, ranges that may exclude 0, or no generator."""
+    gens = []
+    for _ in range(int(rng.integers(0, 5))):
+        kind = int(rng.integers(0, 4))
+        if kind == 0:
+            u = rng.normal(size=dim)
+        else:
+            u = np.zeros(dim)
+            u[int(rng.integers(0, dim))] = -1.0 if kind == 3 else 1.0
+            if kind == 2:
+                u += 1e-10 * rng.normal(size=dim)
+        scale = float(rng.choice([1.0, 100.0]))
+        a, b = sorted(scale * rng.uniform(-1.0, 1.0, size=2))
+        if rng.random() < 0.4:
+            a, b = (0.99 * scale, scale) if rng.random() < 0.5 else (-scale, -0.5 * scale)
+        gens.append((u, a, b))
+    return make_piece(rng.uniform(-50.0, 50.0, size=dim), gens)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from((1, 2, 3, 24)))
+def test_box_bound_never_exceeds_the_piece_distance(seed, K):
+    """In every norm the box bound is at most the computed distance: for
+    points far off, just outside a box face, on a corner and inside."""
+    rng = np.random.default_rng(seed)
+    piece = _bound_test_piece(rng, K)
+    lo, hi, size = piece.box
+    corners = piece_vertices(piece)
+    points = [rng.uniform(-300.0, 300.0, size=K),
+              hi + rng.uniform(0.0, 1e-6, size=K),
+              lo - rng.uniform(0.0, 1.0, size=K),
+              corners[int(rng.integers(0, len(corners)))],
+              np.mean(corners, axis=0)]
+    for x in points:
+        for norm in ("l2", "l1", "linf"):
+            bound = box_bounds(lo, hi, size, x, norm)
+            assert bound <= piece_distance(piece, x, norm)
+            assert PieceBoxes.of([piece]).bounds(x, norm) == [bound]
+        assert box_bounds(lo, hi, size, x) <= piece_nearest(piece, x)[0]

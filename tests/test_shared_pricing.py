@@ -116,6 +116,27 @@ def test_monte_carlo_certificate_builds_no_pieces(monkeypatch):
     assert 0 < sum(verdicts) < 20
 
 
+def test_measure_skips_most_piece_projections(monkeypatch):
+    # on a K=24 corpus market, the corners stop at their own piece and the
+    # box bounds skip far pieces: less than half the full loop's projections
+    dual = solve_lp(corpus_market(67))
+    sets = [dual.demand(i) for i in range(len(dual.market.agents))]
+    sets = [ds for ds in sets if ds.line is None]
+    full = 0
+    for ds in sets:
+        n = len(ds.pieces)
+        corners = sum(len(geometry.piece_vertices(p)) for p in ds.pieces)
+        full += (corners + n * (n - 1) // 2) * n
+    counts: Counter = Counter()
+    count_calls(monkeypatch, counts, "projection", geometry.piece_nearest)
+
+    for ds in sets:
+        nonconvexity(ds)
+
+    assert full > 400
+    assert 0 < counts["projection"] < full / 2
+
+
 def test_one_canonical_form_per_pattern(monkeypatch, market):
     # the carrier line and the pieces read each pattern's canonical
     # generators from one pass
