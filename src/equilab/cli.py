@@ -22,7 +22,6 @@ import numpy as np
 from . import market_io
 from .config import DEFAULT_NORM, DEFAULT_TOL, VERSION
 from .convexify import priced_at, solve_lp
-from .demand import classify_money
 from .equilibria import (convex_hull_pricing, detect_equilibrium,
                          lost_opportunity_cost)
 from .euphemia import ClearingComplexityError, clear_euphemia_style
@@ -141,7 +140,7 @@ def cmd_analyze(args) -> int:
     except ComplexityError as exc:
         _err(str(exc))
         return EXIT_BUDGET
-    money = classify_money(market, lam, args.tol)
+    money = priced.pricing(args.tol).money_classes()
     agents = {}
     for agent, ds, rho in zip(market.agents, sets, stats.per_agent):
         agents[agent.agent_id] = {

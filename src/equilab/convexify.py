@@ -13,6 +13,13 @@ and prices the market at the balance-row multipliers lambda*.  Strong duality
 needs no constraint qualification here because the program is a finite LP;
 `solve_lp` asserts primal = dual on every call.  Branch and bound re-solves
 the same program with per-block bounds overridden (`solve_raw`).
+
+The program's objective and balance columns are filled from the market's
+compiled form (`Market.compiled`, built once per market).  A `PricedMarket`
+prices every agent at once (`demand.MarketPricing`, once per prices and
+tol), so the price dual sums per-agent best surpluses without a demand set;
+demand sets, containment and measures are then built only for the agents
+asked, once each.
 """
 
 from __future__ import annotations
@@ -23,8 +30,8 @@ import numpy as np
 
 from . import lp
 from .config import resolve_tol
-from .demand import DemandSet, NonconvexStats, demand_set, nonconvexity
-from .model import Allocation, BlockBid, Market
+from .demand import DemandSet, MarketPricing, NonconvexStats, demand_set, nonconvexity
+from .model import Allocation, Market
 
 
 @dataclass
@@ -63,74 +70,60 @@ class ConvexifiedProgram:
 
 
 def build_convexified(market: Market) -> ConvexifiedProgram:
-    K = market.num_commodities
-    c: list[float] = []
-    block_col: dict[str, int] = {}
-    curve_cols: dict[str, tuple] = {}
-    cols_balance: list[tuple[int, int, float]] = []   # (row, col, coeff)
-
-    for agent in market.agents:
-        for bid in agent.bids:
-            if isinstance(bid, BlockBid):
-                col = len(c)
-                block_col[bid.bid_id] = col
-                c.append(bid.price)
-                for k, qk in enumerate(bid.quantity):
-                    if qk != 0.0:
-                        cols_balance.append((k, col, float(qk)))
-            else:
-                cols = []
-                for step in bid.steps:
-                    col = len(c)
-                    contrib = step.width if step.is_buy else -step.width
-                    c.append(step.price * contrib)
-                    cols_balance.append((bid.hour, col, contrib))
-                    cols.append((col, contrib))
-                curve_cols[bid.bid_id] = tuple(cols)
-
-    n = len(c)
-    balance = np.zeros((K, n))
-    for row, col, coeff in cols_balance:
-        balance[row, col] = coeff
+    """The welfare LP of the convexified market; its columns (one per block,
+    one per curve step, in market order) come from `market.compiled`."""
+    cm = market.compiled
+    n = cm.num_columns
+    hour, step_col, curve = cm.step_index
+    width = cm.step_table[:, 1]
+    objective = np.empty(n)
+    objective[cm.block_col] = cm.block_table[:, 0]
+    objective[step_col] = cm.step_table[:, 0] * width
+    balance = np.zeros((cm.K, n))
+    balance[:, cm.block_col] = cm.block_q.T + 0.0      # a -0.0 entry stays +0.0
+    balance[hour, step_col] = width
+    block_col = dict(zip([b.bid_id for b in cm.blocks], cm.block_col.tolist()))
+    steps: list[list] = [[] for _ in cm.curves]
+    for col, w, c in zip(step_col.tolist(), width.tolist(), curve.tolist()):
+        steps[c].append((col, w))
+    curve_cols = {c.bid_id: tuple(cols) for c, cols in zip(cm.curves, steps)}
 
     ub_rows: list[np.ndarray] = []
     b_ub: list[float] = []
     groups: dict[str, list[int]] = {}
-    for agent in market.agents:
-        for bid in agent.block_bids:
-            if bid.group is not None:
-                groups.setdefault(bid.group, []).append(block_col[bid.bid_id])
+    for bid in cm.blocks:
+        if bid.group is not None:
+            groups.setdefault(bid.group, []).append(block_col[bid.bid_id])
     for gid in sorted(groups):
         row = np.zeros(n)
         row[groups[gid]] = 1.0
         ub_rows.append(row)
         b_ub.append(1.0)
     seen_loops: set[frozenset] = set()
-    for agent in market.agents:
-        for bid in agent.block_bids:
-            if bid.parent is not None and bid.parent in block_col:
-                parent = market.bid_index[bid.parent][1]
+    for bid in cm.blocks:
+        if bid.parent is not None and bid.parent in block_col:
+            parent = market.bid_index[bid.parent][1]
+            row = np.zeros(n)
+            row[block_col[bid.bid_id]] = parent.mar
+            row[block_col[bid.parent]] = -1.0
+            ub_rows.append(row)
+            b_ub.append(0.0)
+        if bid.loop is not None and bid.loop in block_col:
+            key = frozenset((bid.bid_id, bid.loop))
+            if key in seen_loops:
+                continue
+            seen_loops.add(key)
+            partner = market.bid_index[bid.loop][1]
+            for this, other in ((bid, partner), (partner, bid)):
                 row = np.zeros(n)
-                row[block_col[bid.bid_id]] = parent.mar
-                row[block_col[bid.parent]] = -1.0
+                row[block_col[other.bid_id]] = this.mar
+                row[block_col[this.bid_id]] = -1.0
                 ub_rows.append(row)
                 b_ub.append(0.0)
-            if bid.loop is not None and bid.loop in block_col:
-                key = frozenset((bid.bid_id, bid.loop))
-                if key in seen_loops:
-                    continue
-                seen_loops.add(key)
-                partner = market.bid_index[bid.loop][1]
-                for this, other in ((bid, partner), (partner, bid)):
-                    row = np.zeros(n)
-                    row[block_col[other.bid_id]] = this.mar
-                    row[block_col[this.bid_id]] = -1.0
-                    ub_rows.append(row)
-                    b_ub.append(0.0)
 
     a_ub = np.array(ub_rows).reshape(len(ub_rows), n) if ub_rows else np.zeros((0, n))
     return ConvexifiedProgram(
-        objective=np.asarray(c, dtype=float),
+        objective=objective,
         balance=balance,
         a_ub=a_ub,
         b_ub=np.asarray(b_ub, dtype=float),
@@ -145,11 +138,13 @@ def build_convexified(market: Market) -> ConvexifiedProgram:
 class PricedMarket:
     """A market at fixed prices lambda_star.
 
-    Per-agent quantities at these prices (agent i is `market.agents[i]`) are
-    computed on first use and kept for the life of the object, keyed by every
-    argument they depend on: demand sets, containment, best surplus, and the
-    nonconvexity measures and their ranking over K that the approximate
-    equilibrium bounds and `equilab analyze` read.
+    Quantities at these prices (agent i is `market.agents[i]`) are computed
+    on first use and kept for the life of the object, keyed by every argument
+    they depend on: the pricing of all agents at once (margins, money
+    classes, curve demand intervals, best surpluses), and per agent its
+    demand set, containment, and the nonconvexity measures and their ranking
+    over K that the approximate equilibrium bounds and `equilab analyze`
+    read.
     """
 
     market: Market
@@ -161,10 +156,16 @@ class PricedMarket:
             self._cache[key] = compute()
         return self._cache[key]
 
+    def pricing(self, tol: float | None = None) -> MarketPricing:
+        """Every agent priced at once: margins, money classes, curve demand
+        intervals and best surpluses."""
+        t = resolve_tol(tol)
+        return self._memo(("pricing", t), lambda: MarketPricing(
+            self.market.compiled, self.lambda_star, t))
+
     def demand(self, i: int, tol: float | None = None) -> DemandSet:
         t = resolve_tol(tol)
-        return self._memo(("demand", i, t), lambda: demand_set(
-            self.market.agents[i], self.lambda_star, self.market.num_commodities, t))
+        return self._memo(("demand", i, t), lambda: demand_set(self.pricing(t), i))
 
     def demand_sets(self, tol: float | None = None) -> list[DemandSet]:
         return [self.demand(i, tol) for i in range(len(self.market.agents))]
@@ -176,7 +177,7 @@ class PricedMarket:
                           lambda: self.demand(i, t).contains(x))
 
     def best_surplus(self, i: int, tol: float | None = None) -> float:
-        return self.demand(i, tol).best_surplus
+        return self.pricing(tol).best_surplus[i]
 
     def probes(self, i: int) -> tuple:
         """Hull points of agent i's demand set that its measure must cover."""
@@ -221,8 +222,7 @@ class DualSolution(PricedMarket):
 
     def lp_bundle(self, i: int) -> np.ndarray:
         """Agent i's bundle in the LP vertex allocation."""
-        return self._memo(("bundle", i), lambda: self.allocation.bundle(
-            self.market, self.market.agents[i]))
+        return self._memo(("bundles",), lambda: self.allocation.bundles(self.market))[i]
 
     def lp_in_demand(self, i: int, tol: float | None = None) -> bool:
         return self.in_demand(i, self.lp_bundle(i), tol)
@@ -239,8 +239,7 @@ def dual_value(market: Market, lam, tol: float | None = None) -> float:
     so this is exactly the dual function of the convexified market.  `lam`
     may be a PricedMarket of `market`, whose demand sets are then reused.
     """
-    priced = priced_at(market, lam)
-    return float(sum(priced.best_surplus(i, tol) for i in range(len(market.agents))))
+    return float(sum(priced_at(market, lam).pricing(tol).best_surplus))
 
 
 def solve_lp(market: Market, tol: float | None = None) -> DualSolution:

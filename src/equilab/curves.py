@@ -9,7 +9,8 @@ price nonincreasing in quantity.  That makes the value function
     u(x) = integral of the marginal price from 0 to x
 
 concave and piecewise linear, which is what the welfare LP consumes, and makes
-demand at any price an exact closed-form interval.
+demand at any price an exact closed-form interval (read off the step table of
+`Market.compiled` by `demand.MarketPricing`).
 
 Conventions
 -----------
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import resolve_tol
 
 
 @dataclass(frozen=True)
@@ -124,48 +124,3 @@ def curve_value(steps, x: float) -> float:
                 take = max(0.0, s.hi - max(x, s.lo))
                 total -= s.price * take
     return total
-
-
-def demand_interval(steps, price: float, tol: float | None = None) -> tuple[float, float]:
-    """Exact argmax interval of u(x) - price*x over the curve's range.
-
-    Buy units are taken iff their marginal value exceeds the price, sell units
-    iff the price exceeds their marginal cost; units within tolerance of the
-    price are optional, which widens the interval.
-    """
-    t = resolve_tol(tol)
-    lo_acc = 0.0
-    hi_acc = 0.0
-    for s in steps:
-        slack = t * (1.0 + max(abs(s.price), abs(price)))
-        if s.is_buy:
-            if s.price >= price - slack:
-                hi_acc += s.width
-            if s.price > price + slack:
-                lo_acc += s.width
-        else:
-            if s.price <= price + slack:
-                lo_acc -= s.width
-            if s.price < price - slack:
-                hi_acc -= s.width
-    return lo_acc, hi_acc
-
-
-def best_surplus(steps, price: float) -> float:
-    """max over x of u(x) - price*x; closed form per step."""
-    total = 0.0
-    for s in steps:
-        if s.is_buy:
-            total += s.width * max(0.0, s.price - price)
-        else:
-            total += s.width * max(0.0, price - s.price)
-    return total
-
-
-def curve_margin(steps, price: float) -> float:
-    """Best per-unit margin of the curve at `price` (negative = out of the money)."""
-    best = float("-inf")
-    for s in steps:
-        m = (s.price - price) if s.is_buy else (price - s.price)
-        best = max(best, m)
-    return best

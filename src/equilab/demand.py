@@ -5,13 +5,29 @@ true feasible set.  Value is additive across bids and the only coupling
 between bids is through indicator constraints (groups, links, loops), so the
 argmax factorizes: curves contribute exact intervals, blocks contribute
 per-indicator-pattern points or ratio segments, and the agent set is a union
-of Minkowski combinations over the surplus-maximal patterns.  One pass over
-each block component's patterns gives the agent's best surplus and those
-patterns; their combinations and pieces are built on first use, and
-`DemandSet.acceptances` turns any demand point back into per-bid
-acceptances: this module is the one place that decides an agent's best
-response.  Most sets (all one-commodity sets) lie on a line: `DemandSet.line`
-answers containment, the measure and the aggregate convexity check for them.
+of Minkowski combinations over the surplus-maximal patterns.
+
+What is computed when:
+
+- once per market, in `Market.compiled` (`equilab.model.CompiledMarket`):
+  the block and curve-step tables, each agent's block components and their
+  feasible indicator patterns;
+- once per (market, prices, tol), for all agents at once, in
+  `MarketPricing`: block margins and money classes, curve best surpluses and
+  demand intervals, the best surplus and surplus-maximal patterns of each
+  component, and each agent's best surplus.  `convexify.PricedMarket` keeps
+  one per tol, so the price dual sums best surpluses without a demand set;
+- once per (agent, prices, tol), only for the agents whose containment,
+  measure or demand set is asked: `demand_set` builds the `DemandSet` from
+  those arrays.  Its pattern combinations and pieces are built on first use,
+  and `DemandSet.acceptances` turns any demand point back into per-bid
+  acceptances: this module is the one place that decides an agent's best
+  response.
+
+Most sets (all one-commodity sets) lie on a line: `DemandSet.line` answers
+containment, the measure and the aggregate convexity check for them, and
+`demand_set` writes it down directly for an agent with one pattern whose
+free bids are curves.
 
 The nonconvexity measure of a demand set D is the one-sided Hausdorff
 distance of D from its convex hull: the largest distance from a hull point to
@@ -32,35 +48,15 @@ from scipy.optimize import lsq_linear
 
 from . import geometry
 from .config import resolve_tol, vector_norm
-from .curves import best_surplus, curve_margin, demand_interval
-from .geometry import ComplexityError, Piece
-from .model import Agent, BlockBid, HourlyCurveBid, Market, block_components, iter_patterns
+from .geometry import _PAR_TOL, ComplexityError, Piece
+from .model import Agent, CompiledMarket, Market
 
 
 # ---------------------------------------------------------------------------
 # Money classification
 
-def block_margin(bid: BlockBid, lam: np.ndarray) -> float:
-    return float(bid.price - lam @ bid.q)
-
-
-def _money_class(margin: float, scale: float, tol: float) -> str:
-    slack = tol * (1.0 + scale)
-    if margin > slack:
-        return "in"
-    if margin < -slack:
-        return "out"
-    return "at"
-
-
-def _block_money(bid: BlockBid, lam: np.ndarray, tol: float) -> tuple[float, str]:
-    """Margin of one block at lam and its in / at / out class.
-
-    The at-the-money band is relative to the block's money scale
-    |p_b| + |lam.q_b|.
-    """
-    margin = block_margin(bid, lam)
-    return margin, _money_class(margin, abs(bid.price) + abs(float(lam @ bid.q)), tol)
+_OUT, _AT, _IN = -1, 0, 1
+_CLASS_NAMES = {_OUT: "out", _AT: "at", _IN: "in"}
 
 
 @dataclass(frozen=True)
@@ -78,21 +74,133 @@ def classify_money(market: Market, lam, tol: float | None = None) -> MoneyClasse
     per-unit margin.  The at-the-money band is relative to the money scale,
     so rescaling all prices leaves the classes unchanged.
     """
-    t = resolve_tol(tol)
-    lam = np.asarray(lam, dtype=float)
-    classes: dict[str, str] = {}
-    margins: dict[str, float] = {}
-    for agent in market.agents:
-        for bid in agent.bids:
-            if isinstance(bid, BlockBid):
-                m, cls = _block_money(bid, lam, t)
-            else:
-                m = curve_margin(bid.steps, float(lam[bid.hour]))
-                scale = max((abs(s.price) for s in bid.steps), default=0.0) + abs(float(lam[bid.hour]))
-                cls = _money_class(m, scale, t)
-            classes[bid.bid_id] = cls
-            margins[bid.bid_id] = m
-    return MoneyClasses(classes, margins)
+    return MarketPricing(market.compiled, lam, resolve_tol(tol)).money_classes()
+
+
+# ---------------------------------------------------------------------------
+# A market at prices
+
+class MarketPricing:
+    """A compiled market (`Market.compiled`) at prices lam and tolerance tol,
+    priced for every agent at once.
+
+    Per block: the margin p_b - lam.q_b and its in / at / out class, the
+    at-the-money band relative to the money scale |p_b| + |lam.q_b|.  Per
+    curve: best surplus and demand interval.  Per linked component: best
+    surplus and surplus-maximal patterns.  Per agent: `best_surplus`, its
+    curves' and then its components' in order.  Each float is the one a
+    loop over one agent's bids gives: the elementwise operations round the
+    same way, and every sum adds in the loop's order (`np.add.at` over the
+    compiled owner indices; a numpy reduction would sum pairwise).  At
+    K >= 2 each margin is its own `lam @ q` dot, since a matrix-vector
+    product may round differently.  `demand_set` reads these arrays.
+    """
+
+    def __init__(self, compiled: CompiledMarket, lam, tol: float):
+        cm = compiled
+        lam = np.asarray(lam, dtype=float)
+        self.compiled, self.lam, self.tol = cm, lam, tol
+
+        block_price, mar, abs_price = cm.block_table[:, :3].T
+        if cm.K == 1:
+            lq = cm.block_table[:, 3] * lam[0] + 0.0   # `@` adds to +0.0 as well
+        else:
+            lq = np.array([lam @ q for q in cm.block_q], dtype=float)
+        m = self.margin = block_price - lq
+        slack = tol * (1.0 + (abs_price + np.abs(lq)))
+        is_in, is_out = m > slack, m < -slack
+        self.classes = np.where(is_in, _IN, np.where(is_out, _OUT, _AT)).tolist()
+        # An active block adds m if m > 0 else mar*m to a pattern's surplus,
+        # and m (in the money), mar*m (out of it) or 0 to its banded score.
+        mar_m = mar * m
+        self._on_banded = np.where(is_in, m, np.where(is_out, mar_m, 0.0)).tolist()
+        positive = m > 0.0
+
+        # Curve steps: a buy step is taken below its price, a sell step
+        # above it; one within the band of the price is optional.  A step
+        # left out adds a zero (its sign is lost in a sum onto +0.0).
+        p, width, abs_p, abs_width = cm.step_table.T
+        hour, _, curve = cm.step_index
+        price = lam[hour]
+        buy = width > 0.0
+        self._step_gain = gain = np.where(buy, p - price, price - p)
+        band = tol * (1.0 + np.maximum(abs_p, np.abs(price)))
+        terms = np.array((abs_width * (gain * (gain > 0.0)),
+                          width * ((p > price + band) == buy),
+                          width * ((p >= price - band) == buy))).T
+        sums = np.zeros((len(cm.curves), 3))      # best surplus, lo, hi
+        np.add.at(sums, curve, terms)
+        self.curve_interval = sums[:, 1:].tolist()
+
+        # Term values: every curve's best surplus, then every component's;
+        # a lone block's is its margin when positive.
+        values = np.empty(len(cm.curves) + len(cm.components))
+        values[:len(cm.curves)] = sums[:, 0]
+        lone_block, lone_value = cm.lone
+        values[lone_value] = np.where(positive, m, 0.0)[lone_block]
+        self._linked_kept: dict[int, tuple] = {}
+        if cm.linked_components:
+            on_best = np.where(positive, m, mar_m).tolist()
+            for k in cm.linked_components:
+                values[len(cm.curves) + k] = self._score_linked(k, on_best)
+        total = np.zeros(cm.num_agents)
+        term_value, term_owner = cm.terms
+        np.add.at(total, term_owner, values[term_value])
+        self.best_surplus = total.tolist()
+
+    def _score_linked(self, k: int, on_best: list) -> float:
+        """Best surplus of linked component k; keeps its surplus-maximal patterns.
+
+        The best surplus is the max, and at least 0, over feasible patterns
+        of the sum of the active blocks' surpluses in block order.  The kept
+        patterns are those whose banded score ties the best within the
+        relative tolerance, in `iter_patterns` order.
+        """
+        best = 0.0
+        scored = []
+        for z in self.compiled.patterns[k]:
+            s = banded = 0.0
+            for j, zi in zip(self.compiled.components[k], z):
+                if zi:
+                    s += on_best[j]
+                    banded += self._on_banded[j]
+            best = max(best, s)
+            scored.append((banded, z))
+        top = max(f[0] for f in scored)
+        slack = self.tol * (1.0 + abs(top))
+        self._linked_kept[k] = tuple(z for banded, z in scored if banded >= top - slack)
+        return best
+
+    def kept_patterns(self, k: int) -> tuple:
+        """Surplus-maximal patterns of component k, in `iter_patterns` order:
+        for a lone block, the off pattern (scored 0) and the on pattern that
+        lie within the band of the better of the two."""
+        if not self.compiled.is_lone[k]:
+            return self._linked_kept[k]
+        banded = self._on_banded[self.compiled.components[k][0]]
+        top = banded if banded > 0.0 else 0.0
+        floor = top - self.tol * (1.0 + abs(top))
+        return ((0,),) * (0.0 >= floor) + ((1,),) * (banded >= floor)
+
+    def money_classes(self) -> MoneyClasses:
+        """Every bid's margin and money class, in market order.  A curve's
+        margin is its best per-unit one, its money scale the largest step
+        price plus the hour's price."""
+        cm = self.compiled
+        margin = np.full(len(cm.curves), -math.inf)
+        scale = np.zeros(len(cm.curves))
+        np.fmax.at(margin, cm.step_index[2], self._step_gain)
+        np.fmax.at(scale, cm.step_index[2], cm.step_table[:, 2])
+        slack = self.tol * (1.0 + (scale + np.abs(self.lam[cm.curve_hour])))
+        curve_money = np.where(margin > slack, _IN, np.where(margin < -slack, _OUT, _AT))
+        margins = (self.margin.tolist(), margin.tolist())
+        money = (self.classes, curve_money.tolist())
+        classes: dict[str, str] = {}
+        out: dict[str, float] = {}
+        for bid_id, is_block, j in cm.bid_order():
+            classes[bid_id] = _CLASS_NAMES[money[not is_block][j]]
+            out[bid_id] = margins[not is_block][j]
+        return MoneyClasses(classes, out)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +239,8 @@ class DemandSet:
     or at-the-money block.  `patterns`, their cross product in build order,
     `canonical` (each pattern's `geometry.canonical_generators`, read by both
     `line` and `pieces`), `line` and `pieces` are built on first use: only
-    they raise ComplexityError.
+    they raise ComplexityError.  `demand_set` fills `line` in at once for
+    an agent with one pattern whose free bids are curves.
     """
 
     dim: int
@@ -270,77 +379,92 @@ class DemandSet:
         return best[1]
 
 
-def _pattern_factors(blocks: tuple[BlockBid, ...], lam: np.ndarray, tol: float):
-    """Best surplus and surplus-maximal patterns of one linked component.
+def demand_set(priced: MarketPricing, i: int) -> DemandSet:
+    """Best surplus and exact demand set of agent i of a priced market.
 
-    The best surplus is the max, and at least 0, over feasible patterns of
-    the sum of m if m > 0 else mar*m over active blocks in block order.  The
-    kept patterns score an at-the-money block as 0 and tie within the
-    relative tolerance, in `iter_patterns` order, each as (offset, fixed,
-    free): the bundle of its fixed blocks, their (bid_id, acceptance), and
-    the (bid_id, q, mar, 1) of its active at-the-money blocks.
+    The factors are read off the priced arrays: each curve's demand
+    interval, then the kept patterns of each component, as (offset, fixed,
+    free) with the bundle of the fixed blocks.  An agent with one pattern
+    whose free bids are all curves gets its carrier line written down
+    directly (`_axis_line`).
     """
-    money = [_block_money(b, lam, tol) for b in blocks]
-    best = 0.0
-    scored = []
-    for z in iter_patterns(blocks):
-        s = banded = 0.0
-        for b, zi, (m, cls) in zip(blocks, z, money):
-            if zi:
-                s += m if m > 0 else b.mar * m
-                if cls == "in":
-                    banded += m
-                elif cls == "out":
-                    banded += b.mar * m
-        best = max(best, s)
-        scored.append((banded, z))
-    top = max(f[0] for f in scored)
-    slack = tol * (1.0 + abs(top))
-    kept = []
-    for z in [z for banded, z in scored if banded >= top - slack]:
-        offset = np.zeros(lam.size)
-        fixed = []
-        free = []
-        for b, zi, (m, cls) in zip(blocks, z, money):
-            if not zi:
-                fixed.append((b.bid_id, 0.0))
-            elif cls == "in":
-                offset += b.q
-                fixed.append((b.bid_id, 1.0))
-            elif cls == "at":
-                free.append((b.bid_id, b.q, b.mar, 1.0))
-            else:
-                offset += b.mar * b.q
-                fixed.append((b.bid_id, b.mar))
-        kept.append((offset, tuple(fixed), tuple(free)))
-    return best, tuple(kept)
+    cm = priced.compiled
+    curves = range(cm.curve_start[i], cm.curve_start[i + 1])
+    hours = [cm.curve_hour[c] for c in curves]
+    gens = [(_axis(cm.K, h), *priced.curve_interval[c]) for c, h in zip(curves, hours)]
+    offset = np.zeros(cm.K)
+    factors = [((offset, (), tuple([(cm.curves[c].bid_id, *g) for c, g in zip(curves, gens)])),)]
+    single = True
+    for k in range(cm.component_start[i], cm.component_start[i + 1]):
+        kept = [_pattern_factor(cm, priced.classes, cm.components[k], z)
+                for z in priced.kept_patterns(k)]
+        factors.append(tuple(kept))
+        if single and len(kept) == 1 and not kept[0][2]:
+            offset = offset + kept[0][0]           # the one pattern's offset, as `patterns` adds
+        else:
+            single = False
+    ds = DemandSet(cm.K, priced.tol, priced.best_surplus[i], tuple(factors))
+    if single:
+        line = _axis_line(offset, hours, gens)
+        if line is not None:
+            vars(ds)["line"] = line                # the cached property, filled in
+    return ds
 
 
-def demand_set(agent: Agent, lam, K: int | None = None,
-               tol: float | None = None) -> DemandSet:
-    """Best surplus (curves first, then block components) and exact demand
-    set of one agent at prices lam."""
-    t = resolve_tol(tol)
-    lam = np.asarray(lam, dtype=float)
-    K = lam.size if K is None else K
+def _axis(K: int, h: int) -> np.ndarray:
+    e = np.zeros(K)
+    e[h] = 1.0
+    return e
 
-    total = 0.0
-    curve_free = []
-    for bid in agent.curve_bids:
-        price = float(lam[bid.hour])
-        total += best_surplus(bid.steps, price)
-        a, b = demand_interval(bid.steps, price, t)
-        e = np.zeros(K)
-        e[bid.hour] = 1.0
-        curve_free.append((bid.bid_id, e, a, b))
 
-    factors = [((np.zeros(K), (), tuple(curve_free)),)]
-    blocks = agent.block_bids
-    for comp in block_components(blocks):
-        best, kept = _pattern_factors(tuple(blocks[i] for i in comp), lam, t)
-        total += best
-        factors.append(kept)
-    return DemandSet(K, t, total, tuple(factors))
+def _pattern_factor(cm: CompiledMarket, classes: list, comp: tuple, z: tuple):
+    """(offset, fixed, free) of one pattern of a component: the bundle of its
+    fixed blocks, their (bid_id, acceptance) (off 0, in the money 1, out of
+    the money mar), and the (bid_id, q, mar, 1) of its active at-the-money
+    blocks."""
+    offset = np.zeros(cm.K)
+    fixed = []
+    free = []
+    for j, zi in zip(comp, z):
+        b = cm.blocks[j]
+        if not zi:
+            fixed.append((b.bid_id, 0.0))
+        elif classes[j] == _IN:
+            offset += cm.block_q[j]
+            fixed.append((b.bid_id, 1.0))
+        elif classes[j] == _AT:
+            free.append((b.bid_id, cm.block_q[j], b.mar, 1.0))
+        else:
+            offset += b.mar * cm.block_q[j]
+            fixed.append((b.bid_id, b.mar))
+    return offset, tuple(fixed), tuple(free)
+
+
+def _axis_line(offset: np.ndarray, hours: list, gens: list) -> CarrierLine | None:
+    """The carrier line of one pattern whose free bids are curves, given as
+    (axis, lo, hi) in `hours`, or None when they span two hours.
+
+    It is the line `DemandSet.line` reads off `geometry.canonical_generators`,
+    float for float: an hour axis has norm 1, so a curve keeps its range, a
+    zero-width one folds into the offset at its hour, and curves of one hour
+    merge in order.  The offset has no -0.0 entry (it is a sum onto zeros),
+    so adding 0 * value off the hour leaves it as it is.
+    """
+    origin = offset.copy()
+    line_hour = None
+    for h, (axis, lo, hi) in zip(hours, gens):
+        if hi - lo <= _PAR_TOL * (1.0 + abs(lo) + abs(hi)):
+            origin[h] += 0.5 * (lo + hi)
+        elif line_hour is None:
+            line_hour, unit, lo_m, hi_m = h, axis, lo, hi
+        elif h == line_hour:
+            lo_m += lo
+            hi_m += hi
+        else:
+            return None
+    if line_hour is None:
+        return CarrierLine(origin, np.zeros(origin.size), ((0.0, 0.0),))
+    return CarrierLine(origin, unit, ((0.0 + min(lo_m, hi_m), 0.0 + max(lo_m, hi_m)),))
 
 
 def _dedup_pieces(pieces: list[Piece], tol: float) -> list[Piece]:
@@ -356,7 +480,9 @@ def _dedup_pieces(pieces: list[Piece], tol: float) -> list[Piece]:
 
 def agent_best_surplus(agent: Agent, lam, tol: float | None = None) -> float:
     """max over the agent's feasible set of u(x) - lam.x (closed form)."""
-    return demand_set(agent, lam, None, tol).best_surplus
+    lam = np.asarray(lam, dtype=float)
+    return MarketPricing(Market(lam.size, (agent,)).compiled, lam,
+                         resolve_tol(tol)).best_surplus[0]
 
 
 # ---------------------------------------------------------------------------

@@ -152,13 +152,14 @@ def lost_opportunity_cost(market: Market, allocation: Allocation, lam,
     t = resolve_tol(tol)
     priced = priced_at(market, lam)
     lam = priced.lambda_star
+    bundles = allocation.bundles(market)
     per_agent: dict[str, float] = {}
     for i, agent in enumerate(market.agents):
         val = agent_value(agent, allocation.acceptances, t)
         if val == float("-inf"):
             per_agent[agent.agent_id] = float("inf")
             continue
-        got = val - float(lam @ allocation.bundle(market, agent))
+        got = val - float(lam @ bundles[i])
         per_agent[agent.agent_id] = max(0.0, priced.best_surplus(i, t) - got)
     return float(sum(per_agent.values())), per_agent
 

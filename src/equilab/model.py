@@ -101,6 +101,10 @@ class Market:
                 out[bid.bid_id] = (agent, bid)
         return out
 
+    @cached_property
+    def compiled(self) -> CompiledMarket:
+        return CompiledMarket(self)
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -294,13 +298,8 @@ class Allocation:
         return agent_bundle(agent, self.acceptances, market.num_commodities)
 
     def bundles(self, market: Market) -> np.ndarray:
-        return np.array([self.bundle(market, a) for a in market.agents])
-
-    def imbalance(self, market: Market) -> np.ndarray:
-        return self.bundles(market).sum(axis=0)
-
-    def total_value(self, market: Market, tol: float | None = None) -> float:
-        return sum(agent_value(a, self.acceptances, tol) for a in market.agents)
+        """Every agent's bundle (row i: agent i), read-only."""
+        return market.compiled.bundles(self.acceptances)
 
 
 def zero_allocation(market: Market) -> Allocation:
@@ -360,6 +359,145 @@ def pattern_feasible(blocks: tuple[BlockBid, ...], z: tuple[int, ...]) -> bool:
 
 def iter_patterns(blocks: tuple[BlockBid, ...]) -> Iterator[tuple[int, ...]]:
     """All feasible indicator patterns, in ascending bitmask order."""
+    if len(blocks) == 1:            # a lone block has nothing to violate
+        yield from ((0,), (1,))
+        return
     for z in itertools.product((0, 1), repeat=len(blocks)):
         if pattern_feasible(blocks, z):
             yield z
+
+
+# ---------------------------------------------------------------------------
+# Compiled form
+
+class CompiledMarket:
+    """A market in arrays, built once and cached on it (`Market.compiled`).
+
+    Blocks and curves are numbered in market order (agent by agent, bids in
+    their order), and so are the welfare LP columns: one per block, one per
+    curve step.  Per block: its q row, price, mar and column.  Per linked
+    component (`block_components` of each agent, in order): its block
+    numbers and feasible indicator patterns, enumerated here once per
+    market.  Per curve: hour and its step table in curve order.  The arrays:
+
+    - `block_table`, one row per block: price, mar, |price|, then its q;
+    - `step_table`, one row per step: price, signed width (positive buys),
+      |price|, width; `step_index` rows: hour, column, curve;
+    - `terms` rows: value (curve c as c, component k as curves + k) and
+      owner of each best-surplus term, an agent's curves, then its
+      components; `lone` rows: block and term value of each lone block;
+    - `bid_index` rows: owner and value (block j as j, curve c as ~c) of
+      each bid.
+
+    Sums over a curve's steps, an agent's terms and an agent's bids run for
+    all owners at once with `np.add.at`, which adds in index order; the
+    owners are listed in the order of the one-owner loops, so every sum
+    adds in that loop's order.
+    """
+
+    __slots__ = ("K", "agents", "num_agents", "num_columns", "blocks", "curves",
+                 "components", "patterns", "is_lone", "linked_components", "curve_start",
+                 "component_start", "curve_hour", "block_table", "block_col", "step_table",
+                 "step_index", "terms", "lone", "bid_index")
+
+    def __init__(self, market: Market):
+        K = market.num_commodities
+        self.K = K
+        self.agents = market.agents
+        blocks: list[BlockBid] = []
+        curves: list[HourlyCurveBid] = []
+        components: list[tuple[int, ...]] = []
+        comp_blocks: list[tuple[BlockBid, ...]] = []
+        block_rows, block_col, step_rows, step_hour, step_col = [], [], [], [], []
+        step_curve, term_value, term_owner = [], [], []   # component k's term as ~k
+        bid_value, bid_owner = [], []                      # curve c as ~c
+        curve_start, component_start = [0], [0]
+        col = 0
+        for i, agent in enumerate(market.agents):
+            first_block = len(blocks)
+            for bid in agent.bids:
+                bid_owner.append(i)
+                if isinstance(bid, BlockBid):
+                    bid_value.append(len(blocks))
+                    blocks.append(bid)
+                    block_rows += (bid.price, bid.mar, abs(bid.price), *bid.quantity)
+                    block_col.append(col)
+                    col += 1
+                    continue
+                c = len(curves)
+                bid_value.append(~c)
+                term_value.append(c)
+                term_owner.append(i)
+                for step in bid.steps:
+                    width = step.width if step.is_buy else -step.width
+                    step_rows += (step.price, width, abs(step.price), step.width)
+                    step_hour.append(bid.hour)
+                    step_col.append(col)
+                    step_curve.append(c)
+                    col += 1
+                curves.append(bid)
+            mine = blocks[first_block:]
+            for comp in block_components(tuple(mine)) if len(mine) > 1 else [(0,)] * len(mine):
+                term_value.append(~len(components))
+                term_owner.append(i)
+                components.append(tuple(first_block + j for j in comp))
+                comp_blocks.append(tuple(mine[j] for j in comp))
+            curve_start.append(len(curves))
+            component_start.append(len(components))
+        self.num_agents = len(market.agents)
+        self.num_columns = col
+        self.curve_start, self.component_start = curve_start, component_start
+
+        self.blocks = blocks
+        self.block_table = np.array(block_rows, dtype=float)
+        self.block_table.shape = (len(blocks), K + 3)
+        self.block_table.flags.writeable = False
+        self.block_col = np.array(block_col, dtype=int)
+
+        self.components = components
+        self.patterns = [_LONE if pats == _LONE else pats
+                         for pats in (tuple(iter_patterns(comp)) for comp in comp_blocks)]
+        # A lone block free of links is scored for all such blocks at once.
+        self.is_lone = [pats is _LONE for pats in self.patterns]
+        self.linked_components = [k for k, lone in enumerate(self.is_lone) if not lone]
+        # Term values: every curve's, then every component's.
+        lone = [k for k, is_lone in enumerate(self.is_lone) if is_lone]
+        self.lone = np.array([[components[k][0] for k in lone],
+                              [len(curves) + k for k in lone]], dtype=int)
+        self.terms = np.array([[t if t >= 0 else len(curves) + ~t for t in term_value],
+                               term_owner], dtype=int)
+
+        self.curves = curves
+        self.curve_hour = [c.hour for c in curves]
+        self.step_table = np.array(step_rows, dtype=float)
+        self.step_table.shape = (len(step_curve), 4)
+        self.step_index = np.array((step_hour, step_col, step_curve), dtype=int)
+        self.bid_index = np.array((bid_owner, bid_value), dtype=int)
+
+    @property
+    def block_q(self) -> np.ndarray:
+        """Row j is block j's q (read-only)."""
+        return self.block_table[:, 3:]
+
+    def bundles(self, acceptances: Mapping[str, float]) -> np.ndarray:
+        """Every agent's net bundle (row i: agent i), as `agent_bundle` sums
+        it, bid by bid in the agent's order.  The array is read-only."""
+        owner, value = self.bid_index
+        block = value >= 0
+        rows = np.zeros((value.size, self.K))
+        rows[block] = np.array([acceptances[b.bid_id] for b in self.blocks],
+                               dtype=float)[:, None] * self.block_q
+        rows[~block, self.curve_hour] = [acceptances[c.bid_id] for c in self.curves]
+        x = np.zeros((self.num_agents, self.K))
+        np.add.at(x, owner, rows)
+        x.flags.writeable = False
+        return x
+
+    def bid_order(self) -> Iterator[tuple[str, bool, int]]:
+        """(bid_id, is block, block or curve number) of every bid, in market order."""
+        bids = (bid for agent in self.agents for bid in agent.bids)
+        for value, bid in zip(self.bid_index[1].tolist(), bids):
+            yield bid.bid_id, value >= 0, value if value >= 0 else ~value
+
+
+_LONE = ((0,), (1,))      # the feasible patterns of a block free of links

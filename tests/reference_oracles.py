@@ -15,7 +15,12 @@ errors.  `reference_nonconvexity` and `reference_union_nearest` are the
 measure's max-min loop and the union's nearest point as they were before
 the union distance skipped projections: every candidate hull point
 projected on every piece.  `nonconvexity` and `union_nearest` must return
-the same floats.
+the same floats.  `reference_build_convexified`, `reference_demand_set` and
+`reference_classify_money` are the welfare LP build, demand-set build and
+money classification as they were before they read `Market.compiled`: one
+agent and one bid at a time, with the per-curve closed forms
+`best_surplus`, `demand_interval` and `curve_margin`.  The compiled path
+must give the same bytes.
 """
 
 from __future__ import annotations
@@ -28,8 +33,11 @@ from equilab import geometry, lp
 from equilab.config import vector_norm
 from equilab.lp import (TOL, _REFRESH_EVERY, _STALL_LIMIT, InfeasibleError,
                         LpResult, SimplexError)
-from equilab.convexify import build_convexified
-from equilab.model import Allocation, Market, pattern_feasible
+from equilab.config import resolve_tol
+from equilab.convexify import ConvexifiedProgram, build_convexified
+from equilab.demand import DemandSet, MoneyClasses
+from equilab.model import (Agent, Allocation, BlockBid, Market, block_components,
+                           iter_patterns, pattern_feasible)
 from equilab.welfare import ExactSolution
 
 BRUTE_FORCE_MAX_BLOCKS = 20
@@ -361,3 +369,229 @@ def record_simplex_calls(monkeypatch, modules, run):
         monkeypatch.setattr(module, "solve_lp", recording)
     run()
     return calls
+
+
+# ---------------------------------------------------------------------------
+# The per-agent builds, before the compiled market
+
+def reference_build_convexified(market: Market) -> ConvexifiedProgram:
+    K = market.num_commodities
+    c: list[float] = []
+    block_col: dict[str, int] = {}
+    curve_cols: dict[str, tuple] = {}
+    cols_balance: list[tuple[int, int, float]] = []   # (row, col, coeff)
+
+    for agent in market.agents:
+        for bid in agent.bids:
+            if isinstance(bid, BlockBid):
+                col = len(c)
+                block_col[bid.bid_id] = col
+                c.append(bid.price)
+                for k, qk in enumerate(bid.quantity):
+                    if qk != 0.0:
+                        cols_balance.append((k, col, float(qk)))
+            else:
+                cols = []
+                for step in bid.steps:
+                    col = len(c)
+                    contrib = step.width if step.is_buy else -step.width
+                    c.append(step.price * contrib)
+                    cols_balance.append((bid.hour, col, contrib))
+                    cols.append((col, contrib))
+                curve_cols[bid.bid_id] = tuple(cols)
+
+    n = len(c)
+    balance = np.zeros((K, n))
+    for row, col, coeff in cols_balance:
+        balance[row, col] = coeff
+
+    ub_rows: list[np.ndarray] = []
+    b_ub: list[float] = []
+    groups: dict[str, list[int]] = {}
+    for agent in market.agents:
+        for bid in agent.block_bids:
+            if bid.group is not None:
+                groups.setdefault(bid.group, []).append(block_col[bid.bid_id])
+    for gid in sorted(groups):
+        row = np.zeros(n)
+        row[groups[gid]] = 1.0
+        ub_rows.append(row)
+        b_ub.append(1.0)
+    seen_loops: set[frozenset] = set()
+    for agent in market.agents:
+        for bid in agent.block_bids:
+            if bid.parent is not None and bid.parent in block_col:
+                parent = market.bid_index[bid.parent][1]
+                row = np.zeros(n)
+                row[block_col[bid.bid_id]] = parent.mar
+                row[block_col[bid.parent]] = -1.0
+                ub_rows.append(row)
+                b_ub.append(0.0)
+            if bid.loop is not None and bid.loop in block_col:
+                key = frozenset((bid.bid_id, bid.loop))
+                if key in seen_loops:
+                    continue
+                seen_loops.add(key)
+                partner = market.bid_index[bid.loop][1]
+                for this, other in ((bid, partner), (partner, bid)):
+                    row = np.zeros(n)
+                    row[block_col[other.bid_id]] = this.mar
+                    row[block_col[this.bid_id]] = -1.0
+                    ub_rows.append(row)
+                    b_ub.append(0.0)
+
+    a_ub = np.array(ub_rows).reshape(len(ub_rows), n) if ub_rows else np.zeros((0, n))
+    return ConvexifiedProgram(
+        objective=np.asarray(c, dtype=float),
+        balance=balance,
+        a_ub=a_ub,
+        b_ub=np.asarray(b_ub, dtype=float),
+        lo=np.zeros(n),
+        hi=np.ones(n),
+        block_col=block_col,
+        curve_cols=curve_cols,
+    )
+
+
+def demand_interval(steps, price: float, tol: float | None = None) -> tuple[float, float]:
+    """Exact argmax interval of u(x) - price*x over the curve's range.
+
+    Buy units are taken iff their marginal value exceeds the price, sell units
+    iff the price exceeds their marginal cost; units within tolerance of the
+    price are optional, which widens the interval.
+    """
+    t = resolve_tol(tol)
+    lo_acc = 0.0
+    hi_acc = 0.0
+    for s in steps:
+        slack = t * (1.0 + max(abs(s.price), abs(price)))
+        if s.is_buy:
+            if s.price >= price - slack:
+                hi_acc += s.width
+            if s.price > price + slack:
+                lo_acc += s.width
+        else:
+            if s.price <= price + slack:
+                lo_acc -= s.width
+            if s.price < price - slack:
+                hi_acc -= s.width
+    return lo_acc, hi_acc
+
+
+def best_surplus(steps, price: float) -> float:
+    """max over x of u(x) - price*x; closed form per step."""
+    total = 0.0
+    for s in steps:
+        if s.is_buy:
+            total += s.width * max(0.0, s.price - price)
+        else:
+            total += s.width * max(0.0, price - s.price)
+    return total
+
+
+def curve_margin(steps, price: float) -> float:
+    """Best per-unit margin of the curve at `price` (negative = out of the money)."""
+    best = float("-inf")
+    for s in steps:
+        m = (s.price - price) if s.is_buy else (price - s.price)
+        best = max(best, m)
+    return best
+
+
+def _money_class(margin: float, scale: float, tol: float) -> str:
+    slack = tol * (1.0 + scale)
+    if margin > slack:
+        return "in"
+    if margin < -slack:
+        return "out"
+    return "at"
+
+
+def _block_money(bid: BlockBid, lam: np.ndarray, tol: float) -> tuple[float, str]:
+    margin = float(bid.price - lam @ bid.q)
+    return margin, _money_class(margin, abs(bid.price) + abs(float(lam @ bid.q)), tol)
+
+
+def reference_classify_money(market: Market, lam, tol: float | None = None) -> MoneyClasses:
+    t = resolve_tol(tol)
+    lam = np.asarray(lam, dtype=float)
+    classes: dict[str, str] = {}
+    margins: dict[str, float] = {}
+    for agent in market.agents:
+        for bid in agent.bids:
+            if isinstance(bid, BlockBid):
+                m, cls = _block_money(bid, lam, t)
+            else:
+                m = curve_margin(bid.steps, float(lam[bid.hour]))
+                scale = max((abs(s.price) for s in bid.steps), default=0.0) + abs(float(lam[bid.hour]))
+                cls = _money_class(m, scale, t)
+            classes[bid.bid_id] = cls
+            margins[bid.bid_id] = m
+    return MoneyClasses(classes, margins)
+
+
+def _pattern_factors(blocks: tuple[BlockBid, ...], lam: np.ndarray, tol: float):
+    money = [_block_money(b, lam, tol) for b in blocks]
+    best = 0.0
+    scored = []
+    for z in iter_patterns(blocks):
+        s = banded = 0.0
+        for b, zi, (m, cls) in zip(blocks, z, money):
+            if zi:
+                s += m if m > 0 else b.mar * m
+                if cls == "in":
+                    banded += m
+                elif cls == "out":
+                    banded += b.mar * m
+        best = max(best, s)
+        scored.append((banded, z))
+    top = max(f[0] for f in scored)
+    slack = tol * (1.0 + abs(top))
+    kept = []
+    for z in [z for banded, z in scored if banded >= top - slack]:
+        offset = np.zeros(lam.size)
+        fixed = []
+        free = []
+        for b, zi, (m, cls) in zip(blocks, z, money):
+            if not zi:
+                fixed.append((b.bid_id, 0.0))
+            elif cls == "in":
+                offset += b.q
+                fixed.append((b.bid_id, 1.0))
+            elif cls == "at":
+                free.append((b.bid_id, b.q, b.mar, 1.0))
+            else:
+                offset += b.mar * b.q
+                fixed.append((b.bid_id, b.mar))
+        kept.append((offset, tuple(fixed), tuple(free)))
+    return best, tuple(kept)
+
+
+def reference_demand_set(agent: Agent, lam, K: int | None = None,
+                         tol: float | None = None) -> DemandSet:
+    t = resolve_tol(tol)
+    lam = np.asarray(lam, dtype=float)
+    K = lam.size if K is None else K
+
+    total = 0.0
+    curve_free = []
+    for bid in agent.curve_bids:
+        price = float(lam[bid.hour])
+        total += best_surplus(bid.steps, price)
+        a, b = demand_interval(bid.steps, price, t)
+        e = np.zeros(K)
+        e[bid.hour] = 1.0
+        curve_free.append((bid.bid_id, e, a, b))
+
+    factors = [((np.zeros(K), (), tuple(curve_free)),)]
+    blocks = agent.block_bids
+    for comp in block_components(blocks):
+        best, kept = _pattern_factors(tuple(blocks[i] for i in comp), lam, t)
+        total += best
+        factors.append(kept)
+    return DemandSet(K, t, total, tuple(factors))
+
+
+def reference_dual_value(market: Market, lam, tol: float | None = None) -> float:
+    return float(sum(reference_demand_set(agent, lam, market.num_commodities, tol).best_surplus
+                     for agent in market.agents))

@@ -14,7 +14,7 @@ import pytest
 
 from equilab import lp
 from equilab.convexify import build_convexified, solve_lp
-from equilab.demand import agent_best_surplus, demand_set
+from equilab.demand import agent_best_surplus
 from equilab.equilibria import (aggregate_demand_convexity_check,
                                 balanced_lp_allocation, check_loc_dominance,
                                 convex_hull_pricing, demand_snapped_allocation,
@@ -32,6 +32,7 @@ from equilab.welfare import solve_welfare
 
 from market_corpus import (random_balanced_allocation, random_market,
                            random_price_vector)
+from market_helpers import agent_demand_set, imbalance
 from reference_oracles import brute_force_welfare, in_hull
 
 CORPUS_DIMS = (1, 2, 4, 24)
@@ -74,7 +75,7 @@ def test_reference_market_golden_values(four_agent_market):
 
     want_vertices = ([(3.0,)], [(0.0,)], [(-2.0,)], [(-2.0,), (0.0,)])
     for agent, want in zip(four_agent_market.agents, want_vertices):
-        got = sorted(tuple(v) for v in demand_set(agent, [3.0]).vertices)
+        got = sorted(tuple(v) for v in agent_demand_set(agent, [3.0]).vertices)
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert g == pytest.approx(w, abs=1e-6)
@@ -102,9 +103,8 @@ def test_allocation_bounds_hold_at_scale(bound_corpus):
         lp_alloc = balanced_lp_allocation(market, dual)
         assert lp_alloc.violations <= min(lp_alloc.stats.count, K)
         snapped = demand_snapped_allocation(market, dual)
-        imbalance = float(np.linalg.norm(
-            snapped.allocation.imbalance(market)))
-        assert imbalance <= snapped.bound + 1e-9 * (1.0 + snapped.bound)
+        gap = float(np.linalg.norm(imbalance(snapped.allocation, market)))
+        assert gap <= snapped.bound + 1e-9 * (1.0 + snapped.bound)
         # every agent the snap moves best-responds at lambda*
         _, per_agent = lost_opportunity_cost(market, snapped.allocation, dual)
         for i, agent in enumerate(market.agents):
@@ -183,7 +183,7 @@ def test_tied_cost_family_aggregate_span_and_equilibrium():
         totals = [(0.0, 0.0)]
         for agent in market.agents[1:]:
             ivs = []
-            for piece in demand_set(agent, lam).pieces:
+            for piece in agent_demand_set(agent, lam).pieces:
                 vs = piece_vertices(piece)[:, 0]
                 ivs.append((float(vs.min()), float(vs.max())))
             totals = merge_intervals([(a + lo, b + hi)
@@ -217,7 +217,7 @@ def _assert_relaxed_argmax_equals_hull(agent, K, lam, rng):
     # independent route: the closed-form per-agent surplus maximum
     assert best == pytest.approx(agent_best_surplus(agent, lam), abs=1e-7)
 
-    ds = demand_set(agent, lam, K)
+    ds = agent_demand_set(agent, lam, K)
     verts = ds.vertices
     scale = 1.0 + abs(best)
     # every hull vertex of the exact demand attains the relaxed optimum

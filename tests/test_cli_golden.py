@@ -33,6 +33,8 @@ def _cases() -> dict[str, list[str]]:
         cases[f"analyze-price-{name}"] = ["analyze", name, "--price", *["2.5"] * hours]
     cases["simulate-n6-k3"] = ["simulate", "--n", "6", "--k", "3", "--demand", "5",
                                "--seed", "4", "--trials", "200"]
+    cases["simulate-n40-k13"] = ["simulate", "--n", "40", "--k", "13", "--demand", "5",
+                                 "--seed", "4", "--trials", "200"]
     return cases
 
 

@@ -1,0 +1,105 @@
+"""The compiled market against the per-agent builds it replaced, byte for byte.
+
+`build_convexified` fills its columns from `Market.compiled`, and
+`MarketPricing` prices every agent at once from the same arrays.  Both must
+give exactly the floats of the one-agent-at-a-time code kept in
+`reference_oracles`: the welfare LP arrays, the dual objective at lambda*,
+and at lambda* and at a random price every agent's best surplus, demand-set
+factors, carrier line and containment of its LP bundle, the money classes,
+and the LP bundles themselves.  Values are compared by their bytes, so a
+changed rounding or a flipped zero sign fails.  Coarse power-of-two
+tolerances put grid prices exactly on the edges of the at-the-money bands.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from equilab.convexify import build_convexified, priced_at, solve_lp
+from equilab.demand import classify_money
+from equilab.geometry import ComplexityError
+from equilab.model import agent_bundle
+from equilab.random_markets import SimpleRandomMarketSpec, draw_costs, market_from_costs
+
+from market_corpus import random_market, random_price_vector, split_group_market
+from reference_oracles import (reference_build_convexified, reference_classify_money,
+                               reference_demand_set, reference_dual_value)
+
+
+def exact(value):
+    """A comparable form of `value` that keeps every bit of every float."""
+    if isinstance(value, np.ndarray):
+        return ("array", value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, (float, np.floating)):
+        return ("float", float(value).hex() if value == value else "nan")
+    if isinstance(value, (tuple, list)):
+        return (type(value).__name__, tuple(exact(v) for v in value))
+    if isinstance(value, dict):
+        return ("dict", tuple((k, exact(v)) for k, v in value.items()))
+    return (type(value).__name__, repr(value))
+
+
+def outcome(compute):
+    """`exact` of what `compute()` returns, or the type of error it raises."""
+    try:
+        return exact(compute())
+    except ComplexityError as exc:
+        return ("raises", type(exc).__name__)
+
+
+def corpus_case(seed, K):
+    return random_market(np.random.default_rng((seed, K)), K=K, max_blocks=8)
+
+
+def split_case(seed, K):
+    return split_group_market(np.random.default_rng((seed, K)), K=K)
+
+
+def monte_carlo_case(seed, n):
+    rng = np.random.default_rng(seed)
+    spec = SimpleRandomMarketSpec(n, int(rng.integers(0, n + 1)), seed=seed)
+    return market_from_costs(spec, draw_costs(spec, int(rng.integers(100))))
+
+
+seeds = st.integers(0, 2 ** 31 - 1)
+markets = st.one_of(
+    st.builds(corpus_case, seeds, st.sampled_from((1, 2, 4, 24))),
+    st.builds(split_case, seeds, st.sampled_from((1, 2, 4))),
+    st.builds(monte_carlo_case, seeds, st.sampled_from((5, 10, 20, 40))),
+)
+
+PROGRAM_FIELDS = ("objective", "balance", "a_ub", "b_ub", "lo", "hi", "block_col",
+                  "curve_cols")
+
+
+def assert_priced_like_oracle(market, priced, bundles, tol):
+    lam, K = priced.lambda_star, market.num_commodities
+    assert exact(vars(classify_money(market, lam, tol))) == \
+        exact(vars(reference_classify_money(market, lam, tol)))
+    for i, agent in enumerate(market.agents):
+        got, want = priced.demand(i, tol), reference_demand_set(agent, lam, K, tol)
+        assert exact(got.best_surplus) == exact(want.best_surplus), (i, "best surplus")
+        assert exact(priced.best_surplus(i, tol)) == exact(want.best_surplus), (i, "best surplus")
+        assert exact(got.factors) == exact(want.factors), (i, "factors")
+        assert outcome(lambda: got.line) == outcome(lambda: want.line), (i, "line")
+        assert outcome(lambda: priced.in_demand(i, bundles[i], tol)) == \
+            outcome(lambda: want.contains(bundles[i])), (i, "contains")
+
+
+@settings(max_examples=300, deadline=None)
+@given(markets, seeds, st.sampled_from((None, 0.5, 0.25, 0.125)))
+def test_compiled_market_is_byte_identical_to_per_agent_builds(market, seed, tol):
+    program, reference = build_convexified(market), reference_build_convexified(market)
+    for name in PROGRAM_FIELDS:
+        assert exact(getattr(program, name)) == exact(getattr(reference, name)), name
+
+    dual = solve_lp(market)
+    K = market.num_commodities
+    bundles = [dual.lp_bundle(i) for i in range(len(market.agents))]
+    assert exact(bundles) == exact([agent_bundle(a, dual.allocation.acceptances, K)
+                                    for a in market.agents])
+    assert exact(dual.dual_objective) == \
+        exact(reference_dual_value(market, dual.lambda_star))
+
+    assert_priced_like_oracle(market, dual, bundles, tol)
+    lam = random_price_vector(np.random.default_rng(seed), market)
+    assert_priced_like_oracle(market, priced_at(market, lam), bundles, tol)

@@ -10,6 +10,7 @@ from equilab.model import (Agent, BlockBid, HourlyCurveBid, Market,
                            validate_market)
 
 from market_corpus import random_market, random_price_vector
+from market_helpers import imbalance
 
 
 def test_reference_program_shape(four_agent_market):
@@ -30,7 +31,7 @@ def test_reference_solution(four_agent_market):
     assert sol.primal_value == pytest.approx(7.0)
     assert sol.dual_objective == pytest.approx(7.0)
     assert sol.lambda_star[0] == pytest.approx(3.0)
-    assert np.allclose(sol.allocation.imbalance(four_agent_market), [0.0], atol=1e-9)
+    assert np.allclose(imbalance(sol.allocation, four_agent_market), [0.0], atol=1e-9)
 
 
 def test_reference_dual_function(four_agent_market):
@@ -145,4 +146,4 @@ def test_allocation_is_feasible_for_relaxation(seed):
     assert np.allclose(prog.balance @ x, 0.0, atol=1e-7)
     if prog.a_ub.shape[0]:
         assert np.all(prog.a_ub @ x <= prog.b_ub + 1e-8)
-    assert np.allclose(sol.allocation.imbalance(market), 0.0, atol=1e-7)
+    assert np.allclose(imbalance(sol.allocation, market), 0.0, atol=1e-7)

@@ -1,16 +1,33 @@
-"""Curve canonicalization and the closed-form demand interval."""
+"""Curve canonicalization and the closed-form demand interval, read off a
+one-curve market priced by `MarketPricing`."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equilab.curves import (CurveError, canonical_steps, best_surplus,
-                            curve_margin, curve_value, demand_interval,
-                            quantity_range)
+from equilab.config import resolve_tol
+from equilab.curves import CurveError, canonical_steps, curve_value, quantity_range
+from equilab.demand import MarketPricing
+from equilab.model import Agent, HourlyCurveBid, Market
 
 
 def steps_of(points, mode="stepwise"):
     return [(s.lo, s.hi, s.price) for s in canonical_steps(points, mode)]
+
+
+def priced_curve(points, price, mode="stepwise", tol=None) -> MarketPricing:
+    """A market of one curve bid, "c" in hour 0, priced at `price`."""
+    bid = HourlyCurveBid("c", 0, tuple(points), mode)
+    return MarketPricing(Market(1, (Agent("a", (bid,)),)).compiled, [price],
+                         resolve_tol(tol))
+
+
+def demand_interval(points, price, mode="stepwise", tol=None):
+    return tuple(priced_curve(points, price, mode, tol).curve_interval[0])
+
+
+def curve_margin(points, price):
+    return priced_curve(points, price).money_classes().margins["c"]
 
 
 def test_single_point_buy():
@@ -88,20 +105,20 @@ def test_value_is_piecewise_linear_in_quantity():
 
 
 def test_demand_interval_strict_cases():
-    steps = canonical_steps([(2.0, 2.0), (5.0, 1.0)], "stepwise")
+    steps = [(2.0, 2.0), (5.0, 1.0)]
     assert demand_interval(steps, 1.0) == (2.0, 2.0)
     assert demand_interval(steps, 3.0) == (1.0, 1.0)
     assert demand_interval(steps, 6.0) == (0.0, 0.0)
 
 
 def test_demand_interval_at_the_money_widens():
-    steps = canonical_steps([(2.0, 2.0), (5.0, 1.0)], "stepwise")
+    steps = [(2.0, 2.0), (5.0, 1.0)]
     assert demand_interval(steps, 2.0) == (1.0, 2.0)
     assert demand_interval(steps, 5.0) == (0.0, 1.0)
 
 
 def test_curve_margin_picks_best_unit():
-    steps = canonical_steps([(2.0, 2.0), (5.0, 1.0)], "stepwise")
+    steps = [(2.0, 2.0), (5.0, 1.0)]
     assert curve_margin(steps, 3.0) == pytest.approx(2.0)
     assert curve_margin(steps, 6.0) == pytest.approx(-1.0)
 
@@ -113,10 +130,14 @@ point_lists = st.integers(1, 4).flatmap(lambda n: st.tuples(
     st.sampled_from(["stepwise", "interpolated"])))
 
 
-def _build(prices, quantities, sign, mode):
+def _points(prices, quantities, sign, mode):
     prices = sorted(p / 4.0 for p in prices)
     qty = sorted((q / 4.0 for q in quantities), reverse=sign > 0)
-    return canonical_steps([(p, sign * q) for p, q in zip(prices, qty)], mode)
+    return [(p, sign * q) for p, q in zip(prices, qty)], mode
+
+
+def _build(*data):
+    return canonical_steps(*_points(*data))
 
 
 @given(point_lists)
@@ -131,7 +152,8 @@ def test_marginal_price_nonincreasing_in_quantity(data):
 @settings(max_examples=200)
 def test_demand_interval_matches_dense_scan(data, price_num):
     """The closed form agrees with brute-force surplus maximization."""
-    steps = _build(*data)
+    points, mode = _points(*data)
+    steps = canonical_steps(points, mode)
     price = price_num / 10.0
     lo, hi = quantity_range(steps)
     xs = np.union1d(np.linspace(lo, hi, 2001),
@@ -139,10 +161,11 @@ def test_demand_interval_matches_dense_scan(data, price_num):
     surplus = np.array([curve_value(steps, x) - price * x for x in xs])
     best = surplus.max()
     opt = xs[surplus >= best - 1e-9]
-    a, b = demand_interval(steps, price, tol=1e-12)
+    priced = priced_curve(points, price, mode, tol=1e-12)
+    a, b = priced.curve_interval[0]
     assert a <= opt.min() + 1e-3
     assert b >= opt.max() - 1e-3
-    assert best == pytest.approx(best_surplus(steps, price), abs=1e-9)
+    assert best == pytest.approx(priced.best_surplus[0], abs=1e-9)
     # every reported point is optimal
     for x in (a, b, 0.5 * (a + b)):
         assert curve_value(steps, x) - price * x == pytest.approx(best, abs=1e-6)

@@ -9,17 +9,16 @@ from hypothesis import given, settings, strategies as st
 from equilab import geometry
 from equilab.config import vector_norm
 from equilab.convexify import priced_at, solve_lp
-from equilab.curves import best_surplus
-from equilab.demand import (agent_best_surplus, block_margin, classify_money,
-                            demand_set, nonconvexity)
+from equilab.demand import agent_best_surplus, classify_money, nonconvexity
 from equilab.geometry import (ComplexityError, merge_intervals, piece_nearest,
                               union_nearest)
 from equilab.model import (Agent, BlockBid, HourlyCurveBid, Market, agent_bundle,
                            agent_value, block_components, iter_patterns)
 
 from market_corpus import random_market, random_price_vector
-from reference_oracles import (collinear_model, in_hull, reference_nonconvexity,
-                               reference_union_nearest)
+from market_helpers import agent_demand_set
+from reference_oracles import (best_surplus, collinear_model, in_hull,
+                               reference_nonconvexity, reference_union_nearest)
 
 
 def _vertex_set(ds):
@@ -28,23 +27,23 @@ def _vertex_set(ds):
 
 def test_reference_demand_sets(four_agent_market):
     a1, a2, a3, a4 = four_agent_market.agents
-    assert _vertex_set(demand_set(a1, [3.0])) == [(3.0,)]
-    assert _vertex_set(demand_set(a2, [3.0])) == [(0.0,)]
-    assert _vertex_set(demand_set(a3, [3.0])) == [(-2.0,)]
-    assert _vertex_set(demand_set(a4, [3.0])) == [(-2.0,), (0.0,)]
+    assert _vertex_set(agent_demand_set(a1, [3.0])) == [(3.0,)]
+    assert _vertex_set(agent_demand_set(a2, [3.0])) == [(0.0,)]
+    assert _vertex_set(agent_demand_set(a3, [3.0])) == [(-2.0,)]
+    assert _vertex_set(agent_demand_set(a4, [3.0])) == [(-2.0,), (0.0,)]
 
 
 def test_reference_demand_shifts_with_price(four_agent_market):
     a1, a2, a3, a4 = four_agent_market.agents
     # below the buyer's per-unit value the whole block is wanted, above none
-    assert _vertex_set(demand_set(a1, [5.0])) == [(0.0,)]
-    assert _vertex_set(demand_set(a2, [1.0])) == [(1.0,)]
-    assert _vertex_set(demand_set(a3, [0.5])) == [(0.0,)]
-    assert _vertex_set(demand_set(a4, [4.0])) == [(-2.0,)]
+    assert _vertex_set(agent_demand_set(a1, [5.0])) == [(0.0,)]
+    assert _vertex_set(agent_demand_set(a2, [1.0])) == [(1.0,)]
+    assert _vertex_set(agent_demand_set(a3, [0.5])) == [(0.0,)]
+    assert _vertex_set(agent_demand_set(a4, [4.0])) == [(-2.0,)]
 
 
 def test_reference_singletons(four_agent_market):
-    flags = [demand_set(a, [3.0]).is_singleton() for a in four_agent_market.agents]
+    flags = [agent_demand_set(a, [3.0]).is_singleton() for a in four_agent_market.agents]
     assert flags == [True, True, True, False]
 
 
@@ -64,14 +63,14 @@ def test_reference_nonconvexity(four_agent_market):
 
 
 def test_block_margin():
-    bid = BlockBid("b", 12.0, (3.0,))
-    assert block_margin(bid, np.array([3.0])) == pytest.approx(3.0)
-    assert block_margin(bid, np.array([4.0])) == pytest.approx(0.0)
+    market = Market(1, (Agent("a", (BlockBid("b", 12.0, (3.0,)),)),))
+    assert classify_money(market, [3.0]).margins["b"] == pytest.approx(3.0)
+    assert classify_money(market, [4.0]).margins["b"] == pytest.approx(0.0)
 
 
 def test_at_money_block_demand_is_ratio_segment():
     agent = Agent("a", (BlockBid("b", 4.0, (2.0,), mar=0.5),))
-    ds = demand_set(agent, [2.0])
+    ds = agent_demand_set(agent, [2.0])
     # rejection point plus the ratio segment [0.5, 1] * 2
     assert ds.contains([0.0])
     assert ds.contains([1.0])
@@ -83,7 +82,7 @@ def test_at_money_block_demand_is_ratio_segment():
 
 def test_two_hour_block_norm_choices():
     agent = Agent("a", (BlockBid("b", 2.0, (1.0, 1.0)),))
-    ds = demand_set(agent, [1.0, 1.0])
+    ds = agent_demand_set(agent, [1.0, 1.0])
     assert nonconvexity(ds, norm="l2") == pytest.approx(np.sqrt(2) / 2)
     assert nonconvexity(ds, norm="l1") == pytest.approx(1.0)
     assert nonconvexity(ds, norm="linf") == pytest.approx(0.5)
@@ -95,10 +94,10 @@ def test_exclusive_group_demand():
         BlockBid("b2", 6.0, (2.0,), group="g"),
     ))
     # both in the money with equal per-unit margin 2: bigger block wins
-    ds = demand_set(agent, [1.0])
+    ds = agent_demand_set(agent, [1.0])
     assert _vertex_set(ds) == [(2.0,)]
     # at lam = 4 both are out: demand nothing
-    assert _vertex_set(demand_set(agent, [4.0])) == [(0.0,)]
+    assert _vertex_set(agent_demand_set(agent, [4.0])) == [(0.0,)]
 
 
 def test_linked_blocks_demand():
@@ -107,18 +106,18 @@ def test_linked_blocks_demand():
         BlockBid("c", 0.5, (1.0,), parent="p"),
     ))
     # parent profitable, child unprofitable on its own: parent only
-    assert _vertex_set(demand_set(agent, [1.0])) == [(1.0,)]
+    assert _vertex_set(agent_demand_set(agent, [1.0])) == [(1.0,)]
     # child margin positive enough to matter only if parent active
     agent2 = Agent("a", (
         BlockBid("p", 0.5, (1.0,)),
         BlockBid("c", 5.0, (1.0,), parent="p"),
     ))
     # parent loses 0.5 but the pair gains 4: both run
-    assert _vertex_set(demand_set(agent2, [1.0])) == [(2.0,)]
+    assert _vertex_set(agent_demand_set(agent2, [1.0])) == [(2.0,)]
 
 
 def test_hull_contains_midpoints(four_agent_market):
-    verts = demand_set(four_agent_market.agents[3], [3.0]).vertices
+    verts = agent_demand_set(four_agent_market.agents[3], [3.0]).vertices
     assert in_hull([-1.0], verts, 1e-7)
     assert in_hull([-2.0], verts, 1e-7)
     assert not in_hull([0.5], verts, 1e-7)
@@ -133,7 +132,7 @@ def test_acceptances_tie_rule_first_in_build_order():
         BlockBid("b", 1.0, (1.0,)),
         BlockBid("p", 2.0, (1.0,)),
     ))
-    ds = demand_set(agent, [1.0])
+    ds = agent_demand_set(agent, [1.0])
     # {b off, a1 on} is built before {b on, a1 off}: the first one wins
     assert ds.acceptances([2.0]) == {"a1": 1.0, "b": 0.0, "p": 1.0}
     assert ds.acceptances([3.0]) == {"a1": 1.0, "b": 1.0, "p": 1.0}
@@ -150,7 +149,7 @@ def test_acceptances_realise_vertices_as_best_responses(seed):
     lam = np.asarray(random_price_vector(rng, market), dtype=float)
     for agent in market.agents:
         best = agent_best_surplus(agent, lam)
-        ds = demand_set(agent, lam, K)
+        ds = agent_demand_set(agent, lam, K)
         for y in ds.vertices:
             acc = ds.acceptances(y)
             assert agent_bundle(agent, acc, K) == pytest.approx(y, abs=1e-7)
@@ -160,7 +159,7 @@ def test_acceptances_realise_vertices_as_best_responses(seed):
 
 def test_probe_extends_candidates():
     agent = Agent("a", (BlockBid("b", 2.0, (1.0, 1.0)),))
-    ds = demand_set(agent, [1.0, 1.0])
+    ds = agent_demand_set(agent, [1.0, 1.0])
     base = nonconvexity(ds)
     probed = nonconvexity(ds, probes=([0.5, 0.5],))
     assert probed >= base - 1e-12
@@ -185,7 +184,7 @@ def _closed_form_best_surplus(agent, lam):
     blocks = agent.block_bids
     for comp in block_components(blocks):
         comp_blocks = tuple(blocks[i] for i in comp)
-        margins = [block_margin(b, lam) for b in comp_blocks]
+        margins = [float(b.price - lam @ b.q) for b in comp_blocks]
         best = 0.0
         for z in iter_patterns(comp_blocks):
             s = sum((m if m > 0 else b.mar * m)
@@ -205,7 +204,7 @@ def test_best_surplus_equals_closed_form_exactly(seed):
         for agent in market.agents:
             want = _closed_form_best_surplus(agent, lam)
             assert agent_best_surplus(agent, lam) == want
-            assert demand_set(agent, lam, K).best_surplus == want
+            assert agent_demand_set(agent, lam, K).best_surplus == want
 
 
 def _seven_blocks_market():
@@ -224,7 +223,7 @@ def test_best_surplus_never_hits_the_piece_cap():
     assert dual.dual_objective == 0.0
     assert [agent_best_surplus(a, dual.lambda_star) for a in market.agents] == [0.0, 0.0]
     assert agent_best_surplus(market.agents[0], [0.5]) == 14.0
-    ds = demand_set(market.agents[0], dual.lambda_star)
+    ds = agent_demand_set(market.agents[0], dual.lambda_star)
     assert ds.best_surplus == 0.0
     with pytest.raises(ComplexityError, match="128 demand pieces"):
         ds.pieces
@@ -271,7 +270,7 @@ def test_demand_matches_brute_force(seed):
     for agent in market.agents:
         best, argmax = _oracle_enumerate(agent, lam, 1)
         assert agent_best_surplus(agent, lam) == pytest.approx(best, abs=1e-8)
-        ds = demand_set(agent, lam)
+        ds = agent_demand_set(agent, lam)
         scale = 1.0 + max(float(np.max(np.abs(ds.vertices))),
                           max(float(np.max(np.abs(x))) for x in argmax))
         # every brute-force argmax lies in the computed demand set
@@ -290,7 +289,7 @@ def test_nonconvexity_properties(seed):
     market = random_market(rng, K=1, max_blocks=3)
     lam = random_price_vector(rng, market)
     for agent in market.agents:
-        ds = demand_set(agent, lam)
+        ds = agent_demand_set(agent, lam)
         rho = nonconvexity(ds)
         assert rho >= 0.0
         if len(ds.pieces) == 1:
@@ -309,7 +308,7 @@ def test_hull_points_near_measure(seed):
     market = random_market(rng, K=1, max_blocks=3)
     lam = random_price_vector(rng, market)
     for agent in market.agents:
-        ds = demand_set(agent, lam)
+        ds = agent_demand_set(agent, lam)
         rho = nonconvexity(ds)
         vs = ds.vertices
         for _ in range(25):
@@ -351,7 +350,7 @@ def test_carrier_line_matches_piece_oracles(seed, K):
     dual = solve_lp(market)
     for lam in (dual.lambda_star, np.asarray(random_price_vector(rng, market), dtype=float)):
         for i, agent in enumerate(market.agents):
-            ds = demand_set(agent, lam, K)
+            ds = agent_demand_set(agent, lam, K)
             assert (ds.line is None) == (collinear_model(ds.pieces) is None)
             if ds.line is None:
                 continue
@@ -397,7 +396,7 @@ def test_offset_range_measure_in_every_norm():
     # the l1 and linf distance LPs once capped the residual by the range
     # widths (here 1), which made the LP infeasible at the origin
     agent, lam = _offset_range_agent()
-    ds = demand_set(agent, lam)
+    ds = agent_demand_set(agent, lam)
     assert ds.line is None and len(ds.pieces) == 3
     assert nonconvexity(ds, "l1") == pytest.approx(99.0)
     assert nonconvexity(ds, "linf") == pytest.approx(49.5)
@@ -426,7 +425,7 @@ def _assert_matches_full_loop(ds, probes, rng):
 @pytest.mark.parametrize("make", [_triangle_agent, _l_shape_agent, _offset_range_agent])
 def test_pruned_union_distance_matches_full_loop_examples(make):
     agent, lam = make()
-    ds = demand_set(agent, lam)
+    ds = agent_demand_set(agent, lam)
     _assert_matches_full_loop(ds, (np.mean(ds.vertices, axis=0),), np.random.default_rng(0))
 
 
@@ -441,6 +440,6 @@ def test_pruned_union_distance_matches_full_loop(seed, K):
     dual = solve_lp(market)
     for lam in (dual.lambda_star, np.asarray(random_price_vector(rng, market), dtype=float)):
         for i, agent in enumerate(market.agents):
-            ds = demand_set(agent, lam, K)
+            ds = agent_demand_set(agent, lam, K)
             if ds.line is None:
                 _assert_matches_full_loop(ds, (dual.lp_bundle(i),), rng)

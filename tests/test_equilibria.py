@@ -16,6 +16,7 @@ from equilab.model import (Agent, Allocation, BlockBid, HourlyCurveBid,
 
 from market_corpus import (random_balanced_allocation, random_market,
                            random_price_vector)
+from market_helpers import agent_demand_set, imbalance
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +42,7 @@ def test_reference_lp_allocation(four_agent_market):
     x = res.allocation
     assert x.bundle(four_agent_market, four_agent_market.agents[0])[0] == pytest.approx(3.0)
     assert x.bundle(four_agent_market, four_agent_market.agents[3])[0] == pytest.approx(-1.0)
-    assert np.allclose(x.imbalance(four_agent_market), 0.0, atol=1e-9)
+    assert np.allclose(imbalance(x, four_agent_market), 0.0, atol=1e-9)
 
 
 def test_reference_snapped_allocation(four_agent_market):
@@ -189,7 +190,7 @@ def test_lp_allocation_violation_bound(seed):
     res = balanced_lp_allocation(market)
     K = market.num_commodities
     assert res.violations <= min(res.stats.count, K)
-    assert np.allclose(res.allocation.imbalance(market), 0.0, atol=1e-7)
+    assert np.allclose(imbalance(res.allocation, market), 0.0, atol=1e-7)
 
 
 @settings(max_examples=40, deadline=None)
@@ -201,9 +202,8 @@ def test_snap_imbalance_bound(seed):
     assert res.imbalance <= res.bound + 1e-7 * (1.0 + res.bound)
     # snapped bundles sit in their demand sets
     lam = res.dual.lambda_star
-    from equilab.demand import demand_set
     for agent in market.agents:
-        ds = demand_set(agent, lam, market.num_commodities)
+        ds = agent_demand_set(agent, lam, market.num_commodities)
         assert ds.contains(res.allocation.bundle(market, agent), 1e-6)
 
 

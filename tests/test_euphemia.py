@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from equilab.convexify import solve_lp
 from equilab.curves import canonical_steps
-from equilab.demand import block_margin
 from equilab.equilibria import lost_opportunity_cost
 from equilab import euphemia
 from equilab.euphemia import (MAX_COMBOS, ClearingComplexityError, _price_excess,
@@ -22,6 +21,7 @@ from equilab.welfare import solve_welfare
 
 from euphemia_oracle import clear_euphemia_style as oracle_clear
 from market_corpus import random_market
+from market_helpers import imbalance
 from reference_oracles import (record_simplex_calls, reference_simplex,
                                simplex_outcome)
 
@@ -100,13 +100,13 @@ def _assert_legal_outcome(market, res, tol=1e-7):
     """The published clearing rules, checked directly on the outcome."""
     lam = np.asarray(res.lam)
     alloc = res.allocation
-    assert np.allclose(alloc.imbalance(market), 0.0, atol=tol)
+    assert np.allclose(imbalance(alloc, market), 0.0, atol=tol)
     for agent in market.agents:
         acc = {b.bid_id: alloc[b.bid_id] for b in agent.bids}
         assert acceptance_feasible(agent, acc, tol=tol)
         for bid in agent.block_bids:
             a = alloc[bid.bid_id]
-            m = block_margin(bid, lam)
+            m = float(bid.price - lam @ bid.q)
             scale = 1.0 + abs(bid.price) + float(np.abs(lam) @ np.abs(bid.q))
             if a > tol:
                 # no active block may lose money at the uniform prices

@@ -5,6 +5,11 @@ by s; scaling every quantity by r (block totals along) leaves lambda*
 unchanged and scales welfare and the gap by r; reversing the agent order
 changes nothing.  Exact welfare and the gap must agree within 1e-6 of the
 market's welfare scale once the scale is undone.
+
+The Monte Carlo certificate is checked the same way on `market_from_costs`
+markets: permuting the suppliers, or scaling every money amount by 10^3 or
+10^-3, keeps the verdict of `certified_equilibrium`, and that verdict is the
+analytic one, `marginal_supplier_is_convex`.
 """
 
 import dataclasses
@@ -14,6 +19,9 @@ from hypothesis import given, settings, strategies as st
 
 from equilab.equilibria import approximate_equilibria
 from equilab.model import BlockBid, Market
+from equilab.random_markets import (SimpleRandomMarketSpec, certified_equilibrium,
+                                    draw_costs, marginal_supplier_is_convex,
+                                    market_from_costs)
 
 from market_corpus import random_market
 
@@ -72,3 +80,34 @@ def test_quantity_scaling(market, exponent):
 @given(corpus)
 def test_agent_order_reversal(market):
     assert_scaled(market, reverse_agents(market), 1.0)
+
+
+def monte_carlo_market(seed: int, n: int):
+    """A k/n study market with k drawn from 0..n; returns it with its spec and costs."""
+    rng = np.random.default_rng(seed)
+    spec = SimpleRandomMarketSpec(n, int(rng.integers(0, n + 1)), seed=seed)
+    costs = draw_costs(spec, int(rng.integers(1000)))
+    return market_from_costs(spec, costs), spec, costs
+
+
+def assert_same_verdict(market, spec, costs, transformed):
+    verdict = certified_equilibrium(market)
+    assert verdict == marginal_supplier_is_convex(spec, costs)
+    assert certified_equilibrium(transformed) == verdict
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from((5, 40)))
+def test_monte_carlo_verdict_survives_permuting_suppliers(seed, n):
+    market, spec, costs = monte_carlo_market(seed, n)
+    order = np.random.default_rng((seed, 1)).permutation(n) + 1
+    permuted = dataclasses.replace(market, agents=(market.agents[0],) + tuple(
+        market.agents[j] for j in order))
+    assert_same_verdict(market, spec, costs, permuted)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from((5, 40)), st.sampled_from((-3, 3)))
+def test_monte_carlo_verdict_survives_money_scaling(seed, n, exponent):
+    market, spec, costs = monte_carlo_market(seed, n)
+    assert_same_verdict(market, spec, costs, rescale(market, money=10.0 ** exponent))

@@ -9,6 +9,8 @@ from equilab.model import (Agent, Allocation, BlockBid, HourlyCurveBid, Market,
                            block_components, iter_patterns, pattern_feasible,
                            validate_market, zero_allocation)
 
+from market_helpers import imbalance, total_value
+
 
 def _codes(market):
     return sorted(v.code for v in validate_market(market).violations)
@@ -172,10 +174,10 @@ def test_agent_bundle_mixes_hours():
 
 def test_allocation_imbalance(four_agent_market):
     alloc = Allocation({"b1": 1.0, "c2": 1.0, "c3": -2.0, "b4": 1.0})
-    assert np.allclose(alloc.imbalance(four_agent_market), [0.0])
-    assert alloc.total_value(four_agent_market) == pytest.approx(6.0)
+    assert np.allclose(imbalance(alloc, four_agent_market), [0.0])
+    assert total_value(alloc, four_agent_market) == pytest.approx(6.0)
     zero = zero_allocation(four_agent_market)
-    assert np.allclose(zero.imbalance(four_agent_market), [0.0])
+    assert np.allclose(imbalance(zero, four_agent_market), [0.0])
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equilab.demand import demand_set
 from equilab.equilibria import (aggregate_demand_convexity_check,
                                 convex_hull_pricing)
 from equilab.model import validate_market
@@ -15,6 +14,8 @@ from equilab.random_markets import (SimpleRandomMarketSpec,
                                     marginal_supplier_is_convex,
                                     market_from_costs,
                                     monte_carlo_equilibrium_probability)
+
+from market_helpers import agent_demand_set
 
 
 def test_spec_validation():
@@ -159,7 +160,7 @@ def test_tied_cost_supply_interval():
     lam = [3.0]
     total_lo = total_hi = 0.0
     for agent in market.agents[1:]:
-        ds = demand_set(agent, lam)
+        ds = agent_demand_set(agent, lam)
         vs = ds.vertices
         total_lo += float(np.min(vs))
         total_hi += float(np.max(vs))

@@ -2,8 +2,9 @@
 
 `approximate_equilibria` must build the program once, solve the root
 relaxation once, build one demand set and one nonconvexity measure per
-agent, enumerate each block component's indicator patterns once (for the
-best surplus and the demand set alike), test the LP bundle's containment
+agent, enumerate each block component's indicator patterns once per market
+(`Market.compiled`, for the best surplus and the demand set alike, at any
+prices), test the LP bundle's containment
 once per agent, and give exactly what the standalone allocation functions
 give.
 """
@@ -28,6 +29,7 @@ from equilab.random_markets import (SimpleRandomMarketSpec, certified_equilibriu
                                     marginal_supplier_is_convex)
 
 from market_corpus import random_market
+from market_helpers import agent_demand_set
 
 DIMS = (1, 2, 4, 24)
 CORPUS = 20
@@ -93,8 +95,12 @@ def test_one_best_surplus_and_lp_containment_per_agent(monkeypatch, market):
     assert counts["patterns"] == components
     assert counts["contains"] == len(market.agents) + moved
 
+    # the compiled market keeps its patterns; an equal new market enumerates
+    # them once more
     counts.clear()
     certified_equilibrium(market)
+    assert counts["patterns"] == 0
+    certified_equilibrium(dataclasses.replace(market))
     assert counts["patterns"] == components
 
 
@@ -159,12 +165,15 @@ def test_one_canonical_form_per_pattern(monkeypatch, market):
 
 def test_one_pattern_pass_per_component_at_other_prices(monkeypatch, market):
     # at prices other than lambda* (a uniform-price clearing's, say) one
-    # PricedMarket gives the certificate and the lost opportunity cost
+    # PricedMarket gives the certificate and the lost opportunity cost; the
+    # expected values come from an equal market, so `market` is compiled in
+    # the counted calls
     components = sum(len(block_components(a.block_bids)) for a in market.agents)
-    lam = solve_lp(market).lambda_star + 0.25
-    allocation = convex_hull_pricing(market).allocation
-    want = (detect_equilibrium(market, lam, allocation),
-            lost_opportunity_cost(market, allocation, lam))
+    twin = dataclasses.replace(market)
+    lam = solve_lp(twin).lambda_star + 0.25
+    allocation = convex_hull_pricing(twin).allocation
+    want = (detect_equilibrium(twin, lam, allocation),
+            lost_opportunity_cost(twin, allocation, lam))
     counts: Counter = Counter()
     count_calls(monkeypatch, counts, "patterns", model.iter_patterns)
 
@@ -223,7 +232,7 @@ def test_caches_keyed_by_tolerance_and_norm(four_agent_market):
         for tol in (DEFAULT_TOL, 1e-3):
             ds = dual.demand(i, tol)
             assert ds.tol == tol
-            assert ds.pieces == demand_set(agent, dual.lambda_star, K, tol).pieces
+            assert ds.pieces == agent_demand_set(agent, dual.lambda_star, K, tol).pieces
             for norm in ("l1", "l2", "linf"):
                 assert dual.measure(i, tol, norm) == nonconvexity(ds, norm, probes=(x,))
         assert dual.demand(i, DEFAULT_TOL) is dual.demand(i)

@@ -13,6 +13,7 @@ from equilab.welfare import NodeBudgetExceeded, solve_welfare
 
 from conftest import FIXTURES
 from market_corpus import random_market, split_group_market
+from market_helpers import imbalance, total_value
 from reference_oracles import brute_force_welfare
 
 
@@ -92,11 +93,11 @@ def test_matches_brute_force(seed):
     assert a.gap <= 1e-6
     # both allocations balance and respect indicator semantics
     for sol in (a, b):
-        assert np.allclose(sol.allocation.imbalance(market), 0.0, atol=1e-7)
+        assert np.allclose(imbalance(sol.allocation, market), 0.0, atol=1e-7)
         for agent in market.agents:
             acc = {bid.bid_id: sol.allocation[bid.bid_id] for bid in agent.bids}
             assert acceptance_feasible(agent, acc, tol=1e-7)
-        assert sol.allocation.total_value(market) == pytest.approx(sol.welfare, abs=1e-7)
+        assert total_value(sol.allocation, market) == pytest.approx(sol.welfare, abs=1e-7)
 
 
 @settings(max_examples=30, deadline=None)
