@@ -48,7 +48,7 @@ def main() -> None:
     for title, alloc in [("relaxation vertex", res.lp_result.allocation),
                          ("snapped to demand", res.snapped.allocation),
                          ("exact optimum", res.pricing.allocation)]:
-        bundles = [alloc.bundle(market, a)[0] for a in market.agents]
+        bundles = alloc.bundles(market)[:, 0]
         imb = float(np.sum(bundles))
         row = "  ".join(f"{n}={b:+.1f}" for n, b in zip(names, bundles))
         print(f"{title:18s}: {row}  (imbalance {imb:+.1f})")

@@ -14,12 +14,12 @@ needs no constraint qualification here because the program is a finite LP;
 `solve_lp` asserts primal = dual on every call.  Branch and bound re-solves
 the same program with per-block bounds overridden (`solve_raw`).
 
-The program's objective and balance columns are filled from the market's
-compiled form (`Market.compiled`, built once per market).  A `PricedMarket`
-prices every agent at once (`demand.MarketPricing`, once per prices and
-tol), so the price dual sums per-agent best surpluses without a demand set;
-demand sets, containment and measures are then built only for the agents
-asked, once each.
+The program's objective, balance columns and coupling rows are filled from
+the market's compiled form (`Market.compiled`, built once per market).  A
+`PricedMarket` prices every agent at once (`demand.MarketPricing`, once per
+prices and tol), so the price dual sums per-agent best surpluses without a
+demand set; demand sets, containment and measures are then built only for
+the agents asked, once each.
 """
 
 from __future__ import annotations
@@ -82,51 +82,36 @@ def build_convexified(market: Market) -> ConvexifiedProgram:
     balance = np.zeros((cm.K, n))
     balance[:, cm.block_col] = cm.block_q.T + 0.0      # a -0.0 entry stays +0.0
     balance[hour, step_col] = width
-    block_col = dict(zip([b.bid_id for b in cm.blocks], cm.block_col.tolist()))
+    cols = cm.block_col.tolist()
+    block_col = dict(zip([b.bid_id for b in cm.blocks], cols))
     steps: list[list] = [[] for _ in cm.curves]
     for col, w, c in zip(step_col.tolist(), width.tolist(), curve.tolist()):
         steps[c].append((col, w))
     curve_cols = {c.bid_id: tuple(cols) for c, cols in zip(cm.curves, steps)}
 
-    ub_rows: list[np.ndarray] = []
-    b_ub: list[float] = []
-    groups: dict[str, list[int]] = {}
-    for bid in cm.blocks:
-        if bid.group is not None:
-            groups.setdefault(bid.group, []).append(block_col[bid.bid_id])
-    for gid in sorted(groups):
-        row = np.zeros(n)
-        row[groups[gid]] = 1.0
-        ub_rows.append(row)
-        b_ub.append(1.0)
-    seen_loops: set[frozenset] = set()
-    for bid in cm.blocks:
-        if bid.parent is not None and bid.parent in block_col:
-            parent = market.bid_index[bid.parent][1]
-            row = np.zeros(n)
-            row[block_col[bid.bid_id]] = parent.mar
-            row[block_col[bid.parent]] = -1.0
-            ub_rows.append(row)
-            b_ub.append(0.0)
-        if bid.loop is not None and bid.loop in block_col:
-            key = frozenset((bid.bid_id, bid.loop))
-            if key in seen_loops:
-                continue
-            seen_loops.add(key)
-            partner = market.bid_index[bid.loop][1]
-            for this, other in ((bid, partner), (partner, bid)):
-                row = np.zeros(n)
-                row[block_col[other.bid_id]] = this.mar
-                row[block_col[this.bid_id]] = -1.0
-                ub_rows.append(row)
-                b_ub.append(0.0)
-
-    a_ub = np.array(ub_rows).reshape(len(ub_rows), n) if ub_rows else np.zeros((0, n))
+    # Coupling rows: one per group, sum <= 1, then per block its parent row
+    # and, once per looped pair, the pair's two rows; (j, r, p) is r a_j <= a_p.
+    mar = cm.block_table[:, 1].tolist()
+    links: list[tuple[int, float, int]] = []
+    for j, (p, partner) in enumerate(zip(cm.parent, cm.loop)):
+        if p >= 0:
+            links.append((j, mar[p], p))
+        if partner >= 0 and (j < partner or cm.loop[partner] != j):
+            links += [(partner, mar[j], j), (j, mar[partner], partner)]
+    n_groups = len(cm.groups)
+    a_ub = np.zeros((n_groups + len(links), n))
+    for r, members in enumerate(cm.groups):
+        a_ub[r, [cols[j] for j in members]] = 1.0
+    for r, (j, ratio, p) in enumerate(links, n_groups):
+        a_ub[r, cols[j]] = ratio
+        a_ub[r, cols[p]] = -1.0
+    b_ub = np.zeros(len(a_ub))
+    b_ub[:n_groups] = 1.0
     return ConvexifiedProgram(
         objective=objective,
         balance=balance,
         a_ub=a_ub,
-        b_ub=np.asarray(b_ub, dtype=float),
+        b_ub=b_ub,
         lo=np.zeros(n),
         hi=np.ones(n),
         block_col=block_col,

@@ -59,22 +59,27 @@ sound filter.  The incumbent changes only where both LPs are feasible and
 the welfare beats it, so skipping an LP elsewhere changes nothing.
 `combos_checked` counts the whole pattern/situation product, dropped or not.
 
-Patterns are visited in ascending bitmask order and situations in
-lexicographic order.  A combination replaces the incumbent only when its
-welfare is higher by more than 1e-9 relative, so among ties the first one
-visited wins, and its price vector is the one reported.
+The market is read from `Market.compiled`.  Its block patterns cross its
+components' compiled patterns, so the cap is checked against the product
+of their counts and the situation counts before any pattern is built.
+Patterns are visited in ascending bitmask order over the market's blocks
+and situations in lexicographic order.  A combination replaces the
+incumbent only when its welfare is higher by more than 1e-9 relative, so
+among ties the first one visited wins, and its price vector is the one
+reported.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import resolve_tol
 from .lp import InfeasibleError, solve_lp
-from .model import Allocation, BlockBid, HourlyCurveBid, Market, iter_patterns
+from .model import Allocation, CompiledMarket, Market
 
 MAX_COMBOS = 200_000
 
@@ -105,17 +110,14 @@ class EuphemiaResult:
         return self.status == "cleared"
 
 
-def _price_bound(market: Market) -> float:
-    big = 1.0
-    for agent in market.agents:
-        for bid in agent.curve_bids:
-            for st in bid.steps:
-                big = max(big, abs(st.price))
-        for bid in agent.block_bids:
-            nz = np.abs(bid.q[np.abs(bid.q) > 0])
-            if nz.size:
-                big = max(big, abs(bid.price) / float(nz.min()), abs(bid.price))
-    return big + 1.0
+def _price_bound(cm: CompiledMarket) -> float:
+    """1 + max(1, |step prices|, |block prices| and |price| / least |q_h| != 0)."""
+    size = np.abs(cm.block_q)
+    least = np.where(size > 0, size, np.inf).min(axis=1)
+    has = np.isfinite(least)
+    price = cm.block_table[has, 2]
+    return max(1.0, *cm.step_table[:, 2].tolist(), *(price / least[has]).tolist(),
+               *price.tolist()) + 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -181,17 +183,14 @@ def _price_excess(Q: np.ndarray, p: np.ndarray, lo: np.ndarray, hi: np.ndarray) 
 # ---------------------------------------------------------------------------
 # The enumeration
 
-def _feasible_prices(active: list[BlockBid], lo: np.ndarray,
+def _feasible_prices(pattern: _Pattern, lo: np.ndarray,
                      hi: np.ndarray) -> np.ndarray | None:
     """Smallest-magnitude price vector in the situation box [lo, hi] meeting
     all active-block no-loss constraints, or None if the region is empty."""
     K = len(lo)
     c = np.concatenate([np.zeros(K), -np.ones(K)])     # maximize -sum m
-    rows = []
-    rhs = []
-    for b in active:                                    # q . lam <= p
-        rows.append(np.concatenate([b.q, np.zeros(K)]))
-        rhs.append(b.price)
+    rows = [np.concatenate([q, np.zeros(K)]) for q in pattern.q]   # q . lam <= p
+    rhs = pattern.price.tolist()
     eye = np.eye(K)
     for h in range(K):                                  # |lam_h| <= m_h
         rows.append(np.concatenate([eye[h], -eye[h]]))
@@ -217,7 +216,8 @@ class _StepTable:
     Situation 2k+1 is the point p_k.  A step priced at situation j is at the
     money in j; a buy step is in the money in every situation below j, a
     sell step in every one above j, and either is out of the money in the
-    rest.  `steps[b]` holds (j, sign, width, price) per step of curve bid b.
+    rest.  `curves` holds per curve of the market its bid id, hour and
+    (j, sign, width, price) per step.
 
     The situations of all hours lie in one flat sequence: those of hour h
     at positions `start[h]` up to `start[h + 1]`, and `hour` maps each
@@ -225,17 +225,17 @@ class _StepTable:
     the in steps; `at_lo`/`at_hi`, the reach of the at-the-money steps on
     the hour's balance row; `lo`/`hi`, the situation bounds; and
     `rhs_scale`, the largest |forced| that a combination holding that
-    situation can have in any hour.  Sums run in market order of bids and
-    curve order of steps, as a per-combination loop would run them, so
-    every float is the same.
+    situation can have in any hour.  Sums run in the compiled step order,
+    market order of curves and curve order of steps, as a per-combination
+    loop would run them, so every float is the same.
     """
 
-    def __init__(self, market: Market, big: float):
-        self.bids: list[HourlyCurveBid] = [bid for agent in market.agents
-                                           for bid in agent.curve_bids]
-        prices: list[set[float]] = [set() for _ in range(market.num_commodities)]
-        for bid in self.bids:
-            prices[bid.hour].update(st.price for st in bid.steps)
+    def __init__(self, cm: CompiledMarket, big: float):
+        price, signed, _, width = cm.step_table.T.tolist()
+        hour, _, curve = cm.step_index.tolist()
+        prices: list[set[float]] = [set() for _ in range(cm.K)]
+        for h, p in zip(hour, price):
+            prices[h].add(p)
         points = [sorted(ps) for ps in prices]
         self.start = [0, *itertools.accumulate(2 * len(pts) + 1 for pts in points)]
         self.hour = np.repeat(np.arange(len(points)), np.diff(self.start))
@@ -245,23 +245,17 @@ class _StepTable:
         self.at_lo = np.zeros(self.start[-1])
         self.at_hi = np.zeros(self.start[-1])
         rank = [{p: 2 * k + 1 for k, p in enumerate(pts)} for pts in points]
-        self.steps: list[list[tuple[int, float, float, float]]] = []
-        for bid in self.bids:
-            h = bid.hour
-            first = self.start[h]
-            forced = self.forced[first:self.start[h + 1]]
-            row = []
-            for st in bid.steps:
-                j = rank[h][st.price]
-                sign = 1.0 if st.is_buy else -1.0
-                inside = slice(0, j) if sign > 0 else slice(j + 1, None)
-                forced[inside] += sign * st.width
-                if sign > 0:
-                    self.at_hi[first + j] += st.width
-                else:
-                    self.at_lo[first + j] -= st.width
-                row.append((j, sign, st.width, st.price))
-            self.steps.append(row)
+        steps: list[list[tuple[int, float, float, float]]] = [[] for _ in cm.curves]
+        for h, c, p, w, size in zip(hour, curve, price, signed, width):
+            first, j = self.start[h], rank[h][p]
+            if w > 0:                       # a buy step; w is the signed width
+                self.forced[first:first + j] += w
+                self.at_hi[first + j] += size
+            else:
+                self.forced[first + j + 1:self.start[h + 1]] += w
+                self.at_lo[first + j] -= size
+            steps[c].append((j, 1.0 if w > 0 else -1.0, size, p))
+        self.curves = list(zip([c.bid_id for c in cm.curves], cm.curve_hour, steps))
         size = np.abs(self.forced)
         top = [float(np.max(size[a:b])) for a, b in zip(self.start, self.start[1:])]
         others = np.array([max(top[:h] + top[h + 1:], default=0.0) for h in range(len(top))])
@@ -270,32 +264,35 @@ class _StepTable:
 
 @dataclass
 class _Pattern:
-    """One block pattern with what its combinations share: the no-loss rows
-    q . lam <= price of the active blocks, and per situation position (see
-    `_StepTable`) the quantity screen's excess on its hour's balance row
-    (see `_row_excess`)."""
+    """One block pattern with what its combinations share: the active
+    blocks' bid ids, q rows, prices and minimum acceptance ratios (the
+    no-loss rows q . lam <= price and the quantity LP's block columns), and
+    per situation position (see `_StepTable`) the quantity screen's excess
+    on its hour's balance row (see `_row_excess`)."""
 
-    active: list[BlockBid]
+    names: list[str]
     q: np.ndarray                # (active blocks, K)
     price: np.ndarray
+    mar: np.ndarray
     price_scale: float           # max |price|
     excess: np.ndarray
 
     @classmethod
-    def of(cls, blocks, z, steps: _StepTable, K: int) -> _Pattern:
-        active = [b for b, zi in zip(blocks, z) if zi]
-        q = np.array([b.q for b in active]).reshape(len(active), K)
-        price = np.array([b.price for b in active])
-        rmin, rmax = _reach(q.T, np.array([b.mar for b in active]), np.ones(len(active)))
+    def of(cls, cm: CompiledMarket, z: tuple[int, ...], steps: _StepTable) -> _Pattern:
+        active = [j for j, zj in enumerate(z) if zj]
+        q = cm.block_q[active]
+        price, mar = cm.block_table[active, 0], cm.block_table[active, 1]
+        rmin, rmax = _reach(q.T, mar, np.ones(len(active)))
         excess = _row_excess(rmin[steps.hour] + steps.at_lo, rmax[steps.hour] + steps.at_hi,
                              -steps.forced)
-        return cls(active, q, price, float(np.max(np.abs(price), initial=0.0)), excess)
+        return cls([cm.blocks[j].bid_id for j in active], q, price, mar,
+                   float(np.max(np.abs(price), initial=0.0)), excess)
 
     def kept(self, steps: _StepTable, tol: float) -> list[list[int]]:
         """Per hour, in ascending order, the situations that both prefilters
         keep (see the module docstring)."""
         drop = _screened_out(self.excess, steps.rhs_scale)
-        if not self.active:
+        if not self.names:
             # with no at-the-money step either, `_clear_combo` checks tol
             drop &= np.abs(steps.forced) > tol
         single = np.count_nonzero(self.q, axis=1) == 1
@@ -308,24 +305,34 @@ class _Pattern:
                 for a, b in zip(steps.start, steps.start[1:])]
 
 
+def _block_patterns(cm: CompiledMarket) -> list[tuple[int, ...]]:
+    """Every feasible indicator pattern over `cm.blocks`: one feasible
+    pattern per component crossed with the others', in ascending bitmask
+    order, as `model.iter_patterns` of all blocks would list them."""
+    # block j's position in the components' concatenation
+    where = sorted(range(len(cm.blocks)), key=[j for c in cm.components for j in c].__getitem__)
+    flat = (sum(choice, ()) for choice in itertools.product(*cm.patterns))
+    return sorted(tuple(z[k] for k in where) for z in flat)   # components may interleave
+
+
 def clear_euphemia_style(market: Market, tol: float | None = None) -> EuphemiaResult:
     t = resolve_tol(tol)
     K = market.num_commodities
-    steps = _StepTable(market, _price_bound(market))
+    cm = market.compiled
+    steps = _StepTable(cm, _price_bound(cm))
 
-    blocks = [b for agent in market.agents for b in agent.block_bids]
-    patterns = list(iter_patterns(blocks))
-    n_combos = len(patterns)
+    n_combos = math.prod(len(pats) for pats in cm.patterns)
     for a, b in zip(steps.start, steps.start[1:]):
         n_combos *= b - a
         if n_combos > MAX_COMBOS:
             raise ClearingComplexityError(
                 f"more than {MAX_COMBOS} pattern/situation combinations")
 
+    names = [b.bid_id for b in cm.blocks]
     best = None
     bar = -np.inf                   # the welfare a combination must beat
-    for z in patterns:
-        pattern = _Pattern.of(blocks, z, steps, K)
+    for z in _block_patterns(cm):
+        pattern = _Pattern.of(cm, z, steps)
         for idx in itertools.product(*pattern.kept(steps, t)):
             out = _clear_combo(pattern, steps, idx, t, bar)
             if out is None:
@@ -334,23 +341,23 @@ def clear_euphemia_style(market: Market, tol: float | None = None) -> EuphemiaRe
             if best is not None and not welfare > bar:
                 continue
             pos = [steps.start[h] + i for h, i in enumerate(idx)]
-            lam = _feasible_prices(pattern.active, steps.lo[pos], steps.hi[pos])
+            lam = _feasible_prices(pattern, steps.lo[pos], steps.hi[pos])
             if lam is None:
                 continue
             # acceptances: rejected blocks, then curves, then LP shares
-            acc = {b.bid_id: 0.0 for b, zi in zip(blocks, z) if not zi}
+            acc = {name: 0.0 for name, zj in zip(names, z) if not zj}
             acc.update(curves)
             for name, share in shares:
                 acc[name] = acc.get(name, 0.0) + share
-            best = (welfare, acc, lam, tuple(b.bid_id for b in pattern.active))
+            best = (welfare, acc, lam, tuple(pattern.names))
             bar = welfare + 1e-9 * (1.0 + abs(welfare))
 
     if best is None:
         return EuphemiaResult("no-clearing", (float("nan"),) * K,
                               Allocation({}), float("-inf"), (), n_combos)
-    welfare, acc, lam, names = best
+    welfare, acc, lam, active = best
     return EuphemiaResult("cleared", tuple(float(v) for v in lam),
-                          Allocation(acc), welfare, names, n_combos)
+                          Allocation(acc), welfare, active, n_combos)
 
 
 def _clear_combo(pattern: _Pattern, steps: _StepTable, idx: tuple[int, ...],
@@ -360,35 +367,35 @@ def _clear_combo(pattern: _Pattern, steps: _StepTable, idx: tuple[int, ...],
     ...]), or None when they do not exist, a screen proves that no lossless
     prices do, or their welfare cannot exceed `bar`."""
     pos = [steps.start[h] + i for h, i in enumerate(idx)]
-    if pattern.active and _screened_out(
+    if pattern.names and _screened_out(
             _price_excess(pattern.q, pattern.price, steps.lo[pos], steps.hi[pos]),
             pattern.price_scale):
         return None
 
-    cols = [np.asarray(blk.q, dtype=float) for blk in pattern.active]
-    cost = [blk.price for blk in pattern.active]
-    lo = [blk.mar for blk in pattern.active]
-    hi = [1.0] * len(pattern.active)
-    owners = [(blk.bid_id, 1.0) for blk in pattern.active]
+    cols = list(pattern.q)
+    cost = pattern.price.tolist()
+    lo = pattern.mar.tolist()
+    hi = [1.0] * len(pattern.names)
+    owners = [(name, 1.0) for name in pattern.names]
     value = 0.0
     curves: dict[str, float] = {}
     # in steps add to the value and their curve's quantity; at the money, a column
-    for bid, row in zip(steps.bids, steps.steps):
-        s = idx[bid.hour]
+    for name, hour, row in steps.curves:
+        s = idx[hour]
         qty = 0.0
         for j, sign, width, price in row:
             if j == s:
                 e = np.zeros(len(idx))
-                e[bid.hour] = 1.0
+                e[hour] = 1.0
                 cols.append(e * sign)
                 cost.append(price * sign)
                 lo.append(0.0)
                 hi.append(width)
-                owners.append((bid.bid_id, sign))
+                owners.append((name, sign))
             elif (j > s) == (sign > 0):
                 value += price * sign * width
                 qty += sign * width
-        curves[bid.bid_id] = qty
+        curves[name] = qty
     forced = steps.forced[pos]
     if not cols:
         if float(np.max(np.abs(forced), initial=0.0)) > tol:

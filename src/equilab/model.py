@@ -127,7 +127,8 @@ def validate_market(market: Market) -> ValidationReport:
 
     Covers commodity count, bid id uniqueness, curve shape (monotone prices /
     quantities, hour range, finite numbers), block dimensions, MAR bounds, and
-    group/link/loop reference integrity (loops are the only permitted cycles).
+    group/link/loop reference integrity: a group, parent or loop partner lies
+    within one agent, and loops are the only permitted cycles.
     """
     out: list[Violation] = []
     if market.num_commodities < 1:
@@ -162,6 +163,12 @@ def validate_market(market: Market) -> ValidationReport:
                                      "does not name a block bid", (bid.bid_id,)))
             elif ref is not None and owner[ref] != owner[bid.bid_id]:
                 out.append(Violation(code, f"{bid.bid_id}: reference {ref!r} "
+                                     "belongs to another agent", (bid.bid_id,)))
+    group_owner: dict[str, str] = {}
+    for bid in blocks.values():
+        if bid.group is not None:
+            if group_owner.setdefault(bid.group, owner[bid.bid_id]) != owner[bid.bid_id]:
+                out.append(Violation("bad-group", f"{bid.bid_id}: group {bid.group!r} "
                                      "belongs to another agent", (bid.bid_id,)))
     for bid in blocks.values():
         if bid.loop is not None and bid.loop in blocks:
@@ -270,18 +277,6 @@ def agent_value(agent: Agent, acceptances: Mapping[str, float],
     return total
 
 
-def agent_bundle(agent: Agent, acceptances: Mapping[str, float], K: int) -> np.ndarray:
-    """Net signed bundle in R^K implied by the acceptances."""
-    x = np.zeros(K)
-    for bid in agent.bids:
-        a = float(acceptances[bid.bid_id])
-        if isinstance(bid, HourlyCurveBid):
-            x[bid.hour] += a
-        else:
-            x += a * bid.q
-    return x
-
-
 @dataclass(frozen=True)
 class Allocation:
     """Per-bid acceptances for a whole market.
@@ -293,9 +288,6 @@ class Allocation:
 
     def __getitem__(self, bid_id: str) -> float:
         return self.acceptances[bid_id]
-
-    def bundle(self, market: Market, agent: Agent) -> np.ndarray:
-        return agent_bundle(agent, self.acceptances, market.num_commodities)
 
     def bundles(self, market: Market) -> np.ndarray:
         """Every agent's bundle (row i: agent i), read-only."""
@@ -378,7 +370,12 @@ class CompiledMarket:
     curve step.  Per block: its q row, price, mar and column.  Per linked
     component (`block_components` of each agent, in order): its block
     numbers and feasible indicator patterns, enumerated here once per
-    market.  Per curve: hour and its step table in curve order.  The arrays:
+    market.  Per curve: hour and its step table in curve order.  The block
+    couplings, scoped to the agent as the components are: `groups`, each
+    exclusive group's member block numbers, groups sorted by group id (a
+    group id reused by another agent names another group); `parent` and
+    `loop`, per block the block number of its parent and of its loop
+    partner among its agent's blocks, or -1.  The arrays:
 
     - `block_table`, one row per block: price, mar, |price|, then its q;
     - `step_table`, one row per step: price, signed width (positive buys),
@@ -398,7 +395,7 @@ class CompiledMarket:
     __slots__ = ("K", "agents", "num_agents", "num_columns", "blocks", "curves",
                  "components", "patterns", "is_lone", "linked_components", "curve_start",
                  "component_start", "curve_hour", "block_table", "block_col", "step_table",
-                 "step_index", "terms", "lone", "bid_index")
+                 "step_index", "terms", "lone", "bid_index", "groups", "parent", "loop")
 
     def __init__(self, market: Market):
         K = market.num_commodities
@@ -412,6 +409,8 @@ class CompiledMarket:
         step_curve, term_value, term_owner = [], [], []   # component k's term as ~k
         bid_value, bid_owner = [], []                      # curve c as ~c
         curve_start, component_start = [0], [0]
+        groups: dict[tuple[str, int], list[int]] = {}
+        self.parent, self.loop = parent, loop = [], []
         col = 0
         for i, agent in enumerate(market.agents):
             first_block = len(blocks)
@@ -437,6 +436,12 @@ class CompiledMarket:
                     col += 1
                 curves.append(bid)
             mine = blocks[first_block:]
+            by_id = {b.bid_id: j for j, b in enumerate(mine, first_block)}
+            for j, b in enumerate(mine, first_block):
+                parent.append(by_id.get(b.parent, -1))
+                loop.append(by_id.get(b.loop, -1))
+                if b.group is not None:
+                    groups.setdefault((b.group, i), []).append(j)
             for comp in block_components(tuple(mine)) if len(mine) > 1 else [(0,)] * len(mine):
                 term_value.append(~len(components))
                 term_owner.append(i)
@@ -447,6 +452,7 @@ class CompiledMarket:
         self.num_agents = len(market.agents)
         self.num_columns = col
         self.curve_start, self.component_start = curve_start, component_start
+        self.groups = [tuple(members) for _, members in sorted(groups.items())]
 
         self.blocks = blocks
         self.block_table = np.array(block_rows, dtype=float)
@@ -480,8 +486,8 @@ class CompiledMarket:
         return self.block_table[:, 3:]
 
     def bundles(self, acceptances: Mapping[str, float]) -> np.ndarray:
-        """Every agent's net bundle (row i: agent i), as `agent_bundle` sums
-        it, bid by bid in the agent's order.  The array is read-only."""
+        """Every agent's net bundle (row i: agent i), summed bid by bid in
+        the agent's order.  The array is read-only."""
         owner, value = self.bid_index
         block = value >= 0
         rows = np.zeros((value.size, self.K))

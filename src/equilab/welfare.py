@@ -6,7 +6,8 @@ same program with per-block bound overrides.  Branching fixes an indicator to
 0 (ratio pinned to zero) or 1 (ratio within [mar, 1]; on a group branch the
 exclusive siblings are pinned to zero too).  Candidate incumbents are LP
 solutions whose implied indicators are feasible, so the reported optimum is
-always truly feasible.
+always truly feasible.  Blocks, their columns and minimum acceptance ratios,
+and the exclusive groups are read from the market's compiled form.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import lp
 from .config import resolve_tol
-from .convexify import ConvexifiedProgram, DualSolution, solve_lp
+from .convexify import DualSolution, solve_lp
 from .model import Allocation, Market
 
 DEFAULT_NODE_BUDGET = 10 ** 6
@@ -39,28 +40,27 @@ class ExactSolution:
     gap: float          # proven optimality gap (absolute)
 
 
-def _implied_violations(market: Market, program: ConvexifiedProgram,
-                        x: np.ndarray, tol: float):
+def _implied_violations(blocks, groups, x: np.ndarray, tol: float):
     """Blocks whose relaxed acceptance is not indicator-feasible.
 
-    Returns (mar_violations, group_violation) where mar_violations is a list
-    of (fractionality, bid_id, acceptance ratio) and group_violation is the
-    (ratio, bid_id) of the largest member, ties by lowest bid id, of the
-    first group (by id) with more than one supported member.
+    `blocks` holds (bid_id, column, mar) per block number, `groups` each
+    group's member block numbers, groups by id.  Returns (mar_violations,
+    group_violation) where mar_violations is a list of (fractionality,
+    bid_id, block) and group_violation is the (ratio, bid_id, block) of the
+    largest member, ties by lowest bid id, of the first group with more than
+    one supported member.
     """
     mar_viol = []
-    group_members: dict[str, list[tuple[float, str]]] = {}
-    for agent in market.agents:
-        for bid in agent.block_bids:
-            a = float(x[program.block_col[bid.bid_id]])
-            if tol < a < bid.mar - tol:
-                z = a / bid.mar
-                mar_viol.append((min(z, 1.0 - z), bid.bid_id, a))
-            if bid.group is not None and a > tol:
-                group_members.setdefault(bid.group, []).append((a, bid.bid_id))
-    for gid in sorted(group_members):
-        if len(group_members[gid]) > 1:
-            return mar_viol, min(group_members[gid], key=lambda v: (-v[0], v[1]))
+    for j, (bid_id, col, mar) in enumerate(blocks):
+        a = float(x[col])
+        if tol < a < mar - tol:
+            z = a / mar
+            mar_viol.append((min(z, 1.0 - z), bid_id, j))
+    for members in groups:
+        supported = [(a, blocks[j][0], j) for j in members
+                     if (a := float(x[blocks[j][1]])) > tol]
+        if len(supported) > 1:
+            return mar_viol, min(supported, key=lambda v: (-v[0], v[1]))
     return mar_viol, None
 
 
@@ -76,12 +76,10 @@ def solve_welfare(market: Market | DualSolution, node_budget: int = DEFAULT_NODE
     """
     t = resolve_tol(tol)
     dual = market if isinstance(market, DualSolution) else solve_lp(market, t)
-    program, market = dual.program, dual.market
-    siblings: dict[str, list[str]] = {}
-    for agent in market.agents:
-        for bid in agent.block_bids:
-            if bid.group is not None:
-                siblings.setdefault(bid.group, []).append(bid.bid_id)
+    program, cm = dual.program, dual.market.compiled
+    blocks = list(zip([b.bid_id for b in cm.blocks], cm.block_col.tolist(),
+                      cm.block_table[:, 1].tolist()))
+    siblings = {j: members for members in cm.groups for j in members}
 
     best_val = -np.inf
     best_alloc: Allocation | None = None
@@ -109,30 +107,30 @@ def solve_welfare(market: Market | DualSolution, node_budget: int = DEFAULT_NODE
             open_gap = bound - best_val if np.isfinite(best_val) else float("inf")
             raise NodeBudgetExceeded(
                 ExactSolution(best_val, best_alloc or Allocation({}), nodes, open_gap))
-        mar_viol, group_viol = _implied_violations(market, program, x, t)
+        mar_viol, group_viol = _implied_violations(blocks, cm.groups, x, t)
         if mar_viol:
             # Most fractional implied indicator first, ties by lowest bid id.
-            bid_id = min(mar_viol, key=lambda v: (-v[0], v[1]))[1]
+            j = min(mar_viol, key=lambda v: (-v[0], v[1]))[2]
         elif group_viol is not None:
-            bid_id = group_viol[1]
+            j = group_viol[2]
         else:
             if bound > best_val:
                 best_val, best_alloc = bound, program.allocation_from(x)
             continue
-        bid = market.bid_index[bid_id][1]
+        bid_id, _, mar = blocks[j]
         off = dict(overrides)
         off[bid_id] = (0.0, 0.0)
         push(off)
         on = dict(overrides)
-        on[bid_id] = (bid.mar, 1.0)
+        on[bid_id] = (mar, 1.0)
         if not mar_viol:
             # A group branch pins the exclusive siblings off.  A minimum-
             # acceptance branch leaves them to the group row: pinning them
             # there too moves some child LPs to another vertex path, which
             # changes outputs in the last bit.
-            for sib in siblings[bid.group]:
-                if sib != bid_id:
-                    on[sib] = (0.0, 0.0)
+            for sib in siblings[j]:
+                if sib != j:
+                    on[blocks[sib][0]] = (0.0, 0.0)
         push(on)
 
     if best_alloc is None:

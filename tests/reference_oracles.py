@@ -19,8 +19,9 @@ the same floats.  `reference_build_convexified`, `reference_demand_set` and
 `reference_classify_money` are the welfare LP build, demand-set build and
 money classification as they were before they read `Market.compiled`: one
 agent and one bid at a time, with the per-curve closed forms
-`best_surplus`, `demand_interval` and `curve_margin`.  The compiled path
-must give the same bytes.
+`best_surplus`, `demand_interval` and `curve_margin`; `agent_bundle` is one
+agent's bundle summed bid by bid.  The compiled path must give the same
+bytes.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from equilab.lp import (TOL, _REFRESH_EVERY, _STALL_LIMIT, InfeasibleError,
 from equilab.config import resolve_tol
 from equilab.convexify import ConvexifiedProgram, build_convexified
 from equilab.demand import DemandSet, MoneyClasses
-from equilab.model import (Agent, Allocation, BlockBid, Market, block_components,
-                           iter_patterns, pattern_feasible)
+from equilab.model import (Agent, Allocation, BlockBid, HourlyCurveBid, Market,
+                           block_components, iter_patterns, pattern_feasible)
 from equilab.welfare import ExactSolution
 
 BRUTE_FORCE_MAX_BLOCKS = 20
@@ -373,6 +374,18 @@ def record_simplex_calls(monkeypatch, modules, run):
 
 # ---------------------------------------------------------------------------
 # The per-agent builds, before the compiled market
+
+def agent_bundle(agent: Agent, acceptances, K: int) -> np.ndarray:
+    """Net signed bundle in R^K implied by the acceptances."""
+    x = np.zeros(K)
+    for bid in agent.bids:
+        a = float(acceptances[bid.bid_id])
+        if isinstance(bid, HourlyCurveBid):
+            x[bid.hour] += a
+        else:
+            x += a * bid.q
+    return x
+
 
 def reference_build_convexified(market: Market) -> ConvexifiedProgram:
     K = market.num_commodities

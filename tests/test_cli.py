@@ -90,6 +90,20 @@ def test_clear_invalid_market(capsys, tmp_path):
     assert "bad-curve" in err
 
 
+@pytest.mark.parametrize("mode", ["chp", "exact", "euphemia"])
+def test_clear_rejects_a_group_across_agents(capsys, tmp_path, mode):
+    # before validation caught it, chp died on a duality-gap assertion and
+    # euphemia cleared as if the group were market-wide
+    bad = tmp_path / "group.market.csv"
+    bad.write_text("header,1,EUR,MW,x\n"
+                   "block,a,a1,10.0,1.0,g,,,1.0\n"
+                   "block,b,b1,10.0,1.0,g,,,1.0\n"
+                   "curve,s,s1,1,stepwise,1.0,-5.0\n")
+    code, out, err = run(capsys, "clear", str(bad), "--mode", mode)
+    assert (code, out) == (1, "")
+    assert err == "error: bad-group: b1: group 'g' belongs to another agent\n"
+
+
 def test_clear_budget_exceeded(capsys, tmp_path):
     # odd seller capacity against 2-unit buy blocks keeps the root fractional
     rows = ["header,1,EUR,MW,frac", "curve,s,c,1,stepwise,5.0,-9.0"]

@@ -17,12 +17,13 @@ from hypothesis import given, settings, strategies as st
 from equilab.convexify import build_convexified, priced_at, solve_lp
 from equilab.demand import classify_money
 from equilab.geometry import ComplexityError
-from equilab.model import agent_bundle
+from equilab.model import Agent, BlockBid, Market
 from equilab.random_markets import SimpleRandomMarketSpec, draw_costs, market_from_costs
 
 from market_corpus import random_market, random_price_vector, split_group_market
-from reference_oracles import (reference_build_convexified, reference_classify_money,
-                               reference_demand_set, reference_dual_value)
+from reference_oracles import (agent_bundle, reference_build_convexified,
+                               reference_classify_money, reference_demand_set,
+                               reference_dual_value)
 
 
 def exact(value):
@@ -103,3 +104,21 @@ def test_compiled_market_is_byte_identical_to_per_agent_builds(market, seed, tol
     assert_priced_like_oracle(market, dual, bundles, tol)
     lam = random_price_vector(np.random.default_rng(seed), market)
     assert_priced_like_oracle(market, priced_at(market, lam), bundles, tol)
+
+
+def test_coupling_is_numbered_per_agent():
+    # a group id reused by another agent names another group, and a parent
+    # in another agent is no parent, as `block_components` scopes them
+    market = Market(1, (
+        Agent("a", (BlockBid("x", 1.0, (1.0,), group="h"),
+                    BlockBid("y", 1.0, (1.0,), parent="x"),
+                    BlockBid("z", 1.0, (1.0,), group="h", loop="w"),
+                    BlockBid("w", 1.0, (1.0,), loop="z"))),
+        Agent("b", (BlockBid("u", 1.0, (1.0,), group="g", parent="y"),
+                    BlockBid("v", 1.0, (1.0,), group="h"))),
+    ))
+    cm = market.compiled
+    assert cm.groups == [(4,), (0, 2), (5,)]
+    assert cm.parent == [-1, 0, -1, -1, -1, -1]
+    assert cm.loop == [-1, -1, 3, 2, -1, -1]
+    assert cm.components == [(0, 1, 2, 3), (4,), (5,)]

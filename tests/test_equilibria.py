@@ -40,15 +40,14 @@ def test_reference_lp_allocation(four_agent_market):
     assert res.violating_agents == ("a4",)
     assert res.stats.per_agent == pytest.approx((0.0, 0.0, 0.0, 1.0))
     x = res.allocation
-    assert x.bundle(four_agent_market, four_agent_market.agents[0])[0] == pytest.approx(3.0)
-    assert x.bundle(four_agent_market, four_agent_market.agents[3])[0] == pytest.approx(-1.0)
+    assert x.bundles(four_agent_market)[0][0] == pytest.approx(3.0)
+    assert x.bundles(four_agent_market)[3][0] == pytest.approx(-1.0)
     assert np.allclose(imbalance(x, four_agent_market), 0.0, atol=1e-9)
 
 
 def test_reference_snapped_allocation(four_agent_market):
     res = demand_snapped_allocation(four_agent_market)
-    bundles = [res.allocation.bundle(four_agent_market, a)[0]
-               for a in four_agent_market.agents]
+    bundles = res.allocation.bundles(four_agent_market)[:, 0].tolist()
     assert bundles == pytest.approx([3.0, 0.0, -2.0, 0.0])
     assert res.imbalance == pytest.approx(1.0)
     assert res.bound == pytest.approx(1.0)
@@ -202,9 +201,9 @@ def test_snap_imbalance_bound(seed):
     assert res.imbalance <= res.bound + 1e-7 * (1.0 + res.bound)
     # snapped bundles sit in their demand sets
     lam = res.dual.lambda_star
-    for agent in market.agents:
+    for i, agent in enumerate(market.agents):
         ds = agent_demand_set(agent, lam, market.num_commodities)
-        assert ds.contains(res.allocation.bundle(market, agent), 1e-6)
+        assert ds.contains(res.allocation.bundles(market)[i], 1e-6)
 
 
 @settings(max_examples=25, deadline=None)

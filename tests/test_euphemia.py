@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from equilab.convexify import solve_lp
 from equilab.curves import canonical_steps
 from equilab.equilibria import lost_opportunity_cost
-from equilab import euphemia
+from equilab import euphemia, model
 from equilab.euphemia import (MAX_COMBOS, ClearingComplexityError, _price_excess,
                               _reach, _row_excess, _screened_out, clear_euphemia_style)
 from equilab.lp import InfeasibleError, solve_lp as lp_solve
@@ -20,7 +20,7 @@ from equilab.model import (Agent, BlockBid, HourlyCurveBid, Market,
 from equilab.welfare import solve_welfare
 
 from euphemia_oracle import clear_euphemia_style as oracle_clear
-from market_corpus import random_market
+from market_corpus import random_market, split_group_market
 from market_helpers import imbalance
 from reference_oracles import (record_simplex_calls, reference_simplex,
                                simplex_outcome)
@@ -283,6 +283,69 @@ def test_k1_corpus_runs_no_infeasible_lp(monkeypatch):
         clear_euphemia_style(market)
     assert calls
     assert not infeasible
+
+
+def test_cap_is_checked_before_any_pattern(monkeypatch):
+    # 2^20 patterns of 20 lone blocks exceed the cap on their own; their
+    # count is the product of the components' two patterns each, so no
+    # pattern of the whole market is built or checked
+    calls = []
+    feasible = model.pattern_feasible
+    monkeypatch.setattr(model, "pattern_feasible",
+                        lambda *args: calls.append(None) or feasible(*args))
+    market = Market(1, (
+        Agent("b", tuple(BlockBid(f"b{i}", 5.0 + i, (1.0,)) for i in range(20))),
+        Agent("s", (HourlyCurveBid("s", 0, ((1.0, -5.0),)),)),
+    ))
+    with pytest.raises(ClearingComplexityError):
+        clear_euphemia_style(market)
+    assert not calls
+
+
+def _visited_patterns(monkeypatch, market):
+    """The block patterns `clear_euphemia_style(market)` visits, in order."""
+    seen = []
+    of = euphemia._Pattern.of
+
+    def spy(cm, z, steps):
+        seen.append(z)
+        return of(cm, z, steps)
+
+    with monkeypatch.context() as m:
+        m.setattr(euphemia._Pattern, "of", spy)
+        clear_euphemia_style(market)
+    return seen
+
+
+def _interleaved_market():
+    # components {b0, b2} (a group), {b1}, {b3, b5, b7} (a parent chain)
+    # and {b4, b6} (a loop) interleave in block order
+    blocks = (
+        BlockBid("b0", 8.0, (2.0,), mar=0.5, group="g"),
+        BlockBid("b1", 3.0, (1.0,)),
+        BlockBid("b2", 9.0, (3.0,), group="g"),
+        BlockBid("b3", 4.0, (1.0,)),
+        BlockBid("b4", 5.0, (2.0,), loop="b6"),
+        BlockBid("b5", 2.0, (1.0,), mar=0.25, parent="b3"),
+        BlockBid("b6", -1.0, (-1.0,), loop="b4"),
+        BlockBid("b7", 1.5, (0.5,), parent="b5"),
+    )
+    return Market(1, (Agent("portfolio", blocks),
+                      Agent("s", (HourlyCurveBid("s", 0, ((1.0, -4.0), (2.5, -7.0))),))))
+
+
+def test_patterns_are_visited_in_bitmask_order(monkeypatch):
+    markets = ([_interleaved_market()]
+               + [random_market(np.random.default_rng((2027, i)), K=K, max_blocks=6)
+                  for K in (1, 2, 4) for i in range(15)]
+               + [split_group_market(np.random.default_rng((2028, i)), K=K)
+                  for K in (1, 2, 4) for i in range(3)])
+    for market in markets:
+        blocks = tuple(b for a in market.agents for b in a.block_bids)
+        assert _visited_patterns(monkeypatch, market) == list(iter_patterns(blocks))
+    market = _interleaved_market()
+    assert len(_visited_patterns(monkeypatch, market)) == 3 * 2 * 4 * 2
+    _assert_same_as_oracle(market)
 
 
 def _scaling_script():

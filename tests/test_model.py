@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from equilab.model import (Agent, Allocation, BlockBid, HourlyCurveBid, Market,
-                           acceptance_feasible, agent_bundle, agent_value,
+                           acceptance_feasible, agent_value,
                            block_components, iter_patterns, pattern_feasible,
                            validate_market, zero_allocation)
 
 from market_helpers import imbalance, total_value
+from reference_oracles import agent_bundle
 
 
 def _codes(market):
@@ -82,6 +83,17 @@ def test_rejects_cross_agent_link():
         Agent("c", (BlockBid("b2", 1.0, (1.0,), parent="b1"),)),
     ))
     assert "bad-parent" in _codes(mk)
+
+
+def test_rejects_cross_agent_group():
+    mk = Market(1, (
+        Agent("a", (BlockBid("a1", 10.0, (1.0,), group="g"),)),
+        Agent("b", (BlockBid("b1", 10.0, (1.0,), group="g"),)),
+        Agent("s", (HourlyCurveBid("s1", 0, ((1.0, -5.0),)),)),
+    ))
+    violations = validate_market(mk).violations
+    assert [(v.code, v.message, v.bid_ids) for v in violations] == [
+        ("bad-group", "b1: group 'g' belongs to another agent", ("b1",))]
 
 
 def test_rejects_one_sided_loop():

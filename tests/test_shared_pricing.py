@@ -30,6 +30,7 @@ from equilab.random_markets import (SimpleRandomMarketSpec, certified_equilibriu
 
 from market_corpus import random_market
 from market_helpers import agent_demand_set
+from reference_oracles import agent_bundle
 
 DIMS = (1, 2, 4, 24)
 CORPUS = 20
@@ -89,9 +90,9 @@ def test_one_best_surplus_and_lp_containment_per_agent(monkeypatch, market):
     res = approximate_equilibria(market)
 
     dual = res.dual
-    moved = sum(not np.array_equal(res.pricing.allocation.bundle(market, agent),
+    moved = sum(not np.array_equal(res.pricing.allocation.bundles(market)[i],
                                    dual.lp_bundle(i))
-                for i, agent in enumerate(market.agents))
+                for i in range(len(market.agents)))
     assert counts["patterns"] == components
     assert counts["contains"] == len(market.agents) + moved
 
@@ -227,7 +228,7 @@ def test_caches_keyed_by_tolerance_and_norm(four_agent_market):
     dual = solve_lp(market)
     K = market.num_commodities
     for i, agent in enumerate(market.agents):
-        x = dual.allocation.bundle(market, agent)
+        x = agent_bundle(agent, dual.allocation.acceptances, K)
         assert np.array_equal(dual.lp_bundle(i), x)
         for tol in (DEFAULT_TOL, 1e-3):
             ds = dual.demand(i, tol)
