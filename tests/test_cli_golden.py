@@ -31,6 +31,11 @@ def _cases() -> dict[str, list[str]]:
             cases[f"analyze-{norm}-{name}"] = ["analyze", name, "--norm", norm]
         hours = load_market(FIXTURES / name).num_commodities
         cases[f"analyze-price-{name}"] = ["analyze", name, "--price", *["2.5"] * hours]
+    # At --tol 0.05 block b4 is at the money, its agent's measure and the
+    # singleton-demand verdict change: these lock the tolerance's path into
+    # the pricing, the demand sets and the measure.
+    for name in ("four_agent.csv", "four_agent.json"):
+        cases[f"analyze-tol-{name}"] = ["analyze", name, "--price", "3.1", "--tol", "0.05"]
     cases["simulate-n6-k3"] = ["simulate", "--n", "6", "--k", "3", "--demand", "5",
                                "--seed", "4", "--trials", "200"]
     cases["simulate-n40-k13"] = ["simulate", "--n", "40", "--k", "13", "--demand", "5",
