@@ -10,9 +10,9 @@ import argparse
 
 import numpy as np
 
-from equilab import (SimpleRandomMarketSpec, clear_euphemia_style,
-                     convex_hull_pricing, gen_simple_random_market,
-                     lost_opportunity_cost)
+from equilab import (PricedMarket, SimpleRandomMarketSpec,
+                     clear_euphemia_style, convex_hull_pricing,
+                     gen_simple_random_market, lost_opportunity_cost, solve_lp)
 
 
 def main() -> None:
@@ -31,7 +31,7 @@ def main() -> None:
     uncleared = 0
     for trial in range(args.trials):
         market = gen_simple_random_market(spec, trial)
-        pricing = convex_hull_pricing(market)
+        pricing = convex_hull_pricing(solve_lp(market))
         loc_hull.append(pricing.total_loc)
         if pricing.certificate.is_equilibrium:
             equilibria += 1
@@ -40,7 +40,7 @@ def main() -> None:
             uncleared += 1
             continue
         forgone.append(pricing.exact.welfare - res.welfare)
-        total, _ = lost_opportunity_cost(market, res.allocation, res.lam)
+        total, _ = lost_opportunity_cost(PricedMarket(market, res.lam), res.allocation)
         loc_uniform.append(total)
 
     forgone = np.asarray(forgone)

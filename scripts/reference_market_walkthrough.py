@@ -8,9 +8,9 @@ reports about that failure and how close one can get.
 
 import numpy as np
 
-from equilab import (approximate_equilibria, clear_euphemia_style,
-                     detect_equilibrium, lost_opportunity_cost, priced_at,
-                     singleton_demand_equilibrium_check)
+from equilab import (PricedMarket, approximate_equilibria,
+                     clear_euphemia_style, detect_equilibrium,
+                     lost_opportunity_cost, singleton_demand_equilibrium_check)
 from equilab.model import Agent, BlockBid, HourlyCurveBid, Market
 
 
@@ -35,7 +35,7 @@ def main() -> None:
     print()
 
     print("demand sets at the clearing price:")
-    priced = priced_at(market, lam)
+    priced = PricedMarket(market, lam)
     for agent, ds in zip(market.agents, priced.demand_sets()):
         pts = ", ".join(f"{v[0]:+.1f}" for v in ds.vertices)
         tag = "singleton" if ds.is_singleton() else "nonconvex gap"
@@ -61,14 +61,15 @@ def main() -> None:
             print(f"  {aid} forgoes {v:.4f}")
 
     cleared = clear_euphemia_style(market)
-    loc, per = lost_opportunity_cost(market, cleared.allocation, cleared.lam)
+    loc, per = lost_opportunity_cost(PricedMarket(market, cleared.lam),
+                                     cleared.allocation)
     print(f"\nuniform-price clearing: price {cleared.lam[0]:.4f}, "
           f"welfare {cleared.welfare:.4f}, total LOC {loc:.4f}")
     print(f"  blocks rejected in the money: "
           f"{sorted(k for k, v in per.items() if v > 1e-12)} pay the cost")
 
-    cert = detect_equilibrium(market, lam, res.pricing.allocation)
-    chk = singleton_demand_equilibrium_check(market)
+    cert = detect_equilibrium(priced, res.pricing.allocation)
+    chk = singleton_demand_equilibrium_check(res.dual)
     print(f"\nexact equilibrium found: {cert.is_equilibrium}")
     print(f"singleton-demand condition applies: {chk.applies}")
 

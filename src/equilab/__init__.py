@@ -10,11 +10,10 @@ plus a day-ahead-auction-style clearing for comparison.
 
 from .config import DEFAULT_NORM, DEFAULT_TOL, VERSION
 from .convexify import (ConvexifiedProgram, DualSolution, PricedMarket,
-                        build_convexified, dual_value, priced_at, solve_lp)
+                        build_convexified, dual_value, solve_lp)
 from .curves import CurveError, CurveStep, canonical_steps
 from .demand import (DemandSet, MoneyClasses, NonconvexStats,
-                     agent_best_surplus, classify_money, demand_set,
-                     nonconvexity)
+                     agent_best_surplus, demand_set, nonconvexity)
 from .equilibria import (ApproxEquilibria, EquilibriumCertificate,
                          PricingResult, aggregate_demand_convexity_check,
                          approximate_equilibria, balanced_lp_allocation,
@@ -51,14 +50,14 @@ __all__ = [
     "aggregate_demand_convexity_check", "approximate_equilibria",
     "balanced_lp_allocation", "build_convexified",
     "canonical_steps", "certified_equilibrium", "check_loc_dominance",
-    "classify_money", "clear_euphemia_style", "convex_hull_pricing",
+    "clear_euphemia_style", "convex_hull_pricing",
     "demand_set",
     "demand_snapped_allocation", "detect_equilibrium", "dual_value",
     "emit_market", "emit_outcome", "figure_data", "gen_simple_random_market",
     "gen_tied_cost_market", "load_market", "load_outcome",
     "lost_opportunity_cost", "market_volumes",
     "monte_carlo_equilibrium_probability", "nonconvexity", "parse_market",
-    "parse_outcome", "priced_at", "save_market", "save_outcome",
+    "parse_outcome", "save_market", "save_outcome",
     "singleton_demand_equilibrium_check", "solve_lp", "solve_welfare",
     "validate_market", "zero_allocation",
 ]

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import market_io
 from .config import DEFAULT_NORM, DEFAULT_TOL, VERSION
-from .convexify import priced_at, solve_lp
+from .convexify import PricedMarket, solve_lp
 from .equilibria import (convex_hull_pricing, detect_equilibrium,
                          lost_opportunity_cost)
 from .euphemia import ClearingComplexityError, clear_euphemia_style
@@ -78,16 +78,15 @@ def cmd_clear(args) -> int:
             if not res.cleared:
                 _err("no feasible clearing")
                 return EXIT_INFEASIBLE
-            priced = priced_at(market, res.lam)   # one demand set per agent
+            # one priced market, so one demand set per agent
+            priced = PricedMarket(market, res.lam, args.tol)
             lam, allocation, welfare = res.lam, res.allocation, res.welfare
-            equilibrium = detect_equilibrium(market, priced, allocation, args.tol,
-                                             args.norm).is_equilibrium
-            total_loc, per_agent_loc = lost_opportunity_cost(market, allocation,
-                                                             priced, args.tol)
+            equilibrium = detect_equilibrium(priced, allocation, args.norm).is_equilibrium
+            total_loc, per_agent_loc = lost_opportunity_cost(priced, allocation)
         else:  # exact and chp: the exact allocation priced at lambda*
             cfg["node_budget"] = args.node_budget
-            pricing = convex_hull_pricing(market, args.tol, args.norm,
-                                          node_budget=args.node_budget)
+            pricing = convex_hull_pricing(solve_lp(market, args.tol), args.norm,
+                                          args.node_budget)
             lam, allocation, welfare = (pricing.lambda_star, pricing.allocation,
                                         pricing.exact.welfare)
             equilibrium = pricing.certificate.is_equilibrium
@@ -130,17 +129,17 @@ def cmd_analyze(args) -> int:
         if lam.size != K:
             _err(f"need {K} prices, got {lam.size}")
             return EXIT_INPUT
-        priced = priced_at(market, lam)
+        priced = PricedMarket(market, lam, args.tol)
     else:
         priced = solve_lp(market, args.tol)
-    lam, sets = priced.lambda_star, priced.demand_sets(args.tol)
+    lam, sets = priced.lambda_star, priced.demand_sets()
 
     try:
-        stats = priced.nonconvex_stats(args.tol, args.norm)
+        stats = priced.nonconvex_stats(args.norm)
     except ComplexityError as exc:
         _err(str(exc))
         return EXIT_BUDGET
-    money = priced.pricing(args.tol).money_classes()
+    money = priced.pricing.money_classes()
     agents = {}
     for agent, ds, rho in zip(market.agents, sets, stats.per_agent):
         agents[agent.agent_id] = {

@@ -16,15 +16,18 @@ the same program with per-block bounds overridden (`solve_raw`).
 
 The program's objective, balance columns and coupling rows are filled from
 the market's compiled form (`Market.compiled`, built once per market).  A
-`PricedMarket` prices every agent at once (`demand.MarketPricing`, once per
-prices and tol), so the price dual sums per-agent best surpluses without a
-demand set; demand sets, containment and measures are then built only for
-the agents asked, once each.
+`PricedMarket` is a market at fixed prices under one tolerance, and every
+analysis at prices takes one (the `DualSolution` of `solve_lp` at lambda*).
+It prices every agent at once (`demand.MarketPricing`, once per priced
+market), so the price dual sums per-agent best surpluses without a demand
+set; demand sets, containment and measures are then built only for the
+agents asked, once each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -121,78 +124,71 @@ def build_convexified(market: Market) -> ConvexifiedProgram:
 
 @dataclass
 class PricedMarket:
-    """A market at fixed prices lambda_star.
+    """A market at fixed prices lambda_star under one tolerance tol.
 
-    Quantities at these prices (agent i is `market.agents[i]`) are computed
-    on first use and kept for the life of the object, keyed by every argument
-    they depend on: the pricing of all agents at once (margins, money
-    classes, curve demand intervals, best surpluses), and per agent its
-    demand set, containment, and the nonconvexity measures and their ranking
-    over K that the approximate equilibrium bounds and `equilab analyze`
-    read.
+    `lambda_star` is converted to a float array and `tol` resolved (None is
+    the default) when the object is built; every quantity below is read at
+    those prices and that tolerance.  Quantities (agent i is
+    `market.agents[i]`) are computed on first use and kept for the life of
+    the object: the pricing of all agents at once (margins, money classes,
+    curve demand intervals, best surpluses), and per agent its demand set,
+    containment, and the nonconvexity measures and their ranking over K that
+    the approximate equilibrium bounds and `equilab analyze` read.
     """
 
     market: Market
     lambda_star: np.ndarray
+    tol: float | None = None
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.lambda_star = np.asarray(self.lambda_star, dtype=float)
+        self.tol = resolve_tol(self.tol)
 
     def _memo(self, key: tuple, compute):
         if key not in self._cache:
             self._cache[key] = compute()
         return self._cache[key]
 
-    def pricing(self, tol: float | None = None) -> MarketPricing:
+    @cached_property
+    def pricing(self) -> MarketPricing:
         """Every agent priced at once: margins, money classes, curve demand
         intervals and best surpluses."""
-        t = resolve_tol(tol)
-        return self._memo(("pricing", t), lambda: MarketPricing(
-            self.market.compiled, self.lambda_star, t))
+        return MarketPricing(self.market.compiled, self.lambda_star, self.tol)
 
-    def demand(self, i: int, tol: float | None = None) -> DemandSet:
-        t = resolve_tol(tol)
-        return self._memo(("demand", i, t), lambda: demand_set(self.pricing(t), i))
+    def demand(self, i: int) -> DemandSet:
+        return self._memo(("demand", i), lambda: demand_set(self.pricing, i))
 
-    def demand_sets(self, tol: float | None = None) -> list[DemandSet]:
-        return [self.demand(i, tol) for i in range(len(self.market.agents))]
+    def demand_sets(self) -> list[DemandSet]:
+        return [self.demand(i) for i in range(len(self.market.agents))]
 
-    def in_demand(self, i: int, x, tol: float | None = None) -> bool:
-        t = resolve_tol(tol)
+    def in_demand(self, i: int, x) -> bool:
         x = np.asarray(x, dtype=float)
-        return self._memo(("in_demand", i, t, x.tobytes()),
-                          lambda: self.demand(i, t).contains(x))
+        return self._memo(("in_demand", i, x.tobytes()),
+                          lambda: self.demand(i).contains(x))
 
-    def best_surplus(self, i: int, tol: float | None = None) -> float:
-        return self.pricing(tol).best_surplus[i]
+    def best_surplus(self, i: int) -> float:
+        return self.pricing.best_surplus[i]
 
     def probes(self, i: int) -> tuple:
         """Hull points of agent i's demand set that its measure must cover."""
         return ()
 
-    def measure(self, i: int, tol: float | None = None, norm: str = "l2") -> float:
+    def measure(self, i: int, norm: str = "l2") -> float:
         """Nonconvexity of agent i's demand set, probed at `probes(i)`."""
-        t = resolve_tol(tol)
-        return self._memo(("measure", i, t, norm), lambda: nonconvexity(
-            self.demand(i, t), norm, probes=self.probes(i)))
+        return self._memo(("measure", i, norm), lambda: nonconvexity(
+            self.demand(i), norm, probes=self.probes(i)))
 
-    def nonconvex_stats(self, tol: float | None = None,
-                        norm: str = "l2") -> NonconvexStats:
+    def nonconvex_stats(self, norm: str = "l2") -> NonconvexStats:
         """The measures ranked over K: the count above tol and the K largest."""
-        t = resolve_tol(tol)
         K = self.market.num_commodities
-        measures = [self.measure(i, t, norm) for i in range(len(self.market.agents))]
+        measures = [self.measure(i, norm) for i in range(len(self.market.agents))]
         ranked = sorted(measures, reverse=True)[:K]
-        return NonconvexStats(sum(1 for r in measures if r > t),
+        return NonconvexStats(sum(1 for r in measures if r > self.tol),
                               tuple(ranked + [0.0] * (K - len(ranked))), tuple(measures))
 
 
-def priced_at(market: Market, lam) -> PricedMarket:
-    """`lam` itself when it is already a PricedMarket, else `market` at lam."""
-    if isinstance(lam, PricedMarket):
-        return lam
-    return PricedMarket(market, np.asarray(lam, dtype=float))
-
-
-@dataclass
+@dataclass(kw_only=True)
 class DualSolution(PricedMarket):
     """Optimal prices and a vertex allocation of the convexified welfare LP:
     the market priced at lambda*, with the per-agent quantities of the LP
@@ -209,42 +205,43 @@ class DualSolution(PricedMarket):
         """Agent i's bundle in the LP vertex allocation."""
         return self._memo(("bundles",), lambda: self.allocation.bundles(self.market))[i]
 
-    def lp_in_demand(self, i: int, tol: float | None = None) -> bool:
-        return self.in_demand(i, self.lp_bundle(i), tol)
+    def lp_in_demand(self, i: int) -> bool:
+        return self.in_demand(i, self.lp_bundle(i))
 
     def probes(self, i: int) -> tuple:
         return (self.lp_bundle(i),)
 
 
-def dual_value(market: Market, lam, tol: float | None = None) -> float:
-    """Price dual: sum over agents of the best surplus at prices lam.
+def dual_value(priced: PricedMarket) -> float:
+    """Price dual: sum over agents of the best surplus at the priced
+    market's prices.
 
     The per-agent maximum over the true feasible set equals the maximum of
     the concave envelope over the hull (the value is linear on each piece),
-    so this is exactly the dual function of the convexified market.  `lam`
-    may be a PricedMarket of `market`, whose demand sets are then reused.
+    so this is exactly the dual function of the convexified market.  The
+    pricing it sums is kept on `priced` for its demand sets.
     """
-    return float(sum(priced_at(market, lam).pricing(tol).best_surplus))
+    return float(sum(priced.pricing.best_surplus))
 
 
 def solve_lp(market: Market, tol: float | None = None) -> DualSolution:
     """Build and solve the convexified welfare LP of `market`; asserts strong
     duality.
 
-    Returns the vertex primal allocation, the balance-row multipliers
-    lambda*, and the dual objective evaluated at lambda* (equal to the primal
-    value within tolerance, by LP duality) on the demand sets the
-    DualSolution keeps.  Raises lp.InfeasibleError if the relaxation is
-    infeasible.
+    Returns the market priced at the balance-row multipliers lambda* under
+    `tol`, with the vertex primal allocation and the dual objective
+    evaluated at lambda* (equal to the primal value within tolerance, by LP
+    duality).  Raises lp.InfeasibleError if the relaxation is infeasible.
     """
-    t = resolve_tol(tol)
     program = build_convexified(market)
     res = program.solve_raw()
     vp = res.value
-    dual = DualSolution(market, res.duals_eq, vp, float("nan"),
-                        program.allocation_from(res.x), res.x, program)
-    vd = dual.dual_objective = dual_value(market, dual, t)
-    if abs(vp - vd) > t * (1.0 + abs(vp)):
+    dual = DualSolution(market, res.duals_eq, tol, primal_value=vp,
+                        dual_objective=float("nan"),
+                        allocation=program.allocation_from(res.x),
+                        var_values=res.x, program=program)
+    vd = dual.dual_objective = dual_value(dual)
+    if abs(vp - vd) > dual.tol * (1.0 + abs(vp)):
         raise AssertionError(
             f"duality gap in convexified LP: primal {vp!r}, dual {vd!r}")
     return dual

@@ -16,7 +16,7 @@ What is computed when:
   `MarketPricing`: block margins and money classes, curve best surpluses and
   demand intervals, the best surplus and surplus-maximal patterns of each
   component, and each agent's best surplus.  `convexify.PricedMarket` keeps
-  one per tol, so the price dual sums best surpluses without a demand set;
+  one, so the price dual sums best surpluses without a demand set;
 - once per (agent, prices, tol), only for the agents whose containment,
   measure or demand set is asked: `demand_set` builds the `DemandSet` from
   those arrays.  Its pattern combinations and pieces are built on first use,
@@ -65,16 +65,6 @@ class MoneyClasses:
 
     classes: dict
     margins: dict
-
-
-def classify_money(market: Market, lam, tol: float | None = None) -> MoneyClasses:
-    """in / at / out of the money for every bid at prices lam.
-
-    Blocks use the profile margin p_b - lam.q_b; curves use their best
-    per-unit margin.  The at-the-money band is relative to the money scale,
-    so rescaling all prices leaves the classes unchanged.
-    """
-    return MarketPricing(market.compiled, lam, resolve_tol(tol)).money_classes()
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +173,12 @@ class MarketPricing:
         return ((0,),) * (0.0 >= floor) + ((1,),) * (banded >= floor)
 
     def money_classes(self) -> MoneyClasses:
-        """Every bid's margin and money class, in market order.  A curve's
-        margin is its best per-unit one, its money scale the largest step
-        price plus the hour's price."""
+        """in / at / out of the money for every bid, with its margin, in
+        market order.  A block's margin is its profile margin p_b - lam.q_b,
+        a curve's its best per-unit one, with money scale the largest step
+        price plus the hour's price.  The at-the-money band is relative to
+        the money scale, so rescaling all prices leaves the classes
+        unchanged."""
         cm = self.compiled
         margin = np.full(len(cm.curves), -math.inf)
         scale = np.zeros(len(cm.curves))

@@ -16,6 +16,12 @@ Every agent the snap or an existence check moves takes its acceptances from
 `DemandSet.acceptances`, so it lands on a surplus-maximal indicator pattern
 and best-responds at lambda*.  When two surplus-maximal patterns give the
 same bundle, the first in the demand set's build order wins.
+
+Every analysis here takes a priced market (`convexify.PricedMarket`), which
+carries its market, prices and tolerance: the constructions at lambda* take
+the `DualSolution` of `convexify.solve_lp`, and detection and lost
+opportunity cost take a market at any prices.  Only `approximate_equilibria`
+takes a Market and solves the relaxation itself.
 """
 
 from __future__ import annotations
@@ -25,11 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .config import resolve_tol, vector_norm
-from .convexify import DualSolution, priced_at, solve_lp
+from .config import vector_norm
+from .convexify import DualSolution, PricedMarket, solve_lp
 from .demand import NonconvexStats
 from .model import Allocation, Market, agent_value
-from .welfare import ExactSolution, solve_welfare
+from .welfare import DEFAULT_NODE_BUDGET, ExactSolution, solve_welfare
 
 
 @dataclass(frozen=True)
@@ -46,20 +52,19 @@ class EquilibriumCertificate:
         return self.status == "exact"
 
 
-def detect_equilibrium(market: Market, lam, allocation: Allocation,
-                       tol: float | None = None, norm: str = "l2") -> EquilibriumCertificate:
-    """Exact equilibrium iff every bundle is demanded at lam and trade balances.
+def detect_equilibrium(priced: PricedMarket, allocation: Allocation,
+                       norm: str = "l2") -> EquilibriumCertificate:
+    """Exact equilibrium iff every bundle is demanded at the priced market's
+    prices and trade balances, within its tolerance.
 
-    `lam` may be a PricedMarket of `market` (such as its DualSolution), whose
-    demand sets and containment checks are then reused.
+    The demand sets and containment checks are those kept on `priced` (such
+    as a DualSolution), so they are reused across calls.
     """
-    t = resolve_tol(tol)
-    priced = priced_at(market, lam)
-    bundles = allocation.bundles(market)
-    flags = [priced.in_demand(i, x, t) for i, x in enumerate(bundles)]
+    bundles = allocation.bundles(priced.market)
+    flags = [priced.in_demand(i, x) for i, x in enumerate(bundles)]
     imbalance = vector_norm(bundles.sum(axis=0), norm)
     scale = 1.0 + float(np.max(np.abs(bundles), initial=0.0))
-    ok = all(flags) and imbalance <= t * scale
+    ok = all(flags) and imbalance <= priced.tol * scale
     return EquilibriumCertificate("exact" if ok else "none",
                                   tuple(float(v) for v in priced.lambda_star),
                                   tuple(flags), imbalance)
@@ -76,8 +81,7 @@ class LpAllocationResult:
     stats: NonconvexStats
 
 
-def balanced_lp_allocation(market: Market, dual: DualSolution | None = None,
-                           tol: float | None = None, norm: str = "l2") -> LpAllocationResult:
+def balanced_lp_allocation(dual: DualSolution, norm: str = "l2") -> LpAllocationResult:
     """Vertex optimum of the convexified LP at its own prices.
 
     The allocation is balanced by construction.  The number of agents whose
@@ -85,11 +89,10 @@ def balanced_lp_allocation(market: Market, dual: DualSolution | None = None,
     counts agents with nonconvex demand and K the commodities; violating the
     bound would mean the LP solution is not a vertex, so it is asserted.
     """
-    t = resolve_tol(tol)
-    dual = solve_lp(market, t) if dual is None else dual
+    market = dual.market
     bad = tuple(agent.agent_id for i, agent in enumerate(market.agents)
-                if not dual.lp_in_demand(i, t))
-    ncs = dual.nonconvex_stats(t, norm)
+                if not dual.lp_in_demand(i))
+    ncs = dual.nonconvex_stats(norm)
     limit = min(ncs.count, market.num_commodities)
     if len(bad) > limit:
         raise AssertionError(f"{len(bad)} agents outside demand, bound is {limit}")
@@ -106,8 +109,7 @@ class SnappedAllocationResult:
     bound: float            # sum of the K largest nonconvexity measures
 
 
-def demand_snapped_allocation(market: Market, dual: DualSolution | None = None,
-                              tol: float | None = None,
+def demand_snapped_allocation(dual: DualSolution,
                               norm: str = "l2") -> SnappedAllocationResult:
     """Move every agent to the nearest demand point; ties snap toward zero.
 
@@ -119,19 +121,18 @@ def demand_snapped_allocation(market: Market, dual: DualSolution | None = None,
     with each LP bundle fed back as a candidate probe so the bound is
     evaluated safely even off the closed-form path).
     """
-    t = resolve_tol(tol)
-    dual = solve_lp(market, t) if dual is None else dual
+    t, market = dual.tol, dual.market
     acc: dict[str, float] = dict(dual.allocation.acceptances)
     total = np.zeros(market.num_commodities)
     for i in range(len(market.agents)):
         x = dual.lp_bundle(i)
-        if not dual.lp_in_demand(i, t):
-            ds = dual.demand(i, t)
+        if not dual.lp_in_demand(i):
+            ds = dual.demand(i)
             _, x = ds.nearest(x)
             acc.update(ds.acceptances(x))
         total += x
     imbalance = vector_norm(total, norm)
-    bound = dual.nonconvex_stats(t, norm).top_sum
+    bound = dual.nonconvex_stats(norm).top_sum
     if imbalance > bound + t * (1.0 + bound):
         raise AssertionError(
             f"imbalance {imbalance} exceeds nonconvexity bound {bound}")
@@ -141,26 +142,25 @@ def demand_snapped_allocation(market: Market, dual: DualSolution | None = None,
 # ---------------------------------------------------------------------------
 # Lost opportunity cost and convex hull pricing
 
-def lost_opportunity_cost(market: Market, allocation: Allocation, lam,
-                          tol: float | None = None) -> tuple[float, dict]:
-    """Total and per-agent surplus shortfall against the best response at lam.
+def lost_opportunity_cost(priced: PricedMarket,
+                          allocation: Allocation) -> tuple[float, dict]:
+    """Total and per-agent surplus shortfall against the best response at the
+    priced market's prices.
 
-    Infinite for agents whose acceptances are outside their true feasible set.
-    `lam` may be a PricedMarket of `market` (such as its DualSolution), whose
-    best surpluses are then reused.
+    Infinite for agents whose acceptances are outside their true feasible set
+    (within the priced market's tolerance).  The best surpluses are those
+    kept on `priced` (such as a DualSolution), so they are reused.
     """
-    t = resolve_tol(tol)
-    priced = priced_at(market, lam)
-    lam = priced.lambda_star
+    lam, market = priced.lambda_star, priced.market
     bundles = allocation.bundles(market)
     per_agent: dict[str, float] = {}
     for i, agent in enumerate(market.agents):
-        val = agent_value(agent, allocation.acceptances, t)
+        val = agent_value(agent, allocation.acceptances, priced.tol)
         if val == float("-inf"):
             per_agent[agent.agent_id] = float("inf")
             continue
         got = val - float(lam @ bundles[i])
-        per_agent[agent.agent_id] = max(0.0, priced.best_surplus(i, t) - got)
+        per_agent[agent.agent_id] = max(0.0, priced.best_surplus(i) - got)
     return float(sum(per_agent.values())), per_agent
 
 
@@ -181,43 +181,36 @@ class PricingResult:
         return self.dual.dual_objective - self.exact.welfare
 
 
-def convex_hull_pricing(market: Market, tol: float | None = None,
-                        norm: str = "l2", node_budget: int | None = None,
-                        dual: DualSolution | None = None) -> PricingResult:
+def convex_hull_pricing(dual: DualSolution, norm: str = "l2",
+                        node_budget: int = DEFAULT_NODE_BUDGET) -> PricingResult:
     """Price the exact welfare allocation at lambda*.
 
     The total lost opportunity cost equals the gap between the convexified
     dual value and the exact welfare (asserted), and it is zero exactly when
     an equilibrium exists.
     """
-    t = resolve_tol(tol)
-    dual = solve_lp(market, t) if dual is None else dual
-    kwargs = {} if node_budget is None else {"node_budget": node_budget}
-    exact = solve_welfare(dual, tol=t, **kwargs)
-    total, per_agent = lost_opportunity_cost(market, exact.allocation, dual, t)
+    exact = solve_welfare(dual, node_budget)
+    total, per_agent = lost_opportunity_cost(dual, exact.allocation)
     gap = dual.dual_objective - exact.welfare
     scale = 1.0 + abs(dual.dual_objective) + abs(exact.welfare)
     if abs(total - gap) > 1e-6 * scale:
         raise AssertionError(f"pricing loc {total} != duality gap {gap}")
-    cert = detect_equilibrium(market, dual, exact.allocation, t, norm)
+    cert = detect_equilibrium(dual, exact.allocation, norm)
     return PricingResult(tuple(float(v) for v in dual.lambda_star), exact.allocation,
                          exact, dual, total, per_agent, cert)
 
 
-def check_loc_dominance(market: Market, allocation: Allocation, lam,
-                        pricing: PricingResult | None = None,
-                        tol: float | None = None) -> bool:
-    """Is the priced exact allocation's total LOC <= the candidate pair's?
+def check_loc_dominance(pricing: PricingResult, priced: PricedMarket,
+                        allocation: Allocation) -> bool:
+    """Is the priced exact allocation's total LOC <= the candidate pair's
+    (`allocation` at the prices of `priced`, within its tolerance)?
 
     True for every balanced feasible allocation at any prices; the candidate
     need not be balanced for the comparison to run, but the guarantee is
     stated for balanced ones.
     """
-    t = resolve_tol(tol)
-    if pricing is None:
-        pricing = convex_hull_pricing(market, t)
-    cand, _ = lost_opportunity_cost(market, allocation, lam, t)
-    return pricing.total_loc <= cand + t * (1.0 + abs(cand))
+    cand, _ = lost_opportunity_cost(priced, allocation)
+    return pricing.total_loc <= cand + priced.tol * (1.0 + abs(cand))
 
 
 # ---------------------------------------------------------------------------
@@ -231,17 +224,15 @@ class ExistenceCheck:
     allocation: Allocation | None   # the allocation certified
 
 
-def singleton_demand_equilibrium_check(market: Market, tol: float | None = None,
+def singleton_demand_equilibrium_check(dual: DualSolution,
                                        norm: str = "l2") -> ExistenceCheck:
     """If every block-owning agent demands a single bundle at lambda*, an
     equilibrium exists: the snapped allocation, certified and returned."""
-    t = resolve_tol(tol)
-    dual = solve_lp(market, t)
-    if not all(dual.demand(i, t).is_singleton()
-               for i, agent in enumerate(market.agents) if agent.has_blocks):
+    if not all(dual.demand(i).is_singleton()
+               for i, agent in enumerate(dual.market.agents) if agent.has_blocks):
         return ExistenceCheck(False, False, None, None)
-    snapped = demand_snapped_allocation(market, dual, t, norm)
-    cert = detect_equilibrium(market, dual, snapped.allocation, t, norm)
+    snapped = demand_snapped_allocation(dual, norm)
+    cert = detect_equilibrium(dual, snapped.allocation, norm)
     return ExistenceCheck(True, cert.is_equilibrium, cert, snapped.allocation)
 
 
@@ -253,7 +244,7 @@ class AggregateConvexityCheck:
     certificate: EquilibriumCertificate | None
 
 
-def aggregate_demand_convexity_check(market: Market, tol: float | None = None,
+def aggregate_demand_convexity_check(dual: DualSolution,
                                      norm: str = "l2") -> AggregateConvexityCheck:
     """Single-commodity check: if the Minkowski sum of all demand sets at
     lambda* is convex (one interval), select per-agent demand points that
@@ -264,13 +255,12 @@ def aggregate_demand_convexity_check(market: Market, tol: float | None = None,
     markets with more than one commodity; the exact interval arithmetic used
     here is one-dimensional.
     """
-    if market.num_commodities != 1:
+    if dual.market.num_commodities != 1:
         raise ValueError("aggregate convexity check supports single-commodity "
                          "markets only")
-    t = resolve_tol(tol)
-    dual = solve_lp(market, t)
+    t = dual.tol
     per_agent: list[list[tuple[float, float]]] = []
-    for ds in dual.demand_sets(t):
+    for ds in dual.demand_sets():
         line = ds.line  # one dimension is always collinear
         s, o = float(line.unit[0]), float(line.origin[0])
         ivs = [(o + min(s * a, s * b), o + max(s * a, s * b)) for a, b in line.intervals]
@@ -287,16 +277,16 @@ def aggregate_demand_convexity_check(market: Market, tol: float | None = None,
     allocation = None
     cert = None
     if convex and total[0][0] <= t and total[0][1] >= -t:
-        allocation = _select_balancing_points(dual, per_agent, t)
+        allocation = _select_balancing_points(dual, per_agent)
         if allocation is not None:
-            cert = detect_equilibrium(market, dual, allocation, t, norm)
+            cert = detect_equilibrium(dual, allocation, norm)
     return AggregateConvexityCheck(convex, tuple(tuple(iv) for iv in total),
                                    allocation, cert)
 
 
-def _select_balancing_points(dual: DualSolution, per_agent, tol: float):
+def _select_balancing_points(dual: DualSolution, per_agent):
     """Pick x_i in D_i summing to zero by a reachability sweep (1-D exact)."""
-    n = len(per_agent)
+    tol, n = dual.tol, len(per_agent)
     reach = [None] * (n + 1)
     reach[n] = [(0.0, 0.0)]
     for i in range(n - 1, -1, -1):
@@ -322,7 +312,7 @@ def _select_balancing_points(dual: DualSolution, per_agent, tol: float):
                 break
         if chosen is None:
             return None
-        ds = dual.demand(i, tol)
+        ds = dual.demand(i)
         _, y = ds.nearest(np.array([chosen]))
         acc.update(ds.acceptances(y))
         target -= chosen
@@ -350,6 +340,6 @@ def approximate_equilibria(market: Market, tol: float | None = None,
                            norm: str = "l2") -> ApproxEquilibria:
     """The three allocations at lambda*, sharing one solved convexified LP."""
     dual = solve_lp(market, tol)
-    return ApproxEquilibria(dual, balanced_lp_allocation(market, dual, tol, norm),
-                            demand_snapped_allocation(market, dual, tol, norm),
-                            convex_hull_pricing(market, tol, norm, dual=dual))
+    return ApproxEquilibria(dual, balanced_lp_allocation(dual, norm),
+                            demand_snapped_allocation(dual, norm),
+                            convex_hull_pricing(dual, norm))

@@ -228,11 +228,11 @@ def acceptance_feasible(agent: Agent, acceptances: Mapping[str, float],
     """True iff the per-bid acceptances lie in the agent's true feasible set.
 
     Blocks: ratio in {0} union [mar, 1]; curves: quantity within the curve
-    range; at most one accepted bid per exclusive group; child blocks need an
-    active parent; looped partners are active together.
+    range; the active blocks' indicators obey the couplings of
+    `pattern_feasible`, the one rule every solver uses.
     """
     t = resolve_tol(tol)
-    active: dict[str, bool] = {}
+    active: dict[str, int] = {}
     for bid in agent.bids:
         a = float(acceptances[bid.bid_id])
         if isinstance(bid, HourlyCurveBid):
@@ -242,24 +242,13 @@ def acceptance_feasible(agent: Agent, acceptances: Mapping[str, float],
                 return False
         else:
             if a <= t:
-                active[bid.bid_id] = False
+                active[bid.bid_id] = 0
             elif bid.mar - t <= a <= 1.0 + t:
-                active[bid.bid_id] = True
+                active[bid.bid_id] = 1
             else:
                 return False
-    groups: dict[str, int] = {}
-    for bid in agent.block_bids:
-        if active[bid.bid_id] and bid.group is not None:
-            groups[bid.group] = groups.get(bid.group, 0) + 1
-    if any(n > 1 for n in groups.values()):
-        return False
-    for bid in agent.block_bids:
-        if active[bid.bid_id] and bid.parent is not None and not active.get(bid.parent, False):
-            return False
-        if bid.loop is not None and bid.loop in active:
-            if active[bid.bid_id] != active[bid.loop]:
-                return False
-    return True
+    blocks = agent.block_bids
+    return pattern_feasible(blocks, tuple(active[b.bid_id] for b in blocks))
 
 
 def agent_value(agent: Agent, acceptances: Mapping[str, float],
@@ -332,9 +321,16 @@ def block_components(blocks: tuple[BlockBid, ...]) -> list[tuple[int, ...]]:
     return [tuple(sorted(v)) for _, v in sorted(comps.items())]
 
 
-def pattern_feasible(blocks: tuple[BlockBid, ...], z: tuple[int, ...]) -> bool:
-    """Is the indicator assignment consistent with groups, links, loops?"""
-    by_id = {b.bid_id: i for i, b in enumerate(blocks)}
+def pattern_feasible(blocks: tuple[BlockBid, ...], z: tuple[int, ...],
+                     by_id: dict[str, int] | None = None) -> bool:
+    """Is the indicator assignment consistent with groups, links, loops?
+
+    Couplings are scoped to `blocks`: a parent or loop partner outside them
+    is ignored.  `by_id` maps each bid id to its index in `blocks`; it is
+    built here when not given.
+    """
+    if by_id is None:
+        by_id = {b.bid_id: i for i, b in enumerate(blocks)}
     groups: dict[str, int] = {}
     for i, b in enumerate(blocks):
         if z[i]:
@@ -354,8 +350,9 @@ def iter_patterns(blocks: tuple[BlockBid, ...]) -> Iterator[tuple[int, ...]]:
     if len(blocks) == 1:            # a lone block has nothing to violate
         yield from ((0,), (1,))
         return
+    by_id = {b.bid_id: i for i, b in enumerate(blocks)}
     for z in itertools.product((0, 1), repeat=len(blocks)):
-        if pattern_feasible(blocks, z):
+        if pattern_feasible(blocks, z, by_id):
             yield z
 
 

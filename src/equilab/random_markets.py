@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import resolve_tol
 from .convexify import solve_lp
 from .model import Agent, BlockBid, HourlyCurveBid, Market
 
@@ -107,9 +106,8 @@ def certified_equilibrium(market: Market, tol: float | None = None) -> bool:
     The LP allocation is balanced, so containment in all demand sets at
     lambda* certifies an exact equilibrium.
     """
-    t = resolve_tol(tol)
-    dual = solve_lp(market, t)
-    return all(dual.lp_in_demand(i, t) for i in range(len(market.agents)))
+    dual = solve_lp(market, tol)
+    return all(dual.lp_in_demand(i) for i in range(len(market.agents)))
 
 
 @dataclass(frozen=True)
@@ -128,11 +126,10 @@ def monte_carlo_equilibrium_probability(spec: SimpleRandomMarketSpec,
     """Fraction of trials whose clearing certifies an exact equilibrium."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    t = resolve_tol(tol)
     hits = 0
     for trial in range(trials):
         market = gen_simple_random_market(spec, trial)
-        if certified_equilibrium(market, t):
+        if certified_equilibrium(market, tol):
             hits += 1
     p = hits / trials
     half = 1.96 * math.sqrt(p * (1.0 - p) / trials)

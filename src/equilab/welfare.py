@@ -1,10 +1,11 @@
 """Exact welfare maximization over the true (nonconvex) feasible sets.
 
 Best-bound branch and bound on the block indicators, started from the solved
-convexified relaxation (`convexify.solve_lp`): every other node re-solves the
-same program with per-block bound overrides.  Branching fixes an indicator to
-0 (ratio pinned to zero) or 1 (ratio within [mar, 1]; on a group branch the
-exclusive siblings are pinned to zero too).  Candidate incumbents are LP
+convexified relaxation (the `DualSolution` of `convexify.solve_lp`, whose
+tolerance it uses): every other node re-solves the same program with
+per-block bound overrides.  Branching fixes an indicator to 0 (ratio pinned
+to zero) or 1 (ratio within [mar, 1]; on a group branch the exclusive
+siblings are pinned to zero too).  Candidate incumbents are LP
 solutions whose implied indicators are feasible, so the reported optimum is
 always truly feasible.  Blocks, their columns and minimum acceptance ratios,
 and the exclusive groups are read from the market's compiled form.
@@ -19,9 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .config import resolve_tol
-from .convexify import DualSolution, solve_lp
-from .model import Allocation, Market
+from .convexify import DualSolution
+from .model import Allocation
 
 DEFAULT_NODE_BUDGET = 10 ** 6
 
@@ -64,18 +64,15 @@ def _implied_violations(blocks, groups, x: np.ndarray, tol: float):
     return mar_viol, None
 
 
-def solve_welfare(market: Market | DualSolution, node_budget: int = DEFAULT_NODE_BUDGET,
-                  tol: float | None = None) -> ExactSolution:
+def solve_welfare(dual: DualSolution,
+                  node_budget: int = DEFAULT_NODE_BUDGET) -> ExactSolution:
     """Best-bound branch and bound; deterministic, gap-certified.
 
-    The root is the solved convexified LP: `market` itself when it is a
-    DualSolution, else `convexify.solve_lp(market)` (which raises
-    lp.InfeasibleError on an infeasible relaxation).  Raises
-    NodeBudgetExceeded (carrying the incumbent) if the node budget runs out
-    before the gap closes.
+    The root is the solved convexified LP `dual`.  Raises NodeBudgetExceeded
+    (carrying the incumbent) if the node budget runs out before the gap
+    closes.
     """
-    t = resolve_tol(tol)
-    dual = market if isinstance(market, DualSolution) else solve_lp(market, t)
+    t = dual.tol
     program, cm = dual.program, dual.market.compiled
     blocks = list(zip([b.bid_id for b in cm.blocks], cm.block_col.tolist(),
                       cm.block_table[:, 1].tolist()))

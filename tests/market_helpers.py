@@ -25,4 +25,4 @@ def agent_demand_set(agent: Agent, lam, K: int | None = None,
     """The demand set of one agent at prices lam, as a one-agent market's."""
     lam = np.asarray(lam, dtype=float)
     market = Market(lam.size if K is None else K, (agent,))
-    return PricedMarket(market, lam).demand(0, tol)
+    return PricedMarket(market, lam, tol).demand(0)

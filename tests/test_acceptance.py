@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from equilab import lp
-from equilab.convexify import build_convexified, solve_lp
+from equilab.convexify import PricedMarket, build_convexified, solve_lp
 from equilab.demand import agent_best_surplus
 from equilab.equilibria import (aggregate_demand_convexity_check,
                                 balanced_lp_allocation, check_loc_dominance,
@@ -57,20 +57,20 @@ def test_reference_market_golden_values(four_agent_market):
     assert dual.primal_value == pytest.approx(7.0, abs=1e-6)
     assert dual.lambda_star[0] == pytest.approx(3.0, abs=1e-6)
 
-    exact = solve_welfare(four_agent_market)
+    exact = solve_welfare(dual)
     assert exact.welfare == pytest.approx(6.0, abs=1e-6)
     oracle = brute_force_welfare(four_agent_market)
     assert exact.welfare == pytest.approx(oracle.welfare, abs=1e-6)
 
-    pricing = convex_hull_pricing(four_agent_market)
+    pricing = convex_hull_pricing(dual)
     assert pricing.total_loc == pytest.approx(1.0, abs=1e-6)
     assert pricing.duality_gap == pytest.approx(1.0, abs=1e-6)
 
-    lp_alloc = balanced_lp_allocation(four_agent_market)
+    lp_alloc = balanced_lp_allocation(dual)
     assert lp_alloc.violations == 1
     assert lp_alloc.stats.per_agent == pytest.approx((0.0, 0.0, 0.0, 1.0), abs=1e-6)
 
-    snapped = demand_snapped_allocation(four_agent_market)
+    snapped = demand_snapped_allocation(dual)
     assert snapped.imbalance == pytest.approx(1.0, abs=1e-6)
 
     want_vertices = ([(3.0,)], [(0.0,)], [(-2.0,)], [(-2.0,), (0.0,)])
@@ -100,13 +100,13 @@ def test_allocation_bounds_hold_at_scale(bound_corpus):
     for market in bound_corpus:
         K = market.num_commodities
         dual = solve_lp(market)
-        lp_alloc = balanced_lp_allocation(market, dual)
+        lp_alloc = balanced_lp_allocation(dual)
         assert lp_alloc.violations <= min(lp_alloc.stats.count, K)
-        snapped = demand_snapped_allocation(market, dual)
+        snapped = demand_snapped_allocation(dual)
         gap = float(np.linalg.norm(imbalance(snapped.allocation, market)))
         assert gap <= snapped.bound + 1e-9 * (1.0 + snapped.bound)
         # every agent the snap moves best-responds at lambda*
-        _, per_agent = lost_opportunity_cost(market, snapped.allocation, dual)
+        _, per_agent = lost_opportunity_cost(dual, snapped.allocation)
         for i, agent in enumerate(market.agents):
             if not dual.lp_in_demand(i):
                 assert per_agent[agent.agent_id] <= 1e-6, agent.agent_id
@@ -115,7 +115,7 @@ def test_allocation_bounds_hold_at_scale(bound_corpus):
 
 def test_pricing_gap_identity_at_scale(bound_corpus):
     for market in bound_corpus:
-        pricing = convex_hull_pricing(market)
+        pricing = convex_hull_pricing(solve_lp(market))
         gap = pricing.dual.dual_objective - pricing.exact.welfare
         assert abs(pricing.total_loc - gap) <= 1e-6
 
@@ -124,21 +124,21 @@ def test_priced_allocation_minimizes_lost_opportunity(four_agent_market):
     for i in range(200):
         rng = np.random.default_rng((5150, i))
         market = random_market(rng, K=int(rng.integers(1, 3)), max_blocks=6)
-        pricing = convex_hull_pricing(market)
+        pricing = convex_hull_pricing(solve_lp(market))
         sampled = 0
         while sampled < 50:
             pair = random_balanced_allocation(market, rng)
             if pair is None:
                 pair = zero_allocation(market)
             lam = random_price_vector(rng, market)
-            assert check_loc_dominance(market, pair, lam, pricing)
+            assert check_loc_dominance(pricing, PricedMarket(market, lam), pair)
             sampled += 1
     # the uniform-price clearing of the reference market leaves nine times
     # the lost opportunity cost of hull pricing
-    pricing = convex_hull_pricing(four_agent_market)
+    pricing = convex_hull_pricing(solve_lp(four_agent_market))
     cleared = clear_euphemia_style(four_agent_market)
-    cleared_loc, _ = lost_opportunity_cost(four_agent_market,
-                                           cleared.allocation, cleared.lam)
+    cleared_loc, _ = lost_opportunity_cost(
+        PricedMarket(four_agent_market, cleared.lam), cleared.allocation)
     assert pricing.total_loc == pytest.approx(1.0, abs=1e-6)
     assert cleared_loc == pytest.approx(9.0, abs=1e-6)
     assert pricing.total_loc <= cleared_loc
@@ -147,14 +147,14 @@ def test_priced_allocation_minimizes_lost_opportunity(four_agent_market):
 def test_singleton_demand_always_certifies(bound_corpus):
     applied = 0
     for market in bound_corpus:
-        chk = singleton_demand_equilibrium_check(market)
+        chk = singleton_demand_equilibrium_check(solve_lp(market))
         if chk.applies:
             applied += 1
             assert chk.equilibrium_found
             assert chk.certificate.is_equilibrium
             # the certified (snapped) allocation is a best response for all
-            total, _ = lost_opportunity_cost(market, chk.allocation,
-                                             chk.certificate.lambda_star)
+            total, _ = lost_opportunity_cost(
+                PricedMarket(market, chk.certificate.lambda_star), chk.allocation)
             assert total <= 1e-6
     assert applied > 0  # the sufficient condition must actually trigger
 
@@ -164,12 +164,12 @@ def test_certified_aggregate_equilibria_best_respond(bound_corpus):
     for market in bound_corpus:
         if market.num_commodities != 1:
             continue
-        chk = aggregate_demand_convexity_check(market)
+        chk = aggregate_demand_convexity_check(solve_lp(market))
         if chk.certificate is None or not chk.certificate.is_equilibrium:
             continue
         certified += 1
-        total, _ = lost_opportunity_cost(market, chk.equilibrium,
-                                         chk.certificate.lambda_star)
+        total, _ = lost_opportunity_cost(
+            PricedMarket(market, chk.certificate.lambda_star), chk.equilibrium)
         assert total <= 1e-6
     assert certified > 0
 
@@ -191,7 +191,7 @@ def test_tied_cost_family_aggregate_span_and_equilibrium():
         span = 2.0 * (n_binary + 1)
         assert len(totals) == 1
         assert totals[0] == pytest.approx((-span, 0.0), abs=1e-9)
-        chk = aggregate_demand_convexity_check(market)
+        chk = aggregate_demand_convexity_check(solve_lp(market))
         assert chk.convex
         assert chk.certificate is not None and chk.certificate.is_equilibrium
 
@@ -200,7 +200,7 @@ def test_welfare_search_matches_enumeration():
     for i in range(500):
         rng = np.random.default_rng((8486, i))
         market = random_market(rng, K=1 + i % 2, max_blocks=8)
-        searched = solve_welfare(market)
+        searched = solve_welfare(solve_lp(market))
         enumerated = brute_force_welfare(market)
         assert abs(searched.welfare - enumerated.welfare) <= 1e-6
 

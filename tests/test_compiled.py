@@ -14,8 +14,7 @@ tolerances put grid prices exactly on the edges of the at-the-money bands.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from equilab.convexify import build_convexified, priced_at, solve_lp
-from equilab.demand import classify_money
+from equilab.convexify import PricedMarket, build_convexified, solve_lp
 from equilab.geometry import ComplexityError
 from equilab.model import Agent, BlockBid, Market
 from equilab.random_markets import SimpleRandomMarketSpec, draw_costs, market_from_costs
@@ -72,17 +71,18 @@ PROGRAM_FIELDS = ("objective", "balance", "a_ub", "b_ub", "lo", "hi", "block_col
                   "curve_cols")
 
 
-def assert_priced_like_oracle(market, priced, bundles, tol):
-    lam, K = priced.lambda_star, market.num_commodities
-    assert exact(vars(classify_money(market, lam, tol))) == \
+def assert_priced_like_oracle(priced, bundles):
+    market, lam, tol = priced.market, priced.lambda_star, priced.tol
+    K = market.num_commodities
+    assert exact(vars(priced.pricing.money_classes())) == \
         exact(vars(reference_classify_money(market, lam, tol)))
     for i, agent in enumerate(market.agents):
-        got, want = priced.demand(i, tol), reference_demand_set(agent, lam, K, tol)
+        got, want = priced.demand(i), reference_demand_set(agent, lam, K, tol)
         assert exact(got.best_surplus) == exact(want.best_surplus), (i, "best surplus")
-        assert exact(priced.best_surplus(i, tol)) == exact(want.best_surplus), (i, "best surplus")
+        assert exact(priced.best_surplus(i)) == exact(want.best_surplus), (i, "best surplus")
         assert exact(got.factors) == exact(want.factors), (i, "factors")
         assert outcome(lambda: got.line) == outcome(lambda: want.line), (i, "line")
-        assert outcome(lambda: priced.in_demand(i, bundles[i], tol)) == \
+        assert outcome(lambda: priced.in_demand(i, bundles[i])) == \
             outcome(lambda: want.contains(bundles[i])), (i, "contains")
 
 
@@ -101,9 +101,10 @@ def test_compiled_market_is_byte_identical_to_per_agent_builds(market, seed, tol
     assert exact(dual.dual_objective) == \
         exact(reference_dual_value(market, dual.lambda_star))
 
-    assert_priced_like_oracle(market, dual, bundles, tol)
+    # the same relaxation priced under `tol`: lambda* does not depend on it
+    assert_priced_like_oracle(solve_lp(market, tol), bundles)
     lam = random_price_vector(np.random.default_rng(seed), market)
-    assert_priced_like_oracle(market, priced_at(market, lam), bundles, tol)
+    assert_priced_like_oracle(PricedMarket(market, lam, tol), bundles)
 
 
 def test_coupling_is_numbered_per_agent():

@@ -5,7 +5,7 @@ import pytest
 import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
-from equilab.convexify import build_convexified, dual_value, solve_lp
+from equilab.convexify import PricedMarket, build_convexified, dual_value, solve_lp
 from equilab.model import (Agent, BlockBid, HourlyCurveBid, Market,
                            validate_market)
 
@@ -36,11 +36,11 @@ def test_reference_solution(four_agent_market):
 
 def test_reference_dual_function(four_agent_market):
     # dual function values away from the optimum dominate the primal
-    assert dual_value(four_agent_market, [3.0]) == pytest.approx(7.0)
-    assert dual_value(four_agent_market, [0.0]) == pytest.approx(14.0)
-    assert dual_value(four_agent_market, [10.0]) == pytest.approx(32.0)
+    assert dual_value(PricedMarket(four_agent_market, [3.0])) == pytest.approx(7.0)
+    assert dual_value(PricedMarket(four_agent_market, [0.0])) == pytest.approx(14.0)
+    assert dual_value(PricedMarket(four_agent_market, [10.0])) == pytest.approx(32.0)
     for lam in ([1.0], [2.5], [4.0], [6.0]):
-        assert dual_value(four_agent_market, lam) >= 7.0 - 1e-9
+        assert dual_value(PricedMarket(four_agent_market, lam)) >= 7.0 - 1e-9
 
 
 def test_group_rows():
@@ -131,7 +131,7 @@ def test_dual_dominates_everywhere(seed):
     sol = solve_lp(market)
     for _ in range(5):
         lam = random_price_vector(rng, market)
-        assert dual_value(market, lam) >= sol.primal_value - 1e-8
+        assert dual_value(PricedMarket(market, lam)) >= sol.primal_value - 1e-8
 
 
 @settings(max_examples=30, deadline=None)

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from equilab import geometry
 from equilab.config import vector_norm
-from equilab.convexify import priced_at, solve_lp
-from equilab.demand import agent_best_surplus, classify_money, nonconvexity
+from equilab.convexify import PricedMarket, solve_lp
+from equilab.demand import agent_best_surplus, nonconvexity
 from equilab.geometry import (ComplexityError, merge_intervals, piece_nearest,
                               union_nearest)
 from equilab.model import (Agent, BlockBid, HourlyCurveBid, Market, agent_value,
@@ -48,14 +48,14 @@ def test_reference_singletons(four_agent_market):
 
 
 def test_reference_money_classes(four_agent_market):
-    mc = classify_money(four_agent_market, [3.0])
+    mc = PricedMarket(four_agent_market, [3.0]).pricing.money_classes()
     assert mc.classes == {"b1": "in", "c2": "out", "c3": "in", "b4": "at"}
     assert mc.margins["b1"] == pytest.approx(3.0)
     assert mc.margins["b4"] == pytest.approx(0.0)
 
 
 def test_reference_nonconvexity(four_agent_market):
-    stats = priced_at(four_agent_market, [3.0]).nonconvex_stats()
+    stats = PricedMarket(four_agent_market, [3.0]).nonconvex_stats()
     assert stats.count == 1
     assert stats.per_agent == pytest.approx((0.0, 0.0, 0.0, 1.0))
     assert stats.top == pytest.approx((1.0,))
@@ -64,8 +64,9 @@ def test_reference_nonconvexity(four_agent_market):
 
 def test_block_margin():
     market = Market(1, (Agent("a", (BlockBid("b", 12.0, (3.0,)),)),))
-    assert classify_money(market, [3.0]).margins["b"] == pytest.approx(3.0)
-    assert classify_money(market, [4.0]).margins["b"] == pytest.approx(0.0)
+    for lam, margin in (([3.0], 3.0), ([4.0], 0.0)):
+        money = PricedMarket(market, lam).pricing.money_classes()
+        assert money.margins["b"] == pytest.approx(margin)
 
 
 def test_at_money_block_demand_is_ratio_segment():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equilab.convexify import solve_lp
+from equilab.convexify import PricedMarket, solve_lp
 from equilab.equilibria import (aggregate_demand_convexity_check,
                                 approximate_equilibria,
                                 balanced_lp_allocation, check_loc_dominance,
@@ -12,7 +12,8 @@ from equilab.equilibria import (aggregate_demand_convexity_check,
                                 detect_equilibrium, lost_opportunity_cost,
                                 singleton_demand_equilibrium_check)
 from equilab.model import (Agent, Allocation, BlockBid, HourlyCurveBid,
-                           Market, zero_allocation)
+                           Market, acceptance_feasible, validate_market,
+                           zero_allocation)
 
 from market_corpus import (random_balanced_allocation, random_market,
                            random_price_vector)
@@ -23,7 +24,7 @@ from market_helpers import agent_demand_set, imbalance
 # Reference market goldens
 
 def test_reference_has_no_equilibrium(four_agent_market):
-    pricing = convex_hull_pricing(four_agent_market)
+    pricing = convex_hull_pricing(solve_lp(four_agent_market))
     assert not pricing.certificate.is_equilibrium
     assert pricing.lambda_star == pytest.approx((3.0,))
     assert pricing.exact.welfare == pytest.approx(6.0)
@@ -35,7 +36,7 @@ def test_reference_has_no_equilibrium(four_agent_market):
 
 
 def test_reference_lp_allocation(four_agent_market):
-    res = balanced_lp_allocation(four_agent_market)
+    res = balanced_lp_allocation(solve_lp(four_agent_market))
     assert res.violations == 1
     assert res.violating_agents == ("a4",)
     assert res.stats.per_agent == pytest.approx((0.0, 0.0, 0.0, 1.0))
@@ -46,7 +47,7 @@ def test_reference_lp_allocation(four_agent_market):
 
 
 def test_reference_snapped_allocation(four_agent_market):
-    res = demand_snapped_allocation(four_agent_market)
+    res = demand_snapped_allocation(solve_lp(four_agent_market))
     bundles = res.allocation.bundles(four_agent_market)[:, 0].tolist()
     assert bundles == pytest.approx([3.0, 0.0, -2.0, 0.0])
     assert res.imbalance == pytest.approx(1.0)
@@ -55,7 +56,7 @@ def test_reference_snapped_allocation(four_agent_market):
 
 
 def test_reference_exact_allocation_in_demand_except_one(four_agent_market):
-    pricing = convex_hull_pricing(four_agent_market)
+    pricing = convex_hull_pricing(solve_lp(four_agent_market))
     cert = pricing.certificate
     assert cert.in_demand == (True, False, True, True)
     assert cert.imbalance == pytest.approx(0.0)
@@ -67,14 +68,14 @@ def test_detect_equilibrium_positive():
         Agent("b", (HourlyCurveBid("cb", 0, ((5.0, 2.0),)),)),
         Agent("s", (HourlyCurveBid("cs", 0, ((1.0, -3.0),)),)),
     ))
-    pricing = convex_hull_pricing(mk)
+    pricing = convex_hull_pricing(solve_lp(mk))
     assert pricing.certificate.is_equilibrium
     assert pricing.total_loc == pytest.approx(0.0)
     assert pricing.duality_gap == pytest.approx(0.0, abs=1e-9)
 
 
 def test_detect_equilibrium_rejects_imbalance(four_agent_market):
-    cert = detect_equilibrium(four_agent_market, [3.0],
+    cert = detect_equilibrium(PricedMarket(four_agent_market, [3.0]),
                               Allocation({"b1": 1.0, "c2": 0.0, "c3": -2.0, "b4": 0.0}))
     assert not cert.is_equilibrium
     assert cert.imbalance == pytest.approx(1.0)
@@ -83,30 +84,29 @@ def test_detect_equilibrium_rejects_imbalance(four_agent_market):
 
 def test_loc_of_reference_candidates(four_agent_market):
     # the zero allocation leaves every profitable trade on the table
-    total, per = lost_opportunity_cost(
-        four_agent_market, zero_allocation(four_agent_market), [3.0])
+    at_3 = PricedMarket(four_agent_market, [3.0])
+    total, per = lost_opportunity_cost(at_3, zero_allocation(four_agent_market))
     assert total == pytest.approx(7.0)
     assert per["a1"] == pytest.approx(3.0)
     assert per["a3"] == pytest.approx(4.0)
     # infeasible acceptance is infinitely costly
     bad = Allocation({"b1": 0.5, "c2": 0.0, "c3": 0.0, "b4": 0.0})
-    total_bad, per_bad = lost_opportunity_cost(four_agent_market, bad, [3.0])
+    total_bad, per_bad = lost_opportunity_cost(at_3, bad)
     assert total_bad == float("inf")
     assert per_bad["a1"] == float("inf")
 
 
 def test_dominance_on_reference(four_agent_market):
-    pricing = convex_hull_pricing(four_agent_market)
-    assert check_loc_dominance(four_agent_market,
-                               zero_allocation(four_agent_market), [3.0], pricing)
-    assert check_loc_dominance(four_agent_market,
-                               zero_allocation(four_agent_market), [0.0], pricing)
+    pricing = convex_hull_pricing(solve_lp(four_agent_market))
+    zero = zero_allocation(four_agent_market)
+    assert check_loc_dominance(pricing, PricedMarket(four_agent_market, [3.0]), zero)
+    assert check_loc_dominance(pricing, PricedMarket(four_agent_market, [0.0]), zero)
     full = Allocation({"b1": 1.0, "c2": 1.0, "c3": -2.0, "b4": 1.0})
-    assert check_loc_dominance(four_agent_market, full, [2.0], pricing)
+    assert check_loc_dominance(pricing, PricedMarket(four_agent_market, [2.0]), full)
 
 
 def test_singleton_check_inapplicable_on_reference(four_agent_market):
-    chk = singleton_demand_equilibrium_check(four_agent_market)
+    chk = singleton_demand_equilibrium_check(solve_lp(four_agent_market))
     assert not chk.applies
     assert not chk.equilibrium_found
     assert chk.allocation is None
@@ -120,7 +120,7 @@ def test_singleton_check_finds_equilibrium():
         Agent("b2", (HourlyCurveBid("c2", 0, ((4.0, 1.0),)),)),
         Agent("s", (HourlyCurveBid("c", 0, ((1.0, -4.0),)),)),
     ))
-    chk = singleton_demand_equilibrium_check(mk)
+    chk = singleton_demand_equilibrium_check(solve_lp(mk))
     assert chk.applies
     assert chk.equilibrium_found
     assert chk.certificate.is_equilibrium
@@ -128,7 +128,7 @@ def test_singleton_check_finds_equilibrium():
 
 
 def test_aggregate_convexity_on_reference(four_agent_market):
-    chk = aggregate_demand_convexity_check(four_agent_market)
+    chk = aggregate_demand_convexity_check(solve_lp(four_agent_market))
     assert not chk.convex
     assert chk.equilibrium is None
     # aggregate demand at lambda*: {3} + {0} + {-2} + {-2, 0} = {-1, 1}
@@ -141,7 +141,7 @@ def test_aggregate_convexity_positive():
         Agent("b2", (HourlyCurveBid("c2", 0, ((4.0, 1.0),)),)),
         Agent("s", (HourlyCurveBid("c", 0, ((1.0, -4.0),)),)),
     ))
-    chk = aggregate_demand_convexity_check(mk)
+    chk = aggregate_demand_convexity_check(solve_lp(mk))
     assert chk.convex
     assert chk.equilibrium is not None
     assert chk.certificate.is_equilibrium
@@ -155,19 +155,39 @@ def test_certified_equilibrium_best_responds():
                         BlockBid("b2", 5.0, (1.0,), group="g"))),
         Agent("seller", (HourlyCurveBid("c", 0, ((5.0, -2.0),)),)),
     ))
-    chk = aggregate_demand_convexity_check(mk)
+    chk = aggregate_demand_convexity_check(solve_lp(mk))
     assert chk.certificate.is_equilibrium
     assert chk.certificate.lambda_star == pytest.approx((5.0,))
     assert chk.equilibrium["b1"] == 1.0
     assert chk.equilibrium["b2"] == 0.0
-    total, _ = lost_opportunity_cost(mk, chk.equilibrium, chk.certificate.lambda_star)
+    total, _ = lost_opportunity_cost(PricedMarket(mk, chk.certificate.lambda_star),
+                                     chk.equilibrium)
     assert total == pytest.approx(0.0, abs=1e-9)
 
 
 def test_aggregate_convexity_rejects_multi_commodity():
     mk = Market(2, (Agent("a", (BlockBid("b", 1.0, (1.0, 0.0)),)),))
+    dual = solve_lp(mk)
     with pytest.raises(ValueError):
-        aggregate_demand_convexity_check(mk)
+        aggregate_demand_convexity_check(dual)
+
+
+def test_cross_agent_parent_follows_the_solvers_coupling_rule():
+    # block c names a parent of another agent: validation rejects the market,
+    # and every solver scopes the link to c's agent and so ignores it; the
+    # acceptance rule must agree, or hull pricing reads c's accepted block
+    # as infeasible and its lost opportunity cost as infinite
+    mk = Market(1, (
+        Agent("a", (BlockBid("p", 6.0, (1.0,)),)),
+        Agent("b", (BlockBid("c", 6.0, (1.0,), parent="p"),)),
+        Agent("s", (HourlyCurveBid("s", 0, ((2.0, -3.0),)),)),
+    ))
+    assert "bad-parent" in {v.code for v in validate_market(mk).violations}
+    assert mk.compiled.parent == [-1, -1]
+    assert acceptance_feasible(mk.agents[1], {"c": 1.0})
+    pricing = convex_hull_pricing(solve_lp(mk))
+    assert pricing.exact.allocation["c"] == 1.0
+    assert pricing.total_loc == pytest.approx(pricing.duality_gap, abs=1e-9)
 
 
 def test_approximate_equilibria_bundle(four_agent_market):
@@ -186,7 +206,7 @@ def test_approximate_equilibria_bundle(four_agent_market):
 def test_lp_allocation_violation_bound(seed):
     rng = np.random.default_rng(seed)
     market = random_market(rng, K=int(rng.integers(1, 3)), max_blocks=5)
-    res = balanced_lp_allocation(market)
+    res = balanced_lp_allocation(solve_lp(market))
     K = market.num_commodities
     assert res.violations <= min(res.stats.count, K)
     assert np.allclose(imbalance(res.allocation, market), 0.0, atol=1e-7)
@@ -197,7 +217,7 @@ def test_lp_allocation_violation_bound(seed):
 def test_snap_imbalance_bound(seed):
     rng = np.random.default_rng(seed)
     market = random_market(rng, K=int(rng.integers(1, 3)), max_blocks=5)
-    res = demand_snapped_allocation(market)
+    res = demand_snapped_allocation(solve_lp(market))
     assert res.imbalance <= res.bound + 1e-7 * (1.0 + res.bound)
     # snapped bundles sit in their demand sets
     lam = res.dual.lambda_star
@@ -211,7 +231,7 @@ def test_snap_imbalance_bound(seed):
 def test_pricing_gap_identity(seed):
     rng = np.random.default_rng(seed)
     market = random_market(rng, K=1, max_blocks=5)
-    pricing = convex_hull_pricing(market)
+    pricing = convex_hull_pricing(solve_lp(market))
     scale = 1.0 + abs(pricing.dual.dual_objective) + abs(pricing.exact.welfare)
     assert abs(pricing.total_loc - pricing.duality_gap) <= 1e-6 * scale
     assert pricing.duality_gap >= -1e-8
@@ -225,16 +245,17 @@ def test_pricing_gap_identity(seed):
 def test_dominance_over_sampled_pairs(seed):
     rng = np.random.default_rng(seed)
     market = random_market(rng, K=1, max_blocks=4)
-    pricing = convex_hull_pricing(market)
+    pricing = convex_hull_pricing(solve_lp(market))
     for _ in range(6):
         pair = random_balanced_allocation(market, rng)
         if pair is None:
             continue
         lam = random_price_vector(rng, market)
-        assert check_loc_dominance(market, pair, lam, pricing)
+        assert check_loc_dominance(pricing, PricedMarket(market, lam), pair)
     # the all-zero allocation is always balanced and feasible
-    assert check_loc_dominance(market, zero_allocation(market),
-                               random_price_vector(rng, market), pricing)
+    assert check_loc_dominance(
+        pricing, PricedMarket(market, random_price_vector(rng, market)),
+        zero_allocation(market))
 
 
 @settings(max_examples=25, deadline=None)
@@ -242,7 +263,7 @@ def test_dominance_over_sampled_pairs(seed):
 def test_singleton_check_soundness(seed):
     rng = np.random.default_rng(seed)
     market = random_market(rng, K=1, max_blocks=4)
-    chk = singleton_demand_equilibrium_check(market)
+    chk = singleton_demand_equilibrium_check(solve_lp(market))
     if chk.applies:
         assert chk.equilibrium_found
         assert chk.certificate.is_equilibrium

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equilab.convexify import solve_lp
+from equilab.convexify import PricedMarket, solve_lp
 from equilab.curves import canonical_steps
 from equilab.equilibria import lost_opportunity_cost
 from equilab import euphemia, model
@@ -41,7 +41,8 @@ def test_reference_market_rejects_blocks(four_agent_market):
 
 def test_reference_clearing_leaves_loc(four_agent_market):
     res = clear_euphemia_style(four_agent_market)
-    total, per = lost_opportunity_cost(four_agent_market, res.allocation, res.lam)
+    total, per = lost_opportunity_cost(PricedMarket(four_agent_market, res.lam),
+                                       res.allocation)
     assert total == pytest.approx(9.0)
     assert per["a1"] == pytest.approx(9.0)
 
@@ -139,7 +140,7 @@ def test_random_outcomes_are_legal(seed):
     if res.cleared:
         _assert_legal_outcome(market, res)
         # uniform-price clearing can never beat the unrestricted optimum
-        assert res.welfare <= solve_welfare(market).welfare + 1e-7
+        assert res.welfare <= solve_welfare(solve_lp(market)).welfare + 1e-7
 
 
 @settings(max_examples=30, deadline=None)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from equilab.convexify import solve_lp
 from equilab.equilibria import (aggregate_demand_convexity_check,
                                 convex_hull_pricing)
 from equilab.model import validate_market
@@ -99,7 +100,7 @@ def test_certified_matches_pricing_gap():
     spec = SimpleRandomMarketSpec(n=4, k=2, seed=3)
     for trial in range(20):
         market = gen_simple_random_market(spec, trial)
-        pricing = convex_hull_pricing(market)
+        pricing = convex_hull_pricing(solve_lp(market))
         assert certified_equilibrium(market) == (pricing.total_loc <= 1e-7)
 
 
@@ -148,7 +149,7 @@ def test_tied_cost_aggregate_is_convex(n_binary):
     # the LP-vertex certificate can miss these (ties let the vertex split a
     # binary supplier) but the aggregate route must prove the equilibrium
     market = gen_tied_cost_market(1, n_binary, demand=n_binary + 1.0)
-    chk = aggregate_demand_convexity_check(market)
+    chk = aggregate_demand_convexity_check(solve_lp(market))
     assert chk.convex
     # one convex supplier fills the gaps: supply spans [0, 2(N+1)] jointly
     assert chk.certificate is not None and chk.certificate.is_equilibrium
@@ -172,7 +173,7 @@ def test_without_convex_setter_no_equilibrium():
     # all-binary tie with fractional residual demand cannot balance exactly
     market = gen_tied_cost_market(0, 3, demand=3.0)
     assert not certified_equilibrium(market)
-    chk = aggregate_demand_convexity_check(market)
+    chk = aggregate_demand_convexity_check(solve_lp(market))
     assert not chk.convex
 
 

@@ -18,7 +18,7 @@ import pytest
 
 from equilab import convexify, demand, geometry, model
 from equilab.config import DEFAULT_TOL
-from equilab.convexify import ConvexifiedProgram, priced_at, solve_lp
+from equilab.convexify import ConvexifiedProgram, PricedMarket, solve_lp
 from equilab.demand import DemandSet, agent_best_surplus, demand_set, nonconvexity
 from equilab.equilibria import (approximate_equilibria, balanced_lp_allocation,
                                 convex_hull_pricing, demand_snapped_allocation,
@@ -171,16 +171,17 @@ def test_one_pattern_pass_per_component_at_other_prices(monkeypatch, market):
     # the counted calls
     components = sum(len(block_components(a.block_bids)) for a in market.agents)
     twin = dataclasses.replace(market)
-    lam = solve_lp(twin).lambda_star + 0.25
-    allocation = convex_hull_pricing(twin).allocation
-    want = (detect_equilibrium(twin, lam, allocation),
-            lost_opportunity_cost(twin, allocation, lam))
+    twin_dual = solve_lp(twin)
+    lam = twin_dual.lambda_star + 0.25
+    allocation = convex_hull_pricing(twin_dual).allocation
+    want = (detect_equilibrium(PricedMarket(twin, lam), allocation),
+            lost_opportunity_cost(PricedMarket(twin, lam), allocation))
     counts: Counter = Counter()
     count_calls(monkeypatch, counts, "patterns", model.iter_patterns)
 
-    priced = priced_at(market, lam)
-    got = (detect_equilibrium(market, priced, allocation),
-           lost_opportunity_cost(market, allocation, priced))
+    priced = PricedMarket(market, lam)
+    got = (detect_equilibrium(priced, allocation),
+           lost_opportunity_cost(priced, allocation))
 
     assert got == want
     assert counts["patterns"] == components
@@ -188,8 +189,8 @@ def test_one_pattern_pass_per_component_at_other_prices(monkeypatch, market):
 
 def test_duality_check_seeds_best_surplus(market):
     dual = solve_lp(market)
-    assert dual.dual_objective == convexify.dual_value(market, dual.lambda_star,
-                                                       DEFAULT_TOL)
+    assert dual.dual_objective == convexify.dual_value(
+        PricedMarket(market, dual.lambda_star, DEFAULT_TOL))
     for i, agent in enumerate(market.agents):
         assert dual.best_surplus(i) == agent_best_surplus(agent, dual.lambda_star,
                                                           DEFAULT_TOL)
@@ -197,9 +198,9 @@ def test_duality_check_seeds_best_surplus(market):
 
 def test_certificate_same_with_dual_or_prices(market):
     dual = solve_lp(market)
-    for allocation in (dual.allocation, convex_hull_pricing(market, dual=dual).allocation):
-        assert (detect_equilibrium(market, dual, allocation)
-                == detect_equilibrium(market, dual.lambda_star, allocation))
+    for allocation in (dual.allocation, convex_hull_pricing(dual).allocation):
+        assert (detect_equilibrium(dual, allocation)
+                == detect_equilibrium(PricedMarket(market, dual.lambda_star), allocation))
 
 
 def assert_same(a, b, path="result"):
@@ -217,34 +218,36 @@ def assert_same(a, b, path="result"):
 
 def test_bundle_equals_standalone_functions(market):
     res = approximate_equilibria(market)
-    assert_same(res.lp_result, balanced_lp_allocation(market), "lp_result")
-    assert_same(res.snapped, demand_snapped_allocation(market), "snapped")
-    assert_same(res.pricing, convex_hull_pricing(market), "pricing")
+    assert_same(res.lp_result, balanced_lp_allocation(solve_lp(market)), "lp_result")
+    assert_same(res.snapped, demand_snapped_allocation(solve_lp(market)), "snapped")
+    assert_same(res.pricing, convex_hull_pricing(solve_lp(market)), "pricing")
     assert_same(res.dual, solve_lp(market), "dual")
 
 
 def test_caches_keyed_by_tolerance_and_norm(four_agent_market):
+    # the tolerance is the priced market's own, so each tolerance keeps its
+    # own caches; within one, each measure is kept per norm
     market = four_agent_market
-    dual = solve_lp(market)
     K = market.num_commodities
-    for i, agent in enumerate(market.agents):
-        x = agent_bundle(agent, dual.allocation.acceptances, K)
-        assert np.array_equal(dual.lp_bundle(i), x)
-        for tol in (DEFAULT_TOL, 1e-3):
-            ds = dual.demand(i, tol)
-            assert ds.tol == tol
+    duals = {tol: solve_lp(market, tol) for tol in (None, DEFAULT_TOL, 1e-3)}
+    assert duals[None].tol == DEFAULT_TOL
+    for tol, dual in duals.items():
+        for i, agent in enumerate(market.agents):
+            x = agent_bundle(agent, dual.allocation.acceptances, K)
+            assert np.array_equal(dual.lp_bundle(i), x)
+            ds = dual.demand(i)
+            assert ds is dual.demand(i)
+            assert ds.tol == dual.tol
             assert ds.pieces == agent_demand_set(agent, dual.lambda_star, K, tol).pieces
             for norm in ("l1", "l2", "linf"):
-                assert dual.measure(i, tol, norm) == nonconvexity(ds, norm, probes=(x,))
-        assert dual.demand(i, DEFAULT_TOL) is dual.demand(i)
-        assert dual.demand(i, 1e-3) is not dual.demand(i)
+                assert dual.measure(i, norm) == nonconvexity(ds, norm, probes=(x,))
 
 
 def test_probing_at_the_lp_bundle_never_lowers_the_measure(market):
     """The solved market measures the same sets as the market at its prices,
     with each LP bundle added as a candidate."""
     dual = solve_lp(market)
-    priced = priced_at(market, dual.lambda_star)
+    priced = PricedMarket(market, dual.lambda_star)
     for i in range(len(market.agents)):
         for norm in ("l1", "l2", "linf"):
-            assert dual.measure(i, norm=norm) >= priced.measure(i, norm=norm)
+            assert dual.measure(i, norm) >= priced.measure(i, norm)

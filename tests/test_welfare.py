@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from equilab import welfare
 from equilab.convexify import solve_lp
+from equilab.equilibria import approximate_equilibria
 from equilab.market_io import load_market
 from equilab.model import (Agent, BlockBid, HourlyCurveBid, Market,
                            acceptance_feasible)
@@ -18,7 +19,7 @@ from reference_oracles import brute_force_welfare
 
 
 def test_reference_welfare(four_agent_market):
-    sol = solve_welfare(four_agent_market)
+    sol = solve_welfare(solve_lp(four_agent_market))
     assert sol.welfare == pytest.approx(6.0)
     assert sol.gap <= 1e-6
     acc = sol.allocation
@@ -29,13 +30,13 @@ def test_reference_welfare(four_agent_market):
 
 
 def test_reference_brute_force_agrees(four_agent_market):
-    a = solve_welfare(four_agent_market)
+    a = solve_welfare(solve_lp(four_agent_market))
     b = brute_force_welfare(four_agent_market)
     assert a.welfare == pytest.approx(b.welfare, abs=1e-9)
 
 
 def test_exact_below_relaxation(four_agent_market):
-    exact = solve_welfare(four_agent_market).welfare
+    exact = solve_welfare(solve_lp(four_agent_market)).welfare
     relaxed = solve_lp(four_agent_market).primal_value
     assert exact <= relaxed + 1e-9
     assert relaxed - exact == pytest.approx(1.0)
@@ -47,7 +48,7 @@ def test_mar_forces_all_or_floor():
         Agent("s", (HourlyCurveBid("c", 0, ((3.0, -4.0),)),)),
         Agent("b", (BlockBid("b", 20.0, (4.0,), mar=0.75),)),
     ))
-    sol = solve_welfare(mk)
+    sol = solve_welfare(solve_lp(mk))
     assert sol.welfare == pytest.approx(8.0)
     assert sol.allocation["b"] == pytest.approx(1.0)
 
@@ -59,7 +60,7 @@ def test_rejecting_block_can_win():
         Agent("b", (BlockBid("b", 10.0, (2.0,)),)),
         Agent("b2", (HourlyCurveBid("c2", 0, ((6.0, 1.0),)),)),
     ))
-    sol = solve_welfare(mk)
+    sol = solve_welfare(solve_lp(mk))
     ref = brute_force_welfare(mk)
     assert sol.welfare == pytest.approx(ref.welfare, abs=1e-9)
 
@@ -71,12 +72,12 @@ def test_node_budget_raises():
         agents.append(Agent(f"a{i}", (BlockBid(f"b{i}", 11.0 + i * 0.01, (2.0,)),)))
     mk = Market(1, tuple(agents))
     with pytest.raises(NodeBudgetExceeded) as exc:
-        solve_welfare(mk, node_budget=1)
+        solve_welfare(solve_lp(mk), node_budget=1)
     assert exc.value.best is None or exc.value.best.welfare <= 1e9
 
 
 def test_solution_is_acceptance_feasible(four_agent_market):
-    sol = solve_welfare(four_agent_market)
+    sol = solve_welfare(solve_lp(four_agent_market))
     for agent in four_agent_market.agents:
         acc = {b.bid_id: sol.allocation[b.bid_id] for b in agent.bids}
         assert acceptance_feasible(agent, acc)
@@ -87,7 +88,7 @@ def test_solution_is_acceptance_feasible(four_agent_market):
 def test_matches_brute_force(seed):
     rng = np.random.default_rng(seed)
     market = random_market(rng, K=int(rng.integers(1, 3)), max_blocks=6)
-    a = solve_welfare(market)
+    a = solve_welfare(solve_lp(market))
     b = brute_force_welfare(market)
     assert a.welfare == pytest.approx(b.welfare, abs=1e-7)
     assert a.gap <= 1e-6
@@ -106,7 +107,7 @@ def test_structured_blocks_match_brute_force(seed):
     """Groups, parent links, and loops all survive the search."""
     rng = np.random.default_rng(seed)
     market = random_market(rng, K=1, max_blocks=8, structured=True)
-    a = solve_welfare(market)
+    a = solve_welfare(solve_lp(market))
     b = brute_force_welfare(market)
     assert a.welfare == pytest.approx(b.welfare, abs=1e-7)
 
@@ -133,7 +134,7 @@ def test_group_branch_matches_brute_force(monkeypatch):
     for i in range(30):
         market = split_group_market(np.random.default_rng((8, i)), K=(1, 2, 4)[i % 3])
         before = fired["group"]
-        a = solve_welfare(market)
+        a = solve_welfare(solve_lp(market))
         assert fired["group"] > before
         assert a.welfare == pytest.approx(brute_force_welfare(market).welfare, abs=1e-7)
         assert a.gap <= 1e-6
@@ -158,13 +159,14 @@ def _equivalence_markets(four_agent_market):
         yield random_market(np.random.default_rng((11, i)), K=K, structured=True)
 
 
-def test_market_and_relaxation_roots_agree(monkeypatch, four_agent_market):
-    # a Market and its solved relaxation start the same search, and both
-    # branching rules run over the sample
+def test_fresh_and_shared_relaxation_roots_agree(monkeypatch, four_agent_market):
+    # a freshly solved relaxation and the one `approximate_equilibria` shares
+    # with its other analyses start the same search, and both branching
+    # rules run over the sample
     fired = _count_branches(monkeypatch)
     for market in _equivalence_markets(four_agent_market):
-        a = solve_welfare(market)
-        b = solve_welfare(solve_lp(market))
+        a = solve_welfare(solve_lp(market))
+        b = approximate_equilibria(market).pricing.exact
         assert a.welfare == b.welfare
         assert a.allocation == b.allocation
         assert (a.nodes, a.gap) == (b.nodes, b.gap)
