@@ -40,7 +40,7 @@ def main() -> None:
             uncleared += 1
             continue
         forgone.append(pricing.exact.welfare - res.welfare)
-        total, _ = lost_opportunity_cost(PricedMarket(market, res.lam), res.allocation)
+        total, _, _ = lost_opportunity_cost(PricedMarket(market, res.lam), res.allocation)
         loc_uniform.append(total)
 
     forgone = np.asarray(forgone)

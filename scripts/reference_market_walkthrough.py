@@ -61,8 +61,8 @@ def main() -> None:
             print(f"  {aid} forgoes {v:.4f}")
 
     cleared = clear_euphemia_style(market)
-    loc, per = lost_opportunity_cost(PricedMarket(market, cleared.lam),
-                                     cleared.allocation)
+    loc, per, _ = lost_opportunity_cost(PricedMarket(market, cleared.lam),
+                                        cleared.allocation)
     print(f"\nuniform-price clearing: price {cleared.lam[0]:.4f}, "
           f"welfare {cleared.welfare:.4f}, total LOC {loc:.4f}")
     print(f"  blocks rejected in the money: "

@@ -17,9 +17,8 @@ from .demand import (DemandSet, MoneyClasses, NonconvexStats,
 from .equilibria import (ApproxEquilibria, EquilibriumCertificate,
                          PricingResult, aggregate_demand_convexity_check,
                          approximate_equilibria, balanced_lp_allocation,
-                         check_loc_dominance, convex_hull_pricing,
-                         demand_snapped_allocation, detect_equilibrium,
-                         lost_opportunity_cost,
+                         convex_hull_pricing, demand_snapped_allocation,
+                         detect_equilibrium, lost_opportunity_cost,
                          singleton_demand_equilibrium_check)
 from .euphemia import (ClearingComplexityError, EuphemiaResult,
                        clear_euphemia_style)
@@ -28,8 +27,7 @@ from .market_io import (MarketParseError, OutcomeReport, emit_market,
                         market_volumes, parse_market, parse_outcome,
                         save_market, save_outcome)
 from .model import (Agent, Allocation, BlockBid, HourlyCurveBid, Market,
-                    ValidationReport, agent_value, validate_market,
-                    zero_allocation)
+                    ValidationReport, validate_market, zero_allocation)
 from .random_markets import (MonteCarloResult, SimpleRandomMarketSpec,
                              certified_equilibrium, gen_simple_random_market,
                              gen_tied_cost_market,
@@ -46,10 +44,10 @@ __all__ = [
     "HourlyCurveBid", "Market", "MarketParseError", "MonteCarloResult",
     "MoneyClasses", "NodeBudgetExceeded", "NonconvexStats", "OutcomeReport",
     "PricedMarket", "PricingResult", "SimpleRandomMarketSpec", "VERSION", "ValidationReport",
-    "agent_best_surplus", "agent_value",
+    "agent_best_surplus",
     "aggregate_demand_convexity_check", "approximate_equilibria",
     "balanced_lp_allocation", "build_convexified",
-    "canonical_steps", "certified_equilibrium", "check_loc_dominance",
+    "canonical_steps", "certified_equilibrium",
     "clear_euphemia_style", "convex_hull_pricing",
     "demand_set",
     "demand_snapped_allocation", "detect_equilibrium", "dual_value",

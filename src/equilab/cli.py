@@ -27,7 +27,7 @@ from .equilibria import (convex_hull_pricing, detect_equilibrium,
 from .euphemia import ClearingComplexityError, clear_euphemia_style
 from .geometry import ComplexityError
 from .lp import InfeasibleError
-from .model import Market, agent_value, validate_market
+from .model import Market, validate_market
 from .random_markets import (SimpleRandomMarketSpec,
                              monte_carlo_equilibrium_probability)
 from .welfare import NodeBudgetExceeded
@@ -82,7 +82,7 @@ def cmd_clear(args) -> int:
             priced = PricedMarket(market, res.lam, args.tol)
             lam, allocation, welfare = res.lam, res.allocation, res.welfare
             equilibrium = detect_equilibrium(priced, allocation, args.norm).is_equilibrium
-            total_loc, per_agent_loc = lost_opportunity_cost(priced, allocation)
+            total_loc, per_agent_loc, per_value = lost_opportunity_cost(priced, allocation)
         else:  # exact and chp: the exact allocation priced at lambda*
             cfg["node_budget"] = args.node_budget
             pricing = convex_hull_pricing(solve_lp(market, args.tol), args.norm,
@@ -90,7 +90,8 @@ def cmd_clear(args) -> int:
             lam, allocation, welfare = (pricing.lambda_star, pricing.allocation,
                                         pricing.exact.welfare)
             equilibrium = pricing.certificate.is_equilibrium
-            total_loc, per_agent_loc = pricing.total_loc, pricing.per_agent_loc
+            total_loc, per_agent_loc, per_value = (pricing.total_loc, pricing.per_agent_loc,
+                                                   pricing.per_agent_value)
     except NodeBudgetExceeded as exc:
         _err(f"node budget exceeded (best welfare so far {exc.best.welfare})")
         return EXIT_BUDGET
@@ -101,8 +102,6 @@ def cmd_clear(args) -> int:
         _err("no feasible clearing")
         return EXIT_INFEASIBLE
 
-    per_value = {a.agent_id: agent_value(a, allocation.acceptances, args.tol)
-                 for a in market.agents}
     convex_vol, nonconvex_vol = market_io.market_volumes(market)
     report = market_io.OutcomeReport(
         label=market.label, mode=args.mode,

@@ -109,7 +109,7 @@ class MarketPricing:
         # Curve steps: a buy step is taken below its price, a sell step
         # above it; one within the band of the price is optional.  A step
         # left out adds a zero (its sign is lost in a sum onto +0.0).
-        p, width, abs_p, abs_width = cm.step_table.T
+        p, width, abs_p, abs_width = cm.step_table[:, :4].T
         hour, _, curve = cm.step_index
         price = lam[hour]
         buy = width > 0.0
@@ -301,7 +301,7 @@ class DemandSet:
     def nearest(self, x) -> tuple[float, np.ndarray]:
         return geometry.union_nearest(self.pieces, x)
 
-    def contains(self, x, tol: float | None = None) -> bool:
+    def contains(self, x) -> bool:
         """Is x within t * (1 + |x|) of the set, by its `nearest` distance?
 
         On a carrier line the distance is the line's.  Off a line the answer
@@ -313,9 +313,8 @@ class DemandSet:
         bar is not projected.  Only a smallest distance inside the band
         below the bar asks `nearest` itself.
         """
-        t = resolve_tol(self.tol if tol is None else tol)
         x = np.asarray(x, dtype=float)
-        bar = t * (1.0 + math.sqrt(x.dot(x)))
+        bar = self.tol * (1.0 + math.sqrt(x.dot(x)))
         if self.line is not None:
             return self.line.distance(x) <= bar
         band = 2e-12 * len(self.pieces) + 1e-15 * bar
@@ -324,11 +323,10 @@ class DemandSet:
             return True
         return d <= bar and self.nearest(x)[0] <= bar
 
-    def is_singleton(self, tol: float | None = None) -> bool:
-        t = resolve_tol(self.tol if tol is None else tol)
+    def is_singleton(self) -> bool:
         vs = self.vertices
         span = np.max(vs, axis=0) - np.min(vs, axis=0)
-        return bool(np.all(span <= t * (1.0 + np.max(np.abs(vs)))))
+        return bool(np.all(span <= self.tol * (1.0 + np.max(np.abs(vs)))))
 
     def acceptances(self, y) -> dict[str, float]:
         """Acceptances of the agent's bids that realise the demand point y.

@@ -34,7 +34,7 @@ from . import geometry
 from .config import vector_norm
 from .convexify import DualSolution, PricedMarket, solve_lp
 from .demand import NonconvexStats
-from .model import Allocation, Market, agent_value
+from .model import Allocation, Market
 from .welfare import DEFAULT_NODE_BUDGET, ExactSolution, solve_welfare
 
 
@@ -143,25 +143,27 @@ def demand_snapped_allocation(dual: DualSolution,
 # Lost opportunity cost and convex hull pricing
 
 def lost_opportunity_cost(priced: PricedMarket,
-                          allocation: Allocation) -> tuple[float, dict]:
+                          allocation: Allocation) -> tuple[float, dict, dict]:
     """Total and per-agent surplus shortfall against the best response at the
-    priced market's prices.
+    priced market's prices, and per agent its value at the allocation.
 
-    Infinite for agents whose acceptances are outside their true feasible set
-    (within the priced market's tolerance).  The best surpluses are those
-    kept on `priced` (such as a DualSolution), so they are reused.
+    The value is -inf, and the shortfall infinite, for agents whose
+    acceptances are outside their true feasible set (within the priced
+    market's tolerance).  The best surpluses are those kept on `priced`
+    (such as a DualSolution), so they are reused.
     """
     lam, market = priced.lambda_star, priced.market
     bundles = allocation.bundles(market)
+    values = market.compiled.values(allocation.acceptances, priced.tol).tolist()
     per_agent: dict[str, float] = {}
-    for i, agent in enumerate(market.agents):
-        val = agent_value(agent, allocation.acceptances, priced.tol)
+    for i, (agent, val) in enumerate(zip(market.agents, values)):
         if val == float("-inf"):
             per_agent[agent.agent_id] = float("inf")
             continue
         got = val - float(lam @ bundles[i])
         per_agent[agent.agent_id] = max(0.0, priced.best_surplus(i) - got)
-    return float(sum(per_agent.values())), per_agent
+    return (float(sum(per_agent.values())), per_agent,
+            {agent.agent_id: val for agent, val in zip(market.agents, values)})
 
 
 @dataclass
@@ -174,6 +176,7 @@ class PricingResult:
     dual: DualSolution
     total_loc: float
     per_agent_loc: dict
+    per_agent_value: dict
     certificate: EquilibriumCertificate
 
     @property
@@ -190,27 +193,14 @@ def convex_hull_pricing(dual: DualSolution, norm: str = "l2",
     an equilibrium exists.
     """
     exact = solve_welfare(dual, node_budget)
-    total, per_agent = lost_opportunity_cost(dual, exact.allocation)
+    total, per_agent, values = lost_opportunity_cost(dual, exact.allocation)
     gap = dual.dual_objective - exact.welfare
     scale = 1.0 + abs(dual.dual_objective) + abs(exact.welfare)
     if abs(total - gap) > 1e-6 * scale:
         raise AssertionError(f"pricing loc {total} != duality gap {gap}")
     cert = detect_equilibrium(dual, exact.allocation, norm)
     return PricingResult(tuple(float(v) for v in dual.lambda_star), exact.allocation,
-                         exact, dual, total, per_agent, cert)
-
-
-def check_loc_dominance(pricing: PricingResult, priced: PricedMarket,
-                        allocation: Allocation) -> bool:
-    """Is the priced exact allocation's total LOC <= the candidate pair's
-    (`allocation` at the prices of `priced`, within its tolerance)?
-
-    True for every balanced feasible allocation at any prices; the candidate
-    need not be balanced for the comparison to run, but the guarantee is
-    stated for balanced ones.
-    """
-    cand, _ = lost_opportunity_cost(priced, allocation)
-    return pricing.total_loc <= cand + priced.tol * (1.0 + abs(cand))
+                         exact, dual, total, per_agent, values, cert)
 
 
 # ---------------------------------------------------------------------------

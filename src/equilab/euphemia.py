@@ -231,7 +231,7 @@ class _StepTable:
     """
 
     def __init__(self, cm: CompiledMarket, big: float):
-        price, signed, _, width = cm.step_table.T.tolist()
+        price, signed, _, width = cm.step_table[:, :4].T.tolist()
         hour, _, curve = cm.step_index.tolist()
         prices: list[set[float]] = [set() for _ in range(cm.K)]
         for h, p in zip(hour, price):

@@ -18,7 +18,6 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .config import resolve_tol
 from .curves import CurveError, canonical_steps, curve_value, quantity_range
 
 MAR_FLOOR = 0.01
@@ -220,52 +219,6 @@ def _check_block(market: Market, bid: BlockBid, out: list[Violation]) -> None:
                              f"{bid.mar} outside [{MAR_FLOOR}, 1]", (bid.bid_id,)))
 
 
-# ---------------------------------------------------------------------------
-# Acceptance semantics
-
-def acceptance_feasible(agent: Agent, acceptances: Mapping[str, float],
-                        tol: float | None = None) -> bool:
-    """True iff the per-bid acceptances lie in the agent's true feasible set.
-
-    Blocks: ratio in {0} union [mar, 1]; curves: quantity within the curve
-    range; the active blocks' indicators obey the couplings of
-    `pattern_feasible`, the one rule every solver uses.
-    """
-    t = resolve_tol(tol)
-    active: dict[str, int] = {}
-    for bid in agent.bids:
-        a = float(acceptances[bid.bid_id])
-        if isinstance(bid, HourlyCurveBid):
-            lo, hi = bid.range
-            s = t * (1.0 + max(abs(lo), abs(hi)))
-            if not lo - s <= a <= hi + s:
-                return False
-        else:
-            if a <= t:
-                active[bid.bid_id] = 0
-            elif bid.mar - t <= a <= 1.0 + t:
-                active[bid.bid_id] = 1
-            else:
-                return False
-    blocks = agent.block_bids
-    return pattern_feasible(blocks, tuple(active[b.bid_id] for b in blocks))
-
-
-def agent_value(agent: Agent, acceptances: Mapping[str, float],
-                tol: float | None = None) -> float:
-    """Total bid value at the given acceptances; -inf outside the feasible set."""
-    if not acceptance_feasible(agent, acceptances, tol):
-        return float("-inf")
-    total = 0.0
-    for bid in agent.bids:
-        a = float(acceptances[bid.bid_id])
-        if isinstance(bid, HourlyCurveBid):
-            total += bid.value(a)
-        else:
-            total += a * bid.price
-    return total
-
-
 @dataclass(frozen=True)
 class Allocation:
     """Per-bid acceptances for a whole market.
@@ -376,7 +329,10 @@ class CompiledMarket:
 
     - `block_table`, one row per block: price, mar, |price|, then its q;
     - `step_table`, one row per step: price, signed width (positive buys),
-      |price|, width; `step_index` rows: hour, column, curve;
+      |price|, width, lo, hi, and the end nearer zero (lo buys, hi sells);
+      `step_index` rows: hour, column, curve;
+    - `curve_table`, one row per curve: the lo and hi of its range, and
+      1 + max(|lo|, |hi|), the scale of its tolerance;
     - `terms` rows: value (curve c as c, component k as curves + k) and
       owner of each best-surplus term, an agent's curves, then its
       components; `lone` rows: block and term value of each lone block;
@@ -384,15 +340,16 @@ class CompiledMarket:
       each bid.
 
     Sums over a curve's steps, an agent's terms and an agent's bids run for
-    all owners at once with `np.add.at`, which adds in index order; the
-    owners are listed in the order of the one-owner loops, so every sum
-    adds in that loop's order.
+    all owners at once with `np.add.at` or `np.bincount`, which add in index
+    order; the owners are listed in the order of the one-owner loops, so
+    every sum adds in that loop's order.
     """
 
     __slots__ = ("K", "agents", "num_agents", "num_columns", "blocks", "curves",
                  "components", "patterns", "is_lone", "linked_components", "curve_start",
                  "component_start", "curve_hour", "block_table", "block_col", "step_table",
-                 "step_index", "terms", "lone", "bid_index", "groups", "parent", "loop")
+                 "curve_table", "step_index", "terms", "lone", "bid_index", "groups", "parent",
+                 "loop")
 
     def __init__(self, market: Market):
         K = market.num_commodities
@@ -403,6 +360,7 @@ class CompiledMarket:
         components: list[tuple[int, ...]] = []
         comp_blocks: list[tuple[BlockBid, ...]] = []
         block_rows, block_col, step_rows, step_hour, step_col = [], [], [], [], []
+        curve_rows = []
         step_curve, term_value, term_owner = [], [], []   # component k's term as ~k
         bid_value, bid_owner = [], []                      # curve c as ~c
         curve_start, component_start = [0], [0]
@@ -424,13 +382,18 @@ class CompiledMarket:
                 bid_value.append(~c)
                 term_value.append(c)
                 term_owner.append(i)
+                lo = hi = 0.0                         # its range, as `bid.range`
                 for step in bid.steps:
-                    width = step.width if step.is_buy else -step.width
-                    step_rows += (step.price, width, abs(step.price), step.width)
+                    s_lo, s_hi, price = step.lo, step.hi, step.price
+                    buy, width = s_lo >= 0.0, s_hi - s_lo   # `step.is_buy`, `step.width`
+                    step_rows += (price, width if buy else -width, abs(price), width,
+                                  s_lo, s_hi, s_lo if buy else s_hi)
                     step_hour.append(bid.hour)
                     step_col.append(col)
                     step_curve.append(c)
                     col += 1
+                    lo, hi = min(lo, s_lo), max(hi, s_hi)
+                curve_rows += (lo, hi, 1.0 + max(-lo, hi))
                 curves.append(bid)
             mine = blocks[first_block:]
             by_id = {b.bid_id: j for j, b in enumerate(mine, first_block)}
@@ -473,7 +436,9 @@ class CompiledMarket:
         self.curves = curves
         self.curve_hour = [c.hour for c in curves]
         self.step_table = np.array(step_rows, dtype=float)
-        self.step_table.shape = (len(step_curve), 4)
+        self.step_table.shape = (len(step_curve), 7)
+        self.curve_table = np.array(curve_rows, dtype=float)
+        self.curve_table.shape = (len(curves), 3)
         self.step_index = np.array((step_hour, step_col, step_curve), dtype=int)
         self.bid_index = np.array((bid_owner, bid_value), dtype=int)
 
@@ -482,19 +447,57 @@ class CompiledMarket:
         """Row j is block j's q (read-only)."""
         return self.block_table[:, 3:]
 
+    def _accepted(self, acceptances: Mapping[str, float]) -> tuple[np.ndarray, np.ndarray]:
+        """Every block's acceptance ratio and every curve's quantity."""
+        return (np.array([acceptances[b.bid_id] for b in self.blocks], dtype=float),
+                np.array([acceptances[c.bid_id] for c in self.curves], dtype=float))
+
     def bundles(self, acceptances: Mapping[str, float]) -> np.ndarray:
         """Every agent's net bundle (row i: agent i), summed bid by bid in
         the agent's order.  The array is read-only."""
+        ratio, quantity = self._accepted(acceptances)
         owner, value = self.bid_index
         block = value >= 0
         rows = np.zeros((value.size, self.K))
-        rows[block] = np.array([acceptances[b.bid_id] for b in self.blocks],
-                               dtype=float)[:, None] * self.block_q
-        rows[~block, self.curve_hour] = [acceptances[c.bid_id] for c in self.curves]
+        rows[block] = ratio[:, None] * self.block_q
+        rows[~block, self.curve_hour] = quantity
         x = np.zeros((self.num_agents, self.K))
         np.add.at(x, owner, rows)
         x.flags.writeable = False
         return x
+
+    def values(self, acceptances: Mapping[str, float], tol: float) -> np.ndarray:
+        """Every agent's total bid value at the acceptances, or -inf where
+        they are infeasible within t = tol.
+
+        A block ratio a is off (a <= t) or on (mar - t <= a <= 1 + t), a curve
+        quantity lies within t * (1 + max(|lo|, |hi|)) of the curve's range,
+        and each linked component's on flags are one of its compiled
+        patterns.  A block adds a * price and a curve `curves.curve_value`,
+        each sum in its loop's order, so every float is a bid loop's.
+        """
+        ratio, quantity = self._accepted(acceptances)
+        off = ratio <= tol
+        block_ok = off | ((self.block_table[:, 1] - tol <= ratio) & (ratio <= 1.0 + tol))
+        if self.linked_components:
+            on = (block_ok & ~off).tolist()
+            for k in self.linked_components:
+                comp = self.components[k]
+                if tuple(on[j] for j in comp) not in self.patterns[k]:
+                    block_ok[comp[0]] = False
+        lo, hi, scale = self.curve_table.T
+        bar = tol * scale
+        curve_ok = (lo - bar <= quantity) & (quantity <= hi + bar)
+        # A step adds its price times the part of [0, x] it covers: x
+        # clipped to the step, less the step's end nearer zero.
+        price, _, _, _, step_lo, step_hi, near = self.step_table.T
+        curve = self.step_index[2]
+        taken = price * (np.minimum(np.maximum(quantity[curve], step_lo), step_hi) - near)
+        terms = np.concatenate((
+            np.where(block_ok, ratio * self.block_table[:, 0], -np.inf),
+            np.where(curve_ok, np.bincount(curve, taken, len(self.curves)), -np.inf)[::-1]))
+        owner, value = self.bid_index
+        return np.bincount(owner, terms[value], self.num_agents)   # curve c, as ~c, from the end
 
     def bid_order(self) -> Iterator[tuple[str, bool, int]]:
         """(bid_id, is block, block or curve number) of every bid, in market order."""

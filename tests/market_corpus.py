@@ -193,3 +193,14 @@ def random_balanced_allocation(market: Market, rng,
             acc[bid.bid_id] = float(v)
         return Allocation(acc)
     return None
+
+
+def cross_agent_parent_market() -> Market:
+    """Block c names as parent the block p of another agent: validation
+    rejects the market, and every solver scopes the link to c's agent, so
+    ignores it."""
+    return Market(1, (
+        Agent("a", (BlockBid("p", 6.0, (1.0,)),)),
+        Agent("b", (BlockBid("c", 6.0, (1.0,), parent="p"),)),
+        Agent("s", (HourlyCurveBid("s", 0, ((2.0, -3.0),)),)),
+    ))

@@ -21,12 +21,17 @@ money classification as they were before they read `Market.compiled`: one
 agent and one bid at a time, with the per-curve closed forms
 `best_surplus`, `demand_interval` and `curve_margin`; `agent_bundle` is one
 agent's bundle summed bid by bid.  The compiled path must give the same
-bytes.
+bytes.  `acceptance_feasible` and `agent_value` are one agent's feasibility
+and value as they were before `CompiledMarket.values` computed every
+agent's at once: a loop over the agent's bids, `curves.curve_value` per
+curve, and `pattern_feasible` over the active blocks.  `values` must give
+the same floats, and -inf exactly where `acceptance_feasible` is False.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import Mapping
 
 import numpy as np
 
@@ -608,3 +613,46 @@ def reference_demand_set(agent: Agent, lam, K: int | None = None,
 def reference_dual_value(market: Market, lam, tol: float | None = None) -> float:
     return float(sum(reference_demand_set(agent, lam, market.num_commodities, tol).best_surplus
                      for agent in market.agents))
+
+
+def acceptance_feasible(agent: Agent, acceptances: Mapping[str, float],
+                        tol: float | None = None) -> bool:
+    """True iff the per-bid acceptances lie in the agent's true feasible set.
+
+    Blocks: ratio in {0} union [mar, 1]; curves: quantity within the curve
+    range; the active blocks' indicators obey the couplings of
+    `pattern_feasible`, the one rule every solver uses.
+    """
+    t = resolve_tol(tol)
+    active: dict[str, int] = {}
+    for bid in agent.bids:
+        a = float(acceptances[bid.bid_id])
+        if isinstance(bid, HourlyCurveBid):
+            lo, hi = bid.range
+            s = t * (1.0 + max(abs(lo), abs(hi)))
+            if not lo - s <= a <= hi + s:
+                return False
+        else:
+            if a <= t:
+                active[bid.bid_id] = 0
+            elif bid.mar - t <= a <= 1.0 + t:
+                active[bid.bid_id] = 1
+            else:
+                return False
+    blocks = agent.block_bids
+    return pattern_feasible(blocks, tuple(active[b.bid_id] for b in blocks))
+
+
+def agent_value(agent: Agent, acceptances: Mapping[str, float],
+                tol: float | None = None) -> float:
+    """Total bid value at the given acceptances; -inf outside the feasible set."""
+    if not acceptance_feasible(agent, acceptances, tol):
+        return float("-inf")
+    total = 0.0
+    for bid in agent.bids:
+        a = float(acceptances[bid.bid_id])
+        if isinstance(bid, HourlyCurveBid):
+            total += bid.value(a)
+        else:
+            total += a * bid.price
+    return total

@@ -16,9 +16,8 @@ from equilab import lp
 from equilab.convexify import PricedMarket, build_convexified, solve_lp
 from equilab.demand import agent_best_surplus
 from equilab.equilibria import (aggregate_demand_convexity_check,
-                                balanced_lp_allocation, check_loc_dominance,
-                                convex_hull_pricing, demand_snapped_allocation,
-                                lost_opportunity_cost,
+                                balanced_lp_allocation, convex_hull_pricing,
+                                demand_snapped_allocation, lost_opportunity_cost,
                                 singleton_demand_equilibrium_check)
 from equilab.euphemia import clear_euphemia_style
 from equilab.geometry import merge_intervals, piece_vertices
@@ -32,7 +31,7 @@ from equilab.welfare import solve_welfare
 
 from market_corpus import (random_balanced_allocation, random_market,
                            random_price_vector)
-from market_helpers import agent_demand_set, imbalance
+from market_helpers import agent_demand_set, check_loc_dominance, imbalance
 from reference_oracles import brute_force_welfare, in_hull
 
 CORPUS_DIMS = (1, 2, 4, 24)
@@ -106,7 +105,7 @@ def test_allocation_bounds_hold_at_scale(bound_corpus):
         gap = float(np.linalg.norm(imbalance(snapped.allocation, market)))
         assert gap <= snapped.bound + 1e-9 * (1.0 + snapped.bound)
         # every agent the snap moves best-responds at lambda*
-        _, per_agent = lost_opportunity_cost(dual, snapped.allocation)
+        _, per_agent, _ = lost_opportunity_cost(dual, snapped.allocation)
         for i, agent in enumerate(market.agents):
             if not dual.lp_in_demand(i):
                 assert per_agent[agent.agent_id] <= 1e-6, agent.agent_id
@@ -137,7 +136,7 @@ def test_priced_allocation_minimizes_lost_opportunity(four_agent_market):
     # the lost opportunity cost of hull pricing
     pricing = convex_hull_pricing(solve_lp(four_agent_market))
     cleared = clear_euphemia_style(four_agent_market)
-    cleared_loc, _ = lost_opportunity_cost(
+    cleared_loc, _, _ = lost_opportunity_cost(
         PricedMarket(four_agent_market, cleared.lam), cleared.allocation)
     assert pricing.total_loc == pytest.approx(1.0, abs=1e-6)
     assert cleared_loc == pytest.approx(9.0, abs=1e-6)
@@ -153,7 +152,7 @@ def test_singleton_demand_always_certifies(bound_corpus):
             assert chk.equilibrium_found
             assert chk.certificate.is_equilibrium
             # the certified (snapped) allocation is a best response for all
-            total, _ = lost_opportunity_cost(
+            total, _, _ = lost_opportunity_cost(
                 PricedMarket(market, chk.certificate.lambda_star), chk.allocation)
             assert total <= 1e-6
     assert applied > 0  # the sufficient condition must actually trigger
@@ -168,7 +167,7 @@ def test_certified_aggregate_equilibria_best_respond(bound_corpus):
         if chk.certificate is None or not chk.certificate.is_equilibrium:
             continue
         certified += 1
-        total, _ = lost_opportunity_cost(
+        total, _, _ = lost_opportunity_cost(
             PricedMarket(market, chk.certificate.lambda_star), chk.equilibrium)
         assert total <= 1e-6
     assert certified > 0

@@ -9,17 +9,26 @@ factors, carrier line and containment of its LP bundle, the money classes,
 and the LP bundles themselves.  Values are compared by their bytes, so a
 changed rounding or a flipped zero sign fails.  Coarse power-of-two
 tolerances put grid prices exactly on the edges of the at-the-money bands.
+
+`CompiledMarket.values` is compared the same way with the `agent_value` and
+`acceptance_feasible` oracles: at lambda*'s LP allocation, at the exact
+welfare allocation, at random balanced allocations, and with one bid moved
+to each bound of its feasibility check and one float step either side.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from equilab.config import resolve_tol
 from equilab.convexify import PricedMarket, build_convexified, solve_lp
 from equilab.geometry import ComplexityError
-from equilab.model import Agent, BlockBid, Market
+from equilab.model import Agent, BlockBid, HourlyCurveBid, Market
 from equilab.random_markets import SimpleRandomMarketSpec, draw_costs, market_from_costs
+from equilab.welfare import solve_welfare
 
-from market_corpus import random_market, random_price_vector, split_group_market
+from market_corpus import (cross_agent_parent_market, random_balanced_allocation,
+                           random_market, random_price_vector, split_group_market)
+from market_helpers import checked_values
 from reference_oracles import (agent_bundle, reference_build_convexified,
                                reference_classify_money, reference_demand_set,
                                reference_dual_value)
@@ -123,3 +132,49 @@ def test_coupling_is_numbered_per_agent():
     assert cm.parent == [-1, 0, -1, -1, -1, -1]
     assert cm.loop == [-1, -1, 3, 2, -1, -1]
     assert cm.components == [(0, 1, 2, 3), (4,), (5,)]
+
+
+def bound_acceptances(market, tol):
+    """(bid id, acceptance) at each bound a bid's feasibility check applies
+    and one float step either side of it: a block at t, mar - t and 1 + t, a
+    curve at lo - s and hi + s with s = t * (1 + max(|lo|, |hi|)).  A curve
+    is also put at each end of each of its steps."""
+    t = resolve_tol(tol)
+    for agent in market.agents:
+        for bid in agent.bids:
+            if isinstance(bid, HourlyCurveBid):
+                lo, hi = bid.range
+                s = t * (1.0 + max(abs(lo), abs(hi)))
+                bounds = (lo - s, hi + s, *(v for step in bid.steps
+                                            for v in (step.lo, step.hi)))
+            else:
+                bounds = (t, bid.mar - t, 1.0 + t)
+            for bound in bounds:
+                for v in (np.nextafter(bound, -np.inf), bound, np.nextafter(bound, np.inf)):
+                    yield bid.bid_id, float(v)
+
+
+value_markets = st.one_of(
+    st.builds(corpus_case, seeds, st.sampled_from((1, 2, 4, 24))),
+    st.builds(split_case, seeds, st.sampled_from((1, 2, 4))),
+    st.just(cross_agent_parent_market()),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(value_markets, seeds, st.sampled_from((None, 0.5, 0.125)))
+def test_values_are_byte_identical_to_the_oracles(market, seed, tol):
+    rng = np.random.default_rng(seed)
+    dual = solve_lp(market)
+    at_lambda = dual.allocation.acceptances
+    checked_values(market, at_lambda, tol)
+    checked_values(market, solve_welfare(dual).allocation.acceptances, tol)
+    for _ in range(3):
+        balanced = random_balanced_allocation(market, rng)
+        if balanced is not None:
+            checked_values(market, balanced.acceptances, tol)
+    infeasible = 0
+    for bid_id, v in bound_acceptances(market, tol):
+        values = checked_values(market, {**at_lambda, bid_id: v}, tol)
+        infeasible += float("-inf") in values
+    assert infeasible > 0

@@ -12,13 +12,13 @@ from equilab.convexify import PricedMarket, solve_lp
 from equilab.demand import agent_best_surplus, nonconvexity
 from equilab.geometry import (ComplexityError, merge_intervals, piece_nearest,
                               union_nearest)
-from equilab.model import (Agent, BlockBid, HourlyCurveBid, Market, agent_value,
-                           block_components, iter_patterns)
+from equilab.model import (Agent, BlockBid, HourlyCurveBid, Market, block_components,
+                           iter_patterns)
 
 from market_corpus import random_market, random_price_vector
 from market_helpers import agent_demand_set
-from reference_oracles import (agent_bundle, best_surplus, collinear_model, in_hull,
-                               reference_nonconvexity, reference_union_nearest)
+from reference_oracles import (agent_bundle, agent_value, best_surplus, collinear_model,
+                               in_hull, reference_nonconvexity, reference_union_nearest)
 
 
 def _vertex_set(ds):

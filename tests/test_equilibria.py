@@ -7,17 +7,16 @@ from hypothesis import given, settings, strategies as st
 from equilab.convexify import PricedMarket, solve_lp
 from equilab.equilibria import (aggregate_demand_convexity_check,
                                 approximate_equilibria,
-                                balanced_lp_allocation, check_loc_dominance,
-                                convex_hull_pricing, demand_snapped_allocation,
-                                detect_equilibrium, lost_opportunity_cost,
+                                balanced_lp_allocation, convex_hull_pricing,
+                                demand_snapped_allocation, detect_equilibrium,
+                                lost_opportunity_cost,
                                 singleton_demand_equilibrium_check)
 from equilab.model import (Agent, Allocation, BlockBid, HourlyCurveBid,
-                           Market, acceptance_feasible, validate_market,
-                           zero_allocation)
+                           Market, validate_market, zero_allocation)
 
-from market_corpus import (random_balanced_allocation, random_market,
-                           random_price_vector)
-from market_helpers import agent_demand_set, imbalance
+from market_corpus import (cross_agent_parent_market, random_balanced_allocation,
+                           random_market, random_price_vector)
+from market_helpers import agent_demand_set, check_loc_dominance, imbalance
 
 
 # ---------------------------------------------------------------------------
@@ -85,13 +84,13 @@ def test_detect_equilibrium_rejects_imbalance(four_agent_market):
 def test_loc_of_reference_candidates(four_agent_market):
     # the zero allocation leaves every profitable trade on the table
     at_3 = PricedMarket(four_agent_market, [3.0])
-    total, per = lost_opportunity_cost(at_3, zero_allocation(four_agent_market))
+    total, per, _ = lost_opportunity_cost(at_3, zero_allocation(four_agent_market))
     assert total == pytest.approx(7.0)
     assert per["a1"] == pytest.approx(3.0)
     assert per["a3"] == pytest.approx(4.0)
     # infeasible acceptance is infinitely costly
     bad = Allocation({"b1": 0.5, "c2": 0.0, "c3": 0.0, "b4": 0.0})
-    total_bad, per_bad = lost_opportunity_cost(at_3, bad)
+    total_bad, per_bad, _ = lost_opportunity_cost(at_3, bad)
     assert total_bad == float("inf")
     assert per_bad["a1"] == float("inf")
 
@@ -160,8 +159,8 @@ def test_certified_equilibrium_best_responds():
     assert chk.certificate.lambda_star == pytest.approx((5.0,))
     assert chk.equilibrium["b1"] == 1.0
     assert chk.equilibrium["b2"] == 0.0
-    total, _ = lost_opportunity_cost(PricedMarket(mk, chk.certificate.lambda_star),
-                                     chk.equilibrium)
+    total, _, _ = lost_opportunity_cost(PricedMarket(mk, chk.certificate.lambda_star),
+                                        chk.equilibrium)
     assert total == pytest.approx(0.0, abs=1e-9)
 
 
@@ -177,14 +176,10 @@ def test_cross_agent_parent_follows_the_solvers_coupling_rule():
     # and every solver scopes the link to c's agent and so ignores it; the
     # acceptance rule must agree, or hull pricing reads c's accepted block
     # as infeasible and its lost opportunity cost as infinite
-    mk = Market(1, (
-        Agent("a", (BlockBid("p", 6.0, (1.0,)),)),
-        Agent("b", (BlockBid("c", 6.0, (1.0,), parent="p"),)),
-        Agent("s", (HourlyCurveBid("s", 0, ((2.0, -3.0),)),)),
-    ))
+    mk = cross_agent_parent_market()
     assert "bad-parent" in {v.code for v in validate_market(mk).violations}
     assert mk.compiled.parent == [-1, -1]
-    assert acceptance_feasible(mk.agents[1], {"c": 1.0})
+    assert mk.compiled.values({"p": 0.0, "c": 1.0, "s": -1.0}, 1e-7)[1] == 6.0
     pricing = convex_hull_pricing(solve_lp(mk))
     assert pricing.exact.allocation["c"] == 1.0
     assert pricing.total_loc == pytest.approx(pricing.duality_gap, abs=1e-9)
@@ -222,8 +217,8 @@ def test_snap_imbalance_bound(seed):
     # snapped bundles sit in their demand sets
     lam = res.dual.lambda_star
     for i, agent in enumerate(market.agents):
-        ds = agent_demand_set(agent, lam, market.num_commodities)
-        assert ds.contains(res.allocation.bundles(market)[i], 1e-6)
+        ds = agent_demand_set(agent, lam, market.num_commodities, tol=1e-6)
+        assert ds.contains(res.allocation.bundles(market)[i])
 
 
 @settings(max_examples=25, deadline=None)

@@ -15,15 +15,14 @@ from equilab import euphemia, model
 from equilab.euphemia import (MAX_COMBOS, ClearingComplexityError, _price_excess,
                               _reach, _row_excess, _screened_out, clear_euphemia_style)
 from equilab.lp import InfeasibleError, solve_lp as lp_solve
-from equilab.model import (Agent, BlockBid, HourlyCurveBid, Market,
-                           acceptance_feasible, iter_patterns)
+from equilab.model import Agent, BlockBid, HourlyCurveBid, Market, iter_patterns
 from equilab.welfare import solve_welfare
 
 from euphemia_oracle import clear_euphemia_style as oracle_clear
 from market_corpus import random_market, split_group_market
 from market_helpers import imbalance
-from reference_oracles import (record_simplex_calls, reference_simplex,
-                               simplex_outcome)
+from reference_oracles import (acceptance_feasible, record_simplex_calls,
+                               reference_simplex, simplex_outcome)
 
 
 def test_reference_market_rejects_blocks(four_agent_market):
@@ -41,8 +40,8 @@ def test_reference_market_rejects_blocks(four_agent_market):
 
 def test_reference_clearing_leaves_loc(four_agent_market):
     res = clear_euphemia_style(four_agent_market)
-    total, per = lost_opportunity_cost(PricedMarket(four_agent_market, res.lam),
-                                       res.allocation)
+    total, per, _ = lost_opportunity_cost(PricedMarket(four_agent_market, res.lam),
+                                          res.allocation)
     assert total == pytest.approx(9.0)
     assert per["a1"] == pytest.approx(9.0)
 

@@ -4,7 +4,9 @@ Scaling every money amount by s scales lambda*, welfare and the duality gap
 by s; scaling every quantity by r (block totals along) leaves lambda*
 unchanged and scales welfare and the gap by r; reversing the agent order
 changes nothing.  Exact welfare and the gap must agree within 1e-6 of the
-market's welfare scale once the scale is undone.
+market's welfare scale once the scale is undone.  With the agents reversed
+and the prices and acceptances kept, every agent's value and lost
+opportunity cost, keyed by agent id, keep their bytes.
 
 The Monte Carlo certificate is checked the same way on `market_from_costs`
 markets: permuting the suppliers, or scaling every money amount by 10^3 or
@@ -17,7 +19,8 @@ import dataclasses
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from equilab.equilibria import approximate_equilibria
+from equilab.convexify import PricedMarket
+from equilab.equilibria import approximate_equilibria, lost_opportunity_cost
 from equilab.model import BlockBid, Market
 from equilab.random_markets import (SimpleRandomMarketSpec, certified_equilibrium,
                                     draw_costs, marginal_supplier_is_convex,
@@ -76,10 +79,22 @@ def test_quantity_scaling(market, exponent):
     assert_scaled(market, rescale(market, quantity=r), r)
 
 
+def keyed_bytes(per_agent: dict) -> dict:
+    return {agent_id: float(v).hex() for agent_id, v in per_agent.items()}
+
+
 @settings(max_examples=40, deadline=None)
 @given(corpus)
 def test_agent_order_reversal(market):
-    assert_scaled(market, reverse_agents(market), 1.0)
+    reversed_market = reverse_agents(market)
+    assert_scaled(market, reversed_market, 1.0)
+    res = approximate_equilibria(market)
+    for allocation in (res.dual.allocation, res.snapped.allocation, res.pricing.allocation):
+        _, loc, values = lost_opportunity_cost(res.dual, allocation)
+        _, r_loc, r_values = lost_opportunity_cost(
+            PricedMarket(reversed_market, res.lambda_star, res.dual.tol), allocation)
+        assert keyed_bytes(r_values) == keyed_bytes(values)
+        assert keyed_bytes(r_loc) == keyed_bytes(loc)
 
 
 def monte_carlo_market(seed: int, n: int):

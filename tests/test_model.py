@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from equilab.model import (Agent, Allocation, BlockBid, HourlyCurveBid, Market,
-                           acceptance_feasible, agent_value,
                            block_components, iter_patterns, pattern_feasible,
                            validate_market, zero_allocation)
 
-from market_helpers import imbalance, total_value
+from market_helpers import checked_values, imbalance, total_value
 from reference_oracles import agent_bundle
 
 
@@ -113,24 +112,34 @@ def test_rejects_parent_cycle():
 
 
 # ---------------------------------------------------------------------------
-# Acceptance semantics
+# Acceptance semantics: each case runs through `CompiledMarket.values` and
+# its byte comparison with the `agent_value` and `acceptance_feasible` oracles
 
 MAR_AGENT = Agent("a", (BlockBid("b", 10.0, (2.0,), mar=0.5),))
 
 
+def value(agent, acceptances):
+    """The agent's value by the compiled pass, checked against the oracles."""
+    return checked_values(Market(1, (agent,)), acceptances)[0]
+
+
+def feasible(agent, acceptances):
+    return value(agent, acceptances) != float("-inf")
+
+
 def test_block_acceptance_gap_is_infeasible():
-    assert acceptance_feasible(MAR_AGENT, {"b": 0.0})
-    assert acceptance_feasible(MAR_AGENT, {"b": 0.5})
-    assert acceptance_feasible(MAR_AGENT, {"b": 1.0})
-    assert not acceptance_feasible(MAR_AGENT, {"b": 0.25})
-    assert not acceptance_feasible(MAR_AGENT, {"b": 1.2})
+    assert feasible(MAR_AGENT, {"b": 0.0})
+    assert feasible(MAR_AGENT, {"b": 0.5})
+    assert feasible(MAR_AGENT, {"b": 1.0})
+    assert not feasible(MAR_AGENT, {"b": 0.25})
+    assert not feasible(MAR_AGENT, {"b": 1.2})
 
 
 def test_curve_acceptance_respects_range():
     agent = Agent("a", (HourlyCurveBid("c", 0, ((2.0, 1.0),)),))
-    assert acceptance_feasible(agent, {"c": 0.7})
-    assert not acceptance_feasible(agent, {"c": 1.5})
-    assert not acceptance_feasible(agent, {"c": -0.5})
+    assert feasible(agent, {"c": 0.7})
+    assert not feasible(agent, {"c": 1.5})
+    assert not feasible(agent, {"c": -0.5})
 
 
 def test_exclusive_group_allows_one_member():
@@ -138,8 +147,8 @@ def test_exclusive_group_allows_one_member():
         BlockBid("b1", 1.0, (1.0,), group="g"),
         BlockBid("b2", 1.0, (1.0,), group="g"),
     ))
-    assert acceptance_feasible(agent, {"b1": 1.0, "b2": 0.0})
-    assert not acceptance_feasible(agent, {"b1": 1.0, "b2": 1.0})
+    assert feasible(agent, {"b1": 1.0, "b2": 0.0})
+    assert not feasible(agent, {"b1": 1.0, "b2": 1.0})
 
 
 def test_child_needs_active_parent():
@@ -147,9 +156,9 @@ def test_child_needs_active_parent():
         BlockBid("p", 1.0, (1.0,)),
         BlockBid("c", 1.0, (1.0,), parent="p"),
     ))
-    assert acceptance_feasible(agent, {"p": 1.0, "c": 1.0})
-    assert not acceptance_feasible(agent, {"p": 0.0, "c": 1.0})
-    assert acceptance_feasible(agent, {"p": 1.0, "c": 0.0})
+    assert feasible(agent, {"p": 1.0, "c": 1.0})
+    assert not feasible(agent, {"p": 0.0, "c": 1.0})
+    assert feasible(agent, {"p": 1.0, "c": 0.0})
 
 
 def test_loop_partners_active_together():
@@ -157,14 +166,14 @@ def test_loop_partners_active_together():
         BlockBid("x", 1.0, (1.0,), loop="y"),
         BlockBid("y", 1.0, (1.0,), loop="x"),
     ))
-    assert acceptance_feasible(agent, {"x": 1.0, "y": 1.0})
-    assert acceptance_feasible(agent, {"x": 0.0, "y": 0.0})
-    assert not acceptance_feasible(agent, {"x": 1.0, "y": 0.0})
+    assert feasible(agent, {"x": 1.0, "y": 1.0})
+    assert feasible(agent, {"x": 0.0, "y": 0.0})
+    assert not feasible(agent, {"x": 1.0, "y": 0.0})
 
 
 def test_agent_value_infeasible_is_minus_inf():
-    assert agent_value(MAR_AGENT, {"b": 0.3}) == float("-inf")
-    assert agent_value(MAR_AGENT, {"b": 0.5}) == pytest.approx(5.0)
+    assert value(MAR_AGENT, {"b": 0.3}) == float("-inf")
+    assert value(MAR_AGENT, {"b": 0.5}) == pytest.approx(5.0)
 
 
 def test_agent_value_sums_curves_and_blocks():
@@ -172,7 +181,7 @@ def test_agent_value_sums_curves_and_blocks():
         HourlyCurveBid("c", 0, ((4.0, 2.0),)),
         BlockBid("b", -6.0, (-2.0,)),
     ))
-    assert agent_value(agent, {"c": 1.5, "b": 1.0}) == pytest.approx(6.0 - 6.0)
+    assert value(agent, {"c": 1.5, "b": 1.0}) == pytest.approx(6.0 - 6.0)
 
 
 def test_agent_bundle_mixes_hours():

@@ -8,14 +8,13 @@ from equilab import welfare
 from equilab.convexify import solve_lp
 from equilab.equilibria import approximate_equilibria
 from equilab.market_io import load_market
-from equilab.model import (Agent, BlockBid, HourlyCurveBid, Market,
-                           acceptance_feasible)
+from equilab.model import Agent, BlockBid, HourlyCurveBid, Market
 from equilab.welfare import NodeBudgetExceeded, solve_welfare
 
 from conftest import FIXTURES
 from market_corpus import random_market, split_group_market
 from market_helpers import imbalance, total_value
-from reference_oracles import brute_force_welfare
+from reference_oracles import acceptance_feasible, brute_force_welfare
 
 
 def test_reference_welfare(four_agent_market):
