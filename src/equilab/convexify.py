@@ -12,7 +12,8 @@ at ratio 1).  Curves are already concave and enter step by step.
 and prices the market at the balance-row multipliers lambda*.  Strong duality
 needs no constraint qualification here because the program is a finite LP;
 `solve_lp` asserts primal = dual on every call.  Branch and bound re-solves
-the same program with per-block bounds overridden (`solve_raw`).
+the same program with per-block bounds overridden (`solve_raw`, keyed by
+block number).
 
 The program's objective, balance columns and coupling rows are filled from
 the market's compiled form (`Market.compiled`, built once per market).  A
@@ -34,12 +35,13 @@ import numpy as np
 from . import lp
 from .config import resolve_tol
 from .demand import DemandSet, MarketPricing, NonconvexStats, demand_set, nonconvexity
-from .model import Allocation, Market
+from .model import Allocation, CompiledMarket, Market
 
 
 @dataclass
 class ConvexifiedProgram:
-    """The welfare LP of the convexified market."""
+    """The welfare LP of the convexified market; its columns are numbered
+    by `compiled` (`CompiledMarket.block_col` and `step_index`)."""
 
     objective: np.ndarray
     balance: np.ndarray          # (K, n) equality rows, rhs 0
@@ -47,29 +49,28 @@ class ConvexifiedProgram:
     b_ub: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    block_col: dict              # bid_id -> column
-    curve_cols: dict             # bid_id -> ((column, signed step width), ...)
+    compiled: CompiledMarket
 
     def solve_raw(self, overrides: dict | None = None) -> lp.LpResult:
-        """Solve with optional per-block bound overrides {bid_id: (lo, hi)}."""
+        """Solve with optional per-block bound overrides {block number: (lo, hi)}."""
         lo = self.lo.copy()
         hi = self.hi.copy()
         if overrides:
-            for bid_id, (l, h) in overrides.items():
-                col = self.block_col[bid_id]
-                lo[col], hi[col] = l, h
-        res = lp.solve_lp(self.objective, a_eq=self.balance,
-                          b_eq=np.zeros(self.balance.shape[0]),
-                          a_ub=self.a_ub, b_ub=self.b_ub, lo=lo, hi=hi)
-        return res
+            cols = self.compiled.block_col
+            for j, (l, h) in overrides.items():
+                lo[cols[j]], hi[cols[j]] = l, h
+        return lp.solve_lp(self.objective, a_eq=self.balance,
+                           b_eq=np.zeros(self.balance.shape[0]),
+                           a_ub=self.a_ub, b_ub=self.b_ub, lo=lo, hi=hi)
 
     def allocation_from(self, x: np.ndarray) -> Allocation:
-        acc: dict[str, float] = {}
-        for bid_id, col in self.block_col.items():
-            acc[bid_id] = float(x[col])
-        for bid_id, cols in self.curve_cols.items():
-            acc[bid_id] = float(sum(x[c] * w for c, w in cols))
-        return Allocation(acc)
+        """Every block's ratio, then every curve's quantity (its steps'
+        widths times their columns, summed in step order), in market order."""
+        cm = self.compiled
+        _, step_col, curve = cm.step_index
+        taken = np.bincount(curve, x[step_col] * cm.step_table[:, 1], len(cm.curves))
+        bids = [b.bid_id for b in cm.blocks] + [c.bid_id for c in cm.curves]
+        return Allocation(dict(zip(bids, x[cm.block_col].tolist() + taken.tolist())))
 
 
 def build_convexified(market: Market) -> ConvexifiedProgram:
@@ -77,7 +78,7 @@ def build_convexified(market: Market) -> ConvexifiedProgram:
     one per curve step, in market order) come from `market.compiled`."""
     cm = market.compiled
     n = cm.num_columns
-    hour, step_col, curve = cm.step_index
+    hour, step_col, _ = cm.step_index
     width = cm.step_table[:, 1]
     objective = np.empty(n)
     objective[cm.block_col] = cm.block_table[:, 0]
@@ -86,11 +87,6 @@ def build_convexified(market: Market) -> ConvexifiedProgram:
     balance[:, cm.block_col] = cm.block_q.T + 0.0      # a -0.0 entry stays +0.0
     balance[hour, step_col] = width
     cols = cm.block_col.tolist()
-    block_col = dict(zip([b.bid_id for b in cm.blocks], cols))
-    steps: list[list] = [[] for _ in cm.curves]
-    for col, w, c in zip(step_col.tolist(), width.tolist(), curve.tolist()):
-        steps[c].append((col, w))
-    curve_cols = {c.bid_id: tuple(cols) for c, cols in zip(cm.curves, steps)}
 
     # Coupling rows: one per group, sum <= 1, then per block its parent row
     # and, once per looped pair, the pair's two rows; (j, r, p) is r a_j <= a_p.
@@ -117,8 +113,7 @@ def build_convexified(market: Market) -> ConvexifiedProgram:
         b_ub=b_ub,
         lo=np.zeros(n),
         hi=np.ones(n),
-        block_col=block_col,
-        curve_cols=curve_cols,
+        compiled=cm,
     )
 
 

@@ -101,26 +101,3 @@ def canonical_steps(points, mode: str) -> tuple[CurveStep, ...]:
         if b.price > a.price + 1e-12 * (1.0 + abs(a.price)):
             raise CurveError("marginal price must be nonincreasing in quantity")
     return tuple(steps)
-
-
-def quantity_range(steps) -> tuple[float, float]:
-    """Feasible signed quantity interval [x_lo, x_hi]; always contains 0."""
-    lo = min((s.lo for s in steps), default=0.0)
-    hi = max((s.hi for s in steps), default=0.0)
-    return min(lo, 0.0), max(hi, 0.0)
-
-
-def curve_value(steps, x: float) -> float:
-    """Integral of the marginal price from 0 to the signed quantity x."""
-    total = 0.0
-    if x >= 0.0:
-        for s in steps:
-            if s.lo >= 0.0:
-                take = max(0.0, min(x, s.hi) - s.lo)
-                total += s.price * take
-    else:
-        for s in steps:
-            if s.hi <= 0.0:
-                take = max(0.0, s.hi - max(x, s.lo))
-                total -= s.price * take
-    return total

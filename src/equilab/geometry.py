@@ -49,33 +49,27 @@ class ComplexityError(RuntimeError):
     """Structured-set computation would exceed the exact-enumeration caps."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Piece:
-    """offset + sum of t_g * unit_g with t_g in [lo_g, hi_g]."""
+    """offset + sum of t_g * units[g] with t_g in [lo[g], hi[g]].
 
-    offset: tuple[float, ...]
-    units: tuple[tuple[float, ...], ...]
-    ranges: tuple[tuple[float, float], ...]
+    Read-only float arrays, built once by `Piece.of`: `offset` (K,), `units`
+    (g, K), `lo` and `hi` (g,).  `units.T` is the piece's generator matrix.
+    """
 
-    @property
-    def dim(self) -> int:
-        return len(self.offset)
-
-    def point(self) -> np.ndarray:
-        return np.asarray(self.offset, dtype=float)
-
-    def unit_matrix(self) -> np.ndarray:
-        return np.array(self.units, dtype=float).T.reshape(self.dim, len(self.units))
+    offset: np.ndarray
+    units: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
 
     @cached_property
     def box(self) -> tuple[np.ndarray, np.ndarray, float]:
         """Axis box (lo, hi) holding the piece, and the piece's size
         |offset|inf + sum of max(|lo_g|, |hi_g|), which bounds every
         coordinate of the piece."""
-        lo, hi = self.point(), self.point()
+        lo = hi = self.offset
         size = max((abs(v) for v in self.offset), default=0.0)
-        for u, (a, b) in zip(self.units, self.ranges):
-            u = np.asarray(u)
+        for u, a, b in zip(self.units, self.lo.tolist(), self.hi.tolist()):
             lo = lo + np.minimum(u * a, u * b)
             hi = hi + np.maximum(u * a, u * b)
             size += max(abs(a), abs(b))
@@ -84,8 +78,14 @@ class Piece:
     @classmethod
     def of(cls, offset, merged) -> Piece:
         """The piece of a canonical form from `canonical_generators`."""
-        return cls(tuple(offset), tuple(tuple(u) for u, _, _ in merged),
-                   tuple((lo, hi) for _, lo, hi in merged))
+        offset = np.array(offset, dtype=float)
+        arrays = (offset,
+                  np.array([u for u, _, _ in merged], dtype=float).reshape(-1, offset.size),
+                  np.array([lo for _, lo, _ in merged], dtype=float),
+                  np.array([hi for _, _, hi in merged], dtype=float))
+        for a in arrays:
+            a.flags.writeable = False
+        return cls(*arrays)
 
 
 def canonical_generators(offset, gens) -> tuple[np.ndarray, list[list]]:
@@ -127,76 +127,66 @@ def canonical_generators(offset, gens) -> tuple[np.ndarray, list[list]]:
 def piece_vertices(piece: Piece) -> np.ndarray:
     """All bound-combination corners; a superset of the piece's extreme points."""
     g = len(piece.units)
-    base = piece.point()
     if g == 0:
-        return base.reshape(1, -1)
-    Umat = piece.unit_matrix()
-    out = np.empty((2 ** g, piece.dim))
+        return piece.offset.reshape(1, -1)
+    G = piece.units.T
+    los, his = piece.lo.tolist(), piece.hi.tolist()
+    out = np.empty((2 ** g, piece.offset.size))
     for mask in range(2 ** g):
-        t = np.array([piece.ranges[i][1] if mask >> i & 1 else piece.ranges[i][0]
-                      for i in range(g)])
-        out[mask] = base + Umat @ t
+        t = np.array([his[i] if mask >> i & 1 else los[i] for i in range(g)])
+        out[mask] = piece.offset + G @ t
     return out
 
 
 def _is_axis_aligned(piece: Piece) -> bool:
-    for u in piece.units:
-        arr = np.abs(np.asarray(u))
-        if np.count_nonzero(arr > _PAR_TOL) != 1:
-            return False
-    return True
+    return bool((np.count_nonzero(np.abs(piece.units) > _PAR_TOL, axis=1) == 1).all())
 
 
 def piece_nearest(piece: Piece, x) -> tuple[float, np.ndarray]:
     """Exact nearest point of the piece to x and its distance."""
     x = np.asarray(x, dtype=float)
-    base = piece.point()
+    base = piece.offset
     g = len(piece.units)
     if g == 0:
         return float(np.linalg.norm(x - base)), base
     r = x - base
     if g == 1:
-        u = np.asarray(piece.units[0])
-        lo, hi = piece.ranges[0]
-        t = float(np.clip(r @ u, lo, hi))
+        u = piece.units[0]
+        t = float(np.clip(r @ u, piece.lo[0], piece.hi[0]))
         p = base + t * u
         return float(np.linalg.norm(x - p)), p
     if _is_axis_aligned(piece):
         p = base.copy()
-        for u, (lo, hi) in zip(piece.units, piece.ranges):
-            k = int(np.argmax(np.abs(np.asarray(u))))
+        for u, lo, hi in zip(piece.units, piece.lo.tolist(), piece.hi.tolist()):
+            k = int(np.argmax(np.abs(u)))
             sgn = np.sign(u[k])
             t = float(np.clip(r[k] * sgn, lo, hi))
             p[k] += t * sgn
         return float(np.linalg.norm(x - p)), p
-    G = piece.unit_matrix()
-    los = np.array([lo for lo, _ in piece.ranges])
-    his = np.array([hi for _, hi in piece.ranges])
-    res = lsq_linear(G, r, bounds=(los, his), method="bvls")
+    G = piece.units.T
+    res = lsq_linear(G, r, bounds=(piece.lo, piece.hi), method="bvls")
     p = base + G @ res.x
     return float(np.linalg.norm(x - p)), p
 
 
 def closest_pair(a: Piece, b: Piece) -> tuple[float, np.ndarray, np.ndarray]:
     """Closest approach between two pieces (exact, small BVLS)."""
-    if not a.units and not b.units:
-        pa, pb = a.point(), b.point()
-        return float(np.linalg.norm(pa - pb)), pa, pb
-    if not a.units:
-        d, p = piece_nearest(b, a.point())
-        return d, a.point(), p
-    if not b.units:
-        d, p = piece_nearest(a, b.point())
-        return d, p, b.point()
-    Ga, Gb = a.unit_matrix(), b.unit_matrix()
+    if not len(a.units) and not len(b.units):
+        return float(np.linalg.norm(a.offset - b.offset)), a.offset, b.offset
+    if not len(a.units):
+        d, p = piece_nearest(b, a.offset)
+        return d, a.offset, p
+    if not len(b.units):
+        d, p = piece_nearest(a, b.offset)
+        return d, p, b.offset
+    Ga, Gb = a.units.T, b.units.T
     G = np.hstack([Ga, -Gb])
-    rhs = b.point() - a.point()
-    los = np.array([lo for lo, _ in a.ranges] + [lo for lo, _ in b.ranges])
-    his = np.array([hi for _, hi in a.ranges] + [hi for _, hi in b.ranges])
-    res = lsq_linear(G, rhs, bounds=(los, his), method="bvls")
-    ta, tb = res.x[:Ga.shape[1]], res.x[Ga.shape[1]:]
-    pa = a.point() + Ga @ ta
-    pb = b.point() + Gb @ tb
+    res = lsq_linear(G, b.offset - a.offset, bounds=(np.concatenate([a.lo, b.lo]),
+                                                     np.concatenate([a.hi, b.hi])),
+                     method="bvls")
+    ta, tb = res.x[:len(a.units)], res.x[len(a.units):]
+    pa = a.offset + Ga @ ta
+    pb = b.offset + Gb @ tb
     return float(np.linalg.norm(pa - pb)), pa, pb
 
 
@@ -260,15 +250,12 @@ def piece_distance(piece: Piece, x, norm: str = "l2") -> float:
     if norm == "l2":
         return piece_nearest(piece, x)[0]
     x = np.asarray(x, dtype=float)
-    base = piece.point()
     g = len(piece.units)
     if g == 0:
-        return vector_norm(x - base, norm)
-    G = piece.unit_matrix()
-    los = np.array([lo for lo, _ in piece.ranges])
-    his = np.array([hi for _, hi in piece.ranges])
+        return vector_norm(x - piece.offset, norm)
+    G, los, his = piece.units.T, piece.lo, piece.hi
     K = x.size
-    r = x - base
+    r = x - piece.offset
     span = 1.0 + float(np.max(np.abs(r))) + float(np.sum(np.maximum(np.abs(los), np.abs(his))))
     if norm == "l1":
         # vars: t, e+, e-;   G t + e+ - e- = r;   min sum(e+ + e-)
@@ -357,11 +344,6 @@ def union_nearest(pieces, x) -> tuple[float, np.ndarray]:
     return best[0], best[3]
 
 
-def piece_contains(piece: Piece, x, tol: float) -> bool:
-    d, _ = piece_nearest(piece, x)
-    return d <= tol
-
-
 def piece_subset(inner: Piece, outer: Piece, tol: float) -> bool:
     """inner subset of outer, decided on inner's corner set (outer is convex).
 
@@ -372,7 +354,7 @@ def piece_subset(inner: Piece, outer: Piece, tol: float) -> bool:
         lo, hi, size = outer.box
         if np.any(box_bounds(lo, hi, size, corners) > tol):
             return False
-    return all(piece_contains(outer, v, tol) for v in corners)
+    return all(piece_nearest(outer, v)[0] <= tol for v in corners)
 
 
 def merge_intervals(intervals, tol: float) -> list[tuple[float, float]]:

@@ -18,7 +18,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .curves import CurveError, canonical_steps, curve_value, quantity_range
+from .curves import CurveError, canonical_steps
 
 MAR_FLOOR = 0.01
 
@@ -35,13 +35,6 @@ class HourlyCurveBid:
     @cached_property
     def steps(self):
         return canonical_steps(self.points, self.mode)
-
-    @cached_property
-    def range(self) -> tuple[float, float]:
-        return quantity_range(self.steps)
-
-    def value(self, x: float) -> float:
-        return curve_value(self.steps, x)
 
 
 @dataclass(frozen=True)
@@ -124,10 +117,11 @@ class ValidationReport:
 def validate_market(market: Market) -> ValidationReport:
     """Structural checks; returns diagnostics instead of raising.
 
-    Covers commodity count, bid id uniqueness, curve shape (monotone prices /
-    quantities, hour range, finite numbers), block dimensions, MAR bounds, and
-    group/link/loop reference integrity: a group, parent or loop partner lies
-    within one agent, and loops are the only permitted cycles.
+    Covers commodity count, agent and bid id uniqueness (per-agent outputs
+    are keyed by agent id), curve shape (monotone prices / quantities, hour
+    range, finite numbers), block dimensions, MAR bounds, and group/link/loop
+    reference integrity: a group, parent or loop partner lies within one
+    agent, and loops are the only permitted cycles.
     """
     out: list[Violation] = []
     if market.num_commodities < 1:
@@ -135,8 +129,13 @@ def validate_market(market: Market) -> ValidationReport:
     if not market.agents:
         out.append(Violation("no-agents", "market has no agents"))
 
+    agent_ids: set[str] = set()
     seen: dict[str, str] = {}
     for agent in market.agents:
+        if agent.agent_id in agent_ids:
+            out.append(Violation("duplicate-agent-id",
+                                 f"agent id {agent.agent_id!r} used more than once"))
+        agent_ids.add(agent.agent_id)
         for bid in agent.bids:
             if bid.bid_id in seen:
                 out.append(Violation("duplicate-bid-id",
@@ -382,7 +381,7 @@ class CompiledMarket:
                 bid_value.append(~c)
                 term_value.append(c)
                 term_owner.append(i)
-                lo = hi = 0.0                         # its range, as `bid.range`
+                lo = hi = 0.0                         # its range holds 0
                 for step in bid.steps:
                     s_lo, s_hi, price = step.lo, step.hi, step.price
                     buy, width = s_lo >= 0.0, s_hi - s_lo   # `step.is_buy`, `step.width`
@@ -473,8 +472,9 @@ class CompiledMarket:
         A block ratio a is off (a <= t) or on (mar - t <= a <= 1 + t), a curve
         quantity lies within t * (1 + max(|lo|, |hi|)) of the curve's range,
         and each linked component's on flags are one of its compiled
-        patterns.  A block adds a * price and a curve `curves.curve_value`,
-        each sum in its loop's order, so every float is a bid loop's.
+        patterns.  A block adds a * price and a curve the integral of its
+        marginal price from 0 to its quantity, step by step, each sum in its
+        loop's order, so every float is a bid loop's.
         """
         ratio, quantity = self._accepted(acceptances)
         off = ratio <= tol

@@ -26,6 +26,7 @@ from .convexify import solve_lp
 from .model import Agent, BlockBid, HourlyCurveBid, Market
 
 SUPPLIER_CAPACITY = 2.0
+COST_LO, COST_HI = 0.0, 10.0   # the support of the iid uniform supplier costs
 
 
 @dataclass(frozen=True)
@@ -33,8 +34,6 @@ class SimpleRandomMarketSpec:
     n: int                      # total suppliers
     k: int                      # convex suppliers, capacity interval [0, 2]
     demand: float = 5.0
-    cost_lo: float = 0.0
-    cost_hi: float = 10.0
     seed: int = 0
 
     def __post_init__(self):
@@ -43,12 +42,10 @@ class SimpleRandomMarketSpec:
         if not 0.0 < self.demand < SUPPLIER_CAPACITY * self.n:
             raise ValueError(f"demand {self.demand:g} must lie strictly inside the "
                              f"total capacity {SUPPLIER_CAPACITY * self.n:g}")
-        if not self.cost_lo < self.cost_hi:
-            raise ValueError("empty cost support")
 
     @property
     def reservation_price(self) -> float:
-        return self.cost_hi + 10.0
+        return COST_HI + 10.0
 
     @property
     def fills_whole_suppliers(self) -> bool:
@@ -59,9 +56,9 @@ class SimpleRandomMarketSpec:
 def draw_costs(spec: SimpleRandomMarketSpec, trial: int = 0) -> np.ndarray:
     """n distinct iid uniform costs; near-ties are re-drawn for stability."""
     rng = np.random.default_rng(np.random.SeedSequence((spec.seed, trial)))
-    gap = 1e-6 * (spec.cost_hi - spec.cost_lo)
+    gap = 1e-6 * (COST_HI - COST_LO)
     while True:
-        costs = rng.uniform(spec.cost_lo, spec.cost_hi, spec.n)
+        costs = rng.uniform(COST_LO, COST_HI, spec.n)
         if spec.n == 1 or np.min(np.diff(np.sort(costs))) > gap:
             return costs
 

@@ -3,12 +3,13 @@
 Best-bound branch and bound on the block indicators, started from the solved
 convexified relaxation (the `DualSolution` of `convexify.solve_lp`, whose
 tolerance it uses): every other node re-solves the same program with
-per-block bound overrides.  Branching fixes an indicator to 0 (ratio pinned
-to zero) or 1 (ratio within [mar, 1]; on a group branch the exclusive
-siblings are pinned to zero too).  Candidate incumbents are LP
-solutions whose implied indicators are feasible, so the reported optimum is
-always truly feasible.  Blocks, their columns and minimum acceptance ratios,
-and the exclusive groups are read from the market's compiled form.
+per-block bound overrides, keyed by block number.  Branching fixes an
+indicator to 0 (ratio pinned to zero) or 1 (ratio within [mar, 1]; on a
+group branch the exclusive siblings are pinned to zero too).  Candidate
+incumbents are LP solutions whose implied indicators are feasible, so the
+reported optimum is always truly feasible.  Blocks, their columns and
+minimum acceptance ratios, and the exclusive groups are read from the
+market's compiled form.
 """
 
 from __future__ import annotations
@@ -114,12 +115,11 @@ def solve_welfare(dual: DualSolution,
             if bound > best_val:
                 best_val, best_alloc = bound, program.allocation_from(x)
             continue
-        bid_id, _, mar = blocks[j]
         off = dict(overrides)
-        off[bid_id] = (0.0, 0.0)
+        off[j] = (0.0, 0.0)
         push(off)
         on = dict(overrides)
-        on[bid_id] = (mar, 1.0)
+        on[j] = (blocks[j][2], 1.0)
         if not mar_viol:
             # A group branch pins the exclusive siblings off.  A minimum-
             # acceptance branch leaves them to the group row: pinning them
@@ -127,7 +127,7 @@ def solve_welfare(dual: DualSolution,
             # changes outputs in the last bit.
             for sib in siblings[j]:
                 if sib != j:
-                    on[blocks[sib][0]] = (0.0, 0.0)
+                    on[sib] = (0.0, 0.0)
         push(on)
 
     if best_alloc is None:

@@ -14,6 +14,8 @@ from equilab.lp import InfeasibleError, solve_lp
 from equilab.model import (Agent, Allocation, BlockBid, HourlyCurveBid,
                            Market, iter_patterns, validate_market)
 
+from reference_oracles import quantity_range
+
 
 def _grid(rng, lo, hi, step=0.5):
     return float(rng.integers(round(lo / step), round(hi / step) + 1) * step)
@@ -180,7 +182,7 @@ def random_balanced_allocation(market: Market, rng,
             e = np.zeros(K)
             e[bid.hour] = 1.0
             cols.append(e)
-            lo, hi = bid.range
+            lo, hi = quantity_range(bid.steps)
             lows.append(lo)
             highs.append(hi)
         c = rng.normal(size=len(curves))      # random vertex of the slice

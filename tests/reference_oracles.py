@@ -21,16 +21,21 @@ money classification as they were before they read `Market.compiled`: one
 agent and one bid at a time, with the per-curve closed forms
 `best_surplus`, `demand_interval` and `curve_margin`; `agent_bundle` is one
 agent's bundle summed bid by bid.  The compiled path must give the same
-bytes.  `acceptance_feasible` and `agent_value` are one agent's feasibility
-and value as they were before `CompiledMarket.values` computed every
-agent's at once: a loop over the agent's bids, `curves.curve_value` per
-curve, and `pattern_feasible` over the active blocks.  `values` must give
-the same floats, and -inf exactly where `acceptance_feasible` is False.
+bytes.  The LP build returns a `ReferenceProgram`, which keeps the per-bid
+column maps the program held before it carried the compiled market, and
+its `allocation_from` is the dict loop `ConvexifiedProgram.allocation_from`
+must match.  `acceptance_feasible` and `agent_value` are one agent's
+feasibility and value as they were before `CompiledMarket.values` computed
+every agent's at once: a loop over the agent's bids, `curve_value` and
+`quantity_range` per curve (moved here unchanged from `equilab.curves`), and
+`pattern_feasible` over the active blocks.  `values` must give the same
+floats, and -inf exactly where `acceptance_feasible` is False.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -40,7 +45,7 @@ from equilab.config import vector_norm
 from equilab.lp import (TOL, _REFRESH_EVERY, _STALL_LIMIT, InfeasibleError,
                         LpResult, SimplexError)
 from equilab.config import resolve_tol
-from equilab.convexify import ConvexifiedProgram, build_convexified
+from equilab.convexify import build_convexified
 from equilab.demand import DemandSet, MoneyClasses
 from equilab.model import (Agent, Allocation, BlockBid, HourlyCurveBid, Market,
                            block_components, iter_patterns, pattern_feasible)
@@ -63,8 +68,8 @@ def brute_force_welfare(market: Market, tol: float | None = None) -> ExactSoluti
         if not pattern_feasible(blocks, z):
             continue
         n_patterns += 1
-        overrides = {b.bid_id: ((b.mar, 1.0) if zi else (0.0, 0.0))
-                     for b, zi in zip(blocks, z)}
+        overrides = {j: ((b.mar, 1.0) if zi else (0.0, 0.0))
+                     for j, (b, zi) in enumerate(zip(blocks, z))}
         try:
             res = program.solve_raw(overrides)
         except lp.InfeasibleError:
@@ -103,9 +108,9 @@ def in_hull(x, points: np.ndarray, tol: float) -> bool:
 def collinear_model(pieces, tol: float = 1e-9):
     """If the union lies on a line, return (origin, unit, intervals) else None."""
     dirs: list[np.ndarray] = []
-    offs = [p.point() for p in pieces]
+    offs = [p.offset for p in pieces]
     for p in pieces:
-        dirs.extend(np.asarray(u) for u in p.units)
+        dirs.extend(p.units)
     for o in offs[1:]:
         dirs.append(o - offs[0])
     unit = None
@@ -124,8 +129,8 @@ def collinear_model(pieces, tol: float = 1e-9):
     for p, o in zip(pieces, offs):
         t0 = float((o - origin) @ unit)
         lo_t, hi_t = t0, t0
-        for u, (lo, hi) in zip(p.units, p.ranges):
-            s = float(np.asarray(u) @ unit)
+        for u, lo, hi in zip(p.units, p.lo.tolist(), p.hi.tolist()):
+            s = float(u @ unit)
             lo_t += min(s * lo, s * hi)
             hi_t += max(s * lo, s * hi)
         intervals.append((lo_t, hi_t))
@@ -392,7 +397,30 @@ def agent_bundle(agent: Agent, acceptances, K: int) -> np.ndarray:
     return x
 
 
-def reference_build_convexified(market: Market) -> ConvexifiedProgram:
+@dataclass
+class ReferenceProgram:
+    """The welfare LP arrays, with the per-bid column maps the program kept
+    before it read its columns from `Market.compiled`."""
+
+    objective: np.ndarray
+    balance: np.ndarray
+    a_ub: np.ndarray
+    b_ub: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    block_col: dict              # bid_id -> column
+    curve_cols: dict             # bid_id -> ((column, signed step width), ...)
+
+    def allocation_from(self, x: np.ndarray) -> Allocation:
+        acc: dict[str, float] = {}
+        for bid_id, col in self.block_col.items():
+            acc[bid_id] = float(x[col])
+        for bid_id, cols in self.curve_cols.items():
+            acc[bid_id] = float(sum(x[c] * w for c, w in cols))
+        return Allocation(acc)
+
+
+def reference_build_convexified(market: Market) -> ReferenceProgram:
     K = market.num_commodities
     c: list[float] = []
     block_col: dict[str, int] = {}
@@ -459,7 +487,7 @@ def reference_build_convexified(market: Market) -> ConvexifiedProgram:
                     b_ub.append(0.0)
 
     a_ub = np.array(ub_rows).reshape(len(ub_rows), n) if ub_rows else np.zeros((0, n))
-    return ConvexifiedProgram(
+    return ReferenceProgram(
         objective=np.asarray(c, dtype=float),
         balance=balance,
         a_ub=a_ub,
@@ -615,6 +643,29 @@ def reference_dual_value(market: Market, lam, tol: float | None = None) -> float
                      for agent in market.agents))
 
 
+def quantity_range(steps) -> tuple[float, float]:
+    """Feasible signed quantity interval [x_lo, x_hi]; always contains 0."""
+    lo = min((s.lo for s in steps), default=0.0)
+    hi = max((s.hi for s in steps), default=0.0)
+    return min(lo, 0.0), max(hi, 0.0)
+
+
+def curve_value(steps, x: float) -> float:
+    """Integral of the marginal price from 0 to the signed quantity x."""
+    total = 0.0
+    if x >= 0.0:
+        for s in steps:
+            if s.lo >= 0.0:
+                take = max(0.0, min(x, s.hi) - s.lo)
+                total += s.price * take
+    else:
+        for s in steps:
+            if s.hi <= 0.0:
+                take = max(0.0, s.hi - max(x, s.lo))
+                total -= s.price * take
+    return total
+
+
 def acceptance_feasible(agent: Agent, acceptances: Mapping[str, float],
                         tol: float | None = None) -> bool:
     """True iff the per-bid acceptances lie in the agent's true feasible set.
@@ -628,7 +679,7 @@ def acceptance_feasible(agent: Agent, acceptances: Mapping[str, float],
     for bid in agent.bids:
         a = float(acceptances[bid.bid_id])
         if isinstance(bid, HourlyCurveBid):
-            lo, hi = bid.range
+            lo, hi = quantity_range(bid.steps)
             s = t * (1.0 + max(abs(lo), abs(hi)))
             if not lo - s <= a <= hi + s:
                 return False
@@ -652,7 +703,7 @@ def agent_value(agent: Agent, acceptances: Mapping[str, float],
     for bid in agent.bids:
         a = float(acceptances[bid.bid_id])
         if isinstance(bid, HourlyCurveBid):
-            total += bid.value(a)
+            total += curve_value(bid.steps, a)
         else:
             total += a * bid.price
     return total

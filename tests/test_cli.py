@@ -91,6 +91,18 @@ def test_clear_invalid_market(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("mode", ["chp", "exact", "euphemia"])
+def test_clear_rejects_a_duplicate_agent_id(capsys, tmp_path, mode):
+    # before validation caught it, chp died on a welfare/value mismatch and
+    # the per-agent outputs dropped one of the two agents
+    doc = json.loads((FIXTURES / "four_agent.json").read_text())
+    doc["agents"][3]["id"] = "a1"
+    bad = tmp_path / "dup.market.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "clear", str(bad), "--mode", mode)
+    assert (code, out) == (1, "")
+    assert err == "error: duplicate-agent-id: agent id 'a1' used more than once\n"
+
+@pytest.mark.parametrize("mode", ["chp", "exact", "euphemia"])
 def test_clear_rejects_a_group_across_agents(capsys, tmp_path, mode):
     # before validation caught it, chp died on a duality-gap assertion and
     # euphemia cleared as if the group were market-wide

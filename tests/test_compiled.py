@@ -29,7 +29,7 @@ from equilab.welfare import solve_welfare
 from market_corpus import (cross_agent_parent_market, random_balanced_allocation,
                            random_market, random_price_vector, split_group_market)
 from market_helpers import checked_values
-from reference_oracles import (agent_bundle, reference_build_convexified,
+from reference_oracles import (agent_bundle, quantity_range, reference_build_convexified,
                                reference_classify_money, reference_demand_set,
                                reference_dual_value)
 
@@ -76,8 +76,19 @@ markets = st.one_of(
     st.builds(monte_carlo_case, seeds, st.sampled_from((5, 10, 20, 40))),
 )
 
-PROGRAM_FIELDS = ("objective", "balance", "a_ub", "b_ub", "lo", "hi", "block_col",
-                  "curve_cols")
+PROGRAM_FIELDS = ("objective", "balance", "a_ub", "b_ub", "lo", "hi")
+
+
+def compiled_columns(market):
+    """The per-bid column maps of `ReferenceProgram`, read off the compiled
+    market: block id -> column, curve id -> ((column, signed width), ...)."""
+    cm = market.compiled
+    _, step_col, curve = cm.step_index
+    steps = [[] for _ in cm.curves]
+    for col, w, c in zip(step_col.tolist(), cm.step_table[:, 1].tolist(), curve.tolist()):
+        steps[c].append((col, w))
+    return (dict(zip([b.bid_id for b in cm.blocks], cm.block_col.tolist())),
+            {c.bid_id: tuple(cols) for c, cols in zip(cm.curves, steps)})
 
 
 def assert_priced_like_oracle(priced, bundles):
@@ -101,6 +112,8 @@ def test_compiled_market_is_byte_identical_to_per_agent_builds(market, seed, tol
     program, reference = build_convexified(market), reference_build_convexified(market)
     for name in PROGRAM_FIELDS:
         assert exact(getattr(program, name)) == exact(getattr(reference, name)), name
+    assert program.compiled is market.compiled
+    assert exact(compiled_columns(market)) == exact((reference.block_col, reference.curve_cols))
 
     dual = solve_lp(market)
     K = market.num_commodities
@@ -115,6 +128,19 @@ def test_compiled_market_is_byte_identical_to_per_agent_builds(market, seed, tol
     lam = random_price_vector(np.random.default_rng(seed), market)
     assert_priced_like_oracle(PricedMarket(market, lam, tol), bundles)
 
+
+
+@settings(max_examples=200, deadline=None)
+@given(markets, seeds)
+def test_allocation_from_is_byte_identical_to_the_dict_loop(market, seed):
+    """The acceptances read off the program's columns, keys in order and
+    every float, at the LP vertex and at random points of [0, 1]^n."""
+    program, reference = build_convexified(market), reference_build_convexified(market)
+    rng = np.random.default_rng(seed)
+    n = program.objective.size
+    for x in (solve_lp(market).var_values, rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)):
+        assert exact(program.allocation_from(x).acceptances) == \
+            exact(reference.allocation_from(x).acceptances)
 
 def test_coupling_is_numbered_per_agent():
     # a group id reused by another agent names another group, and a parent
@@ -143,7 +169,7 @@ def bound_acceptances(market, tol):
     for agent in market.agents:
         for bid in agent.bids:
             if isinstance(bid, HourlyCurveBid):
-                lo, hi = bid.range
+                lo, hi = quantity_range(bid.steps)
                 s = t * (1.0 + max(abs(lo), abs(hi)))
                 bounds = (lo - s, hi + s, *(v for step in bid.steps
                                             for v in (step.lo, step.hi)))

@@ -19,10 +19,11 @@ def test_reference_program_shape(four_agent_market):
     assert prog.objective.size == 4
     assert prog.balance.shape == (1, 4)
     assert prog.a_ub.shape[0] == 0
-    assert set(prog.block_col) == {"b1", "b4"}
-    assert set(prog.curve_cols) == {"c2", "c3"}
+    cm = prog.compiled
+    assert [b.bid_id for b in cm.blocks] == ["b1", "b4"]
+    assert [c.bid_id for c in cm.curves] == ["c2", "c3"]
     # blocks relax to [0, 1] regardless of their minimum acceptance ratio
-    for col in prog.block_col.values():
+    for col in cm.block_col.tolist():
         assert prog.lo[col] == 0.0 and prog.hi[col] == 1.0
 
 

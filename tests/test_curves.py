@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from equilab.config import resolve_tol
-from equilab.curves import CurveError, canonical_steps, curve_value, quantity_range
+from equilab.curves import CurveError, canonical_steps
 from equilab.demand import MarketPricing
 from equilab.model import Agent, HourlyCurveBid, Market
+
+from reference_oracles import curve_value, quantity_range
 
 
 def steps_of(points, mode="stepwise"):

@@ -402,7 +402,7 @@ def test_offset_range_measure_in_every_norm():
     assert nonconvexity(ds, "l1") == pytest.approx(99.0)
     assert nonconvexity(ds, "linf") == pytest.approx(49.5)
     assert nonconvexity(ds, "l2") == pytest.approx(np.hypot(99.0, 99.0) / 2.0)
-    segment = next(p for p in ds.pieces if p.units)
+    segment = next(p for p in ds.pieces if len(p.units))
     assert geometry.piece_distance(segment, [0.0, 0.0], "l1") == pytest.approx(99.0)
     assert geometry.piece_distance(segment, [0.0, 0.0], "linf") == pytest.approx(99.0)
 

@@ -1,16 +1,21 @@
 """Zonotope pieces: nearest points, unions, collinear oracle, hull tests."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import lsq_linear
 
+from equilab.convexify import solve_lp
 from equilab.demand import DemandSet, nonconvexity
-from equilab.geometry import (Piece, PieceBoxes, box_bounds, canonical_generators,
-                              closest_pair, merge_intervals, piece_contains,
-                              piece_distance, piece_nearest, piece_subset,
-                              piece_vertices, union_nearest)
+from equilab.geometry import (ComplexityError, Piece, PieceBoxes, box_bounds,
+                              canonical_generators,
+                              closest_pair, merge_intervals, piece_distance,
+                              piece_nearest, piece_subset, piece_vertices,
+                              union_nearest)
 
+from market_corpus import random_market
 from reference_oracles import collinear_model, in_hull
 
 
@@ -25,16 +30,18 @@ def seg(lo, hi, axis=0, dim=1):
     return make_piece(np.zeros(dim), [(u, lo, hi)])
 
 
+def generators(piece: Piece) -> list:
+    """(unit, lo, hi) of each generator of the piece."""
+    return list(zip(piece.units, piece.lo, piece.hi))
+
+
 def shift_piece(piece: Piece, delta) -> Piece:
-    off = np.asarray(piece.offset) + np.asarray(delta, dtype=float)
-    return Piece(tuple(off), piece.units, piece.ranges)
+    return Piece.of(piece.offset + np.asarray(delta, dtype=float), generators(piece))
 
 
 def combine_pieces(a: Piece, b: Piece) -> Piece:
     """Minkowski sum of two pieces."""
-    gens = [(np.array(u), lo, hi) for u, (lo, hi) in zip(a.units, a.ranges)]
-    gens += [(np.array(u), lo, hi) for u, (lo, hi) in zip(b.units, b.ranges)]
-    return make_piece(np.asarray(a.offset) + np.asarray(b.offset), gens)
+    return make_piece(a.offset + b.offset, generators(a) + generators(b))
 
 
 def test_point_piece():
@@ -49,10 +56,10 @@ def test_generator_canonicalization():
     # antiparallel directions merge after flipping, scaling by the norm
     p = make_piece([0.0], [((2.0,), 0.0, 1.0), ((-1.0,), -1.0, 0.0)])
     assert len(p.units) == 1
-    assert p.ranges[0] == pytest.approx((0.0, 3.0))
+    assert (p.lo[0], p.hi[0]) == pytest.approx((0.0, 3.0))
     # zero-width generators fold into the offset
     q = make_piece([0.0], [((1.0,), 2.0, 2.0)])
-    assert not q.units
+    assert q.units.shape == (0, 1)
     assert q.offset[0] == pytest.approx(2.0)
 
 
@@ -77,11 +84,9 @@ def test_skew_zonotope_matches_bvls():
     gens = [((1.0, 0.0), 0.0, 1.0), ((1.0, 1.0), 0.0, 2.0)]
     p = make_piece([0.0, 0.0], gens)
     x = np.array([3.0, -1.0])
-    G = p.unit_matrix()
-    los = np.array([lo for lo, _ in p.ranges])
-    his = np.array([hi for _, hi in p.ranges])
-    ref = lsq_linear(G, x - p.point(), bounds=(los, his), method="bvls")
-    want = float(np.linalg.norm(x - (p.point() + G @ ref.x)))
+    G = p.units.T
+    ref = lsq_linear(G, x - p.offset, bounds=(p.lo, p.hi), method="bvls")
+    want = float(np.linalg.norm(x - (p.offset + G @ ref.x)))
     assert piece_nearest(p, x)[0] == pytest.approx(want, abs=1e-9)
 
 
@@ -122,8 +127,8 @@ def test_containment_and_subset():
     small = shift_piece(seg(0.0, 1.0), [1.0])
     assert piece_subset(small, big, 1e-9)
     assert not piece_subset(big, small, 1e-9)
-    assert piece_contains(big, [4.0 + 5e-10], 1e-9)
-    assert not piece_contains(big, [4.1], 1e-9)
+    assert piece_nearest(big, [4.0 + 5e-10])[0] <= 1e-9
+    assert not piece_nearest(big, [4.1])[0] <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +203,7 @@ def _random_piece(rng, dim):
 
 
 def _random_member(rng, piece):
-    ts = [rng.uniform(lo, hi) for lo, hi in piece.ranges]
-    return piece.point() + sum(t * np.asarray(u)
-                               for t, u in zip(ts, piece.units))
+    return piece.offset + rng.uniform(piece.lo, piece.hi) @ piece.units
 
 
 @settings(max_examples=50, deadline=None)
@@ -209,9 +212,9 @@ def test_nearest_beats_sampled_points(seed):
     """The reported nearest distance is a lower bound over sampled members."""
     rng = np.random.default_rng(seed)
     piece = _random_piece(rng, int(rng.integers(1, 4)))
-    x = rng.uniform(-4, 4, size=piece.dim)
+    x = rng.uniform(-4, 4, size=piece.offset.size)
     d, y = piece_nearest(piece, x)
-    assert piece_contains(piece, y, 1e-7)
+    assert piece_nearest(piece, y)[0] <= 1e-7
     for _ in range(40):
         member = _random_member(rng, piece)
         assert d <= np.linalg.norm(x - member) + 1e-7
@@ -224,7 +227,7 @@ def test_vertices_lie_in_piece_and_span_hull(seed):
     piece = _random_piece(rng, 2)
     verts = piece_vertices(piece)
     for v in verts:
-        assert piece_contains(piece, v, 1e-7)
+        assert piece_nearest(piece, v)[0] <= 1e-7
     # random members are inside the hull of the vertex set
     for _ in range(20):
         assert in_hull(_random_member(rng, piece), verts, 1e-6)
@@ -274,3 +277,53 @@ def test_box_bound_never_exceeds_the_piece_distance(seed, K):
             assert bound <= piece_distance(piece, x, norm)
             assert PieceBoxes.of([piece]).bounds(x, norm) == [bound]
         assert box_bounds(lo, hi, size, x) <= piece_nearest(piece, x)[0]
+
+
+# ---------------------------------------------------------------------------
+# Byte lock
+
+def _lock_pieces(K):
+    """Every piece of the demand sets at lambda* of six seeded corpus
+    markets, then a seeded point and twelve `_bound_test_piece`s: segments,
+    axis-aligned, near-axis and skew pieces."""
+    pieces = []
+    for s in range(6):
+        dual = solve_lp(random_market(np.random.default_rng((77, s, K)), K=K, max_blocks=8))
+        for i in range(len(dual.market.agents)):
+            try:
+                pieces.extend(dual.demand(i).pieces)
+            except ComplexityError:
+                pass
+    rng = np.random.default_rng((78, K))
+    pieces.append(make_piece(rng.uniform(-5.0, 5.0, size=K)))
+    pieces.extend(_bound_test_piece(rng, K) for _ in range(12))
+    return pieces
+
+
+# sha256 of the bytes below, recorded when pieces still stored tuples.
+PIECE_RESULTS_SHA256 = "7ff5098d5a9e352a579eefb8c8ad04fac2714830bf5bf063c2f44b24c4f3d967"
+
+
+def test_piece_results_keep_their_bytes():
+    """Box, corners, nearest point and l1/linf distances at three points
+    per piece, and the closest pair of each two consecutive pieces, hashed
+    over K = 1, 2, 4 and 24."""
+    h = hashlib.sha256()
+
+    def put(*values):
+        for v in values:
+            h.update(np.asarray(v, dtype=float).tobytes())
+
+    for K in (1, 2, 4, 24):
+        pieces = _lock_pieces(K)
+        rng = np.random.default_rng((79, K))
+        for piece in pieces:
+            lo, hi, size = piece.box
+            corners = piece_vertices(piece)
+            put(lo, hi, size, corners)
+            for x in (rng.uniform(-6.0, 6.0, size=K), corners[-1], np.mean(corners, axis=0)):
+                put(*piece_nearest(piece, x))
+                put(piece_distance(piece, x, "l1"), piece_distance(piece, x, "linf"))
+        for a, b in zip(pieces, pieces[1:]):
+            put(*closest_pair(a, b))
+    assert h.hexdigest() == PIECE_RESULTS_SHA256

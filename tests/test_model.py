@@ -37,6 +37,15 @@ def test_rejects_duplicate_bid_ids():
     assert "duplicate-bid-id" in _codes(mk)
 
 
+def test_rejects_duplicate_agent_ids(four_agent_market):
+    # per-agent values and LOC are keyed by agent id: a reused id would
+    # drop an agent from the LOC total (4.0 instead of 7.0 at price 3)
+    a1, a2, a3, a4 = four_agent_market.agents
+    mk = Market(1, (a1, a2, a3, Agent("a1", a4.bids)))
+    report = validate_market(mk)
+    assert [v.code for v in report.violations] == ["duplicate-agent-id"]
+    assert report.violations[0].message == "agent id 'a1' used more than once"
+
 def test_rejects_out_of_range_hour():
     mk = Market(1, (Agent("a", (HourlyCurveBid("c", 3, ((1.0, 1.0),)),)),))
     assert "bad-hour" in _codes(mk)

@@ -31,8 +31,6 @@ def test_spec_validation():
         marginal_supplier_is_convex(spec, draw_costs(spec))
     with pytest.raises(ValueError):
         SimpleRandomMarketSpec(n=4, k=5)
-    with pytest.raises(ValueError):
-        SimpleRandomMarketSpec(n=4, k=2, cost_lo=3.0, cost_hi=3.0)
     spec = SimpleRandomMarketSpec(n=4, k=2)
     assert spec.reservation_price == pytest.approx(20.0)
 
