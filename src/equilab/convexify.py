@@ -27,6 +27,7 @@ agents asked, once each.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -162,6 +163,27 @@ class PricedMarket:
         return self._memo(("in_demand", i, x.tobytes()),
                           lambda: self.demand(i).contains(x))
 
+    def containment(self, bundles) -> Iterator[bool]:
+        """Is row i of `bundles` in agent i's demand set, agent by agent?
+
+        An agent whose demand set is an axis line is decided from the
+        pricing arrays (`MarketPricing.line_contains`, for all rows at once
+        at K = 1) and builds no demand set.  The others ask `in_demand` as the
+        iterator reaches them, so a caller that stops at the first False
+        builds no later set.  Every answer is kept where `in_demand` reads
+        it, and when every row's answer is kept already, none is computed.
+        """
+        bundles = np.asarray(bundles, dtype=float)
+        raw, row = bundles.tobytes(), bundles.itemsize * bundles.shape[1]
+        keys = [("in_demand", i, raw[i * row:(i + 1) * row]) for i in range(len(bundles))]
+        cache = self._cache
+        if not all(key in cache for key in keys):
+            cache.update((key, flag) for key, flag in
+                         zip(keys, self.pricing.line_contains(bundles)) if flag is not None)
+        for i, key in enumerate(keys):
+            flag = cache.get(key)
+            yield self.in_demand(i, bundles[i]) if flag is None else flag
+
     def best_surplus(self, i: int) -> float:
         return self.pricing.best_surplus[i]
 
@@ -196,9 +218,13 @@ class DualSolution(PricedMarket):
     var_values: np.ndarray
     program: ConvexifiedProgram
 
+    def lp_bundles(self) -> np.ndarray:
+        """Every agent's bundle in the LP vertex allocation (row i: agent i)."""
+        return self._memo(("bundles",), lambda: self.allocation.bundles(self.market))
+
     def lp_bundle(self, i: int) -> np.ndarray:
         """Agent i's bundle in the LP vertex allocation."""
-        return self._memo(("bundles",), lambda: self.allocation.bundles(self.market))[i]
+        return self.lp_bundles()[i]
 
     def lp_in_demand(self, i: int) -> bool:
         return self.in_demand(i, self.lp_bundle(i))

@@ -15,19 +15,24 @@ What is computed when:
 - once per (market, prices, tol), for all agents at once, in
   `MarketPricing`: block margins and money classes, curve best surpluses and
   demand intervals, the best surplus and surplus-maximal patterns of each
-  component, and each agent's best surplus.  `convexify.PricedMarket` keeps
-  one, so the price dual sums best surpluses without a demand set;
-- once per (agent, prices, tol), only for the agents whose containment,
-  measure or demand set is asked: `demand_set` builds the `DemandSet` from
-  those arrays.  Its pattern combinations and pieces are built on first use,
-  and `DemandSet.acceptances` turns any demand point back into per-bid
+  component, each agent's best surplus, and the per-agent axis-line arrays
+  (`on_line`, `line_origin`, `line_hour`, `line_interval`) of every agent
+  whose set is one pattern with only curves of one hour free.
+  `convexify.PricedMarket` keeps one, so the price dual sums best surpluses
+  without a demand set, and `PricedMarket.containment` decides those
+  agents' containment in one pass (`line_contains`), also without one;
+- once per (agent, prices, tol), for the other agents whose containment is
+  asked and for every agent whose measure or demand set is asked:
+  `demand_set` builds the `DemandSet` from those arrays.  Its
+  pattern combinations and pieces are built on first use, and
+  `DemandSet.acceptances` turns any demand point back into per-bid
   acceptances: this module is the one place that decides an agent's best
   response.
 
 Most sets (all one-commodity sets) lie on a line: `DemandSet.line` answers
 containment, the measure and the aggregate convexity check for them, and
-`demand_set` writes it down directly for an agent with one pattern whose
-free bids are curves.
+`demand_set` fills it in from the axis-line arrays where they hold one
+(`MarketPricing.carrier_line`).
 
 The nonconvexity measure of a demand set D is the one-sided Hausdorff
 distance of D from its convex hull: the largest distance from a hull point to
@@ -138,6 +143,53 @@ class MarketPricing:
         np.add.at(total, term_owner, values[term_value])
         self.best_surplus = total.tolist()
 
+        # Axis lines.  An agent whose components each keep one pattern with
+        # no at-the-money block on (a lone block at the money scores 0 on
+        # and off, so it keeps both), and whose curves of nonzero width
+        # share one hour, demands a segment of that hour's axis, or a point:
+        # the line `DemandSet.line` reads off the canonical generators,
+        # float for float.  The origin adds each component's on-block
+        # bundles in block order, then the components in order, then the
+        # zero-width curves' midpoints in curve order, as `patterns` and
+        # `canonical_generators` add; the interval adds the other curves'
+        # ranges in curve order (an hour axis has norm 1, so none is
+        # rescaled).  Each agent's sums start at +0.0, so no -0.0 survives,
+        # a component with no block on changes no bit, and lo <= hi holds
+        # in every rounded sum as it does for each curve.
+        K, classes, on_line = cm.K, self.classes, [True] * cm.num_agents
+        q_rows = cm.block_q.tolist()
+        origin = [0.0] * (cm.num_agents * K)               # agent i's from i * K
+        for k, (i, comp) in enumerate(zip(cm.component_owner, cm.components)):
+            if not on_line[i]:
+                continue
+            kept = self.kept_patterns(k)
+            if len(kept) > 1:
+                on_line[i] = False
+                continue
+            offset = None
+            for j, z in zip(comp, kept[0]):
+                if z:
+                    on_line[i] = on_line[i] and classes[j] != _AT
+                    q = q_rows[j] if classes[j] == _IN else [cm.blocks[j].mar * v for v in q_rows[j]]
+                    offset = q if offset is None else [a + b for a, b in zip(offset, q)]
+            if offset is not None:
+                at = i * K
+                origin[at:at + K] = [a + b for a, b in zip(origin[at:at + K], offset)]
+        line_hour, lo_sum, hi_sum = [-1] * cm.num_agents, [0.0] * cm.num_agents, [0.0] * cm.num_agents
+        for i, h, (lo, hi) in zip(cm.curve_owner, cm.curve_hour, self.curve_interval):
+            if hi - lo <= _PAR_TOL * (1.0 + abs(lo) + abs(hi)):
+                origin[i * K + h] += 0.5 * (lo + hi)
+            else:
+                if line_hour[i] < 0:
+                    line_hour[i] = h
+                elif line_hour[i] != h:
+                    on_line[i] = False
+                lo_sum[i] += lo
+                hi_sum[i] += hi
+        self.line_origin = np.array(origin, dtype=float).reshape(cm.num_agents, K)
+        self.line_hour, self.line_interval = line_hour, (lo_sum, hi_sum)
+        self.on_line = on_line
+
     def _score_linked(self, k: int, on_best: list) -> float:
         """Best surplus of linked component k; keeps its surplus-maximal patterns.
 
@@ -171,6 +223,42 @@ class MarketPricing:
         top = banded if banded > 0.0 else 0.0
         floor = top - self.tol * (1.0 + abs(top))
         return ((0,),) * (0.0 >= floor) + ((1,),) * (banded >= floor)
+
+    def carrier_line(self, i: int) -> CarrierLine | None:
+        """Agent i's demand set as an axis line, or None when it is not one
+        pattern with only curves of one hour free."""
+        return self._carrier_lines[i] if self.on_line[i] else None
+
+    @cached_property
+    def _carrier_lines(self) -> list:
+        units = np.vstack((np.eye(self.compiled.K), np.zeros(self.compiled.K)))  # row -1: a point
+        return [CarrierLine(origin, units[h], ((lo, hi),)) if on else None
+                for on, h, origin, lo, hi in zip(self.on_line, self.line_hour, self.line_origin,
+                                                 *self.line_interval)]
+
+    def line_contains(self, bundles: np.ndarray) -> list:
+        """Per agent, is row i of `bundles` in its demand set, decided on
+        `carrier_line(i)`; None where that is None.
+
+        Each bool is the one `DemandSet.contains` gives: distance at most
+        t * (1 + |x|).  At K = 1 all rows are decided at once, because the
+        line's perpendicular part is exactly 0: the distance to a segment
+        is its interval gap max(lo - s, s - hi, 0) with s = x - origin, and
+        to a point sqrt(r * r).  At K >= 2 each row asks
+        `CarrierLine.distance` and sums |x|^2 with `dot`, which may round
+        differently from an elementwise sum.
+        """
+        tol = self.tol
+        if self.compiled.K == 1:
+            x = bundles[:, 0]
+            s = x - self.line_origin[:, 0]
+            lo, hi = np.array(self.line_interval)
+            gap = np.where(np.array(self.line_hour) >= 0,
+                           np.maximum(np.maximum(lo - s, s - hi), 0.0), np.sqrt(s * s))
+            inside = (gap <= tol * (1.0 + np.sqrt(x * x))).tolist()
+            return [flag if on else None for flag, on in zip(inside, self.on_line)]
+        return [line.distance(x) <= tol * (1.0 + math.sqrt(x.dot(x))) if on else None
+                for on, line, x in zip(self.on_line, self._carrier_lines, bundles)]
 
     def money_classes(self) -> MoneyClasses:
         """in / at / out of the money for every bid, with its margin, in
@@ -233,7 +321,7 @@ class DemandSet:
     `canonical` (each pattern's `geometry.canonical_generators`, read by both
     `line` and `pieces`), `line` and `pieces` are built on first use: only
     they raise ComplexityError.  `demand_set` fills `line` in at once for
-    an agent with one pattern whose free bids are curves.
+    an agent with one pattern whose free bids are curves of one hour.
     """
 
     dim: int
@@ -376,29 +464,21 @@ def demand_set(priced: MarketPricing, i: int) -> DemandSet:
     The factors are read off the priced arrays: each curve's demand
     interval, then the kept patterns of each component, as (offset, fixed,
     free) with the bundle of the fixed blocks.  An agent with one pattern
-    whose free bids are all curves gets its carrier line written down
-    directly (`_axis_line`).
+    whose free bids are curves of one hour gets its carrier line from the
+    priced arrays (`MarketPricing.carrier_line`).
     """
     cm = priced.compiled
     curves = range(cm.curve_start[i], cm.curve_start[i + 1])
-    hours = [cm.curve_hour[c] for c in curves]
-    gens = [(_axis(cm.K, h), *priced.curve_interval[c]) for c, h in zip(curves, hours)]
-    offset = np.zeros(cm.K)
-    factors = [((offset, (), tuple([(cm.curves[c].bid_id, *g) for c, g in zip(curves, gens)])),)]
-    single = True
+    factors = [((np.zeros(cm.K), (), tuple(
+        (cm.curves[c].bid_id, _axis(cm.K, cm.curve_hour[c]), *priced.curve_interval[c])
+        for c in curves)),)]
     for k in range(cm.component_start[i], cm.component_start[i + 1]):
-        kept = [_pattern_factor(cm, priced.classes, cm.components[k], z)
-                for z in priced.kept_patterns(k)]
-        factors.append(tuple(kept))
-        if single and len(kept) == 1 and not kept[0][2]:
-            offset = offset + kept[0][0]           # the one pattern's offset, as `patterns` adds
-        else:
-            single = False
+        factors.append(tuple(_pattern_factor(cm, priced.classes, cm.components[k], z)
+                             for z in priced.kept_patterns(k)))
     ds = DemandSet(cm.K, priced.tol, priced.best_surplus[i], tuple(factors))
-    if single:
-        line = _axis_line(offset, hours, gens)
-        if line is not None:
-            vars(ds)["line"] = line                # the cached property, filled in
+    line = priced.carrier_line(i)
+    if line is not None:
+        vars(ds)["line"] = line                    # the cached property, filled in
     return ds
 
 
@@ -429,33 +509,6 @@ def _pattern_factor(cm: CompiledMarket, classes: list, comp: tuple, z: tuple):
             offset += b.mar * cm.block_q[j]
             fixed.append((b.bid_id, b.mar))
     return offset, tuple(fixed), tuple(free)
-
-
-def _axis_line(offset: np.ndarray, hours: list, gens: list) -> CarrierLine | None:
-    """The carrier line of one pattern whose free bids are curves, given as
-    (axis, lo, hi) in `hours`, or None when they span two hours.
-
-    It is the line `DemandSet.line` reads off `geometry.canonical_generators`,
-    float for float: an hour axis has norm 1, so a curve keeps its range, a
-    zero-width one folds into the offset at its hour, and curves of one hour
-    merge in order.  The offset has no -0.0 entry (it is a sum onto zeros),
-    so adding 0 * value off the hour leaves it as it is.
-    """
-    origin = offset.copy()
-    line_hour = None
-    for h, (axis, lo, hi) in zip(hours, gens):
-        if hi - lo <= _PAR_TOL * (1.0 + abs(lo) + abs(hi)):
-            origin[h] += 0.5 * (lo + hi)
-        elif line_hour is None:
-            line_hour, unit, lo_m, hi_m = h, axis, lo, hi
-        elif h == line_hour:
-            lo_m += lo
-            hi_m += hi
-        else:
-            return None
-    if line_hour is None:
-        return CarrierLine(origin, np.zeros(origin.size), ((0.0, 0.0),))
-    return CarrierLine(origin, unit, ((0.0 + min(lo_m, hi_m), 0.0 + max(lo_m, hi_m)),))
 
 
 def _dedup_pieces(pieces: list[Piece], tol: float) -> list[Piece]:

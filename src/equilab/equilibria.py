@@ -61,7 +61,7 @@ def detect_equilibrium(priced: PricedMarket, allocation: Allocation,
     as a DualSolution), so they are reused across calls.
     """
     bundles = allocation.bundles(priced.market)
-    flags = [priced.in_demand(i, x) for i, x in enumerate(bundles)]
+    flags = list(priced.containment(bundles))
     imbalance = vector_norm(bundles.sum(axis=0), norm)
     scale = 1.0 + float(np.max(np.abs(bundles), initial=0.0))
     ok = all(flags) and imbalance <= priced.tol * scale
@@ -90,8 +90,8 @@ def balanced_lp_allocation(dual: DualSolution, norm: str = "l2") -> LpAllocation
     bound would mean the LP solution is not a vertex, so it is asserted.
     """
     market = dual.market
-    bad = tuple(agent.agent_id for i, agent in enumerate(market.agents)
-                if not dual.lp_in_demand(i))
+    bad = tuple(agent.agent_id for agent, ok in
+                zip(market.agents, dual.containment(dual.lp_bundles())) if not ok)
     ncs = dual.nonconvex_stats(norm)
     limit = min(ncs.count, market.num_commodities)
     if len(bad) > limit:

@@ -317,14 +317,15 @@ class CompiledMarket:
     Blocks and curves are numbered in market order (agent by agent, bids in
     their order), and so are the welfare LP columns: one per block, one per
     curve step.  Per block: its q row, price, mar and column.  Per linked
-    component (`block_components` of each agent, in order): its block
-    numbers and feasible indicator patterns, enumerated here once per
-    market.  Per curve: hour and its step table in curve order.  The block
-    couplings, scoped to the agent as the components are: `groups`, each
-    exclusive group's member block numbers, groups sorted by group id (a
-    group id reused by another agent names another group); `parent` and
-    `loop`, per block the block number of its parent and of its loop
-    partner among its agent's blocks, or -1.  The arrays:
+    component (`block_components` of each agent, in order): its owner
+    (`component_owner`), block numbers and feasible indicator patterns,
+    enumerated here once per market.  Per curve: owner (`curve_owner`), hour
+    and its step table in curve order.  The block couplings, scoped to the
+    agent as the components are: `groups`, each exclusive group's member
+    block numbers, groups sorted by group id (a group id reused by another
+    agent names another group); `parent` and `loop`, per block the block
+    number of its parent and of its loop partner among its agent's blocks,
+    or -1.  The arrays:
 
     - `block_table`, one row per block: price, mar, |price|, then its q;
     - `step_table`, one row per step: price, signed width (positive buys),
@@ -347,8 +348,8 @@ class CompiledMarket:
     __slots__ = ("K", "agents", "num_agents", "num_columns", "blocks", "curves",
                  "components", "patterns", "is_lone", "linked_components", "curve_start",
                  "component_start", "curve_hour", "block_table", "block_col", "step_table",
-                 "curve_table", "step_index", "terms", "lone", "bid_index", "groups", "parent",
-                 "loop")
+                 "curve_table", "step_index", "terms", "lone", "bid_index", "curve_owner",
+                 "component_owner", "groups", "parent", "loop")
 
     def __init__(self, market: Market):
         K = market.num_commodities
@@ -362,6 +363,7 @@ class CompiledMarket:
         curve_rows = []
         step_curve, term_value, term_owner = [], [], []   # component k's term as ~k
         bid_value, bid_owner = [], []                      # curve c as ~c
+        curve_owner, component_owner = [], []
         curve_start, component_start = [0], [0]
         groups: dict[tuple[str, int], list[int]] = {}
         self.parent, self.loop = parent, loop = [], []
@@ -381,6 +383,7 @@ class CompiledMarket:
                 bid_value.append(~c)
                 term_value.append(c)
                 term_owner.append(i)
+                curve_owner.append(i)
                 lo = hi = 0.0                         # its range holds 0
                 for step in bid.steps:
                     s_lo, s_hi, price = step.lo, step.hi, step.price
@@ -404,6 +407,7 @@ class CompiledMarket:
             for comp in block_components(tuple(mine)) if len(mine) > 1 else [(0,)] * len(mine):
                 term_value.append(~len(components))
                 term_owner.append(i)
+                component_owner.append(i)
                 components.append(tuple(first_block + j for j in comp))
                 comp_blocks.append(tuple(mine[j] for j in comp))
             curve_start.append(len(curves))
@@ -440,6 +444,8 @@ class CompiledMarket:
         self.curve_table.shape = (len(curves), 3)
         self.step_index = np.array((step_hour, step_col, step_curve), dtype=int)
         self.bid_index = np.array((bid_owner, bid_value), dtype=int)
+        self.curve_owner = curve_owner
+        self.component_owner = component_owner
 
     @property
     def block_q(self) -> np.ndarray:

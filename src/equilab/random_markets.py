@@ -101,10 +101,15 @@ def certified_equilibrium(market: Market, tol: float | None = None) -> bool:
     """Does the convexified LP allocation sit in every demand set?
 
     The LP allocation is balanced, so containment in all demand sets at
-    lambda* certifies an exact equilibrium.
+    lambda* certifies an exact equilibrium.  Containment is one pass over
+    the LP bundles (`PricedMarket.containment`): a convex supplier, the
+    buyer and an all-or-nothing supplier off the margin demand an axis
+    segment or point, decided from the pricing arrays; only an at-the-money
+    block's agent builds a demand set, and the pass stops at the first
+    agent outside demand.
     """
     dual = solve_lp(market, tol)
-    return all(dual.lp_in_demand(i) for i in range(len(market.agents)))
+    return all(dual.containment(dual.lp_bundles()))
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,18 @@ def _cases() -> dict[str, list[str]]:
                                "--seed", "4", "--trials", "200"]
     cases["simulate-n40-k13"] = ["simulate", "--n", "40", "--k", "13", "--demand", "5",
                                  "--seed", "4", "--trials", "200"]
+    # These lock the one-pass certificate's two routes: at k=0 every marginal
+    # supplier is a block, so every trial builds a demand set; at k=n none
+    # does.  Demand 4 is a whole multiple of the supplier capacity, and
+    # --tol 0.05 moves the containment bar.
+    cases["simulate-n10-k0"] = ["simulate", "--n", "10", "--k", "0",
+                                "--seed", "4", "--trials", "200"]
+    cases["simulate-n12-k12"] = ["simulate", "--n", "12", "--k", "12",
+                                 "--seed", "4", "--trials", "200"]
+    cases["simulate-n6-k2-demand4"] = ["simulate", "--n", "6", "--k", "2", "--demand", "4",
+                                       "--seed", "4", "--trials", "200"]
+    cases["simulate-n6-k3-tol"] = ["simulate", "--n", "6", "--k", "3", "--tol", "0.05",
+                                   "--seed", "4", "--trials", "200"]
     return cases
 
 

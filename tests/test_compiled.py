@@ -10,6 +10,12 @@ and the LP bundles themselves.  Values are compared by their bytes, so a
 changed rounding or a flipped zero sign fails.  Coarse power-of-two
 tolerances put grid prices exactly on the edges of the at-the-money bands.
 
+`PricedMarket.containment`, the one-pass certificate, is compared flag by
+flag with each agent's `DemandSet.contains` on the oracle's demand set: at
+lambda* and at a random price, for the LP bundles, random bundles, and at
+K = 1 points at the containment bar t * (1 + |x|) beyond each end of every
+axis line and one float step either side.
+
 `CompiledMarket.values` is compared the same way with the `agent_value` and
 `acceptance_feasible` oracles: at lambda*'s LP allocation, at the exact
 welfare allocation, at random balanced allocations, and with one bid moved
@@ -128,6 +134,90 @@ def test_compiled_market_is_byte_identical_to_per_agent_builds(market, seed, tol
     lam = random_price_vector(np.random.default_rng(seed), market)
     assert_priced_like_oracle(PricedMarket(market, lam, tol), bundles)
 
+
+
+def bar_points(priced, bundles):
+    """Per agent decided on an axis line at K = 1, bundles at the bar beyond
+    each end of its segment, and one float step either side of each: x with
+    |x - edge| = t * (1 + |x|), solved on each side of zero."""
+    t, pricing = priced.tol, priced.pricing
+    rows = []
+    for i, on in enumerate(pricing.on_line):
+        if not on:
+            continue
+        o = float(pricing.line_origin[i, 0])
+        lo, hi = pricing.line_interval[0][i], pricing.line_interval[1][i]
+        for edge, away in ((o + lo, -1.0), (o + hi, 1.0)):
+            for side in (-1.0, 1.0):
+                x = (edge + away * t) / (1.0 - away * side * t)
+                if x * side < 0.0:
+                    continue
+                for v in (np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)):
+                    row = np.array(bundles, dtype=float)
+                    row[i, 0] = v
+                    rows.append(row)
+    return rows
+
+
+def assert_containment_like_contains(priced, bundle_sets):
+    market = priced.market
+    refs = [reference_demand_set(a, priced.lambda_star, market.num_commodities, priced.tol)
+            for a in market.agents]
+    for bundles in bundle_sets:
+        want = [outcome(lambda: ref.contains(x)) for ref, x in zip(refs, bundles)]
+        for i, flag in enumerate(priced.pricing.line_contains(bundles)):
+            if flag is not None:
+                assert exact(flag) == want[i], (i, "decided")
+        got = outcome(lambda: list(priced.containment(bundles)))
+        if ("raises", "ComplexityError") in want:
+            assert got == ("raises", "ComplexityError")
+        else:
+            assert got == ("list", tuple(want))
+            assert [priced.in_demand(i, x) for i, x in enumerate(bundles)] == \
+                list(priced.containment(bundles))
+
+
+@settings(max_examples=200, deadline=None)
+@given(markets, seeds, st.sampled_from((None, 0.5, 0.25, 0.125)))
+def test_one_pass_containment_is_each_agents_contains(market, seed, tol):
+    rng = np.random.default_rng(seed)
+    dual = solve_lp(market, tol)
+    lp_bundles = dual.lp_bundles()
+    scale = 1.0 + float(np.max(np.abs(lp_bundles)))
+    n, K = lp_bundles.shape
+    for priced in (dual, PricedMarket(market, random_price_vector(rng, market), tol)):
+        bundle_sets = [lp_bundles, rng.normal(0.0, scale, (n, K)),
+                       lp_bundles + rng.normal(0.0, 1e-3 * scale, (n, K))]
+        if K == 1:
+            bundle_sets += bar_points(priced, lp_bundles)
+        assert_containment_like_contains(priced, bundle_sets)
+
+
+def test_containment_bar_is_inclusive():
+    # the buyer demands the point 5; at t = 1/2, x = 3 is exactly
+    # t * (1 + |x|) = 2 from it, and the next float down is not
+    spec = SimpleRandomMarketSpec(6, 3, seed=4)
+    market = market_from_costs(spec, draw_costs(spec))
+    dual = solve_lp(market, 0.5)
+    assert dual.pricing.on_line[0] and dual.pricing.line_origin[0, 0] == 5.0
+    for x, inside in ((3.0, True), (np.nextafter(3.0, 0.0), False)):
+        bundles = np.array(dual.lp_bundles())
+        bundles[0, 0] = x
+        assert dual.pricing.line_contains(bundles)[0] is inside
+        assert reference_demand_set(market.agents[0], dual.lambda_star, 1, 0.5).contains(
+            bundles[0]) is inside
+
+
+def test_zero_width_curve_folds_into_the_line_origin():
+    # a step priced at lambda and narrower than 1e-9 is folded in at its
+    # midpoint, as `canonical_generators` folds it
+    market = Market(1, (Agent("a", (HourlyCurveBid("tiny", 0, ((5.0, 3e-10),)),
+                                    HourlyCurveBid("full", 0, ((7.0, 1.0),)))),))
+    priced = PricedMarket(market, [5.0])
+    ref = reference_demand_set(market.agents[0], priced.lambda_star, 1, priced.tol)
+    assert priced.pricing.on_line == [True] and priced.pricing.line_origin[0, 0] != 1.0
+    assert exact(priced.pricing.carrier_line(0)) == exact(ref.line)
+    assert_containment_like_contains(priced, bar_points(priced, np.zeros((1, 1))))
 
 
 @settings(max_examples=200, deadline=None)

@@ -10,6 +10,7 @@ give.
 """
 
 import dataclasses
+import math
 import sys
 from collections import Counter
 
@@ -30,7 +31,7 @@ from equilab.random_markets import (SimpleRandomMarketSpec, certified_equilibriu
 
 from market_corpus import random_market
 from market_helpers import agent_demand_set
-from reference_oracles import agent_bundle
+from reference_oracles import agent_bundle, reference_demand_set
 
 DIMS = (1, 2, 4, 24)
 CORPUS = 20
@@ -89,12 +90,16 @@ def test_one_best_surplus_and_lp_containment_per_agent(monkeypatch, market):
 
     res = approximate_equilibria(market)
 
+    # an agent whose set is an axis line is decided from the pricing arrays;
+    # the others ask `contains` once for the LP bundle and once more when
+    # the exact welfare allocation moves them
     dual = res.dual
+    off_line = [i for i, on in enumerate(dual.pricing.on_line) if not on]
     moved = sum(not np.array_equal(res.pricing.allocation.bundles(market)[i],
                                    dual.lp_bundle(i))
-                for i in range(len(market.agents)))
+                for i in off_line)
     assert counts["patterns"] == components
-    assert counts["contains"] == len(market.agents) + moved
+    assert counts["contains"] == len(off_line) + moved
 
     # the compiled market keeps its patterns; an equal new market enumerates
     # them once more
@@ -105,19 +110,41 @@ def test_one_best_surplus_and_lp_containment_per_agent(monkeypatch, market):
     assert counts["patterns"] == components
 
 
+def demand_sets_needed(market):
+    """Agents of a certificate that need a demand set: those with more than
+    one kept pattern or an at-the-money block on, up to the first agent
+    outside demand."""
+    dual = solve_lp(market)
+    needed = 0
+    for agent, x in zip(market.agents, dual.lp_bundles()):
+        ref = reference_demand_set(agent, dual.lambda_star, 1, dual.tol)
+        patterns = math.prod(len(factor) for factor in ref.factors)
+        free_block = any(free for factor in ref.factors[1:] for _, _, free in factor)
+        needed += patterns > 1 or free_block
+        if not ref.contains(x):
+            break
+    return needed
+
+
 def test_monte_carlo_certificate_builds_no_pieces(monkeypatch):
     # every one-commodity demand set lies on its carrier line, so the
-    # certificate tests containment without a piece, a dedup or a nearest point
+    # certificate tests containment without a piece, a dedup or a nearest
+    # point; an agent with one pattern of fixed blocks and curves is decided
+    # without a demand set, and the pass stops at the first agent outside
     spec = SimpleRandomMarketSpec(6, 3, seed=4)
+    markets = [gen_simple_random_market(spec, t) for t in range(20)]
+    needed = sum(demand_sets_needed(m) for m in markets)
     counts: Counter = Counter()
     monkeypatch.setattr(geometry.Piece, "of", count_calls(
         monkeypatch, counts, "piece", geometry.Piece.of))
     count_calls(monkeypatch, counts, "dedup", demand._dedup_pieces)
     count_calls(monkeypatch, counts, "union_nearest", geometry.union_nearest)
+    count_calls(monkeypatch, counts, "demand_set", demand.demand_set)
 
-    verdicts = [certified_equilibrium(gen_simple_random_market(spec, t)) for t in range(20)]
+    verdicts = [certified_equilibrium(m) for m in markets]
 
-    assert counts == Counter()
+    assert counts == Counter(demand_set=needed)
+    assert 0 < needed < sum(len(m.agents) for m in markets) // 4
     assert verdicts == [marginal_supplier_is_convex(spec, draw_costs(spec, t))
                         for t in range(20)]
     assert 0 < sum(verdicts) < 20
