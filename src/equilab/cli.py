@@ -14,6 +14,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -138,7 +139,7 @@ def cmd_analyze(args) -> int:
     except ComplexityError as exc:
         _err(str(exc))
         return EXIT_BUDGET
-    money = priced.pricing.money_classes()
+    money = priced.money_classes()
     agents = {}
     for agent, ds, rho in zip(market.agents, sets, stats.per_agent):
         agents[agent.agent_id] = {
@@ -234,6 +235,24 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    """A finite tolerance of at least float64 epsilon: below it, a relative
+    bar t * (1 + |x|) is under one rounding step of x and asks for exact
+    equality, which the strong-duality check cannot meet."""
+    value = _finite(text)
+    if value < sys.float_info.epsilon:
+        raise argparse.ArgumentTypeError(
+            f"not a tolerance >= {sys.float_info.epsilon:g}: {text!r}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: building it costs far
@@ -246,12 +265,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                       help="numerical tolerance (default %(default)g)")
+        p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
+                       help="numerical tolerance, finite and at least float64 epsilon "
+                            "(default %(default)g)")
+        p.add_argument("--out", help="output file (default stdout)")
+
+    def norm(p):
         p.add_argument("--norm", choices=["l1", "l2", "linf"],
                        default=DEFAULT_NORM,
                        help="norm for nonconvexity measures")
-        p.add_argument("--out", help="output file (default stdout)")
 
     p = sub.add_parser("clear", help="clear a market file")
     p.add_argument("input", help="market file (CSV or JSON)")
@@ -259,12 +281,14 @@ def build_parser() -> argparse.ArgumentParser:
                    default="exact", help="exact is an alias of chp")
     p.add_argument("--node-budget", type=int, default=10**6)
     common(p)
+    norm(p)
 
     p = sub.add_parser("analyze", help="demand-set and nonconvexity report")
     p.add_argument("input", help="market file (CSV or JSON)")
-    p.add_argument("--price", type=float, nargs="+",
+    p.add_argument("--price", type=_finite, nargs="+",
                    help="prices to analyze at (default: computed)")
     common(p)
+    norm(p)
 
     p = sub.add_parser("simulate", help="Monte Carlo equilibrium frequency")
     p.add_argument("--n", type=int, required=True, help="total suppliers")
@@ -281,7 +305,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:      # argparse exits 2 on a usage error
+        if exc.code == 0:          # --help, --version
+            raise
+        return EXIT_INPUT
     # Looked up by name on each call, not stored in the parser built once per
     # process, so that a handler rebound on this module after the first call
     # (a tracer's wrapper, a test's stub) is the one that runs.

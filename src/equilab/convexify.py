@@ -17,25 +17,22 @@ block number).
 
 The program's objective, balance columns and coupling rows are filled from
 the market's compiled form (`Market.compiled`, built once per market).  A
-`PricedMarket` is a market at fixed prices under one tolerance, and every
-analysis at prices takes one (the `DualSolution` of `solve_lp` at lambda*).
-It prices every agent at once (`demand.MarketPricing`, once per priced
-market), so the price dual sums per-agent best surpluses without a demand
+`PricedMarket` (`demand.PricedMarket`) is a market at fixed prices under
+one tolerance, and every analysis at prices takes one; `solve_lp` returns
+the `DualSolution` at lambda*.  It prices every agent at once when it is
+built, so the price dual sums per-agent best surpluses without a demand
 set; demand sets, containment and measures are then built only for the
 agents asked, once each.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import lp
-from .config import resolve_tol
-from .demand import DemandSet, MarketPricing, NonconvexStats, demand_set, nonconvexity
+from .demand import PricedMarket
 from .model import Allocation, CompiledMarket, Market
 
 
@@ -118,93 +115,6 @@ def build_convexified(market: Market) -> ConvexifiedProgram:
     )
 
 
-@dataclass
-class PricedMarket:
-    """A market at fixed prices lambda_star under one tolerance tol.
-
-    `lambda_star` is converted to a float array and `tol` resolved (None is
-    the default) when the object is built; every quantity below is read at
-    those prices and that tolerance.  Quantities (agent i is
-    `market.agents[i]`) are computed on first use and kept for the life of
-    the object: the pricing of all agents at once (margins, money classes,
-    curve demand intervals, best surpluses), and per agent its demand set,
-    containment, and the nonconvexity measures and their ranking over K that
-    the approximate equilibrium bounds and `equilab analyze` read.
-    """
-
-    market: Market
-    lambda_star: np.ndarray
-    tol: float | None = None
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.lambda_star = np.asarray(self.lambda_star, dtype=float)
-        self.tol = resolve_tol(self.tol)
-
-    def _memo(self, key: tuple, compute):
-        if key not in self._cache:
-            self._cache[key] = compute()
-        return self._cache[key]
-
-    @cached_property
-    def pricing(self) -> MarketPricing:
-        """Every agent priced at once: margins, money classes, curve demand
-        intervals and best surpluses."""
-        return MarketPricing(self.market.compiled, self.lambda_star, self.tol)
-
-    def demand(self, i: int) -> DemandSet:
-        return self._memo(("demand", i), lambda: demand_set(self.pricing, i))
-
-    def demand_sets(self) -> list[DemandSet]:
-        return [self.demand(i) for i in range(len(self.market.agents))]
-
-    def in_demand(self, i: int, x) -> bool:
-        x = np.asarray(x, dtype=float)
-        return self._memo(("in_demand", i, x.tobytes()),
-                          lambda: self.demand(i).contains(x))
-
-    def containment(self, bundles) -> Iterator[bool]:
-        """Is row i of `bundles` in agent i's demand set, agent by agent?
-
-        An agent whose demand set is an axis line is decided from the
-        pricing arrays (`MarketPricing.line_contains`, for all rows at once
-        at K = 1) and builds no demand set.  The others ask `in_demand` as the
-        iterator reaches them, so a caller that stops at the first False
-        builds no later set.  Every answer is kept where `in_demand` reads
-        it, and when every row's answer is kept already, none is computed.
-        """
-        bundles = np.asarray(bundles, dtype=float)
-        raw, row = bundles.tobytes(), bundles.itemsize * bundles.shape[1]
-        keys = [("in_demand", i, raw[i * row:(i + 1) * row]) for i in range(len(bundles))]
-        cache = self._cache
-        if not all(key in cache for key in keys):
-            cache.update((key, flag) for key, flag in
-                         zip(keys, self.pricing.line_contains(bundles)) if flag is not None)
-        for i, key in enumerate(keys):
-            flag = cache.get(key)
-            yield self.in_demand(i, bundles[i]) if flag is None else flag
-
-    def best_surplus(self, i: int) -> float:
-        return self.pricing.best_surplus[i]
-
-    def probes(self, i: int) -> tuple:
-        """Hull points of agent i's demand set that its measure must cover."""
-        return ()
-
-    def measure(self, i: int, norm: str = "l2") -> float:
-        """Nonconvexity of agent i's demand set, probed at `probes(i)`."""
-        return self._memo(("measure", i, norm), lambda: nonconvexity(
-            self.demand(i), norm, probes=self.probes(i)))
-
-    def nonconvex_stats(self, norm: str = "l2") -> NonconvexStats:
-        """The measures ranked over K: the count above tol and the K largest."""
-        K = self.market.num_commodities
-        measures = [self.measure(i, norm) for i in range(len(self.market.agents))]
-        ranked = sorted(measures, reverse=True)[:K]
-        return NonconvexStats(sum(1 for r in measures if r > self.tol),
-                              tuple(ranked + [0.0] * (K - len(ranked))), tuple(measures))
-
-
 @dataclass(kw_only=True)
 class DualSolution(PricedMarket):
     """Optimal prices and a vertex allocation of the convexified welfare LP:
@@ -222,15 +132,8 @@ class DualSolution(PricedMarket):
         """Every agent's bundle in the LP vertex allocation (row i: agent i)."""
         return self._memo(("bundles",), lambda: self.allocation.bundles(self.market))
 
-    def lp_bundle(self, i: int) -> np.ndarray:
-        """Agent i's bundle in the LP vertex allocation."""
-        return self.lp_bundles()[i]
-
-    def lp_in_demand(self, i: int) -> bool:
-        return self.in_demand(i, self.lp_bundle(i))
-
     def probes(self, i: int) -> tuple:
-        return (self.lp_bundle(i),)
+        return (self.lp_bundles()[i],)
 
 
 def dual_value(priced: PricedMarket) -> float:
@@ -239,10 +142,9 @@ def dual_value(priced: PricedMarket) -> float:
 
     The per-agent maximum over the true feasible set equals the maximum of
     the concave envelope over the hull (the value is linear on each piece),
-    so this is exactly the dual function of the convexified market.  The
-    pricing it sums is kept on `priced` for its demand sets.
+    so this is exactly the dual function of the convexified market.
     """
-    return float(sum(priced.pricing.best_surplus))
+    return float(sum(priced.best_surplus))
 
 
 def solve_lp(market: Market, tol: float | None = None) -> DualSolution:

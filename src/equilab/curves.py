@@ -10,7 +10,7 @@ price nonincreasing in quantity.  That makes the value function
 
 concave and piecewise linear, which is what the welfare LP consumes, and makes
 demand at any price an exact closed-form interval (read off the step table of
-`Market.compiled` by `demand.MarketPricing`).
+`Market.compiled` by `demand.PricedMarket`).
 
 Conventions
 -----------

@@ -12,27 +12,27 @@ What is computed when:
 - once per market, in `Market.compiled` (`equilab.model.CompiledMarket`):
   the block and curve-step tables, each agent's block components and their
   feasible indicator patterns;
-- once per (market, prices, tol), for all agents at once, in
-  `MarketPricing`: block margins and money classes, curve best surpluses and
-  demand intervals, the best surplus and surplus-maximal patterns of each
-  component, each agent's best surplus, and the per-agent axis-line arrays
-  (`on_line`, `line_origin`, `line_hour`, `line_interval`) of every agent
-  whose set is one pattern with only curves of one hour free.
-  `convexify.PricedMarket` keeps one, so the price dual sums best surpluses
-  without a demand set, and `PricedMarket.containment` decides those
-  agents' containment in one pass (`line_contains`), also without one;
+- once per (market, prices, tol), for all agents at once, when a
+  `PricedMarket` is built: block margins and money classes, curve best
+  surpluses and demand intervals, the best surplus and surplus-maximal
+  patterns of each component, each agent's best surplus, and the per-agent
+  axis-line arrays (`on_line`, `line_origin`, `line_hour`, `line_interval`)
+  of every agent whose set is one pattern with only curves of one hour
+  free.  So the price dual sums best surpluses without a demand set, and
+  `PricedMarket.containment` decides those agents' containment in one pass
+  (`line_contains`), also without one;
 - once per (agent, prices, tol), for the other agents whose containment is
   asked and for every agent whose measure or demand set is asked:
-  `demand_set` builds the `DemandSet` from those arrays.  Its
-  pattern combinations and pieces are built on first use, and
-  `DemandSet.acceptances` turns any demand point back into per-bid
-  acceptances: this module is the one place that decides an agent's best
-  response.
+  `demand_set` builds the `DemandSet` from those arrays, and the
+  `PricedMarket` keeps it.  Its pattern combinations and pieces are built
+  on first use, and `DemandSet.acceptances` turns any demand point back
+  into per-bid acceptances: this module is the one place that decides an
+  agent's best response.
 
 Most sets (all one-commodity sets) lie on a line: `DemandSet.line` answers
 containment, the measure and the aggregate convexity check for them, and
 `demand_set` fills it in from the axis-line arrays where they hold one
-(`MarketPricing.carrier_line`).
+(`PricedMarket.carrier_line`).
 
 The nonconvexity measure of a demand set D is the one-sided Hausdorff
 distance of D from its convex hull: the largest distance from a hull point to
@@ -75,26 +75,41 @@ class MoneyClasses:
 # ---------------------------------------------------------------------------
 # A market at prices
 
-class MarketPricing:
-    """A compiled market (`Market.compiled`) at prices lam and tolerance tol,
-    priced for every agent at once.
+@dataclass
+class PricedMarket:
+    """A market at fixed prices lambda_star under one tolerance tol, priced
+    for every agent at once.
 
-    Per block: the margin p_b - lam.q_b and its in / at / out class, the
-    at-the-money band relative to the money scale |p_b| + |lam.q_b|.  Per
-    curve: best surplus and demand interval.  Per linked component: best
-    surplus and surplus-maximal patterns.  Per agent: `best_surplus`, its
-    curves' and then its components' in order.  Each float is the one a
-    loop over one agent's bids gives: the elementwise operations round the
-    same way, and every sum adds in the loop's order (`np.add.at` over the
-    compiled owner indices; a numpy reduction would sum pairwise).  At
-    K >= 2 each margin is its own `lam @ q` dot, since a matrix-vector
+    `lambda_star` is converted to a float array and `tol` resolved (None is
+    the default) when the object is built, and every agent is priced then,
+    from the compiled market (`Market.compiled`).  Per block: the margin
+    p_b - lam.q_b and its in / at / out class, the at-the-money band
+    relative to the money scale |p_b| + |lam.q_b|.  Per curve: best surplus
+    and demand interval.  Per linked component: best surplus and
+    surplus-maximal patterns.  Per agent: `best_surplus`, its curves' and
+    then its components' in order, and the axis-line arrays.  Each float is
+    the one a loop over one agent's bids gives: the elementwise operations
+    round the same way, and every sum adds in the loop's order (`np.add.at`
+    over the compiled owner indices; a numpy reduction would sum pairwise).
+    At K >= 2 each margin is its own `lam @ q` dot, since a matrix-vector
     product may round differently.  `demand_set` reads these arrays.
+
+    Per agent (agent i is `market.agents[i]`), quantities are computed on
+    first use and kept for the life of the object: its demand set, its
+    containment of a bundle, and the nonconvexity measures and their
+    ranking over K that the approximate equilibrium bounds and `equilab
+    analyze` read.
     """
 
-    def __init__(self, compiled: CompiledMarket, lam, tol: float):
-        cm = compiled
-        lam = np.asarray(lam, dtype=float)
-        self.compiled, self.lam, self.tol = cm, lam, tol
+    market: Market
+    lambda_star: np.ndarray
+    tol: float | None = None
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.lambda_star = lam = np.asarray(self.lambda_star, dtype=float)
+        self.tol = tol = resolve_tol(self.tol)
+        cm = self.market.compiled
 
         block_price, mar, abs_price = cm.block_table[:, :3].T
         if cm.K == 1:
@@ -198,11 +213,12 @@ class MarketPricing:
         patterns are those whose banded score ties the best within the
         relative tolerance, in `iter_patterns` order.
         """
+        cm = self.market.compiled
         best = 0.0
         scored = []
-        for z in self.compiled.patterns[k]:
+        for z in cm.patterns[k]:
             s = banded = 0.0
-            for j, zi in zip(self.compiled.components[k], z):
+            for j, zi in zip(cm.components[k], z):
                 if zi:
                     s += on_best[j]
                     banded += self._on_banded[j]
@@ -217,9 +233,10 @@ class MarketPricing:
         """Surplus-maximal patterns of component k, in `iter_patterns` order:
         for a lone block, the off pattern (scored 0) and the on pattern that
         lie within the band of the better of the two."""
-        if not self.compiled.is_lone[k]:
+        cm = self.market.compiled
+        if not cm.is_lone[k]:
             return self._linked_kept[k]
-        banded = self._on_banded[self.compiled.components[k][0]]
+        banded = self._on_banded[cm.components[k][0]]
         top = banded if banded > 0.0 else 0.0
         floor = top - self.tol * (1.0 + abs(top))
         return ((0,),) * (0.0 >= floor) + ((1,),) * (banded >= floor)
@@ -231,7 +248,8 @@ class MarketPricing:
 
     @cached_property
     def _carrier_lines(self) -> list:
-        units = np.vstack((np.eye(self.compiled.K), np.zeros(self.compiled.K)))  # row -1: a point
+        K = self.market.num_commodities
+        units = np.vstack((np.eye(K), np.zeros(K)))  # row -1: a point
         return [CarrierLine(origin, units[h], ((lo, hi),)) if on else None
                 for on, h, origin, lo, hi in zip(self.on_line, self.line_hour, self.line_origin,
                                                  *self.line_interval)]
@@ -249,7 +267,7 @@ class MarketPricing:
         differently from an elementwise sum.
         """
         tol = self.tol
-        if self.compiled.K == 1:
+        if self.market.num_commodities == 1:
             x = bundles[:, 0]
             s = x - self.line_origin[:, 0]
             lo, hi = np.array(self.line_interval)
@@ -267,12 +285,12 @@ class MarketPricing:
         price plus the hour's price.  The at-the-money band is relative to
         the money scale, so rescaling all prices leaves the classes
         unchanged."""
-        cm = self.compiled
+        cm = self.market.compiled
         margin = np.full(len(cm.curves), -math.inf)
         scale = np.zeros(len(cm.curves))
         np.fmax.at(margin, cm.step_index[2], self._step_gain)
         np.fmax.at(scale, cm.step_index[2], cm.step_table[:, 2])
-        slack = self.tol * (1.0 + (scale + np.abs(self.lam[cm.curve_hour])))
+        slack = self.tol * (1.0 + (scale + np.abs(self.lambda_star[cm.curve_hour])))
         curve_money = np.where(margin > slack, _IN, np.where(margin < -slack, _OUT, _AT))
         margins = (self.margin.tolist(), margin.tolist())
         money = (self.classes, curve_money.tolist())
@@ -282,6 +300,53 @@ class MarketPricing:
             classes[bid_id] = _CLASS_NAMES[money[not is_block][j]]
             out[bid_id] = margins[not is_block][j]
         return MoneyClasses(classes, out)
+
+    def _memo(self, key: tuple, compute):
+        if key not in self._cache:
+            self._cache[key] = compute()
+        return self._cache[key]
+
+    def demand(self, i: int) -> DemandSet:
+        return self._memo(("demand", i), lambda: demand_set(self, i))
+
+    def demand_sets(self) -> list[DemandSet]:
+        return [self.demand(i) for i in range(len(self.market.agents))]
+
+    def containment(self, bundles) -> list[bool]:
+        """Is row i of `bundles` in agent i's demand set, for every agent?
+
+        An agent whose demand set is an axis line is decided from the
+        pricing arrays (`line_contains`, for all rows at once at K = 1, kept
+        per bundle matrix) and builds no demand set.  Every other agent asks
+        its demand set's `contains`, kept per (agent, row bytes), so a
+        question asked again is not decided again.
+        """
+        bundles = np.asarray(bundles, dtype=float)
+        flags = list(self._memo(("lines", bundles.tobytes()),
+                                lambda: self.line_contains(bundles)))
+        for i, flag in enumerate(flags):
+            if flag is None:
+                x = bundles[i]
+                flags[i] = self._memo(("contains", i, x.tobytes()),
+                                      lambda: self.demand(i).contains(x))
+        return flags
+
+    def probes(self, i: int) -> tuple:
+        """Hull points of agent i's demand set that its measure must cover."""
+        return ()
+
+    def measure(self, i: int, norm: str = "l2") -> float:
+        """Nonconvexity of agent i's demand set, probed at `probes(i)`."""
+        return self._memo(("measure", i, norm), lambda: nonconvexity(
+            self.demand(i), norm, probes=self.probes(i)))
+
+    def nonconvex_stats(self, norm: str = "l2") -> NonconvexStats:
+        """The measures ranked over K: the count above tol and the K largest."""
+        K = self.market.num_commodities
+        measures = [self.measure(i, norm) for i in range(len(self.market.agents))]
+        ranked = sorted(measures, reverse=True)[:K]
+        return NonconvexStats(sum(1 for r in measures if r > self.tol),
+                              tuple(ranked + [0.0] * (K - len(ranked))), tuple(measures))
 
 
 # ---------------------------------------------------------------------------
@@ -458,16 +523,16 @@ class DemandSet:
         return best[1]
 
 
-def demand_set(priced: MarketPricing, i: int) -> DemandSet:
+def demand_set(priced: PricedMarket, i: int) -> DemandSet:
     """Best surplus and exact demand set of agent i of a priced market.
 
     The factors are read off the priced arrays: each curve's demand
     interval, then the kept patterns of each component, as (offset, fixed,
     free) with the bundle of the fixed blocks.  An agent with one pattern
     whose free bids are curves of one hour gets its carrier line from the
-    priced arrays (`MarketPricing.carrier_line`).
+    priced arrays (`PricedMarket.carrier_line`).
     """
-    cm = priced.compiled
+    cm = priced.market.compiled
     curves = range(cm.curve_start[i], cm.curve_start[i + 1])
     factors = [((np.zeros(cm.K), (), tuple(
         (cm.curves[c].bid_id, _axis(cm.K, cm.curve_hour[c]), *priced.curve_interval[c])
@@ -525,8 +590,7 @@ def _dedup_pieces(pieces: list[Piece], tol: float) -> list[Piece]:
 def agent_best_surplus(agent: Agent, lam, tol: float | None = None) -> float:
     """max over the agent's feasible set of u(x) - lam.x (closed form)."""
     lam = np.asarray(lam, dtype=float)
-    return MarketPricing(Market(lam.size, (agent,)).compiled, lam,
-                         resolve_tol(tol)).best_surplus[0]
+    return PricedMarket(Market(lam.size, (agent,)), lam, tol).best_surplus[0]
 
 
 # ---------------------------------------------------------------------------

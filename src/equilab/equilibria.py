@@ -61,7 +61,7 @@ def detect_equilibrium(priced: PricedMarket, allocation: Allocation,
     as a DualSolution), so they are reused across calls.
     """
     bundles = allocation.bundles(priced.market)
-    flags = list(priced.containment(bundles))
+    flags = priced.containment(bundles)
     imbalance = vector_norm(bundles.sum(axis=0), norm)
     scale = 1.0 + float(np.max(np.abs(bundles), initial=0.0))
     ok = all(flags) and imbalance <= priced.tol * scale
@@ -124,9 +124,9 @@ def demand_snapped_allocation(dual: DualSolution,
     t, market = dual.tol, dual.market
     acc: dict[str, float] = dict(dual.allocation.acceptances)
     total = np.zeros(market.num_commodities)
-    for i in range(len(market.agents)):
-        x = dual.lp_bundle(i)
-        if not dual.lp_in_demand(i):
+    bundles = dual.lp_bundles()
+    for i, (x, inside) in enumerate(zip(bundles, dual.containment(bundles))):
+        if not inside:
             ds = dual.demand(i)
             _, x = ds.nearest(x)
             acc.update(ds.acceptances(x))
@@ -161,7 +161,7 @@ def lost_opportunity_cost(priced: PricedMarket,
             per_agent[agent.agent_id] = float("inf")
             continue
         got = val - float(lam @ bundles[i])
-        per_agent[agent.agent_id] = max(0.0, priced.best_surplus(i) - got)
+        per_agent[agent.agent_id] = max(0.0, priced.best_surplus[i] - got)
     return (float(sum(per_agent.values())), per_agent,
             {agent.agent_id: val for agent, val in zip(market.agents, values)})
 

@@ -105,8 +105,7 @@ def certified_equilibrium(market: Market, tol: float | None = None) -> bool:
     the LP bundles (`PricedMarket.containment`): a convex supplier, the
     buyer and an all-or-nothing supplier off the margin demand an axis
     segment or point, decided from the pricing arrays; only an at-the-money
-    block's agent builds a demand set, and the pass stops at the first
-    agent outside demand.
+    block's agent builds a demand set.
     """
     dual = solve_lp(market, tol)
     return all(dual.containment(dual.lp_bundles()))

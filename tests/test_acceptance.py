@@ -106,8 +106,9 @@ def test_allocation_bounds_hold_at_scale(bound_corpus):
         assert gap <= snapped.bound + 1e-9 * (1.0 + snapped.bound)
         # every agent the snap moves best-responds at lambda*
         _, per_agent, _ = lost_opportunity_cost(dual, snapped.allocation)
+        inside = dual.containment(dual.lp_bundles())
         for i, agent in enumerate(market.agents):
-            if not dual.lp_in_demand(i):
+            if not inside[i]:
                 assert per_agent[agent.agent_id] <= 1e-6, agent.agent_id
     assert time.perf_counter() - started < 600.0
 

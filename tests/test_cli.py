@@ -224,6 +224,38 @@ def test_analyze_wrong_price_dim(capsys):
     assert "prices" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("clear", FIXTURE_CSV, "--mode", "bogus"),
+    ("clear",),
+    ("clear", FIXTURE_CSV, "--bogus"),
+    ("simulate", "--n", "3", "--k", "1", "--norm", "l1"),
+    ("clear", FIXTURE_CSV, "--tol", "nan"),
+    ("clear", FIXTURE_CSV, "--tol", "-1"),
+    ("clear", FIXTURE_CSV, "--tol", "0"),
+    ("clear", FIXTURE_CSV, "--tol", "1e-300"),
+    ("clear", FIXTURE_CSV, "--tol", "abc"),
+    ("analyze", FIXTURE_CSV, "--tol", "-1"),
+    ("simulate", "--n", "3", "--k", "1", "--trials", "5", "--tol", "nan"),
+    ("analyze", FIXTURE_CSV, "--price", "nan"),
+    ("analyze", FIXTURE_CSV, "--price", "inf"),
+], ids=["unknown-mode", "missing-input", "unknown-option", "simulate-norm",
+        "clear-tol-nan", "clear-tol-negative", "clear-tol-zero", "clear-tol-below-eps",
+        "clear-tol-not-a-number", "analyze-tol-negative",
+        "simulate-tol-nan", "price-nan", "price-inf"])
+def test_usage_error_or_bad_value_exits_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "error:" in err
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("--version",), ("clear", "--help")])
+def test_help_and_version_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 0
+
+
 def test_simulate_golden(capsys):
     code, out, _ = run(capsys, "simulate", "--n", "4", "--k", "2",
                        "--trials", "50", "--seed", "3")

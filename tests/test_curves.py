@@ -1,13 +1,12 @@
 """Curve canonicalization and the closed-form demand interval, read off a
-one-curve market priced by `MarketPricing`."""
+one-curve market priced by `PricedMarket`."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equilab.config import resolve_tol
 from equilab.curves import CurveError, canonical_steps
-from equilab.demand import MarketPricing
+from equilab.demand import PricedMarket
 from equilab.model import Agent, HourlyCurveBid, Market
 
 from reference_oracles import curve_value, quantity_range
@@ -17,11 +16,10 @@ def steps_of(points, mode="stepwise"):
     return [(s.lo, s.hi, s.price) for s in canonical_steps(points, mode)]
 
 
-def priced_curve(points, price, mode="stepwise", tol=None) -> MarketPricing:
+def priced_curve(points, price, mode="stepwise", tol=None) -> PricedMarket:
     """A market of one curve bid, "c" in hour 0, priced at `price`."""
     bid = HourlyCurveBid("c", 0, tuple(points), mode)
-    return MarketPricing(Market(1, (Agent("a", (bid,)),)).compiled, [price],
-                         resolve_tol(tol))
+    return PricedMarket(Market(1, (Agent("a", (bid,)),)), [price], tol)
 
 
 def demand_interval(points, price, mode="stepwise", tol=None):

@@ -48,7 +48,7 @@ def test_reference_singletons(four_agent_market):
 
 
 def test_reference_money_classes(four_agent_market):
-    mc = PricedMarket(four_agent_market, [3.0]).pricing.money_classes()
+    mc = PricedMarket(four_agent_market, [3.0]).money_classes()
     assert mc.classes == {"b1": "in", "c2": "out", "c3": "in", "b4": "at"}
     assert mc.margins["b1"] == pytest.approx(3.0)
     assert mc.margins["b4"] == pytest.approx(0.0)
@@ -65,7 +65,7 @@ def test_reference_nonconvexity(four_agent_market):
 def test_block_margin():
     market = Market(1, (Agent("a", (BlockBid("b", 12.0, (3.0,)),)),))
     for lam, margin in (([3.0], 3.0), ([4.0], 0.0)):
-        money = PricedMarket(market, lam).pricing.money_classes()
+        money = PricedMarket(market, lam).money_classes()
         assert money.margins["b"] == pytest.approx(margin)
 
 
@@ -355,7 +355,7 @@ def test_carrier_line_matches_piece_oracles(seed, K):
             assert (ds.line is None) == (collinear_model(ds.pieces) is None)
             if ds.line is None:
                 continue
-            bundle = dual.lp_bundle(i)
+            bundle = dual.lp_bundles()[i]
             for norm in ("l2", "l1", "linf"):
                 assert nonconvexity(ds, norm) == _oracle_measure(ds, norm)
             assert (nonconvexity(ds, probes=(bundle,))
@@ -443,4 +443,4 @@ def test_pruned_union_distance_matches_full_loop(seed, K):
         for i, agent in enumerate(market.agents):
             ds = agent_demand_set(agent, lam, K)
             if ds.line is None:
-                _assert_matches_full_loop(ds, (dual.lp_bundle(i),), rng)
+                _assert_matches_full_loop(ds, (dual.lp_bundles()[i],), rng)
