@@ -32,7 +32,7 @@ What is computed when:
 Most sets (all one-commodity sets) lie on a line: `DemandSet.line` answers
 containment, the measure and the aggregate convexity check for them, and
 `demand_set` fills it in from the axis-line arrays where they hold one
-(`PricedMarket.carrier_line`).
+(`PricedMarket.carrier_lines`, None for an agent off a line).
 
 The nonconvexity measure of a demand set D is the one-sided Hausdorff
 distance of D from its convex hull: the largest distance from a hull point to
@@ -154,8 +154,7 @@ class PricedMarket:
             for k in cm.linked_components:
                 values[len(cm.curves) + k] = self._score_linked(k, on_best)
         total = np.zeros(cm.num_agents)
-        term_value, term_owner = cm.terms
-        np.add.at(total, term_owner, values[term_value])
+        np.add.at(total, cm.term_owner, values)
         self.best_surplus = total.tolist()
 
         # Axis lines.  An agent whose components each keep one pattern with
@@ -234,20 +233,17 @@ class PricedMarket:
         for a lone block, the off pattern (scored 0) and the on pattern that
         lie within the band of the better of the two."""
         cm = self.market.compiled
-        if not cm.is_lone[k]:
+        if len(cm.components[k]) > 1:
             return self._linked_kept[k]
         banded = self._on_banded[cm.components[k][0]]
         top = banded if banded > 0.0 else 0.0
         floor = top - self.tol * (1.0 + abs(top))
         return ((0,),) * (0.0 >= floor) + ((1,),) * (banded >= floor)
 
-    def carrier_line(self, i: int) -> CarrierLine | None:
-        """Agent i's demand set as an axis line, or None when it is not one
-        pattern with only curves of one hour free."""
-        return self._carrier_lines[i] if self.on_line[i] else None
-
     @cached_property
-    def _carrier_lines(self) -> list:
+    def carrier_lines(self) -> list:
+        """Per agent, its demand set as an axis line, or None when it is not
+        one pattern with only curves of one hour free."""
         K = self.market.num_commodities
         units = np.vstack((np.eye(K), np.zeros(K)))  # row -1: a point
         return [CarrierLine(origin, units[h], ((lo, hi),)) if on else None
@@ -256,7 +252,7 @@ class PricedMarket:
 
     def line_contains(self, bundles: np.ndarray) -> list:
         """Per agent, is row i of `bundles` in its demand set, decided on
-        `carrier_line(i)`; None where that is None.
+        `carrier_lines[i]`; None where that is None.
 
         Each bool is the one `DemandSet.contains` gives: distance at most
         t * (1 + |x|).  At K = 1 all rows are decided at once, because the
@@ -275,8 +271,8 @@ class PricedMarket:
                            np.maximum(np.maximum(lo - s, s - hi), 0.0), np.sqrt(s * s))
             inside = (gap <= tol * (1.0 + np.sqrt(x * x))).tolist()
             return [flag if on else None for flag, on in zip(inside, self.on_line)]
-        return [line.distance(x) <= tol * (1.0 + math.sqrt(x.dot(x))) if on else None
-                for on, line, x in zip(self.on_line, self._carrier_lines, bundles)]
+        return [None if line is None else line.distance(x) <= tol * (1.0 + math.sqrt(x.dot(x)))
+                for line, x in zip(self.carrier_lines, bundles)]
 
     def money_classes(self) -> MoneyClasses:
         """in / at / out of the money for every bid, with its margin, in
@@ -292,13 +288,16 @@ class PricedMarket:
         np.fmax.at(scale, cm.step_index[2], cm.step_table[:, 2])
         slack = self.tol * (1.0 + (scale + np.abs(self.lambda_star[cm.curve_hour])))
         curve_money = np.where(margin > slack, _IN, np.where(margin < -slack, _OUT, _AT))
+        bids = (cm.blocks, cm.curves)
         margins = (self.margin.tolist(), margin.tolist())
         money = (self.classes, curve_money.tolist())
         classes: dict[str, str] = {}
         out: dict[str, float] = {}
-        for bid_id, is_block, j in cm.bid_order():
-            classes[bid_id] = _CLASS_NAMES[money[not is_block][j]]
-            out[bid_id] = margins[not is_block][j]
+        for j in cm.bid_index[1].tolist():              # curve c as ~c
+            curve, j = j < 0, j if j >= 0 else ~j
+            bid_id = bids[curve][j].bid_id
+            classes[bid_id] = _CLASS_NAMES[money[curve][j]]
+            out[bid_id] = margins[curve][j]
         return MoneyClasses(classes, out)
 
     def _memo(self, key: tuple, compute):
@@ -527,30 +526,26 @@ def demand_set(priced: PricedMarket, i: int) -> DemandSet:
     """Best surplus and exact demand set of agent i of a priced market.
 
     The factors are read off the priced arrays: each curve's demand
-    interval, then the kept patterns of each component, as (offset, fixed,
-    free) with the bundle of the fixed blocks.  An agent with one pattern
+    interval along its hour's row of one identity matrix, then the kept
+    patterns of each component, as (offset, fixed, free) with the bundle of
+    the fixed blocks.  An agent with one pattern
     whose free bids are curves of one hour gets its carrier line from the
-    priced arrays (`PricedMarket.carrier_line`).
+    priced arrays (`PricedMarket.carrier_lines`).
     """
     cm = priced.market.compiled
     curves = range(cm.curve_start[i], cm.curve_start[i + 1])
+    axes = np.eye(cm.K)
     factors = [((np.zeros(cm.K), (), tuple(
-        (cm.curves[c].bid_id, _axis(cm.K, cm.curve_hour[c]), *priced.curve_interval[c])
+        (cm.curves[c].bid_id, axes[cm.curve_hour[c]], *priced.curve_interval[c])
         for c in curves)),)]
     for k in range(cm.component_start[i], cm.component_start[i + 1]):
         factors.append(tuple(_pattern_factor(cm, priced.classes, cm.components[k], z)
                              for z in priced.kept_patterns(k)))
     ds = DemandSet(cm.K, priced.tol, priced.best_surplus[i], tuple(factors))
-    line = priced.carrier_line(i)
+    line = priced.carrier_lines[i]
     if line is not None:
         vars(ds)["line"] = line                    # the cached property, filled in
     return ds
-
-
-def _axis(K: int, h: int) -> np.ndarray:
-    e = np.zeros(K)
-    e[h] = 1.0
-    return e
 
 
 def _pattern_factor(cm: CompiledMarket, classes: list, comp: tuple, z: tuple):

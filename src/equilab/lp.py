@@ -229,7 +229,7 @@ class _State:
                 B[:, leave_pos] = A[:, e]
 
             obj = float(c @ values)
-            if obj > best + 1e-12 * (1.0 + abs(best)):
+            if best == -np.inf or obj > best + 1e-12 * (1.0 + abs(best)):
                 best = obj
                 stall = 0
             else:

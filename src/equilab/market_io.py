@@ -249,14 +249,14 @@ def _emit_json(market: Market) -> str:
 # Outcome reports
 
 def market_volumes(market: Market) -> tuple[float, float]:
-    """(convex, nonconvex) submitted volume: curve spans vs block quantities."""
-    convex = 0.0
-    nonconvex = 0.0
-    for agent in market.agents:
-        for bid in agent.curve_bids:
-            convex += sum(s.width for s in bid.steps)
-        for bid in agent.block_bids:
-            nonconvex += float(np.sum(np.abs(bid.q)))
+    """(convex, nonconvex) submitted volume from `Market.compiled`: each curve's
+    step widths and each block's |q| summed, then the totals in market order."""
+    cm = market.compiled
+    convex = nonconvex = 0.0
+    for span in np.bincount(cm.step_index[2], cm.step_table[:, 3], len(cm.curves)).tolist():
+        convex += span
+    for size in np.abs(cm.block_q).sum(axis=1).tolist():
+        nonconvex += size
     return convex, nonconvex
 
 

@@ -333,11 +333,13 @@ class CompiledMarket:
       `step_index` rows: hour, column, curve;
     - `curve_table`, one row per curve: the lo and hi of its range, and
       1 + max(|lo|, |hi|), the scale of its tolerance;
-    - `terms` rows: value (curve c as c, component k as curves + k) and
-      owner of each best-surplus term, an agent's curves, then its
-      components; `lone` rows: block and term value of each lone block;
+    - `term_owner`: the owner of each best-surplus term, every curve's
+      and then every component's (`curve_owner + component_owner`); `lone`
+      rows: block and term number of each lone component (one block, whose
+      patterns `iter_patterns` gives as off, then on), and
+      `linked_components` the others;
     - `bid_index` rows: owner and value (block j as j, curve c as ~c) of
-      each bid.
+      each bid, in market order.
 
     Sums over a curve's steps, an agent's terms and an agent's bids run for
     all owners at once with `np.add.at` or `np.bincount`, which add in index
@@ -345,23 +347,21 @@ class CompiledMarket:
     every sum adds in that loop's order.
     """
 
-    __slots__ = ("K", "agents", "num_agents", "num_columns", "blocks", "curves",
-                 "components", "patterns", "is_lone", "linked_components", "curve_start",
-                 "component_start", "curve_hour", "block_table", "block_col", "step_table",
-                 "curve_table", "step_index", "terms", "lone", "bid_index", "curve_owner",
+    __slots__ = ("K", "num_agents", "num_columns", "blocks", "curves", "components",
+                 "patterns", "linked_components", "curve_start", "component_start",
+                 "curve_hour", "block_table", "block_col", "step_table", "curve_table",
+                 "step_index", "term_owner", "lone", "bid_index", "curve_owner",
                  "component_owner", "groups", "parent", "loop")
 
     def __init__(self, market: Market):
         K = market.num_commodities
         self.K = K
-        self.agents = market.agents
         blocks: list[BlockBid] = []
         curves: list[HourlyCurveBid] = []
         components: list[tuple[int, ...]] = []
         comp_blocks: list[tuple[BlockBid, ...]] = []
         block_rows, block_col, step_rows, step_hour, step_col = [], [], [], [], []
-        curve_rows = []
-        step_curve, term_value, term_owner = [], [], []   # component k's term as ~k
+        curve_rows, step_curve = [], []
         bid_value, bid_owner = [], []                      # curve c as ~c
         curve_owner, component_owner = [], []
         curve_start, component_start = [0], [0]
@@ -381,8 +381,6 @@ class CompiledMarket:
                     continue
                 c = len(curves)
                 bid_value.append(~c)
-                term_value.append(c)
-                term_owner.append(i)
                 curve_owner.append(i)
                 lo = hi = 0.0                         # its range holds 0
                 for step in bid.steps:
@@ -405,8 +403,6 @@ class CompiledMarket:
                 if b.group is not None:
                     groups.setdefault((b.group, i), []).append(j)
             for comp in block_components(tuple(mine)) if len(mine) > 1 else [(0,)] * len(mine):
-                term_value.append(~len(components))
-                term_owner.append(i)
                 component_owner.append(i)
                 components.append(tuple(first_block + j for j in comp))
                 comp_blocks.append(tuple(mine[j] for j in comp))
@@ -424,17 +420,14 @@ class CompiledMarket:
         self.block_col = np.array(block_col, dtype=int)
 
         self.components = components
-        self.patterns = [_LONE if pats == _LONE else pats
-                         for pats in (tuple(iter_patterns(comp)) for comp in comp_blocks)]
+        self.patterns = [tuple(iter_patterns(comp)) for comp in comp_blocks]
         # A lone block free of links is scored for all such blocks at once.
-        self.is_lone = [pats is _LONE for pats in self.patterns]
-        self.linked_components = [k for k, lone in enumerate(self.is_lone) if not lone]
-        # Term values: every curve's, then every component's.
-        lone = [k for k, is_lone in enumerate(self.is_lone) if is_lone]
+        self.linked_components = [k for k, comp in enumerate(components) if len(comp) > 1]
+        lone = [k for k, comp in enumerate(components) if len(comp) == 1]
         self.lone = np.array([[components[k][0] for k in lone],
                               [len(curves) + k for k in lone]], dtype=int)
-        self.terms = np.array([[t if t >= 0 else len(curves) + ~t for t in term_value],
-                               term_owner], dtype=int)
+        # Terms: every curve's, then every component's.
+        self.term_owner = np.array(curve_owner + component_owner, dtype=int)
 
         self.curves = curves
         self.curve_hour = [c.hour for c in curves]
@@ -504,12 +497,3 @@ class CompiledMarket:
             np.where(curve_ok, np.bincount(curve, taken, len(self.curves)), -np.inf)[::-1]))
         owner, value = self.bid_index
         return np.bincount(owner, terms[value], self.num_agents)   # curve c, as ~c, from the end
-
-    def bid_order(self) -> Iterator[tuple[str, bool, int]]:
-        """(bid_id, is block, block or curve number) of every bid, in market order."""
-        bids = (bid for agent in self.agents for bid in agent.bids)
-        for value, bid in zip(self.bid_index[1].tolist(), bids):
-            yield bid.bid_id, value >= 0, value if value >= 0 else ~value
-
-
-_LONE = ((0,), (1,))      # the feasible patterns of a block free of links

@@ -96,7 +96,7 @@ def solve_welfare(dual: DualSolution,
     while heap:
         neg_bound, _, overrides, x = heapq.heappop(heap)
         bound = -neg_bound
-        if bound <= best_val + 1e-9 * (1.0 + abs(best_val)):
+        if best_alloc is not None and bound <= best_val + 1e-9 * (1.0 + abs(best_val)):
             # Best-first: every remaining node is bounded by this one.
             gap = max(0.0, bound - best_val)
             break

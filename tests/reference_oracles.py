@@ -30,6 +30,9 @@ every agent's at once: a loop over the agent's bids, `curve_value` and
 `quantity_range` per curve (moved here unchanged from `equilab.curves`), and
 `pattern_feasible` over the active blocks.  `values` must give the same
 floats, and -inf exactly where `acceptance_feasible` is False.
+`reference_market_volumes` is `market_io.market_volumes` as it was before it
+read `Market.compiled`: a walk over every agent's curve bids and block bids.
+`market_volumes` must give the same floats.
 """
 
 from __future__ import annotations
@@ -332,7 +335,7 @@ class ReferenceState:
                 in_basis[e] = True
 
             obj = float(c @ self.values)
-            if obj > best + 1e-12 * (1.0 + abs(best)):
+            if best == -np.inf or obj > best + 1e-12 * (1.0 + abs(best)):
                 best = obj
                 stall = 0
             else:
@@ -384,6 +387,18 @@ def record_simplex_calls(monkeypatch, modules, run):
 
 # ---------------------------------------------------------------------------
 # The per-agent builds, before the compiled market
+
+def reference_market_volumes(market: Market) -> tuple[float, float]:
+    """(convex, nonconvex) submitted volume: curve spans vs block quantities."""
+    convex = 0.0
+    nonconvex = 0.0
+    for agent in market.agents:
+        for bid in agent.curve_bids:
+            convex += sum(s.width for s in bid.steps)
+        for bid in agent.block_bids:
+            nonconvex += float(np.sum(np.abs(bid.q)))
+    return convex, nonconvex
+
 
 def agent_bundle(agent: Agent, acceptances, K: int) -> np.ndarray:
     """Net signed bundle in R^K implied by the acceptances."""

@@ -12,9 +12,10 @@ tolerances put grid prices exactly on the edges of the at-the-money bands.
 
 `PricedMarket.containment`, the one-pass certificate, is compared flag by
 flag with each agent's `DemandSet.contains` on the oracle's demand set: at
-lambda* and at a random price, for the LP bundles, random bundles, and at
-K = 1 points at the containment bar t * (1 + |x|) beyond each end of every
-axis line and one float step either side.
+lambda* and at a random price, for the LP bundles, random bundles, and
+points at the containment bar t * (1 + |x|) and one float step either side
+of it: beyond each end of every axis line, and at K >= 2 also off the line
+in the next hour.
 
 `CompiledMarket.values` is compared the same way with the `agent_value` and
 `acceptance_feasible` oracles: at lambda*'s LP allocation, at the exact
@@ -165,12 +166,58 @@ def bar_points(priced, bundles):
     return rows
 
 
+def hour_bar_points(priced, bundles):
+    """Per agent decided on an axis line at K >= 2, bundles at the bar and
+    one float step either side of it: along the line's hour beyond each end
+    of its interval, and from each end both ways along the next hour (a
+    point's line takes hour 0).  |x| moves with the point, so the bar is
+    found by bisection on floats, as the first float the oracle's
+    `contains` leaves out."""
+    market, K = priced.market, priced.market.num_commodities
+    rows = []
+    for i, on in enumerate(priced.on_line):
+        if not on:
+            continue
+        ref = reference_demand_set(market.agents[i], priced.lambda_star, K, priced.tol)
+        h = max(priced.line_hour[i], 0)
+        for end, away in ((priced.line_interval[0][i], -1.0), (priced.line_interval[1][i], 1.0)):
+            edge = np.array(bundles, dtype=float)
+            edge[i] = priced.line_origin[i]
+            edge[i, h] += end
+            for hour, direction in ((h, away), ((h + 1) % K, -1.0), ((h + 1) % K, 1.0)):
+                def at(v):
+                    row = edge.copy()
+                    row[i, hour] = v
+                    return row
+                bar = bar_crossing(lambda v: ref.contains(at(v)[i]), edge[i, hour], direction)
+                rows += [at(v) for v in (np.nextafter(bar, -np.inf), bar,
+                                         np.nextafter(bar, np.inf))]
+    return rows
+
+
+def bar_crossing(inside, start, direction):
+    """The first float from `start`, which is inside, in `direction` that
+    `inside` leaves out."""
+    step = 1.0 + abs(start)
+    while inside(start + direction * step):
+        step *= 2.0
+    a, b = start, start + direction * step
+    while (m := 0.5 * (a + b)) not in (a, b):
+        a, b = (m, b) if inside(m) else (a, m)
+    return b
+
+
 def assert_containment_like_contains(priced, bundle_sets):
     market = priced.market
     refs = [reference_demand_set(a, priced.lambda_star, market.num_commodities, priced.tol)
             for a in market.agents]
+    decided = {}                       # the oracle's answer per (agent, row bytes)
     for bundles in bundle_sets:
-        want = [outcome(lambda: ref.contains(x)) for ref, x in zip(refs, bundles)]
+        want = []
+        for i, (ref, x) in enumerate(zip(refs, bundles)):
+            if (i, x.tobytes()) not in decided:
+                decided[i, x.tobytes()] = outcome(lambda: ref.contains(x))
+            want.append(decided[i, x.tobytes()])
         for i, flag in enumerate(priced.line_contains(bundles)):
             if flag is not None:
                 assert exact(flag) == want[i], (i, "decided")
@@ -193,8 +240,7 @@ def test_one_pass_containment_is_each_agents_contains(market, seed, tol):
     for priced in (dual, PricedMarket(market, random_price_vector(rng, market), tol)):
         bundle_sets = [lp_bundles, rng.normal(0.0, scale, (n, K)),
                        lp_bundles + rng.normal(0.0, 1e-3 * scale, (n, K))]
-        if K == 1:
-            bundle_sets += bar_points(priced, lp_bundles)
+        bundle_sets += (bar_points if K == 1 else hour_bar_points)(priced, lp_bundles)
         assert_containment_like_contains(priced, bundle_sets)
 
 
@@ -221,7 +267,7 @@ def test_zero_width_curve_folds_into_the_line_origin():
     priced = PricedMarket(market, [5.0])
     ref = reference_demand_set(market.agents[0], priced.lambda_star, 1, priced.tol)
     assert priced.on_line == [True] and priced.line_origin[0, 0] != 1.0
-    assert exact(priced.carrier_line(0)) == exact(ref.line)
+    assert exact(priced.carrier_lines[0]) == exact(ref.line)
     assert_containment_like_contains(priced, bar_points(priced, np.zeros((1, 1))))
 
 

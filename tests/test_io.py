@@ -1,5 +1,7 @@
 """Market and outcome serialization: round trips, determinism, errors."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,9 +10,10 @@ from equilab.market_io import (MarketParseError, OutcomeReport, emit_market,
                                emit_outcome, figure_data, load_market,
                                market_volumes, parse_market, parse_outcome,
                                save_market)
-from equilab.model import validate_market
+from equilab.model import HourlyCurveBid, validate_market
 
 from market_corpus import random_market
+from reference_oracles import reference_market_volumes
 
 
 def test_fixture_csv_loads(four_agent_market, fixture_dir):
@@ -80,6 +83,45 @@ def test_volumes(four_agent_market):
     convex, nonconvex = market_volumes(four_agent_market)
     assert convex == pytest.approx(3.0)    # curve spans 1 + 2
     assert nonconvex == pytest.approx(5.0) # |3| + |-2|
+
+
+def scaled(market, rng):
+    """`market` with each bid's quantities times a random factor of its own,
+    so that the volume sums round."""
+    def bid_scaled(bid):
+        f = float(rng.uniform(0.3, 3.0))
+        if isinstance(bid, HourlyCurveBid):
+            return replace(bid, points=tuple((p, f * q) for p, q in bid.points))
+        return replace(bid, quantity=tuple(f * v for v in bid.quantity))
+    return replace(market, agents=tuple(replace(a, bids=tuple(map(bid_scaled, a.bids)))
+                                        for a in market.agents))
+
+
+def volume_bytes(volumes):
+    return tuple(float(v).hex() for v in volumes)
+
+
+@pytest.mark.parametrize("name", ["four_agent.csv", "four_agent.json", "structured.csv",
+                                  "tied_cost.json", "two_hour_block.csv"])
+def test_fixture_volumes_are_the_bid_walks(fixture_dir, name):
+    market = load_market(fixture_dir / name)
+    assert volume_bytes(market_volumes(market)) == \
+        volume_bytes(reference_market_volumes(market))
+
+
+@pytest.mark.parametrize("K", [1, 2, 4, 24])
+def test_corpus_volumes_are_the_bid_walks(K):
+    """Bit for bit, on corpus markets and on the same markets rescaled."""
+    rng = np.random.default_rng(K)
+    many_blocks = many_steps = False
+    for _ in range(40):
+        market = random_market(rng, K=K)
+        for m in (market, scaled(market, rng)):
+            assert validate_market(m).ok
+            assert volume_bytes(market_volumes(m)) == volume_bytes(reference_market_volumes(m))
+        many_blocks |= any(len(a.block_bids) > 1 for a in market.agents)
+        many_steps |= any(len(b.steps) > 1 for a in market.agents for b in a.curve_bids)
+    assert many_blocks and many_steps
 
 
 @settings(max_examples=40, deadline=None)

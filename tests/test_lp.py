@@ -77,6 +77,21 @@ def test_degenerate_cycling_guard():
     assert res.value == pytest.approx(0.05, abs=1e-8)
 
 
+def test_stall_counts_only_pivots_that_do_not_improve(monkeypatch):
+    """Bland's rule starts after more than `_STALL_LIMIT` pivots in a row
+    without improvement.  These bounded LPs never make three such pivots in
+    a row, so a limit of 2 leaves every pivot count and vertex as it is."""
+    def solve(seed):
+        rng = np.random.default_rng(seed)
+        res = solve_lp(rng.normal(size=12), a_ub=rng.normal(size=(6, 12)),
+                       b_ub=rng.uniform(1.0, 10.0, 6), lo=np.zeros(12), hi=np.full(12, 5.0))
+        return res.iterations, res.x.tobytes()
+
+    default = [solve(seed) for seed in range(300)]
+    monkeypatch.setattr(lp, "_STALL_LIMIT", 2)
+    assert [solve(seed) for seed in range(300)] == default
+
+
 def test_determinism():
     rng = np.random.default_rng(5)
     c = rng.normal(size=12)
