@@ -27,7 +27,7 @@ from .market_io import (MarketParseError, OutcomeReport, emit_market,
                         market_volumes, parse_market, parse_outcome,
                         save_market, save_outcome)
 from .model import (Agent, Allocation, BlockBid, HourlyCurveBid, Market,
-                    ValidationReport, validate_market, zero_allocation)
+                    ValidationReport, validate_market)
 from .random_markets import (MonteCarloResult, SimpleRandomMarketSpec,
                              certified_equilibrium, gen_simple_random_market,
                              gen_tied_cost_market,
@@ -57,5 +57,5 @@ __all__ = [
     "monte_carlo_equilibrium_probability", "nonconvexity", "parse_market",
     "parse_outcome", "save_market", "save_outcome",
     "singleton_demand_equilibrium_check", "solve_lp", "solve_welfare",
-    "validate_market", "zero_allocation",
+    "validate_market",
 ]

@@ -80,14 +80,14 @@ def cmd_clear(args) -> int:
                 _err("no feasible clearing")
                 return EXIT_INFEASIBLE
             # one priced market, so one demand set per agent
-            priced = PricedMarket(market, res.lam, args.tol)
+            priced = PricedMarket(market, res.lam, args.tol, args.norm)
             lam, allocation, welfare = res.lam, res.allocation, res.welfare
-            equilibrium = detect_equilibrium(priced, allocation, args.norm).is_equilibrium
+            equilibrium = detect_equilibrium(priced, allocation).is_equilibrium
             total_loc, per_agent_loc, per_value = lost_opportunity_cost(priced, allocation)
         else:  # exact and chp: the exact allocation priced at lambda*
             cfg["node_budget"] = args.node_budget
-            pricing = convex_hull_pricing(solve_lp(market, args.tol), args.norm,
-                                          args.node_budget)
+            pricing = convex_hull_pricing(solve_lp(market, args.tol, args.norm),
+                                          node_budget=args.node_budget)
             lam, allocation, welfare = (pricing.lambda_star, pricing.allocation,
                                         pricing.exact.welfare)
             equilibrium = pricing.certificate.is_equilibrium
@@ -129,13 +129,13 @@ def cmd_analyze(args) -> int:
         if lam.size != K:
             _err(f"need {K} prices, got {lam.size}")
             return EXIT_INPUT
-        priced = PricedMarket(market, lam, args.tol)
+        priced = PricedMarket(market, lam, args.tol, args.norm)
     else:
-        priced = solve_lp(market, args.tol)
+        priced = solve_lp(market, args.tol, args.norm)
     lam, sets = priced.lambda_star, priced.demand_sets()
 
     try:
-        stats = priced.nonconvex_stats(args.norm)
+        stats = priced.nonconvex_stats()
     except ComplexityError as exc:
         _err(str(exc))
         return EXIT_BUDGET
@@ -270,10 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default %(default)g)")
         p.add_argument("--out", help="output file (default stdout)")
 
-    def norm(p):
+    def norm(p, of):
         p.add_argument("--norm", choices=["l1", "l2", "linf"],
-                       default=DEFAULT_NORM,
-                       help="norm for nonconvexity measures")
+                       default=DEFAULT_NORM, help=f"norm of {of}")
 
     p = sub.add_parser("clear", help="clear a market file")
     p.add_argument("input", help="market file (CSV or JSON)")
@@ -281,14 +280,14 @@ def build_parser() -> argparse.ArgumentParser:
                    default="exact", help="exact is an alias of chp")
     p.add_argument("--node-budget", type=int, default=10**6)
     common(p)
-    norm(p)
+    norm(p, "the equilibrium certificate's balance check")
 
     p = sub.add_parser("analyze", help="demand-set and nonconvexity report")
     p.add_argument("input", help="market file (CSV or JSON)")
     p.add_argument("--price", type=_finite, nargs="+",
                    help="prices to analyze at (default: computed)")
     common(p)
-    norm(p)
+    norm(p, "the nonconvexity measures")
 
     p = sub.add_parser("simulate", help="Monte Carlo equilibrium frequency")
     p.add_argument("--n", type=int, required=True, help="total suppliers")

@@ -7,11 +7,14 @@ its ``tol`` argument, the CLI with ``--tol``.
 
 from __future__ import annotations
 
+import operator
+from functools import reduce
+
 import numpy as np
 
 DEFAULT_TOL = 1e-7
 
-#: Norm used for nonconvexity measures and imbalance unless overridden.
+#: Norm of a priced market's nonconvexity measures and imbalances unless set.
 DEFAULT_NORM = "l2"
 
 VERSION = "0.1.0"
@@ -32,3 +35,8 @@ def vector_norm(v, norm: str = DEFAULT_NORM) -> float:
         return float(np.max(np.abs(v))) if v.size else 0.0
     raise ValueError(f"unknown norm {norm!r}")
 
+
+def ordered_sum(values) -> float:
+    """Float sum left to right from +0.0, one rounding per addition: the bits
+    of Python 3.11's builtin `sum`, which 3.12 replaced by a compensated sum."""
+    return float(reduce(operator.add, values, 0.0))

@@ -18,11 +18,11 @@ block number).
 The program's objective, balance columns and coupling rows are filled from
 the market's compiled form (`Market.compiled`, built once per market).  A
 `PricedMarket` (`demand.PricedMarket`) is a market at fixed prices under
-one tolerance, and every analysis at prices takes one; `solve_lp` returns
-the `DualSolution` at lambda*.  It prices every agent at once when it is
-built, so the price dual sums per-agent best surpluses without a demand
-set; demand sets, containment and measures are then built only for the
-agents asked, once each.
+one tolerance and one norm, and every analysis at prices takes one;
+`solve_lp` returns the `DualSolution` at lambda*.  It prices every agent at
+once when it is built, so the price dual sums per-agent best surpluses
+without a demand set; demand sets, containment and measures are then built
+only for the agents asked, once each.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
+from .config import DEFAULT_NORM, ordered_sum
 from .demand import PricedMarket
 from .model import Allocation, CompiledMarket, Market
 
@@ -144,22 +145,23 @@ def dual_value(priced: PricedMarket) -> float:
     the concave envelope over the hull (the value is linear on each piece),
     so this is exactly the dual function of the convexified market.
     """
-    return float(sum(priced.best_surplus))
+    return ordered_sum(priced.best_surplus)
 
 
-def solve_lp(market: Market, tol: float | None = None) -> DualSolution:
+def solve_lp(market: Market, tol: float | None = None,
+             norm: str = DEFAULT_NORM) -> DualSolution:
     """Build and solve the convexified welfare LP of `market`; asserts strong
     duality.
 
     Returns the market priced at the balance-row multipliers lambda* under
-    `tol`, with the vertex primal allocation and the dual objective
-    evaluated at lambda* (equal to the primal value within tolerance, by LP
-    duality).  Raises lp.InfeasibleError if the relaxation is infeasible.
+    `tol` and `norm`, with the vertex primal allocation and the dual
+    objective evaluated at lambda* (equal to the primal value within
+    tolerance, by LP duality).  Raises lp.InfeasibleError if the relaxation is infeasible.
     """
     program = build_convexified(market)
     res = program.solve_raw()
     vp = res.value
-    dual = DualSolution(market, res.duals_eq, tol, primal_value=vp,
+    dual = DualSolution(market, res.duals_eq, tol, norm, primal_value=vp,
                         dual_objective=float("nan"),
                         allocation=program.allocation_from(res.x),
                         var_values=res.x, program=program)

@@ -52,7 +52,7 @@ import numpy as np
 from scipy.optimize import lsq_linear
 
 from . import geometry
-from .config import resolve_tol, vector_norm
+from .config import DEFAULT_NORM, ordered_sum, resolve_tol, vector_norm
 from .geometry import _PAR_TOL, ComplexityError, Piece
 from .model import Agent, CompiledMarket, Market
 
@@ -77,8 +77,8 @@ class MoneyClasses:
 
 @dataclass
 class PricedMarket:
-    """A market at fixed prices lambda_star under one tolerance tol, priced
-    for every agent at once.
+    """A market at fixed prices lambda_star under one tolerance tol and one
+    norm, priced for every agent at once.
 
     `lambda_star` is converted to a float array and `tol` resolved (None is
     the default) when the object is built, and every agent is priced then,
@@ -96,14 +96,15 @@ class PricedMarket:
 
     Per agent (agent i is `market.agents[i]`), quantities are computed on
     first use and kept for the life of the object: its demand set, its
-    containment of a bundle, and the nonconvexity measures and their
-    ranking over K that the approximate equilibrium bounds and `equilab
-    analyze` read.
+    containment of a bundle, and the nonconvexity measures in `norm` and
+    their ranking over K that the approximate equilibrium bounds (each
+    imbalance in the same norm) and `equilab analyze` read.
     """
 
     market: Market
     lambda_star: np.ndarray
     tol: float | None = None
+    norm: str = DEFAULT_NORM
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -334,15 +335,15 @@ class PricedMarket:
         """Hull points of agent i's demand set that its measure must cover."""
         return ()
 
-    def measure(self, i: int, norm: str = "l2") -> float:
-        """Nonconvexity of agent i's demand set, probed at `probes(i)`."""
-        return self._memo(("measure", i, norm), lambda: nonconvexity(
-            self.demand(i), norm, probes=self.probes(i)))
+    def measure(self, i: int) -> float:
+        """Nonconvexity of agent i's demand set in `norm`, probed at `probes(i)`."""
+        return self._memo(("measure", i), lambda: nonconvexity(
+            self.demand(i), self.norm, probes=self.probes(i)))
 
-    def nonconvex_stats(self, norm: str = "l2") -> NonconvexStats:
+    def nonconvex_stats(self) -> NonconvexStats:
         """The measures ranked over K: the count above tol and the K largest."""
         K = self.market.num_commodities
-        measures = [self.measure(i, norm) for i in range(len(self.market.agents))]
+        measures = [self.measure(i) for i in range(len(self.market.agents))]
         ranked = sorted(measures, reverse=True)[:K]
         return NonconvexStats(sum(1 for r in measures if r > self.tol),
                               tuple(ranked + [0.0] * (K - len(ranked))), tuple(measures))
@@ -388,7 +389,6 @@ class DemandSet:
     an agent with one pattern whose free bids are curves of one hour.
     """
 
-    dim: int
     tol: float
     best_surplus: float
     factors: tuple = field(repr=False)
@@ -541,7 +541,7 @@ def demand_set(priced: PricedMarket, i: int) -> DemandSet:
     for k in range(cm.component_start[i], cm.component_start[i + 1]):
         factors.append(tuple(_pattern_factor(cm, priced.classes, cm.components[k], z)
                              for z in priced.kept_patterns(k)))
-    ds = DemandSet(cm.K, priced.tol, priced.best_surplus[i], tuple(factors))
+    ds = DemandSet(priced.tol, priced.best_surplus[i], tuple(factors))
     line = priced.carrier_lines[i]
     if line is not None:
         vars(ds)["line"] = line                    # the cached property, filled in
@@ -591,7 +591,7 @@ def agent_best_surplus(agent: Agent, lam, tol: float | None = None) -> float:
 # ---------------------------------------------------------------------------
 # Nonconvexity measure
 
-def nonconvexity(demand: DemandSet, norm: str = "l2", probes=()) -> float:
+def nonconvexity(demand: DemandSet, norm: str = DEFAULT_NORM, probes=()) -> float:
     """Largest distance from a hull point of the demand set back to the set.
 
     Exact for a set on a carrier line (`DemandSet.line`): the largest
@@ -673,4 +673,4 @@ class NonconvexStats:
 
     @property
     def top_sum(self) -> float:
-        return float(sum(self.top))
+        return ordered_sum(self.top)

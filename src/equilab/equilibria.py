@@ -17,11 +17,11 @@ Every agent the snap or an existence check moves takes its acceptances from
 and best-responds at lambda*.  When two surplus-maximal patterns give the
 same bundle, the first in the demand set's build order wins.
 
-Every analysis here takes a priced market (`convexify.PricedMarket`), which
-carries its market, prices and tolerance: the constructions at lambda* take
-the `DualSolution` of `convexify.solve_lp`, and detection and lost
-opportunity cost take a market at any prices.  Only `approximate_equilibria`
-takes a Market and solves the relaxation itself.
+Every analysis here takes a priced market (`convexify.PricedMarket`),
+which carries its market, prices, tolerance and norm: the constructions at
+lambda* take the `DualSolution` of `convexify.solve_lp`, and detection and
+lost opportunity cost take a market at any prices.  Only
+`approximate_equilibria` takes a Market and solves the relaxation itself.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .config import vector_norm
+from .config import ordered_sum, vector_norm
 from .convexify import DualSolution, PricedMarket, solve_lp
 from .demand import NonconvexStats
 from .model import Allocation, Market
@@ -52,17 +52,16 @@ class EquilibriumCertificate:
         return self.status == "exact"
 
 
-def detect_equilibrium(priced: PricedMarket, allocation: Allocation,
-                       norm: str = "l2") -> EquilibriumCertificate:
+def detect_equilibrium(priced: PricedMarket, allocation: Allocation) -> EquilibriumCertificate:
     """Exact equilibrium iff every bundle is demanded at the priced market's
-    prices and trade balances, within its tolerance.
+    prices and trade balances, in its norm and within its tolerance.
 
     The demand sets and containment checks are those kept on `priced` (such
     as a DualSolution), so they are reused across calls.
     """
     bundles = allocation.bundles(priced.market)
     flags = priced.containment(bundles)
-    imbalance = vector_norm(bundles.sum(axis=0), norm)
+    imbalance = vector_norm(bundles.sum(axis=0), priced.norm)
     scale = 1.0 + float(np.max(np.abs(bundles), initial=0.0))
     ok = all(flags) and imbalance <= priced.tol * scale
     return EquilibriumCertificate("exact" if ok else "none",
@@ -81,7 +80,7 @@ class LpAllocationResult:
     stats: NonconvexStats
 
 
-def balanced_lp_allocation(dual: DualSolution, norm: str = "l2") -> LpAllocationResult:
+def balanced_lp_allocation(dual: DualSolution) -> LpAllocationResult:
     """Vertex optimum of the convexified LP at its own prices.
 
     The allocation is balanced by construction.  The number of agents whose
@@ -92,7 +91,7 @@ def balanced_lp_allocation(dual: DualSolution, norm: str = "l2") -> LpAllocation
     market = dual.market
     bad = tuple(agent.agent_id for agent, ok in
                 zip(market.agents, dual.containment(dual.lp_bundles())) if not ok)
-    ncs = dual.nonconvex_stats(norm)
+    ncs = dual.nonconvex_stats()
     limit = min(ncs.count, market.num_commodities)
     if len(bad) > limit:
         raise AssertionError(f"{len(bad)} agents outside demand, bound is {limit}")
@@ -109,8 +108,7 @@ class SnappedAllocationResult:
     bound: float            # sum of the K largest nonconvexity measures
 
 
-def demand_snapped_allocation(dual: DualSolution,
-                              norm: str = "l2") -> SnappedAllocationResult:
+def demand_snapped_allocation(dual: DualSolution) -> SnappedAllocationResult:
     """Move every agent to the nearest demand point; ties snap toward zero.
 
     Every agent ends inside its demand set.  Every moved agent lands on a
@@ -131,8 +129,8 @@ def demand_snapped_allocation(dual: DualSolution,
             _, x = ds.nearest(x)
             acc.update(ds.acceptances(x))
         total += x
-    imbalance = vector_norm(total, norm)
-    bound = dual.nonconvex_stats(norm).top_sum
+    imbalance = vector_norm(total, dual.norm)
+    bound = dual.nonconvex_stats().top_sum
     if imbalance > bound + t * (1.0 + bound):
         raise AssertionError(
             f"imbalance {imbalance} exceeds nonconvexity bound {bound}")
@@ -162,7 +160,7 @@ def lost_opportunity_cost(priced: PricedMarket,
             continue
         got = val - float(lam @ bundles[i])
         per_agent[agent.agent_id] = max(0.0, priced.best_surplus[i] - got)
-    return (float(sum(per_agent.values())), per_agent,
+    return (ordered_sum(per_agent.values()), per_agent,
             {agent.agent_id: val for agent, val in zip(market.agents, values)})
 
 
@@ -184,7 +182,7 @@ class PricingResult:
         return self.dual.dual_objective - self.exact.welfare
 
 
-def convex_hull_pricing(dual: DualSolution, norm: str = "l2",
+def convex_hull_pricing(dual: DualSolution, *,
                         node_budget: int = DEFAULT_NODE_BUDGET) -> PricingResult:
     """Price the exact welfare allocation at lambda*.
 
@@ -198,7 +196,7 @@ def convex_hull_pricing(dual: DualSolution, norm: str = "l2",
     scale = 1.0 + abs(dual.dual_objective) + abs(exact.welfare)
     if abs(total - gap) > 1e-6 * scale:
         raise AssertionError(f"pricing loc {total} != duality gap {gap}")
-    cert = detect_equilibrium(dual, exact.allocation, norm)
+    cert = detect_equilibrium(dual, exact.allocation)
     return PricingResult(tuple(float(v) for v in dual.lambda_star), exact.allocation,
                          exact, dual, total, per_agent, values, cert)
 
@@ -214,15 +212,15 @@ class ExistenceCheck:
     allocation: Allocation | None   # the allocation certified
 
 
-def singleton_demand_equilibrium_check(dual: DualSolution,
-                                       norm: str = "l2") -> ExistenceCheck:
+def singleton_demand_equilibrium_check(dual: DualSolution) -> ExistenceCheck:
     """If every block-owning agent demands a single bundle at lambda*, an
     equilibrium exists: the snapped allocation, certified and returned."""
+    start = dual.market.compiled.component_start   # agent i owns blocks iff components
     if not all(dual.demand(i).is_singleton()
-               for i, agent in enumerate(dual.market.agents) if agent.has_blocks):
+               for i, (a, b) in enumerate(zip(start, start[1:])) if b > a):
         return ExistenceCheck(False, False, None, None)
-    snapped = demand_snapped_allocation(dual, norm)
-    cert = detect_equilibrium(dual, snapped.allocation, norm)
+    snapped = demand_snapped_allocation(dual)
+    cert = detect_equilibrium(dual, snapped.allocation)
     return ExistenceCheck(True, cert.is_equilibrium, cert, snapped.allocation)
 
 
@@ -234,8 +232,7 @@ class AggregateConvexityCheck:
     certificate: EquilibriumCertificate | None
 
 
-def aggregate_demand_convexity_check(dual: DualSolution,
-                                     norm: str = "l2") -> AggregateConvexityCheck:
+def aggregate_demand_convexity_check(dual: DualSolution) -> AggregateConvexityCheck:
     """Single-commodity check: if the Minkowski sum of all demand sets at
     lambda* is convex (one interval), select per-agent demand points that
     balance exactly and certify the equilibrium.
@@ -269,7 +266,7 @@ def aggregate_demand_convexity_check(dual: DualSolution,
     if convex and total[0][0] <= t and total[0][1] >= -t:
         allocation = _select_balancing_points(dual, per_agent)
         if allocation is not None:
-            cert = detect_equilibrium(dual, allocation, norm)
+            cert = detect_equilibrium(dual, allocation)
     return AggregateConvexityCheck(convex, tuple(tuple(iv) for iv in total),
                                    allocation, cert)
 
@@ -326,10 +323,10 @@ class ApproxEquilibria:
         return self.dual.lambda_star
 
 
-def approximate_equilibria(market: Market, tol: float | None = None,
-                           norm: str = "l2") -> ApproxEquilibria:
-    """The three allocations at lambda*, sharing one solved convexified LP."""
+def approximate_equilibria(market: Market, tol: float | None = None) -> ApproxEquilibria:
+    """The three allocations at lambda*, in the default norm, sharing one
+    solved convexified LP."""
     dual = solve_lp(market, tol)
-    return ApproxEquilibria(dual, balanced_lp_allocation(dual, norm),
-                            demand_snapped_allocation(dual, norm),
-                            convex_hull_pricing(dual, norm))
+    return ApproxEquilibria(dual, balanced_lp_allocation(dual),
+                            demand_snapped_allocation(dual),
+                            convex_hull_pricing(dual))

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .config import VERSION
+from .config import VERSION, ordered_sum
 from .model import Agent, BlockBid, HourlyCurveBid, Market
 
 
@@ -252,12 +252,8 @@ def market_volumes(market: Market) -> tuple[float, float]:
     """(convex, nonconvex) submitted volume from `Market.compiled`: each curve's
     step widths and each block's |q| summed, then the totals in market order."""
     cm = market.compiled
-    convex = nonconvex = 0.0
-    for span in np.bincount(cm.step_index[2], cm.step_table[:, 3], len(cm.curves)).tolist():
-        convex += span
-    for size in np.abs(cm.block_q).sum(axis=1).tolist():
-        nonconvex += size
-    return convex, nonconvex
+    spans = np.bincount(cm.step_index[2], cm.step_table[:, 3], len(cm.curves))
+    return ordered_sum(spans.tolist()), ordered_sum(np.abs(cm.block_q).sum(axis=1).tolist())
 
 
 @dataclass(frozen=True)
@@ -279,11 +275,11 @@ class OutcomeReport:
     version: str = VERSION
 
     def __post_init__(self):
-        vals = sum(self.per_agent_value.values())
+        vals = ordered_sum(self.per_agent_value.values())
         if abs(vals - self.welfare) > 1e-9 * (1.0 + abs(self.welfare)):
             raise ValueError(f"welfare {self.welfare} != agent values {vals}")
         locs = list(self.per_agent_loc.values())
-        total = sum(locs)
+        total = ordered_sum(locs)
         if any(not np.isfinite(v) for v in locs):
             if np.isfinite(self.total_loc):
                 raise ValueError("finite total for infinite per-agent costs")

@@ -72,10 +72,6 @@ class Agent:
     def block_bids(self) -> tuple[BlockBid, ...]:
         return tuple(b for b in self.bids if isinstance(b, BlockBid))
 
-    @property
-    def has_blocks(self) -> bool:
-        return any(isinstance(b, BlockBid) for b in self.bids)
-
 
 @dataclass(frozen=True)
 class Market:
@@ -235,10 +231,6 @@ class Allocation:
         return market.compiled.bundles(self.acceptances)
 
 
-def zero_allocation(market: Market) -> Allocation:
-    return Allocation({b.bid_id: 0.0 for a in market.agents for b in a.bids})
-
-
 # ---------------------------------------------------------------------------
 # Indicator patterns
 
@@ -373,6 +365,9 @@ class CompiledMarket:
             for bid in agent.bids:
                 bid_owner.append(i)
                 if isinstance(bid, BlockBid):
+                    if len(bid.quantity) != K:
+                        raise ValueError(f"{bid.bid_id}: profile has {len(bid.quantity)} "
+                                         f"entries, expected {K}")
                     bid_value.append(len(blocks))
                     blocks.append(bid)
                     block_rows += (bid.price, bid.mar, abs(bid.price), *bid.quantity)

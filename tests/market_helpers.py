@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from equilab.config import resolve_tol
+from equilab.config import ordered_sum, resolve_tol
 from equilab.convexify import PricedMarket
 from equilab.demand import DemandSet
 from equilab.equilibria import PricingResult, lost_opportunity_cost
@@ -22,7 +22,12 @@ def imbalance(allocation: Allocation, market: Market) -> np.ndarray:
 
 def total_value(allocation: Allocation, market: Market, tol: float | None = None) -> float:
     """Summed bid value of the allocation; -inf if an agent is infeasible."""
-    return sum(agent_value(a, allocation.acceptances, tol) for a in market.agents)
+    return ordered_sum(agent_value(a, allocation.acceptances, tol) for a in market.agents)
+
+
+def zero_allocation(market: Market) -> Allocation:
+    """Every bid of the market accepted at 0."""
+    return Allocation({b.bid_id: 0.0 for a in market.agents for b in a.bids})
 
 
 def checked_values(market: Market, acceptances, tol: float | None = None) -> list[float]:

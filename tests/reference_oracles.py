@@ -44,7 +44,7 @@ from typing import Mapping
 import numpy as np
 
 from equilab import geometry, lp
-from equilab.config import vector_norm
+from equilab.config import ordered_sum, vector_norm
 from equilab.lp import (TOL, _REFRESH_EVERY, _STALL_LIMIT, InfeasibleError,
                         LpResult, SimplexError)
 from equilab.config import resolve_tol
@@ -394,7 +394,7 @@ def reference_market_volumes(market: Market) -> tuple[float, float]:
     nonconvex = 0.0
     for agent in market.agents:
         for bid in agent.curve_bids:
-            convex += sum(s.width for s in bid.steps)
+            convex += ordered_sum(s.width for s in bid.steps)
         for bid in agent.block_bids:
             nonconvex += float(np.sum(np.abs(bid.q)))
     return convex, nonconvex
@@ -431,7 +431,7 @@ class ReferenceProgram:
         for bid_id, col in self.block_col.items():
             acc[bid_id] = float(x[col])
         for bid_id, cols in self.curve_cols.items():
-            acc[bid_id] = float(sum(x[c] * w for c, w in cols))
+            acc[bid_id] = ordered_sum(x[c] * w for c, w in cols)
         return Allocation(acc)
 
 
@@ -650,12 +650,12 @@ def reference_demand_set(agent: Agent, lam, K: int | None = None,
         best, kept = _pattern_factors(tuple(blocks[i] for i in comp), lam, t)
         total += best
         factors.append(kept)
-    return DemandSet(K, t, total, tuple(factors))
+    return DemandSet(t, total, tuple(factors))
 
 
 def reference_dual_value(market: Market, lam, tol: float | None = None) -> float:
-    return float(sum(reference_demand_set(agent, lam, market.num_commodities, tol).best_surplus
-                     for agent in market.agents))
+    return ordered_sum(reference_demand_set(agent, lam, market.num_commodities, tol).best_surplus
+                       for agent in market.agents)
 
 
 def quantity_range(steps) -> tuple[float, float]:

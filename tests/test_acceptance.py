@@ -23,7 +23,7 @@ from equilab.euphemia import clear_euphemia_style
 from equilab.geometry import merge_intervals, piece_vertices
 from equilab.market_io import (emit_market, emit_outcome, load_outcome,
                                parse_market, parse_outcome)
-from equilab.model import Market, zero_allocation
+from equilab.model import Market
 from equilab.random_markets import (SimpleRandomMarketSpec,
                                     gen_tied_cost_market,
                                     monte_carlo_equilibrium_probability)
@@ -31,7 +31,7 @@ from equilab.welfare import solve_welfare
 
 from market_corpus import (random_balanced_allocation, random_market,
                            random_price_vector)
-from market_helpers import agent_demand_set, check_loc_dominance, imbalance
+from market_helpers import agent_demand_set, check_loc_dominance, imbalance, zero_allocation
 from reference_oracles import brute_force_welfare, in_hull
 
 CORPUS_DIMS = (1, 2, 4, 24)

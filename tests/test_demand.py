@@ -413,7 +413,7 @@ def _assert_matches_full_loop(ds, probes, rng):
         assert (repr(nonconvexity(ds, norm, probes=probes))
                 == repr(reference_nonconvexity(ds, norm, probes=probes)))
     vs = ds.vertices
-    points = [*probes, *vs[:8], vs[0] + 1e-10 * rng.normal(size=ds.dim),
+    points = [*probes, *vs[:8], vs[0] + 1e-10 * rng.normal(size=vs.shape[1]),
               *(0.5 * (a + b) for a, b in itertools.islice(itertools.combinations(vs, 2), 8))]
     for x in points:
         d, p = union_nearest(ds.pieces, x)

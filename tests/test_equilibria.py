@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from equilab.config import ordered_sum, vector_norm
 from equilab.convexify import PricedMarket, solve_lp
+from equilab.demand import nonconvexity
 from equilab.equilibria import (aggregate_demand_convexity_check,
                                 approximate_equilibria,
                                 balanced_lp_allocation, convex_hull_pricing,
@@ -12,11 +14,11 @@ from equilab.equilibria import (aggregate_demand_convexity_check,
                                 lost_opportunity_cost,
                                 singleton_demand_equilibrium_check)
 from equilab.model import (Agent, Allocation, BlockBid, HourlyCurveBid,
-                           Market, validate_market, zero_allocation)
+                           Market, validate_market)
 
 from market_corpus import (cross_agent_parent_market, random_balanced_allocation,
                            random_market, random_price_vector)
-from market_helpers import agent_demand_set, check_loc_dominance, imbalance
+from market_helpers import agent_demand_set, check_loc_dominance, imbalance, zero_allocation
 
 
 # ---------------------------------------------------------------------------
@@ -262,3 +264,32 @@ def test_singleton_check_soundness(seed):
     if chk.applies:
         assert chk.equilibrium_found
         assert chk.certificate.is_equilibrium
+
+
+def test_the_priced_markets_norm_reaches_every_imbalance_and_bound():
+    """At K = 2, detection and the snapped allocation measure the imbalance,
+    and the snap its bound, in the norm the priced market carries."""
+    market = random_market(np.random.default_rng(0), K=2, max_blocks=8)
+    unbalanced = demand_snapped_allocation(solve_lp(market)).allocation
+    excess = unbalanced.bundles(market).sum(axis=0)
+    detected, snapped = {}, {}
+    for norm in ("l1", "l2", "linf"):
+        priced = PricedMarket(market, solve_lp(market).lambda_star, norm=norm)
+        cert = detect_equilibrium(priced, unbalanced)
+        assert cert.imbalance == vector_norm(excess, norm) > 0.0
+        detected[norm] = cert.imbalance
+
+        dual = solve_lp(market, norm=norm)
+        snap = demand_snapped_allocation(dual)
+        measures = [nonconvexity(dual.demand(i), norm, probes=(x,))
+                    for i, x in enumerate(dual.lp_bundles())]
+        assert snap.bound == ordered_sum(sorted(measures, reverse=True)[:2])
+        assert snap.imbalance == pytest.approx(
+            vector_norm(snap.allocation.bundles(market).sum(axis=0), norm), rel=1e-9)
+        snapped[norm] = (snap.imbalance, snap.bound)
+    assert len(set(detected.values())) == 3
+    assert len({imb for imb, _ in snapped.values()}) == len({b for _, b in snapped.values()}) == 3
+    with pytest.raises(ValueError, match="unknown norm"):
+        detect_equilibrium(PricedMarket(market, dual.lambda_star, norm="l3"), unbalanced)
+    with pytest.raises(ValueError, match="unknown norm"):
+        demand_snapped_allocation(solve_lp(market, norm="l3"))

@@ -166,7 +166,7 @@ def interval_demand(intervals) -> DemandSet:
     """A one-commodity demand set that is the union of `intervals`."""
     e = np.array([1.0])
     patterns = tuple((np.zeros(1), (), (("x", e, lo, hi),)) for lo, hi in intervals)
-    return DemandSet(1, 1e-7, 0.0, (patterns,))
+    return DemandSet(1e-7, 0.0, (patterns,))
 
 
 def test_interval_gap_radius():

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from equilab.market_io import market_volumes
 from equilab.model import (Agent, Allocation, BlockBid, HourlyCurveBid, Market,
                            block_components, iter_patterns, pattern_feasible,
-                           validate_market, zero_allocation)
+                           validate_market)
 
-from market_helpers import checked_values, imbalance, total_value
+from market_helpers import checked_values, imbalance, total_value, zero_allocation
 from reference_oracles import agent_bundle
 
 
@@ -78,6 +79,20 @@ def test_rejects_mar_outside_floor():
 def test_rejects_wrong_profile_length():
     mk = Market(2, (Agent("a", (BlockBid("b", 1.0, (1.0,)),)),))
     assert "bad-dimension" in _codes(mk)
+
+
+@pytest.mark.parametrize("lengths", [(1,), (1, 3)], ids=["short", "cancelling"])
+def test_compile_rejects_wrong_profile_length(lengths):
+    """A block profile whose length is not K is named when the market is
+    compiled, also when a short and a long profile add up to whole rows."""
+    blocks = tuple(BlockBid(f"b{j}", 1.0, tuple(float(v) for v in range(1, n + 1)))
+                   for j, n in enumerate(lengths))
+    market = Market(2, (Agent("a", blocks),))
+    assert "bad-dimension" in _codes(market)
+    with pytest.raises(ValueError, match="b0: profile has 1 entries, expected 2"):
+        market.compiled
+    with pytest.raises(ValueError, match="b0: profile has 1 entries, expected 2"):
+        market_volumes(market)
 
 
 def test_rejects_dangling_parent():

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from equilab import convexify, demand, geometry, model
-from equilab.config import DEFAULT_TOL
+from equilab.config import DEFAULT_NORM, DEFAULT_TOL
 from equilab.convexify import ConvexifiedProgram, PricedMarket, solve_lp
 from equilab.demand import DemandSet, agent_best_surplus, demand_set, nonconvexity
 from equilab.equilibria import (approximate_equilibria, balanced_lp_allocation,
@@ -253,13 +253,16 @@ def piece_bytes(ds):
     return [tuple(a.tobytes() for a in (p.offset, p.units, p.lo, p.hi)) for p in ds.pieces]
 
 def test_caches_keyed_by_tolerance_and_norm(four_agent_market):
-    # the tolerance is the priced market's own, so each tolerance keeps its
-    # own caches; within one, each measure is kept per norm
+    # the tolerance and the norm are the priced market's own, so each
+    # (tolerance, norm) keeps its own caches, and each measure is in its norm
     market = four_agent_market
     K = market.num_commodities
-    duals = {tol: solve_lp(market, tol) for tol in (None, DEFAULT_TOL, 1e-3)}
-    assert duals[None].tol == DEFAULT_TOL
-    for tol, dual in duals.items():
+    duals = {(tol, norm): solve_lp(market, tol, norm)
+             for tol in (None, DEFAULT_TOL, 1e-3) for norm in ("l1", "l2", "linf")}
+    assert duals[None, "l2"].tol == DEFAULT_TOL
+    assert solve_lp(market).norm == DEFAULT_NORM == "l2"
+    for (tol, norm), dual in duals.items():
+        assert dual.norm == norm
         for i, agent in enumerate(market.agents):
             x = agent_bundle(agent, dual.allocation.acceptances, K)
             assert np.array_equal(dual.lp_bundles()[i], x)
@@ -268,15 +271,14 @@ def test_caches_keyed_by_tolerance_and_norm(four_agent_market):
             assert ds.tol == dual.tol
             assert piece_bytes(ds) == piece_bytes(
                 agent_demand_set(agent, dual.lambda_star, K, tol))
-            for norm in ("l1", "l2", "linf"):
-                assert dual.measure(i, norm) == nonconvexity(ds, norm, probes=(x,))
+            assert dual.measure(i) == nonconvexity(ds, norm, probes=(x,))
 
 
 def test_probing_at_the_lp_bundle_never_lowers_the_measure(market):
     """The solved market measures the same sets as the market at its prices,
-    with each LP bundle added as a candidate."""
-    dual = solve_lp(market)
-    priced = PricedMarket(market, dual.lambda_star)
-    for i in range(len(market.agents)):
-        for norm in ("l1", "l2", "linf"):
-            assert dual.measure(i, norm) >= priced.measure(i, norm)
+    with each LP bundle added as a candidate, in every norm."""
+    for norm in ("l1", "l2", "linf"):
+        dual = solve_lp(market, norm=norm)
+        priced = PricedMarket(market, dual.lambda_star, norm=norm)
+        for i in range(len(market.agents)):
+            assert dual.measure(i) >= priced.measure(i)
