@@ -28,6 +28,7 @@ only for the agents asked, once each.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,13 +64,12 @@ class ConvexifiedProgram:
                            a_ub=self.a_ub, b_ub=self.b_ub, lo=lo, hi=hi)
 
     def allocation_from(self, x: np.ndarray) -> Allocation:
-        """Every block's ratio, then every curve's quantity (its steps'
-        widths times their columns, summed in step order), in market order."""
+        """Every block's ratio, then every curve's quantity, in market order
+        (`CompiledMarket.columns_accepted`)."""
         cm = self.compiled
-        _, step_col, curve = cm.step_index
-        taken = np.bincount(curve, x[step_col] * cm.step_table[:, 1], len(cm.curves))
+        ratio, quantity = cm.columns_accepted(x)
         bids = [b.bid_id for b in cm.blocks] + [c.bid_id for c in cm.curves]
-        return Allocation(dict(zip(bids, x[cm.block_col].tolist() + taken.tolist())))
+        return Allocation(dict(zip(bids, ratio.tolist() + quantity.tolist())))
 
 
 def build_convexified(market: Market) -> ConvexifiedProgram:
@@ -120,18 +120,29 @@ def build_convexified(market: Market) -> ConvexifiedProgram:
 class DualSolution(PricedMarket):
     """Optimal prices and a vertex allocation of the convexified welfare LP:
     the market priced at lambda*, with the per-agent quantities of the LP
-    allocation.  Each agent's measure is also probed at its LP bundle, the
+    allocation.  Only `solve_lp` builds one.  The vertex is kept as the LP's
+    column values (`var_values`): the LP bundles are read from them through
+    the compiled columns, and the per-bid `allocation` is built from them
+    on first use.  Each agent's measure is also probed at its LP bundle, the
     hull point that demand snapping moves the agent from."""
 
     primal_value: float
     dual_objective: float
-    allocation: Allocation
     var_values: np.ndarray
     program: ConvexifiedProgram
 
+    @cached_property
+    def allocation(self) -> Allocation:
+        """The LP vertex allocation, read off `var_values` on first use."""
+        return self.program.allocation_from(self.var_values)
+
     def lp_bundles(self) -> np.ndarray:
-        """Every agent's bundle in the LP vertex allocation (row i: agent i)."""
-        return self._memo(("bundles",), lambda: self.allocation.bundles(self.market))
+        """Every agent's bundle in the LP vertex allocation (row i: agent i),
+        read off `var_values` and added bid by bid as `Allocation.bundles`
+        adds them."""
+        cm = self.program.compiled
+        return self._memo(("bundles",),
+                          lambda: cm.bundles_of(*cm.columns_accepted(self.var_values)))
 
     def probes(self, i: int) -> tuple:
         return (self.lp_bundles()[i],)
@@ -162,9 +173,7 @@ def solve_lp(market: Market, tol: float | None = None,
     res = program.solve_raw()
     vp = res.value
     dual = DualSolution(market, res.duals_eq, tol, norm, primal_value=vp,
-                        dual_objective=float("nan"),
-                        allocation=program.allocation_from(res.x),
-                        var_values=res.x, program=program)
+                        dual_objective=float("nan"), var_values=res.x, program=program)
     vd = dual.dual_objective = dual_value(dual)
     if abs(vp - vd) > dual.tol * (1.0 + abs(vp)):
         raise AssertionError(

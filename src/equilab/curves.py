@@ -65,6 +65,9 @@ def canonical_steps(points, mode: str) -> tuple[CurveStep, ...]:
     pts = [(float(p), float(q)) for p, q in points]
     if not pts:
         raise CurveError("curve has no points")
+    if len(pts) == 1:               # only the constant extension, in either mode
+        (p, q), = pts
+        return (CurveStep(0.0, q, p),) if q > 0.0 else (CurveStep(q, 0.0, p),) if q < 0.0 else ()
     for (p0, q0), (p1, q1) in zip(pts, pts[1:]):
         if p1 < p0:
             raise CurveError("curve prices must be nondecreasing")

@@ -16,9 +16,11 @@ What is computed when:
   `PricedMarket` is built: block margins and money classes, curve best
   surpluses and demand intervals, the best surplus and surplus-maximal
   patterns of each component, each agent's best surplus, and the per-agent
-  axis-line arrays (`on_line`, `line_origin`, `line_hour`, `line_interval`)
-  of every agent whose set is one pattern with only curves of one hour
-  free.  So the price dual sums best surpluses without a demand set, and
+  line arrays (`on_line`, `line_origin`, `line_unit`, `line_intervals`) of
+  every agent whose set is one pattern with only curves of one hour free
+  (an axis segment or a point), or whose only freedom is one lone block at
+  the money (two intervals, or one, on the block's line).  So the price
+  dual sums best surpluses without a demand set, and
   `PricedMarket.containment` decides those agents' containment in one pass
   (`line_contains`), also without one;
 - once per (agent, prices, tol), for the other agents whose containment is
@@ -31,8 +33,8 @@ What is computed when:
 
 Most sets (all one-commodity sets) lie on a line: `DemandSet.line` answers
 containment, the measure and the aggregate convexity check for them, and
-`demand_set` fills it in from the axis-line arrays where they hold one
-(`PricedMarket.carrier_lines`, None for an agent off a line).
+`demand_set` fills it in from the line arrays where they hold one
+(`PricedMarket.carrier_lines`, None for an agent off such a line).
 
 The nonconvexity measure of a demand set D is the one-sided Hausdorff
 distance of D from its convex hull: the largest distance from a hull point to
@@ -87,12 +89,13 @@ class PricedMarket:
     relative to the money scale |p_b| + |lam.q_b|.  Per curve: best surplus
     and demand interval.  Per linked component: best surplus and
     surplus-maximal patterns.  Per agent: `best_surplus`, its curves' and
-    then its components' in order, and the axis-line arrays.  Each float is
-    the one a loop over one agent's bids gives: the elementwise operations
-    round the same way, and every sum adds in the loop's order (`np.add.at`
-    over the compiled owner indices; a numpy reduction would sum pairwise).
-    At K >= 2 each margin is its own `lam @ q` dot, since a matrix-vector
-    product may round differently.  `demand_set` reads these arrays.
+    then its components' in order, and the line arrays (`_axis_lines`).
+    Each float is the one a loop over one agent's bids gives: the
+    elementwise operations round the same way, and every sum adds in the
+    loop's order (`np.add.at` or `np.bincount` over the compiled owner
+    indices; a numpy reduction would sum pairwise).  At K >= 2 each margin
+    is its own `lam @ q` dot, since a matrix-vector product may round
+    differently.  `demand_set` reads these arrays.
 
     Per agent (agent i is `market.agents[i]`), quantities are computed on
     first use and kept for the life of the object: its demand set, its
@@ -111,16 +114,17 @@ class PricedMarket:
         self.lambda_star = lam = np.asarray(self.lambda_star, dtype=float)
         self.tol = tol = resolve_tol(self.tol)
         cm = self.market.compiled
+        n, K, C = cm.num_agents, cm.K, len(cm.curves)
 
         block_price, mar, abs_price = cm.block_table[:, :3].T
-        if cm.K == 1:
+        if K == 1:
             lq = cm.block_table[:, 3] * lam[0] + 0.0   # `@` adds to +0.0 as well
         else:
             lq = np.array([lam @ q for q in cm.block_q], dtype=float)
         m = self.margin = block_price - lq
         slack = tol * (1.0 + (abs_price + np.abs(lq)))
         is_in, is_out = m > slack, m < -slack
-        self.classes = np.where(is_in, _IN, np.where(is_out, _OUT, _AT)).tolist()
+        self.classes = (is_in.astype(int) - is_out).tolist()     # _IN 1, _AT 0, _OUT -1
         # An active block adds m if m > 0 else mar*m to a pattern's surplus,
         # and m (in the money), mar*m (out of it) or 0 to its banded score.
         mar_m = mar * m
@@ -136,74 +140,94 @@ class PricedMarket:
         buy = width > 0.0
         self._step_gain = gain = np.where(buy, p - price, price - p)
         band = tol * (1.0 + np.maximum(abs_p, np.abs(price)))
-        terms = np.array((abs_width * (gain * (gain > 0.0)),
-                          width * ((p > price + band) == buy),
-                          width * ((p >= price - band) == buy))).T
-        sums = np.zeros((len(cm.curves), 3))      # best surplus, lo, hi
-        np.add.at(sums, curve, terms)
-        self.curve_interval = sums[:, 1:].tolist()
+        best = np.bincount(curve, abs_width * (gain * (gain > 0.0)), C)
+        lo = np.bincount(curve, width * ((p > price + band) == buy), C)
+        hi = np.bincount(curve, width * ((p >= price - band) == buy), C)
+        self.curve_interval = list(zip(lo.tolist(), hi.tolist()))
 
         # Term values: every curve's best surplus, then every component's;
         # a lone block's is its margin when positive.
-        values = np.empty(len(cm.curves) + len(cm.components))
-        values[:len(cm.curves)] = sums[:, 0]
-        lone_block, lone_value = cm.lone
-        values[lone_value] = np.where(positive, m, 0.0)[lone_block]
+        values = np.empty(C + len(cm.components))
+        values[:C] = best
+        lone_block, lone_term = cm.lone
+        values[lone_term] = np.where(positive, m, 0.0)[lone_block]
         self._linked_kept: dict[int, tuple] = {}
         if cm.linked_components:
             on_best = np.where(positive, m, mar_m).tolist()
             for k in cm.linked_components:
-                values[len(cm.curves) + k] = self._score_linked(k, on_best)
-        total = np.zeros(cm.num_agents)
+                values[C + k] = self._score_linked(k, on_best)
+        total = np.zeros(n)
         np.add.at(total, cm.term_owner, values)
         self.best_surplus = total.tolist()
+        self._axis_lines()
 
-        # Axis lines.  An agent whose components each keep one pattern with
-        # no at-the-money block on (a lone block at the money scores 0 on
-        # and off, so it keeps both), and whose curves of nonzero width
-        # share one hour, demands a segment of that hour's axis, or a point:
-        # the line `DemandSet.line` reads off the canonical generators,
-        # float for float.  The origin adds each component's on-block
-        # bundles in block order, then the components in order, then the
-        # zero-width curves' midpoints in curve order, as `patterns` and
-        # `canonical_generators` add; the interval adds the other curves'
-        # ranges in curve order (an hour axis has norm 1, so none is
-        # rescaled).  Each agent's sums start at +0.0, so no -0.0 survives,
-        # a component with no block on changes no bit, and lo <= hi holds
-        # in every rounded sum as it does for each curve.
-        K, classes, on_line = cm.K, self.classes, [True] * cm.num_agents
+    def _axis_lines(self) -> None:
+        """The line arrays: `on_line`, `line_origin`, `line_unit` and
+        `line_intervals`, whose rows are the lo and hi of each agent's first
+        interval and then of its last (the first again on a line of one).
+
+        An agent is on a line when each of its components keeps one pattern
+        with no at-the-money block on, and either its curves of nonzero
+        width share one hour (it demands a segment of that hour's axis, or a
+        point), or it has no such curve and one lone block at the money,
+        which keeps its off and its on pattern: it demands origin + ({0} u
+        [mar q, q]), the `_carrier_line` of its off pattern and of the
+        `canonical_generators` form of its on pattern.  The floats are the
+        ones `DemandSet.line` reads off the canonical generators: the origin
+        adds each component's fixed on blocks in block order, then the
+        components in order, then the zero-width curves' midpoints in curve
+        order, as `patterns` and `canonical_generators` add; the interval
+        adds the other curves' ranges in curve order (an hour axis has norm
+        1, so none is rescaled).  Each agent's sums start at +0.0, so no
+        -0.0 survives, a component with no block on changes no bit, and lo
+        <= hi holds in every rounded sum as it does for each curve.
+        """
+        cm, classes = self.market.compiled, self.classes
+        n, K = cm.num_agents, cm.K
         q_rows = cm.block_q.tolist()
-        origin = [0.0] * (cm.num_agents * K)               # agent i's from i * K
+        origin = [0.0] * (n * K)                           # agent i's from i * K
+        off, at_the_money = [False] * n, {}                # agent: its lone block at the money
         for k, (i, comp) in enumerate(zip(cm.component_owner, cm.components)):
-            if not on_line[i]:
+            if len(comp) == 1 and classes[comp[0]] == _AT:
+                off[i] |= i in at_the_money
+                at_the_money[i] = comp[0]
                 continue
             kept = self.kept_patterns(k)
-            if len(kept) > 1:
-                on_line[i] = False
-                continue
+            on = [j for j, z in zip(comp, kept[0]) if z]
+            off[i] |= len(kept) > 1 or any(classes[j] == _AT for j in on)
             offset = None
-            for j, z in zip(comp, kept[0]):
-                if z:
-                    on_line[i] = on_line[i] and classes[j] != _AT
-                    q = q_rows[j] if classes[j] == _IN else [cm.blocks[j].mar * v for v in q_rows[j]]
-                    offset = q if offset is None else [a + b for a, b in zip(offset, q)]
+            for j in on:
+                q = q_rows[j] if classes[j] == _IN else [cm.blocks[j].mar * v for v in q_rows[j]]
+                offset = q if offset is None else [a + b for a, b in zip(offset, q)]
             if offset is not None:
                 at = i * K
                 origin[at:at + K] = [a + b for a, b in zip(origin[at:at + K], offset)]
-        line_hour, lo_sum, hi_sum = [-1] * cm.num_agents, [0.0] * cm.num_agents, [0.0] * cm.num_agents
+        line_hour, lo_sum, hi_sum = [-1] * n, [0.0] * n, [0.0] * n
+        unit = [0.0] * (n * K)                             # a point's unit is 0
         for i, h, (lo, hi) in zip(cm.curve_owner, cm.curve_hour, self.curve_interval):
             if hi - lo <= _PAR_TOL * (1.0 + abs(lo) + abs(hi)):
                 origin[i * K + h] += 0.5 * (lo + hi)
             else:
-                if line_hour[i] < 0:
-                    line_hour[i] = h
-                elif line_hour[i] != h:
-                    on_line[i] = False
+                off[i] |= line_hour[i] not in (-1, h)
+                line_hour[i] = h
+                unit[i * K + h] = 1.0
                 lo_sum[i] += lo
                 hi_sum[i] += hi
-        self.line_origin = np.array(origin, dtype=float).reshape(cm.num_agents, K)
-        self.line_hour, self.line_interval = line_hour, (lo_sum, hi_sum)
-        self.on_line = on_line
+        ends = [lo_sum, hi_sum, lo_sum[:], hi_sum[:]]     # the last interval's too
+        self.line_origin = np.array(origin, dtype=float).reshape(n, K)
+        for i, j in at_the_money.items():
+            off[i] |= line_hour[i] >= 0
+            if off[i]:
+                continue
+            o = self.line_origin[i]
+            line = _carrier_line(((o, []), geometry.canonical_generators(
+                o, [(cm.block_q[j], cm.blocks[j].mar, 1.0)])))
+            unit[i * K:(i + 1) * K] = line.unit.tolist()
+            for row, v in zip(ends, line.intervals[0] + line.intervals[-1]):
+                row[i] = v
+        self.line_unit = np.array(unit, dtype=float).reshape(n, K)
+        self.line_intervals = np.array(ends, dtype=float)
+        self.on_line = [not flag for flag in off]
 
     def _score_linked(self, k: int, on_best: list) -> float:
         """Best surplus of linked component k; keeps its surplus-maximal patterns.
@@ -243,13 +267,13 @@ class PricedMarket:
 
     @cached_property
     def carrier_lines(self) -> list:
-        """Per agent, its demand set as an axis line, or None when it is not
-        one pattern with only curves of one hour free."""
-        K = self.market.num_commodities
-        units = np.vstack((np.eye(K), np.zeros(K)))  # row -1: a point
-        return [CarrierLine(origin, units[h], ((lo, hi),)) if on else None
-                for on, h, origin, lo, hi in zip(self.on_line, self.line_hour, self.line_origin,
-                                                 *self.line_interval)]
+        """Per agent, its demand set as a line (`_axis_lines`), or None off
+        such a line."""
+        return [CarrierLine(origin, unit, ((a, b),) if (a, b) == (c, d) else ((a, b), (c, d)))
+                if on else None
+                for on, origin, unit, (a, b, c, d) in zip(self.on_line, self.line_origin,
+                                                          self.line_unit,
+                                                          self.line_intervals.T.tolist())]
 
     def line_contains(self, bundles: np.ndarray) -> list:
         """Per agent, is row i of `bundles` in its demand set, decided on
@@ -257,19 +281,23 @@ class PricedMarket:
 
         Each bool is the one `DemandSet.contains` gives: distance at most
         t * (1 + |x|).  At K = 1 all rows are decided at once, because the
-        line's perpendicular part is exactly 0: the distance to a segment
-        is its interval gap max(lo - s, s - hi, 0) with s = x - origin, and
-        to a point sqrt(r * r).  At K >= 2 each row asks
-        `CarrierLine.distance` and sums |x|^2 with `dot`, which may round
-        differently from an elementwise sum.
+        line's unit is +-1 or 0 and its perpendicular part exactly 0: the
+        distance to a line is the smaller interval gap max(lo - s, s - hi, 0)
+        with s = (x - origin) * unit, and to a point sqrt(r * r) with r = x -
+        origin.  At K >= 2 each row asks `CarrierLine.distance` and sums
+        |x|^2 with `dot`, which may round differently from an elementwise
+        sum.
         """
         tol = self.tol
         if self.market.num_commodities == 1:
             x = bundles[:, 0]
-            s = x - self.line_origin[:, 0]
-            lo, hi = np.array(self.line_interval)
-            gap = np.where(np.array(self.line_hour) >= 0,
-                           np.maximum(np.maximum(lo - s, s - hi), 0.0), np.sqrt(s * s))
+            r = x - self.line_origin[:, 0]
+            unit = self.line_unit[:, 0]
+            s = r * unit
+            lo, hi, lo2, hi2 = self.line_intervals
+            gap = np.minimum(np.maximum(np.maximum(lo - s, s - hi), 0.0),
+                             np.maximum(np.maximum(lo2 - s, s - hi2), 0.0))
+            gap = np.where(unit != 0.0, gap, np.sqrt(r * r))
             inside = (gap <= tol * (1.0 + np.sqrt(x * x))).tolist()
             return [flag if on else None for flag, on in zip(inside, self.on_line)]
         return [None if line is None else line.distance(x) <= tol * (1.0 + math.sqrt(x.dot(x)))
@@ -386,7 +414,7 @@ class DemandSet:
     `canonical` (each pattern's `geometry.canonical_generators`, read by both
     `line` and `pieces`), `line` and `pieces` are built on first use: only
     they raise ComplexityError.  `demand_set` fills `line` in at once for
-    an agent with one pattern whose free bids are curves of one hour.
+    an agent on one of its priced market's lines (`PricedMarket.carrier_lines`).
     """
 
     tol: float
@@ -417,33 +445,9 @@ class DemandSet:
 
     @cached_property
     def line(self) -> CarrierLine | None:
-        """The carrier line of the union of the pattern pieces, None off a line.
-
-        Each pattern is read in its canonical form, and the line runs along
-        the first nonzero direction: a generator, else an offset's difference
-        from the first offset.  The test stops at the first direction that
-        leaves the line by more than 1e-9 * (1 + the longest).
-        """
-        shapes = self.canonical
-        origin = shapes[0][0]
-        dirs = [u for _, gens in shapes for u, _, _ in gens]
-        dirs += [off - origin for off, _ in shapes[1:]]
-        norms = [math.sqrt(d.dot(d)) for d in dirs]
-        unit = next((d / n for d, n in zip(dirs, norms) if n > 1e-9), np.zeros(origin.size))
-        limit = 1e-9 * (1.0 + max(norms, default=0.0))
-        for d in dirs:
-            perp = d - d.dot(unit) * unit
-            if math.sqrt(perp.dot(perp)) > limit:
-                return None
-        intervals = []
-        for off, gens in shapes:
-            lo_t = hi_t = float((off - origin).dot(unit))
-            for u, lo, hi in gens:
-                s = float(u.dot(unit))
-                lo_t += min(s * lo, s * hi)
-                hi_t += max(s * lo, s * hi)
-            intervals.append((lo_t, hi_t))
-        return CarrierLine(origin, unit, tuple(geometry.merge_intervals(intervals, 1e-12)))
+        """The carrier line of the union of the pattern pieces, None off a
+        line (`_carrier_line` of the canonical forms)."""
+        return _carrier_line(self.canonical)
 
     @cached_property
     def vertices(self) -> np.ndarray:
@@ -528,9 +532,8 @@ def demand_set(priced: PricedMarket, i: int) -> DemandSet:
     The factors are read off the priced arrays: each curve's demand
     interval along its hour's row of one identity matrix, then the kept
     patterns of each component, as (offset, fixed, free) with the bundle of
-    the fixed blocks.  An agent with one pattern
-    whose free bids are curves of one hour gets its carrier line from the
-    priced arrays (`PricedMarket.carrier_lines`).
+    the fixed blocks.  An agent on one of the priced market's lines gets its
+    carrier line from the priced arrays (`PricedMarket.carrier_lines`).
     """
     cm = priced.market.compiled
     curves = range(cm.curve_start[i], cm.curve_start[i + 1])
@@ -546,6 +549,36 @@ def demand_set(priced: PricedMarket, i: int) -> DemandSet:
     if line is not None:
         vars(ds)["line"] = line                    # the cached property, filled in
     return ds
+
+
+def _carrier_line(shapes) -> CarrierLine | None:
+    """The carrier line of pieces given as canonical (offset, generators)
+    forms, None off a line.
+
+    The line runs from the first offset along the first nonzero direction:
+    a generator, else an offset's difference from the first offset.  The
+    test stops at the first direction that leaves the line by more than
+    1e-9 * (1 + the longest).
+    """
+    origin = shapes[0][0]
+    dirs = [u for _, gens in shapes for u, _, _ in gens]
+    dirs += [off - origin for off, _ in shapes[1:]]
+    norms = [math.sqrt(d.dot(d)) for d in dirs]
+    unit = next((d / n for d, n in zip(dirs, norms) if n > 1e-9), np.zeros(origin.size))
+    limit = 1e-9 * (1.0 + max(norms, default=0.0))
+    for d in dirs:
+        perp = d - d.dot(unit) * unit
+        if math.sqrt(perp.dot(perp)) > limit:
+            return None
+    intervals = []
+    for off, gens in shapes:
+        lo_t = hi_t = float((off - origin).dot(unit))
+        for u, lo, hi in gens:
+            s = float(u.dot(unit))
+            lo_t += min(s * lo, s * hi)
+            hi_t += max(s * lo, s * hi)
+        intervals.append((lo_t, hi_t))
+    return CarrierLine(origin, unit, tuple(geometry.merge_intervals(intervals, 1e-12)))
 
 
 def _pattern_factor(cm: CompiledMarket, classes: list, comp: tuple, z: tuple):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -289,15 +289,17 @@ def pattern_feasible(blocks: tuple[BlockBid, ...], z: tuple[int, ...],
     return True
 
 
-def iter_patterns(blocks: tuple[BlockBid, ...]) -> Iterator[tuple[int, ...]]:
-    """All feasible indicator patterns, in ascending bitmask order."""
-    if len(blocks) == 1:            # a lone block has nothing to violate
-        yield from ((0,), (1,))
-        return
+LONE_PATTERNS = ((0,), (1,))
+
+
+def iter_patterns(blocks: tuple[BlockBid, ...]) -> tuple[tuple[int, ...], ...]:
+    """All feasible indicator patterns, in ascending bitmask order.  Every
+    lone block shares `LONE_PATTERNS`: it has nothing to violate."""
+    if len(blocks) == 1:
+        return LONE_PATTERNS
     by_id = {b.bid_id: i for i, b in enumerate(blocks)}
-    for z in itertools.product((0, 1), repeat=len(blocks)):
-        if pattern_feasible(blocks, z, by_id):
-            yield z
+    return tuple(z for z in itertools.product((0, 1), repeat=len(blocks))
+                 if pattern_feasible(blocks, z, by_id))
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +330,8 @@ class CompiledMarket:
     - `term_owner`: the owner of each best-surplus term, every curve's
       and then every component's (`curve_owner + component_owner`); `lone`
       rows: block and term number of each lone component (one block, whose
-      patterns `iter_patterns` gives as off, then on), and
-      `linked_components` the others;
+      patterns are `LONE_PATTERNS`, off then on), and `linked_components`
+      the others;
     - `bid_index` rows: owner and value (block j as j, curve c as ~c) of
       each bid, in market order.
 
@@ -351,7 +353,9 @@ class CompiledMarket:
         blocks: list[BlockBid] = []
         curves: list[HourlyCurveBid] = []
         components: list[tuple[int, ...]] = []
-        comp_blocks: list[tuple[BlockBid, ...]] = []
+        patterns: list[tuple[tuple[int, ...], ...]] = []
+        lone: list[tuple[int, int]] = []                    # (block, component)
+        linked: list[int] = []
         block_rows, block_col, step_rows, step_hour, step_col = [], [], [], [], []
         curve_rows, step_curve = [], []
         bid_value, bid_owner = [], []                      # curve c as ~c
@@ -391,16 +395,21 @@ class CompiledMarket:
                 curve_rows += (lo, hi, 1.0 + max(-lo, hi))
                 curves.append(bid)
             mine = blocks[first_block:]
-            by_id = {b.bid_id: j for j, b in enumerate(mine, first_block)}
-            for j, b in enumerate(mine, first_block):
-                parent.append(by_id.get(b.parent, -1))
-                loop.append(by_id.get(b.loop, -1))
-                if b.group is not None:
-                    groups.setdefault((b.group, i), []).append(j)
-            for comp in block_components(tuple(mine)) if len(mine) > 1 else [(0,)] * len(mine):
-                component_owner.append(i)
-                components.append(tuple(first_block + j for j in comp))
-                comp_blocks.append(tuple(mine[j] for j in comp))
+            if mine:
+                by_id = {b.bid_id: j for j, b in enumerate(mine, first_block)}
+                for j, b in enumerate(mine, first_block):
+                    parent.append(by_id.get(b.parent, -1))
+                    loop.append(by_id.get(b.loop, -1))
+                    if b.group is not None:
+                        groups.setdefault((b.group, i), []).append(j)
+                for comp in block_components(tuple(mine)) if len(mine) > 1 else [(0,)]:
+                    if len(comp) == 1:
+                        lone.append((first_block + comp[0], len(components)))
+                    else:
+                        linked.append(len(components))
+                    component_owner.append(i)
+                    components.append(tuple([first_block + j for j in comp]))
+                    patterns.append(iter_patterns(tuple([mine[j] for j in comp])))
             curve_start.append(len(curves))
             component_start.append(len(components))
         self.num_agents = len(market.agents)
@@ -415,12 +424,11 @@ class CompiledMarket:
         self.block_col = np.array(block_col, dtype=int)
 
         self.components = components
-        self.patterns = [tuple(iter_patterns(comp)) for comp in comp_blocks]
+        self.patterns = patterns
         # A lone block free of links is scored for all such blocks at once.
-        self.linked_components = [k for k, comp in enumerate(components) if len(comp) > 1]
-        lone = [k for k, comp in enumerate(components) if len(comp) == 1]
-        self.lone = np.array([[components[k][0] for k in lone],
-                              [len(curves) + k for k in lone]], dtype=int)
+        self.linked_components = linked
+        self.lone = np.array(lone, dtype=int).reshape(-1, 2).T
+        self.lone[1] += len(curves)                        # component k is term C + k
         # Terms: every curve's, then every component's.
         self.term_owner = np.array(curve_owner + component_owner, dtype=int)
 
@@ -445,10 +453,21 @@ class CompiledMarket:
         return (np.array([acceptances[b.bid_id] for b in self.blocks], dtype=float),
                 np.array([acceptances[c.bid_id] for c in self.curves], dtype=float))
 
+    def columns_accepted(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every block's acceptance ratio and every curve's quantity at the
+        welfare LP column values x: a curve takes its steps' signed widths
+        times their columns, summed in step order."""
+        _, step_col, curve = self.step_index
+        return (x[self.block_col],
+                np.bincount(curve, x[step_col] * self.step_table[:, 1], len(self.curves)))
+
     def bundles(self, acceptances: Mapping[str, float]) -> np.ndarray:
         """Every agent's net bundle (row i: agent i), summed bid by bid in
         the agent's order.  The array is read-only."""
-        ratio, quantity = self._accepted(acceptances)
+        return self.bundles_of(*self._accepted(acceptances))
+
+    def bundles_of(self, ratio: np.ndarray, quantity: np.ndarray) -> np.ndarray:
+        """`bundles` of every block's ratio and every curve's quantity."""
         owner, value = self.bid_index
         block = value >= 0
         rows = np.zeros((value.size, self.K))

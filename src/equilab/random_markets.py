@@ -27,6 +27,11 @@ from .model import Agent, BlockBid, HourlyCurveBid, Market
 
 SUPPLIER_CAPACITY = 2.0
 COST_LO, COST_HI = 0.0, 10.0   # the support of the iid uniform supplier costs
+# `draw_costs` re-draws until no two costs lie within 1e-6 of the support's
+# width, and about n^2 * 1e-6 pairs are expected that close: one at n = 1000,
+# where a draw is accepted with probability about 1/e; at n = 10000, about
+# e^-100.
+MAX_SUPPLIERS = 1000
 
 
 @dataclass(frozen=True)
@@ -39,6 +44,11 @@ class SimpleRandomMarketSpec:
     def __post_init__(self):
         if not 0 <= self.k <= self.n:
             raise ValueError("need 0 <= k <= n")
+        if self.n > MAX_SUPPLIERS:
+            raise ValueError(f"n {self.n} exceeds {MAX_SUPPLIERS}: so many costs "
+                             "without near-ties are almost never drawn")
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} must be non-negative")
         if not 0.0 < self.demand < SUPPLIER_CAPACITY * self.n:
             raise ValueError(f"demand {self.demand:g} must lie strictly inside the "
                              f"total capacity {SUPPLIER_CAPACITY * self.n:g}")
@@ -102,10 +112,12 @@ def certified_equilibrium(market: Market, tol: float | None = None) -> bool:
 
     The LP allocation is balanced, so containment in all demand sets at
     lambda* certifies an exact equilibrium.  Containment is one pass over
-    the LP bundles (`PricedMarket.containment`): a convex supplier, the
-    buyer and an all-or-nothing supplier off the margin demand an axis
-    segment or point, decided from the pricing arrays; only an at-the-money
-    block's agent builds a demand set.
+    the LP bundles (`PricedMarket.containment`), decided from the pricing
+    arrays for every agent at once, with no demand set built: a convex
+    supplier, the buyer and an all-or-nothing supplier off the margin demand
+    an axis segment or point, and an all-or-nothing supplier at the money
+    demands {0} and its full output, two intervals on the axis.  The LP
+    bundles are read from the LP's column values (`DualSolution.lp_bundles`).
     """
     dual = solve_lp(market, tol)
     return all(dual.containment(dual.lp_bundles()))

@@ -238,10 +238,13 @@ def test_analyze_wrong_price_dim(capsys):
     ("simulate", "--n", "3", "--k", "1", "--trials", "5", "--tol", "nan"),
     ("analyze", FIXTURE_CSV, "--price", "nan"),
     ("analyze", FIXTURE_CSV, "--price", "inf"),
+    ("simulate", "--n", "6", "--k", "3", "--seed", "-1"),
+    ("simulate", "--n", "10000", "--k", "1", "--trials", "1"),
 ], ids=["unknown-mode", "missing-input", "unknown-option", "simulate-norm",
         "clear-tol-nan", "clear-tol-negative", "clear-tol-zero", "clear-tol-below-eps",
         "clear-tol-not-a-number", "analyze-tol-negative",
-        "simulate-tol-nan", "price-nan", "price-inf"])
+        "simulate-tol-nan", "price-nan", "price-inf", "simulate-seed-negative",
+        "simulate-n-too-large"])
 def test_usage_error_or_bad_value_exits_1(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1

@@ -14,8 +14,9 @@ tolerances put grid prices exactly on the edges of the at-the-money bands.
 flag with each agent's `DemandSet.contains` on the oracle's demand set: at
 lambda* and at a random price, for the LP bundles, random bundles, and
 points at the containment bar t * (1 + |x|) and one float step either side
-of it: beyond each end of every axis line, and at K >= 2 also off the line
-in the next hour.
+of it: beyond each end of every interval of every line (so also inside the
+gap of an at-the-money lone block's two intervals), and at K >= 2 also off
+the line in the next hour.
 
 `CompiledMarket.values` is compared the same way with the `agent_value` and
 `acceptance_feasible` oracles: at lambda*'s LP allocation, at the exact
@@ -24,6 +25,7 @@ to each bound of its feasibility check and one float step either side.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from equilab.config import resolve_tol
@@ -143,18 +145,29 @@ def test_compiled_market_is_byte_identical_to_per_agent_builds(market, seed, tol
 
 
 
+def line_ends(line):
+    """Each end of each interval of a carrier line, as (point, direction):
+    the end's point and the sign of the unit's largest component, turned
+    away from its interval (a point's line takes +1)."""
+    h = int(np.argmax(np.abs(line.unit)))
+    sign = 1.0 if line.unit[h] >= 0.0 else -1.0
+    for lo, hi in line.intervals:
+        for end, away in ((lo, -1.0), (hi, 1.0)):
+            yield line.origin + end * line.unit, away * sign
+
+
 def bar_points(priced, bundles):
-    """Per agent decided on an axis line at K = 1, bundles at the bar beyond
-    each end of its segment, and one float step either side of each: x with
-    |x - edge| = t * (1 + |x|), solved on each side of zero."""
+    """Per agent decided on a line at K = 1, bundles at the bar beyond each
+    end of each of its intervals (so also inside the gap of a line of two
+    intervals), and one float step either side of each: x with |x - edge| =
+    t * (1 + |x|), solved on each side of zero."""
     t = priced.tol
     rows = []
-    for i, on in enumerate(priced.on_line):
-        if not on:
+    for i, line in enumerate(priced.carrier_lines):
+        if line is None:
             continue
-        o = float(priced.line_origin[i, 0])
-        lo, hi = priced.line_interval[0][i], priced.line_interval[1][i]
-        for edge, away in ((o + lo, -1.0), (o + hi, 1.0)):
+        for point, away in line_ends(line):
+            edge = float(point[0])
             for side in (-1.0, 1.0):
                 x = (edge + away * t) / (1.0 - away * side * t)
                 if x * side < 0.0:
@@ -167,23 +180,23 @@ def bar_points(priced, bundles):
 
 
 def hour_bar_points(priced, bundles):
-    """Per agent decided on an axis line at K >= 2, bundles at the bar and
-    one float step either side of it: along the line's hour beyond each end
-    of its interval, and from each end both ways along the next hour (a
-    point's line takes hour 0).  |x| moves with the point, so the bar is
-    found by bisection on floats, as the first float the oracle's
-    `contains` leaves out."""
+    """Per agent decided on a line at K >= 2, bundles at the bar and one
+    float step either side of it, from each end of each interval: along
+    the hour of the unit's largest component, away from the interval (so
+    also into the gap of a line of two intervals), and both ways along the
+    next hour (a point's line takes hour 0).  |x| moves with the point, so
+    the bar is found by bisection on floats, as the first float the
+    oracle's `contains` leaves out."""
     market, K = priced.market, priced.market.num_commodities
     rows = []
-    for i, on in enumerate(priced.on_line):
-        if not on:
+    for i, line in enumerate(priced.carrier_lines):
+        if line is None:
             continue
         ref = reference_demand_set(market.agents[i], priced.lambda_star, K, priced.tol)
-        h = max(priced.line_hour[i], 0)
-        for end, away in ((priced.line_interval[0][i], -1.0), (priced.line_interval[1][i], 1.0)):
+        h = int(np.argmax(np.abs(line.unit)))
+        for point, away in line_ends(line):
             edge = np.array(bundles, dtype=float)
-            edge[i] = priced.line_origin[i]
-            edge[i, h] += end
+            edge[i] = point
             for hour, direction in ((h, away), ((h + 1) % K, -1.0), ((h + 1) % K, 1.0)):
                 def at(v):
                     row = edge.copy()
@@ -269,6 +282,51 @@ def test_zero_width_curve_folds_into_the_line_origin():
     assert priced.on_line == [True] and priced.line_origin[0, 0] != 1.0
     assert exact(priced.carrier_lines[0]) == exact(ref.line)
     assert_containment_like_contains(priced, bar_points(priced, np.zeros((1, 1))))
+
+
+LONE_BLOCK_CASES = [
+    # (q, mar, fixed curve quantity, intervals on the line)
+    ((-2.0,), 0.3, 1.5, 2),              # a seller: a generator, flipped
+    ((2.0,), 0.3, 1.5, 2),               # a buyer
+    ((-2.0,), 1.0, 0.1, 2),              # mar = 1: two points, the on one folded
+    ((-2.0,), 1e-13, 1.5, 1),            # the two intervals meet
+    ((1e-10,), 0.5, 1.0, 1),             # no direction: a point
+    ((1.5e-9,), 1.0, 1e8, 1),            # a fold lost in the origin: a point
+    ((1.0, 2.0), 0.4, 0.75, 2),
+    ((-1.0, 0.5), 1.0, 0.75, 2),
+    ((0.0, -1.5, 0.5, 2.0), 0.25, 0.75, 2),
+    ((0.0, 0.0, 0.0), 0.5, 0.75, 1),
+]
+
+
+@pytest.mark.parametrize("q, mar, fixed, pieces", LONE_BLOCK_CASES)
+def test_at_the_money_lone_block_is_on_a_line(q, mar, fixed, pieces):
+    # agent a's only freedom is one lone block at the money, next to a
+    # fixed curve: it demands origin + ({0} u [mar q, q]) on the block's
+    # line, float for float the oracle's line, and is decided on it; b
+    # demands an axis segment, and c, with two blocks at the money, is off
+    # a line
+    K = len(q)
+    lam = np.linspace(3.0, 1.5, K)
+    price = float(lam @ q) if K > 1 else q[0] * lam[0]
+    market = Market(K, (
+        Agent("a", (BlockBid("b", price, q, mar=mar),
+                    HourlyCurveBid("fixed", K - 1, ((lam[-1] + 2.0, fixed),)))),
+        Agent("b", (HourlyCurveBid("w", 0, ((lam[0], -1.0),)),)),
+        Agent("c", (BlockBid("c1", price, q, mar=mar), BlockBid("c2", price, q))),
+    ))
+    priced = PricedMarket(market, lam)
+    assert priced.classes == [0, 0, 0]
+    assert priced.on_line == [True, True, False]
+    for i, line in enumerate(priced.carrier_lines):
+        if line is not None:
+            ref = reference_demand_set(market.agents[i], lam, K, priced.tol)
+            assert exact(line) == exact(ref.line), i
+    assert len(priced.carrier_lines[0].intervals) == pieces
+    rng = np.random.default_rng(len(q))
+    bundles = [np.zeros((3, K)), rng.normal(0.0, 2.0, (3, K))]
+    bundles += (bar_points if K == 1 else hour_bar_points)(priced, np.zeros((3, K)))
+    assert_containment_like_contains(priced, bundles)
 
 
 @settings(max_examples=200, deadline=None)

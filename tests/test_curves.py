@@ -169,3 +169,23 @@ def test_demand_interval_matches_dense_scan(data, price_num):
     # every reported point is optimal
     for x in (a, b, 0.5 * (a + b)):
         assert curve_value(steps, x) - price * x == pytest.approx(best, abs=1e-6)
+
+
+def exact_steps(steps):
+    """Every bit of every step, the sign of a zero included."""
+    return [(type(s).__name__, s.lo.hex(), s.hi.hex(), s.price.hex()) for s in steps]
+
+
+finite = st.floats(-1e9, 1e9, allow_nan=False)
+
+
+@given(finite, st.one_of(finite, st.sampled_from((0.0, -0.0, 5e-324, -5e-324))),
+       st.sampled_from(["stepwise", "interpolated"]))
+def test_one_point_curve_gives_the_general_loops_steps(price, quantity, mode):
+    # a one-point curve takes a short branch; the same point given twice
+    # makes no segment and goes through the general loop, which must agree
+    # bit for bit: buys, sells and zero quantities (-0.0 too), in both modes
+    one = canonical_steps([(price, quantity)], mode)
+    assert exact_steps(one) == exact_steps(canonical_steps([(price, quantity)] * 2, mode))
+    assert len(one) == (quantity != 0.0)
+

@@ -35,6 +35,18 @@ def test_spec_validation():
     assert spec.reservation_price == pytest.approx(20.0)
 
 
+def test_spec_rejects_what_cannot_be_drawn():
+    # the spec is checked when it is built, before any cost is drawn: beyond
+    # 1000 suppliers a draw without near-ties almost never comes, and the
+    # trial seeds need a non-negative seed
+    SimpleRandomMarketSpec(n=1000, k=1)
+    with pytest.raises(ValueError, match="exceeds 1000"):
+        SimpleRandomMarketSpec(n=10_000, k=1)
+    SimpleRandomMarketSpec(n=6, k=3, seed=0)
+    with pytest.raises(ValueError, match="seed -1"):
+        SimpleRandomMarketSpec(n=6, k=3, seed=-1)
+
+
 def test_costs_deterministic_per_trial():
     spec = SimpleRandomMarketSpec(n=5, k=2, seed=11)
     a = draw_costs(spec, 3)

@@ -110,9 +110,10 @@ def test_one_best_surplus_and_lp_containment_per_agent(monkeypatch, market):
     assert counts["patterns"] == components
 
 
-def demand_sets_needed(market):
-    """Agents of a certificate that need a demand set: those with more than
-    one kept pattern or an at-the-money block on."""
+def at_the_money_agents(market):
+    """Agents of a certificate with more than one kept pattern or an
+    at-the-money block on: the ones that needed a demand set before their
+    lone block's two intervals were written on the line."""
     dual = solve_lp(market)
     needed = 0
     for agent in market.agents:
@@ -126,11 +127,11 @@ def demand_sets_needed(market):
 def test_monte_carlo_certificate_builds_no_pieces(monkeypatch):
     # every one-commodity demand set lies on its carrier line, so the
     # certificate tests containment without a piece, a dedup or a nearest
-    # point; an agent with one pattern of fixed blocks and curves is decided
-    # without a demand set
+    # point; every agent, an at-the-money block's too, is decided on its
+    # line from the pricing arrays, without a demand set
     spec = SimpleRandomMarketSpec(6, 3, seed=4)
     markets = [gen_simple_random_market(spec, t) for t in range(20)]
-    needed = sum(demand_sets_needed(m) for m in markets)
+    at_the_money = sum(at_the_money_agents(m) for m in markets)
     counts: Counter = Counter()
     monkeypatch.setattr(geometry.Piece, "of", count_calls(
         monkeypatch, counts, "piece", geometry.Piece.of))
@@ -140,8 +141,8 @@ def test_monte_carlo_certificate_builds_no_pieces(monkeypatch):
 
     verdicts = [certified_equilibrium(m) for m in markets]
 
-    assert counts == Counter(demand_set=needed)
-    assert 0 < needed < sum(len(m.agents) for m in markets) // 4
+    assert counts == Counter()
+    assert 0 < at_the_money < sum(len(m.agents) for m in markets) // 4
     assert verdicts == [marginal_supplier_is_convex(spec, draw_costs(spec, t))
                         for t in range(20)]
     assert 0 < sum(verdicts) < 20
@@ -170,22 +171,35 @@ def test_measure_skips_most_piece_projections(monkeypatch):
 
 def test_one_canonical_form_per_pattern(monkeypatch, market):
     # the carrier line and the pieces read each pattern's canonical
-    # generators from one pass
+    # generators from one pass; the pricing reads one more, the on
+    # pattern's, per agent on a line through a lone block at the money
     counts: Counter = Counter()
     count_calls(monkeypatch, counts, "canonical", geometry.canonical_generators)
     sets = []
+    axis_lines = PricedMarket._axis_lines
 
     def recorded(*args, **kwargs):
         sets.append(demand_set(*args, **kwargs))
         return sets[-1]
 
+    def counted_axis_lines(priced):
+        before = counts["canonical"]
+        axis_lines(priced)
+        counts["pricing"] += counts["canonical"] - before
+        cm = priced.market.compiled
+        counts["lone lines"] += sum(priced.on_line[i] for i, comp in zip(cm.component_owner,
+                                                                         cm.components)
+                                    if len(comp) == 1 and priced.classes[comp[0]] == 0)
+
     monkeypatch.setattr(demand, "demand_set", recorded)
+    monkeypatch.setattr(PricedMarket, "_axis_lines", counted_axis_lines)
 
     approximate_equilibria(market)
 
     shaped = [ds for ds in sets if {"line", "pieces"} & vars(ds).keys()]
     assert shaped
-    assert counts["canonical"] == sum(len(ds.patterns) for ds in shaped)
+    assert counts["pricing"] == counts["lone lines"]
+    assert counts["canonical"] - counts["pricing"] == sum(len(ds.patterns) for ds in shaped)
 
 
 def test_one_pattern_pass_per_component_at_other_prices(monkeypatch, market):
