@@ -37,6 +37,11 @@ b. the no-loss prefilter drops situation s of hour h when a no-loss row of
    in every combination holding s, and the price screen's excess is at
    least it.
 
+Both run in one array pass per market over the 0/1 matrix of its patterns
+and blocks: a pattern's reach on every balance row adds its active blocks'
+reaches in block order, and each block's one-hour no-loss rows apply to
+every pattern holding it, against that pattern's largest |price|.
+
 Each survivor then runs:
 
 1. the price screen, which propagates the no-loss rows q . lam <= p once
@@ -49,15 +54,25 @@ Each survivor then runs:
    plus that bound, with a rounding allowance, does not beat the
    incumbent is dropped;
 4. the quantity LP;
-5. the price LP, only when that welfare would replace the incumbent.
+5. the price LP, only when that welfare would replace the incumbent and
+   no certificate proves the LP feasible.  A pattern without active
+   blocks has the box |lam| <= m alone; at one hour a price screen excess
+   below minus its margin proves the no-loss rows meet the box.  A
+   certified incumbent keeps its pattern and box, and its LP runs once,
+   after the search, on the same arguments.
 
 A screen drops a combination only when it proves an LP infeasible by more
 than `_SCREEN_MARGIN` relative, a thousand times the simplex's own
-infeasibility tolerance, so the simplex would have raised.  For one hour
-the prefilters and the price screen are exact; for more hours they are a
-sound filter.  The incumbent changes only where both LPs are feasible and
-the welfare beats it, so skipping an LP elsewhere changes nothing.
-`combos_checked` counts the whole pattern/situation product, dropped or not.
+infeasibility tolerance, so the simplex would have raised; a last-bit
+difference in a reach therefore cannot change an output.  For one hour the
+prefilters and the price screen are exact; for more hours they are a sound
+filter.  The incumbent changes only where both LPs are feasible and the
+welfare beats it, so skipping an LP elsewhere changes nothing.  A deferred
+price LP is certainly feasible, so the incumbent is replaced at the same
+combinations, in the same order, as when every replacement ran its LP; the
+tie band below is not transitive, and this is what keeps its outcome.  The
+acceptances are built for the final incumbent only.  `combos_checked`
+counts the whole pattern/situation product, dropped or not.
 
 The market is read from `Market.compiled`.  Its block patterns cross its
 components' compiled patterns, so the cap is checked against the product
@@ -132,12 +147,6 @@ def _screened_out(excess: float, rhs_scale: float) -> bool:
     return excess > _SCREEN_MARGIN * (1.0 + rhs_scale)
 
 
-def _reach(A: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Least and greatest value of each row of A x over the box lo <= x <= hi."""
-    at_lo, at_hi = A * lo, A * hi
-    return np.minimum(at_lo, at_hi).sum(axis=1), np.maximum(at_lo, at_hi).sum(axis=1)
-
-
 def _row_excess(rmin: np.ndarray, rmax: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per row of A x = b with reach [rmin, rmax] over the box: the violation
     that holds on the whole box, or minus the slack when b is within reach."""
@@ -188,22 +197,30 @@ def _feasible_prices(pattern: _Pattern, lo: np.ndarray,
     """Smallest-magnitude price vector in the situation box [lo, hi] meeting
     all active-block no-loss constraints, or None if the region is empty."""
     K = len(lo)
-    c = np.concatenate([np.zeros(K), -np.ones(K)])     # maximize -sum m
-    rows = [np.concatenate([q, np.zeros(K)]) for q in pattern.q]   # q . lam <= p
-    rhs = pattern.price.tolist()
     eye = np.eye(K)
-    for h in range(K):                                  # |lam_h| <= m_h
-        rows.append(np.concatenate([eye[h], -eye[h]]))
-        rhs.append(0.0)
-        rows.append(np.concatenate([-eye[h], -eye[h]]))
-        rhs.append(0.0)
+    c = np.concatenate([np.zeros(K), -np.ones(K)])     # maximize -sum m
+    # q . lam <= p, then per hour lam_h - m_h <= 0 and -lam_h - m_h <= 0
+    # (the two row blocks interleaved)
+    box = np.stack([np.hstack([eye, -eye]), np.hstack([-eye, -eye])], axis=1)
+    a_ub = np.vstack([np.hstack([pattern.q, np.zeros((len(pattern.q), K))]),
+                      box.reshape(2 * K, 2 * K)])
+    b_ub = np.concatenate([pattern.price, np.zeros(2 * K)])
     try:
-        res = solve_lp(c, None, None, np.array(rows), np.array(rhs),
-                       np.concatenate([lo, np.zeros(K)]),
+        res = solve_lp(c, None, None, a_ub, b_ub, np.concatenate([lo, np.zeros(K)]),
                        np.concatenate([hi, np.maximum(np.abs(lo), np.abs(hi))]))
     except InfeasibleError:
         return None
     return res.x[:K]
+
+
+def _prices_certain(pattern: _Pattern, excess: float) -> bool:
+    """Is the price LP of a combination of `pattern` certainly feasible,
+    given the price screen's `excess` over the combination's box?  Without an
+    active block it is the box and |lam| <= m alone.  With one hour the
+    screen is exact, so an excess below minus its margin proves that the
+    no-loss rows meet the box with room to spare."""
+    return not pattern.names or (
+        pattern.q.shape[1] == 1 and _screened_out(-excess, pattern.price_scale))
 
 
 class _StepTable:
@@ -266,43 +283,52 @@ class _StepTable:
 class _Pattern:
     """One block pattern with what its combinations share: the active
     blocks' bid ids, q rows, prices and minimum acceptance ratios (the
-    no-loss rows q . lam <= price and the quantity LP's block columns), and
-    per situation position (see `_StepTable`) the quantity screen's excess
-    on its hour's balance row (see `_row_excess`)."""
+    no-loss rows q . lam <= price and the quantity LP's block columns)."""
 
     names: list[str]
     q: np.ndarray                # (active blocks, K)
     price: np.ndarray
     mar: np.ndarray
     price_scale: float           # max |price|
-    excess: np.ndarray
 
     @classmethod
-    def of(cls, cm: CompiledMarket, z: tuple[int, ...], steps: _StepTable) -> _Pattern:
+    def of(cls, cm: CompiledMarket, z: tuple[int, ...], price_scale: float) -> _Pattern:
         active = [j for j, zj in enumerate(z) if zj]
-        q = cm.block_q[active]
-        price, mar = cm.block_table[active, 0], cm.block_table[active, 1]
-        rmin, rmax = _reach(q.T, mar, np.ones(len(active)))
-        excess = _row_excess(rmin[steps.hour] + steps.at_lo, rmax[steps.hour] + steps.at_hi,
-                             -steps.forced)
-        return cls([cm.blocks[j].bid_id for j in active], q, price, mar,
-                   float(np.max(np.abs(price), initial=0.0)), excess)
+        return cls([cm.blocks[j].bid_id for j in active], cm.block_q[active],
+                   cm.block_table[active, 0], cm.block_table[active, 1], price_scale)
 
-    def kept(self, steps: _StepTable, tol: float) -> list[list[int]]:
-        """Per hour, in ascending order, the situations that both prefilters
-        keep (see the module docstring)."""
-        drop = _screened_out(self.excess, steps.rhs_scale)
-        if not self.names:
-            # with no at-the-money step either, `_clear_combo` checks tol
-            drop &= np.abs(steps.forced) > tol
-        single = np.count_nonzero(self.q, axis=1) == 1
-        if single.any():
-            # each one-hour row's quantity in the hour of every position
-            qs = self.q[single][:, steps.hour]
-            violation = _least_terms(qs, steps.lo, steps.hi) - self.price[single][:, None]
-            drop |= (_screened_out(violation, self.price_scale) & (qs != 0)).any(axis=0)
-        return [np.flatnonzero(~drop[a:b]).tolist()
-                for a, b in zip(steps.start, steps.start[1:])]
+
+def _prefilter(cm: CompiledMarket, patterns: list[tuple[int, ...]], steps: _StepTable,
+               tol: float) -> tuple[list[float], list[list[list[int]]]]:
+    """Per block pattern, its max |price| over the active blocks and, per
+    hour in ascending order, the situations that both prefilters keep (see
+    the module docstring), in one array pass over patterns x situation
+    positions."""
+    on = np.array(patterns, dtype=bool).reshape(len(patterns), len(cm.blocks))
+    q, price, mar = cm.block_q, cm.block_table[:, 0], cm.block_table[:, 1]
+    # each pattern's reach on every balance row: the least and greatest
+    # q_jh x_j over x_j in [mar_j, 1] of its active blocks, added in block order
+    at_mar = q * mar[:, None]
+    low, high = np.minimum(at_mar, q), np.maximum(at_mar, q)
+    rmin, rmax = np.zeros((len(on), cm.K)), np.zeros((len(on), cm.K))
+    for j, holds in enumerate(on.T):
+        rmin[holds] += low[j]
+        rmax[holds] += high[j]
+    excess = _row_excess(rmin[:, steps.hour] + steps.at_lo,
+                         rmax[:, steps.hour] + steps.at_hi, -steps.forced)
+    drop = _screened_out(excess, steps.rhs_scale)
+    # a pattern without active blocks: with no at-the-money step either,
+    # `_clear_combo` checks tol
+    drop[~on.any(axis=1)] &= np.abs(steps.forced) > tol
+    scale = np.max(on * np.abs(price), axis=1, initial=0.0)
+    for j in np.flatnonzero(np.count_nonzero(q, axis=1) == 1):
+        # block j's one-hour no-loss row, in the hour of every position
+        qs = q[j, steps.hour]
+        violation = _least_terms(qs, steps.lo, steps.hi) - price[j]
+        drop |= on[:, j, None] & _screened_out(violation, scale[:, None]) & (qs != 0)
+    hours = list(zip(steps.start, steps.start[1:]))
+    return scale.tolist(), [[[i - a for i in range(a, b) if row[i]] for a, b in hours]
+                            for row in (~drop).tolist()]
 
 
 def _block_patterns(cm: CompiledMarket) -> list[tuple[int, ...]]:
@@ -328,49 +354,56 @@ def clear_euphemia_style(market: Market, tol: float | None = None) -> EuphemiaRe
             raise ClearingComplexityError(
                 f"more than {MAX_COMBOS} pattern/situation combinations")
 
-    names = [b.bid_id for b in cm.blocks]
+    patterns = _block_patterns(cm)
     best = None
     bar = -np.inf                   # the welfare a combination must beat
-    for z in _block_patterns(cm):
-        pattern = _Pattern.of(cm, z, steps)
-        for idx in itertools.product(*pattern.kept(steps, t)):
+    for z, scale, kept in zip(patterns, *_prefilter(cm, patterns, steps, t)):
+        pattern = _Pattern.of(cm, z, scale)
+        for idx in itertools.product(*kept):
             out = _clear_combo(pattern, steps, idx, t, bar)
             if out is None:
                 continue
-            welfare, curves, shares = out
+            welfare, curves, shares, excess = out
             if best is not None and not welfare > bar:
                 continue
             pos = [steps.start[h] + i for h, i in enumerate(idx)]
-            lam = _feasible_prices(pattern, steps.lo[pos], steps.hi[pos])
-            if lam is None:
-                continue
-            # acceptances: rejected blocks, then curves, then LP shares
-            acc = {name: 0.0 for name, zj in zip(names, z) if not zj}
-            acc.update(curves)
-            for name, share in shares:
-                acc[name] = acc.get(name, 0.0) + share
-            best = (welfare, acc, lam, tuple(pattern.names))
+            lo, hi = steps.lo[pos], steps.hi[pos]
+            lam = None                  # deferred while certainly feasible
+            if not _prices_certain(pattern, excess):
+                lam = _feasible_prices(pattern, lo, hi)
+                if lam is None:
+                    continue
+            best = (welfare, z, pattern, lo, hi, lam, curves, shares)
             bar = welfare + 1e-9 * (1.0 + abs(welfare))
 
     if best is None:
         return EuphemiaResult("no-clearing", (float("nan"),) * K,
                               Allocation({}), float("-inf"), (), n_combos)
-    welfare, acc, lam, active = best
+    welfare, z, pattern, lo, hi, lam, curves, shares = best
+    if lam is None:                     # certified, so it finds prices
+        lam = _feasible_prices(pattern, lo, hi)
+    # acceptances: rejected blocks, then curves, then LP shares
+    acc = {b.bid_id: 0.0 for b, zj in zip(cm.blocks, z) if not zj}
+    acc.update(curves)
+    for name, share in shares:
+        acc[name] = acc.get(name, 0.0) + share
     return EuphemiaResult("cleared", tuple(float(v) for v in lam),
-                          Allocation(acc), welfare, active, n_combos)
+                          Allocation(acc), welfare, tuple(pattern.names), n_combos)
 
 
 def _clear_combo(pattern: _Pattern, steps: _StepTable, idx: tuple[int, ...],
                  tol: float, bar: float):
     """Welfare-maximal balanced quantities for one pattern/situation pair:
     (welfare, {curve bid_id: in-step quantity}, [(bid_id, signed LP share),
-    ...]), or None when they do not exist, a screen proves that no lossless
-    prices do, or their welfare cannot exceed `bar`."""
+    ...], the price screen's excess), or None when they do not exist, a
+    screen proves that no lossless prices do, or their welfare cannot exceed
+    `bar`.  Without an active block the excess is -inf."""
     pos = [steps.start[h] + i for h, i in enumerate(idx)]
-    if pattern.names and _screened_out(
-            _price_excess(pattern.q, pattern.price, steps.lo[pos], steps.hi[pos]),
-            pattern.price_scale):
-        return None
+    excess = -np.inf
+    if pattern.names:
+        excess = _price_excess(pattern.q, pattern.price, steps.lo[pos], steps.hi[pos])
+        if _screened_out(excess, pattern.price_scale):
+            return None
 
     cols = list(pattern.q)
     cost = pattern.price.tolist()
@@ -400,7 +433,7 @@ def _clear_combo(pattern: _Pattern, steps: _StepTable, idx: tuple[int, ...],
     if not cols:
         if float(np.max(np.abs(forced), initial=0.0)) > tol:
             return None
-        return value, curves, []
+        return value, curves, [], excess
     cost, lo, hi = np.array(cost), np.array(lo), np.array(hi)
     if not _may_exceed(value, cost, lo, hi, bar):
         return None
@@ -409,7 +442,7 @@ def _clear_combo(pattern: _Pattern, steps: _StepTable, idx: tuple[int, ...],
     except InfeasibleError:
         return None
     shares = [(name, sign * float(v)) for (name, sign), v in zip(owners, res.x)]
-    return value + res.value, curves, shares
+    return value + res.value, curves, shares, excess
 
 
 def _may_exceed(value: float, cost: np.ndarray, lo: np.ndarray, hi: np.ndarray,

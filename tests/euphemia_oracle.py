@@ -5,6 +5,10 @@ screens, the quantity-first order and the per-(hour, situation) step
 classification: for every block pattern and every per-hour price situation it
 solves the price LP and then the quantity LP, with no pruning.  The package
 version must return the same result, field for field.
+
+`kept_situations` is the per-pattern form of the package's prefilter pass,
+as the package ran it before one array pass covered all patterns; the pass
+must keep the same situations.
 """
 
 from __future__ import annotations
@@ -15,9 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from equilab.config import resolve_tol
-from equilab.euphemia import MAX_COMBOS, ClearingComplexityError, EuphemiaResult
+from equilab.euphemia import (MAX_COMBOS, ClearingComplexityError, EuphemiaResult,
+                              _least_terms, _row_excess, _screened_out, _StepTable)
 from equilab.lp import InfeasibleError, solve_lp
-from equilab.model import Allocation, BlockBid, Market, iter_patterns
+from equilab.model import Allocation, BlockBid, CompiledMarket, Market, iter_patterns
 
 
 @dataclass(frozen=True)
@@ -200,3 +205,35 @@ def _clear_combo(market: Market, blocks, z, combo, tol: float):
     if float(np.max(np.abs(forced), initial=0.0)) > tol:
         return None
     return forced_value, acc
+
+
+def reach(A: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Least and greatest value of each row of A x over the box lo <= x <= hi."""
+    at_lo, at_hi = A * lo, A * hi
+    return np.minimum(at_lo, at_hi).sum(axis=1), np.maximum(at_lo, at_hi).sum(axis=1)
+
+
+def kept_situations(cm: CompiledMarket, z: tuple[int, ...], steps: _StepTable,
+                    tol: float) -> list[list[int]]:
+    """Per hour, in ascending order, the situations of `steps` that the
+    quantity and no-loss prefilters keep for block pattern `z`, computed for
+    this pattern alone."""
+    active = [j for j, zj in enumerate(z) if zj]
+    q = cm.block_q[active]
+    price, mar = cm.block_table[active, 0], cm.block_table[active, 1]
+    price_scale = float(np.max(np.abs(price), initial=0.0))
+    rmin, rmax = reach(q.T, mar, np.ones(len(active)))
+    excess = _row_excess(rmin[steps.hour] + steps.at_lo, rmax[steps.hour] + steps.at_hi,
+                         -steps.forced)
+    drop = _screened_out(excess, steps.rhs_scale)
+    if not active:
+        # with no at-the-money step either, a combination checks tol
+        drop &= np.abs(steps.forced) > tol
+    single = np.count_nonzero(q, axis=1) == 1
+    if single.any():
+        # each one-hour row's quantity in the hour of every position
+        qs = q[single][:, steps.hour]
+        violation = _least_terms(qs, steps.lo, steps.hi) - price[single][:, None]
+        drop |= (_screened_out(violation, price_scale) & (qs != 0)).any(axis=0)
+    return [np.flatnonzero(~drop[a:b]).tolist()
+            for a, b in zip(steps.start, steps.start[1:])]

@@ -8,17 +8,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from equilab.config import DEFAULT_TOL
 from equilab.convexify import PricedMarket, solve_lp
 from equilab.curves import canonical_steps
 from equilab.equilibria import lost_opportunity_cost
 from equilab import euphemia, model
-from equilab.euphemia import (MAX_COMBOS, ClearingComplexityError, _price_excess,
-                              _reach, _row_excess, _screened_out, clear_euphemia_style)
+from equilab.euphemia import (MAX_COMBOS, ClearingComplexityError, _feasible_prices,
+                              _Pattern, _prefilter, _price_bound, _price_excess,
+                              _prices_certain, _row_excess, _screened_out,
+                              _StepTable, _block_patterns, clear_euphemia_style)
 from equilab.lp import InfeasibleError, solve_lp as lp_solve
 from equilab.model import Agent, BlockBid, HourlyCurveBid, Market, iter_patterns
 from equilab.welfare import solve_welfare
 
-from euphemia_oracle import clear_euphemia_style as oracle_clear
+from euphemia_oracle import clear_euphemia_style as oracle_clear, kept_situations, reach
 from market_corpus import random_market, split_group_market
 from market_helpers import imbalance
 from reference_oracles import (acceptance_feasible, record_simplex_calls,
@@ -265,6 +268,55 @@ def test_prefilter_keeps_the_tol_branch():
     assert res.welfare == pytest.approx(5.0 * 1.0001 - 3.0)
 
 
+def test_price_lp_runs_only_where_it_can_decide(monkeypatch):
+    # A price LP runs for a replacement of the incumbent only when no
+    # certificate proves it feasible (no active block, or at K = 1 a price
+    # screen excess below minus its margin); a certified incumbent is priced
+    # once, at the end.  So each call either prices the result or comes from
+    # an uncertified replacement.
+    calls = []
+
+    def spy(pattern, lo, hi):
+        lam = _feasible_prices(pattern, lo, hi)
+        calls.append((pattern, lo, hi, lam))
+        return lam
+
+    monkeypatch.setattr(euphemia, "_feasible_prices", spy)
+    deferred = 0
+    for market in _k1_stratified_corpus():
+        calls.clear()
+        res = clear_euphemia_style(market)
+        assert _fields(res) == _fields(oracle_clear(market))
+        for i, (pattern, lo, hi, lam) in enumerate(calls):
+            certified = not pattern.names or _screened_out(
+                -_price_excess(pattern.q, pattern.price, lo, hi), pattern.price_scale)
+            prices_result = (i == len(calls) - 1 and lam is not None
+                             and tuple(float(v) for v in lam) == res.lam)
+            assert prices_result or not certified
+            deferred += certified
+    assert deferred > 0
+
+
+def test_prefilter_pass_keeps_what_each_pattern_keeps():
+    # the one array pass over all patterns of a market keeps, per pattern and
+    # hour, the situations the per-pattern oracle keeps; the scaling corpora
+    # hold up to eight blocks over two and four hours
+    markets = (_k1_stratified_corpus()
+               + [random_market(np.random.default_rng((1, i)), K=K, max_blocks=8)
+                  for K in (2, 4) for i in range(40)])
+    tol = DEFAULT_TOL
+    for market in markets:
+        cm = market.compiled
+        steps = _StepTable(cm, _price_bound(cm))
+        patterns = _block_patterns(cm)
+        scales, kept = _prefilter(cm, patterns, steps, tol)
+        assert len(scales) == len(kept) == len(patterns)
+        for z, scale, situations in zip(patterns, scales, kept):
+            price = cm.block_table[[j for j, zj in enumerate(z) if zj], 0]
+            assert scale == float(np.max(np.abs(price), initial=0.0))
+            assert situations == kept_situations(cm, z, steps, tol)
+
+
 def test_k1_corpus_runs_no_infeasible_lp(monkeypatch):
     # For one hour the prefilters and the price screen are exact, so every
     # LP that clearing still runs on the stratified corpus is feasible.
@@ -307,9 +359,9 @@ def _visited_patterns(monkeypatch, market):
     seen = []
     of = euphemia._Pattern.of
 
-    def spy(cm, z, steps):
+    def spy(cm, z, price_scale):
         seen.append(z)
-        return of(cm, z, steps)
+        return of(cm, z, price_scale)
 
     with monkeypatch.context() as m:
         m.setattr(euphemia._Pattern, "of", spy)
@@ -430,6 +482,31 @@ def test_price_screen_is_sound(seed, K):
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1), st.sampled_from([1, 2, 3]))
+def test_deferral_certificate_is_sound(seed, K):
+    # where `_prices_certain` lets clearing defer a price LP, the LP itself
+    # finds prices: at K = 1 through the screen's margin, and at any K for a
+    # pattern without an active block
+    rng = np.random.default_rng(seed)
+    lo, hi = _box(rng, K, -6, 6)
+    empty = _Pattern([], np.zeros((0, K)), np.zeros(0), np.zeros(0), 0.0)
+    assert _prices_certain(empty, _price_excess(empty.q, empty.price, lo, hi))
+    lam = _feasible_prices(empty, lo, hi)
+    assert lam is not None and np.all((lo <= lam) & (lam <= hi))
+    n = int(rng.integers(1, 5))
+    Q = (_grid(rng, (n, K), -3, 3) * (rng.random((n, K)) < 0.8)
+         * 10.0 ** rng.integers(-4, 1, size=(n, K)))
+    through = Q @ _grid(rng, K, -6, 6)
+    p = _nudge(rng, through + _grid(rng, n, -1, 1) * (rng.random(n) < 0.5))
+    pattern = _Pattern([f"b{i}" for i in range(n)], Q, p, np.ones(n),
+                       float(np.max(np.abs(p))))
+    certain = _prices_certain(pattern, _price_excess(Q, p, lo, hi))
+    assert not certain or K == 1
+    if certain:
+        assert _feasible_prices(pattern, lo, hi) is not None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from([1, 2, 3]))
 def test_balance_screen_is_sound(seed, K):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 6))
@@ -438,7 +515,7 @@ def test_balance_screen_is_sound(seed, K):
     lo, hi = _box(rng, n, 0, 2)
     through = A @ _grid(rng, n, 0, 2)
     b = _nudge(rng, through + _grid(rng, K, -1, 1) * (rng.random(K) < 0.5))
-    excess = float(np.max(_row_excess(*_reach(A, lo, hi), b)))
+    excess = float(np.max(_row_excess(*reach(A, lo, hi), b)))
     scale = float(np.max(np.abs(b)))
     feasible = _lp_feasible(c=np.zeros(n), a_eq=A, b_eq=b, lo=lo, hi=hi)
     if _screened_out(excess, scale):
