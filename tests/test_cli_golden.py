@@ -36,7 +36,12 @@ def _cases() -> dict[str, list[str]]:
     # the pricing, the demand sets and the measure.
     for name in ("four_agent.csv", "four_agent.json"):
         cases[f"analyze-tol-{name}"] = ["analyze", name, "--price", "3.1", "--tol", "0.05"]
-    cases["simulate-n6-k3"] = ["simulate", "--n", "6", "--k", "3", "--demand", "5",
+    # A 12-agent K = 24 market with three off-line demand sets at its
+    # convexified prices (4, 4 and 8 pieces); it has no equilibrium.  It is
+    # not in FIXTURE_NAMES because --mode euphemia rejects a market this big.
+    cases["clear-chp-large_k24.json"] = ["clear", "large_k24.json", "--mode", "chp"]
+    cases["analyze-large_k24.json"] = ["analyze", "large_k24.json"]
+    cases["simulate-n6-k3"] =["simulate", "--n", "6", "--k", "3", "--demand", "5",
                                "--seed", "4", "--trials", "200"]
     cases["simulate-n40-k13"] = ["simulate", "--n", "40", "--k", "13", "--demand", "5",
                                  "--seed", "4", "--trials", "200"]
