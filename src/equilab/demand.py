@@ -27,9 +27,10 @@ What is computed when:
   asked and for every agent whose measure or demand set is asked:
   `demand_set` builds the `DemandSet` from those arrays, and the
   `PricedMarket` keeps it.  Its pattern combinations and pieces are built
-  on first use, and `DemandSet.acceptances` turns any demand point back
-  into per-bid acceptances: this module is the one place that decides an
-  agent's best response.
+  on first use, each free generator's canonical form once for the set and
+  each pattern's piece folded from those forms, and `DemandSet.acceptances`
+  turns any demand point back into per-bid acceptances: this module is the
+  one place that decides an agent's best response.
 
 Most sets (all one-commodity sets) lie on a line: `DemandSet.line` answers
 containment, the measure and the aggregate convexity check for them, and
@@ -411,10 +412,15 @@ class DemandSet:
     acceptance) of every block without freedom (off 0, in the money 1, out
     of the money mar), `free` the (bid_id, direction, lo, hi) of every curve
     or at-the-money block.  `patterns`, their cross product in build order,
-    `canonical` (each pattern's `geometry.canonical_generators`, read by both
-    `line` and `pieces`), `line` and `pieces` are built on first use: only
-    they raise ComplexityError.  `demand_set` fills `line` in at once for
-    an agent on one of its priced market's lines (`PricedMarket.carrier_lines`).
+    `canonical` (each pattern's canonical generators, read by both `line`
+    and `pieces`), `line` and `pieces` are built on first use: only they
+    raise ComplexityError.  `canonical` finds each free generator's
+    `geometry.generator_form` once, though it lies in every pattern of the
+    product that has it, and folds each pattern from those forms: the bytes
+    of `geometry.canonical_generators` per pattern.  `pieces` drops each
+    pattern piece inside another (`_dedup_pieces`).  `demand_set` fills
+    `line` in at once for an agent on one of its priced market's lines
+    (`PricedMarket.carrier_lines`).
     """
 
     tol: float
@@ -435,8 +441,13 @@ class DemandSet:
 
     @cached_property
     def canonical(self) -> tuple:
-        return tuple(geometry.canonical_generators(off, [g[1:] for g in free])
-                     for off, _, free in self.patterns)
+        patterns = self.patterns
+        # A free bid's (bid_id, direction, lo, hi) is one object in every
+        # pattern of the product that has it, so its form is found once.
+        forms = {id(g): geometry.generator_form(*g[1:])
+                 for factor in self.factors for _, _, free in factor for g in free}
+        return tuple(geometry.fold_generators(off, [forms[id(g)] for g in free])
+                     for off, _, free in patterns)
 
     @cached_property
     def pieces(self) -> tuple[Piece, ...]:
@@ -605,14 +616,26 @@ def _pattern_factor(cm: CompiledMarket, classes: list, comp: tuple, z: tuple):
 
 
 def _dedup_pieces(pieces: list[Piece], tol: float) -> list[Piece]:
-    kept: list[Piece] = []
-    for p in pieces:
-        scale = 1.0 + max((abs(v) for v in p.offset), default=0.0)
-        if any(geometry.piece_subset(p, q, tol * scale) for q in kept):
+    """The pieces, in order, less each one inside a piece kept before it and
+    each kept one inside a later piece, at the later piece's tolerance
+    tol * (1 + |offset|inf).  `piece_subset` runs only on the pairs that
+    `geometry.subset_bounds` leaves open: it is False on the others."""
+    if len(pieces) < 2:
+        return pieces
+    scaled = np.array([tol * (1.0 + max((abs(v) for v in p.offset), default=0.0))
+                       for p in pieces])
+    bounds = geometry.subset_bounds(geometry.PieceBoxes.of(pieces))
+    # [a][b]: is piece a in piece b, and piece b in piece a, ruled out at a's tolerance
+    out = (bounds > scaled[:, None]).tolist()
+    out_t = (bounds.T > scaled[:, None]).tolist()
+    kept: list[int] = []
+    for a, (p, t) in enumerate(zip(pieces, scaled.tolist())):
+        if any(not out[a][b] and geometry.piece_subset(p, pieces[b], t) for b in kept):
             continue
-        kept = [q for q in kept if not geometry.piece_subset(q, p, tol * scale)]
-        kept.append(p)
-    return kept
+        kept = [b for b in kept
+                if out_t[a][b] or not geometry.piece_subset(pieces[b], p, t)]
+        kept.append(a)
+    return [pieces[b] for b in kept]
 
 
 def agent_best_surplus(agent: Agent, lam, tol: float | None = None) -> float:

@@ -8,18 +8,24 @@ distances via bounded-variable least squares (l2) or a small LP (l1, linf)
 and hulls via the piece vertex set (extreme points of a union of polytopes
 are extreme points of the members).  Collinear demand sets are measured on
 their carrier line in `equilab.demand`, from the same canonical generators
-their pieces are built from (`Piece.of`).
+their pieces are built from (`Piece.of`).  A canonical form is found per
+generator (`generator_form`) and folded per piece (`fold_generators`), so a
+generator shared by several pieces is normalized once.
 
 Distances to a union skip the projections that cannot change a bit of the
 answer.  Each piece caches its axis box (`Piece.box`); the distance from a
 point to that box, less a rounding allowance (`box_bounds`), never exceeds
 the distance to the piece, so a piece whose bound is above the best
 distance found so far need not be projected (`union_distance`,
-`union_nearest`, `piece_subset`).  Points, and segments in l2, are always
-projected: their closed form costs about what a bound does.  The
-projections that do run are the ones the full loop ran, on the same
-arguments, and the minimum is taken in piece order, so every returned
-float is the one the full loop returns.
+`union_nearest`).  Points, and segments in l2, are always projected: their
+closed form costs about what a bound does.  The projections that do run
+are the ones the full loop ran, on the same arguments, and the minimum is
+taken in piece order, so every returned float is the one the full loop
+returns.  The same bound screens pairs of pieces: how far one box reaches
+past another, less twice that allowance (`subset_bounds`), is at most the
+distance of one corner from the other piece, so a pair whose bound is above
+the tolerance is no subset and needs no `piece_subset`, which is the plain
+corner projection test.
 """
 
 from __future__ import annotations
@@ -92,28 +98,50 @@ def canonical_generators(offset, gens) -> tuple[np.ndarray, list[list]]:
     """Offset and [unit, lo, hi] list of a piece: parallel generators merged,
     zero-width folded into the offset.
 
-    `gens` is an iterable of (direction, lo, hi) with lo <= hi.  Directions are
-    normalized; antiparallel directions are flipped to a canonical orientation
-    (first nonzero component positive) with the range mirrored.  More than
+    `gens` is an iterable of (direction, lo, hi) with lo <= hi: the
+    `fold_generators` of their `generator_form`s.  More than
     MAX_GENS_PER_PIECE merged generators raise ComplexityError.
     """
+    return fold_generators(offset, [generator_form(*g) for g in gens])
+
+
+def generator_form(direction, lo, hi) -> tuple | None:
+    """The canonical form of one generator (direction, lo, hi), lo <= hi:
+    (key, unit, lo_s, hi_s), or None for a zero direction, which is dropped.
+
+    The direction is normalized and flipped to a canonical orientation
+    (first nonzero component positive) with the range scaled and mirrored.
+    `key` is the rounded unit that parallel generators share, and None when
+    the range has zero width: `fold_generators` then moves the offset to the
+    range's midpoint.
+    """
+    d = np.asarray(direction, dtype=float)
+    nrm = math.sqrt(d.dot(d))
+    if nrm <= _PAR_TOL:
+        return None
+    unit = d / nrm
+    lo_s, hi_s = lo * nrm, hi * nrm
+    if next(v for v in unit.tolist() if abs(v) > _PAR_TOL) < 0:
+        unit = -unit
+        lo_s, hi_s = -hi_s, -lo_s
+    if hi_s - lo_s <= _PAR_TOL * (1.0 + abs(lo_s) + abs(hi_s)):
+        return None, unit, lo_s, hi_s
+    return tuple(np.round(unit, 9)), unit, lo_s, hi_s
+
+
+def fold_generators(offset, forms) -> tuple[np.ndarray, list[list]]:
+    """Offset and [unit, lo, hi] list of a piece from its generators'
+    `generator_form`s, in order: zero-width ranges move a copy of the
+    offset, generators with one key merge into the first one's entry."""
     offset = np.array(offset, dtype=float)
     merged: dict[tuple, list] = {}
-    for direction, lo, hi in gens:
-        d = np.asarray(direction, dtype=float)
-        nrm = math.sqrt(d.dot(d))
-        if nrm <= _PAR_TOL:
+    for form in forms:
+        if form is None:
             continue
-        unit = d / nrm
-        lo_s, hi_s = lo * nrm, hi * nrm
-        if next(v for v in unit.tolist() if abs(v) > _PAR_TOL) < 0:
-            unit = -unit
-            lo_s, hi_s = -hi_s, -lo_s
-        if hi_s - lo_s <= _PAR_TOL * (1.0 + abs(lo_s) + abs(hi_s)):
+        key, unit, lo_s, hi_s = form
+        if key is None:
             offset += 0.5 * (lo_s + hi_s) * unit
-            continue
-        key = tuple(np.round(unit, 9))
-        if key in merged:
+        elif key in merged:
             merged[key][1] += lo_s
             merged[key][2] += hi_s
         else:
@@ -345,16 +373,29 @@ def union_nearest(pieces, x) -> tuple[float, np.ndarray]:
 
 
 def piece_subset(inner: Piece, outer: Piece, tol: float) -> bool:
-    """inner subset of outer, decided on inner's corner set (outer is convex).
+    """inner subset of outer, decided on inner's corner set (outer is convex):
+    every corner within tol of outer by `piece_nearest`."""
+    return all(piece_nearest(outer, v)[0] <= tol for v in piece_vertices(inner))
 
-    False without a projection when one corner's box bound exceeds tol,
-    unless outer is a point or a segment."""
-    corners = piece_vertices(inner)
-    if not _closed_form(outer, "l2"):
-        lo, hi, size = outer.box
-        if np.any(box_bounds(lo, hi, size, corners) > tol):
-            return False
-    return all(piece_nearest(outer, v)[0] <= tol for v in corners)
+
+def subset_bounds(boxes: PieceBoxes) -> np.ndarray:
+    """Lower bounds on the corner distances `piece_subset` finds: entry [i,
+    j] is below the distance from some corner of piece i to piece j, so
+    `piece_subset(pieces[i], pieces[j], tol)` is False when it exceeds tol.
+
+    Let reach[i, j] be the most that box i extends past box j in one
+    coordinate.  The corner of piece i that attains box i's bound there lies
+    past box j by reach[i, j], up to a few ulps of size i.  Its `box_bounds`
+    to piece j (with d >= reach[i, j] and |corner|inf <= size i), which never
+    exceeds its projected distance, is then above the entry: reach[i, j]
+    less twice the allowance `box_bounds` takes, 2 * _BOX_SLACK * (1 +
+    reach[i, j] + size i + sqrt(K) * size j).
+    """
+    lo, hi, size = boxes
+    ends = np.concatenate((hi, -lo), axis=1)
+    reach = (ends[:, None, :] - ends[None, :, :]).max(axis=-1)
+    return reach - 2.0 * _BOX_SLACK * (1.0 + reach + size[:, None]
+                                       + math.sqrt(lo.shape[-1]) * size[None, :])
 
 
 def merge_intervals(intervals, tol: float) -> list[tuple[float, float]]:

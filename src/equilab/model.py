@@ -12,6 +12,7 @@ together).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
@@ -188,7 +189,7 @@ def _check_curve(market: Market, bid: HourlyCurveBid, out: list[Violation]) -> N
     if not 0 <= bid.hour < market.num_commodities:
         out.append(Violation("bad-hour", f"{bid.bid_id}: hour {bid.hour} outside "
                              f"0..{market.num_commodities - 1}", (bid.bid_id,)))
-    if not all(np.isfinite(p) and np.isfinite(q) for p, q in bid.points):
+    if not all(math.isfinite(p) and math.isfinite(q) for p, q in bid.points):
         out.append(Violation("non-finite", f"{bid.bid_id}: non-finite breakpoint",
                              (bid.bid_id,)))
         return
@@ -206,7 +207,7 @@ def _check_block(market: Market, bid: BlockBid, out: list[Violation]) -> None:
         out.append(Violation("bad-dimension", f"{bid.bid_id}: profile has "
                              f"{len(bid.quantity)} entries, expected "
                              f"{market.num_commodities}", (bid.bid_id,)))
-    if not (np.isfinite(bid.price) and all(np.isfinite(v) for v in bid.quantity)):
+    if not (math.isfinite(bid.price) and all(math.isfinite(v) for v in bid.quantity)):
         out.append(Violation("non-finite", f"{bid.bid_id}: non-finite entry",
                              (bid.bid_id,)))
     if not MAR_FLOOR <= bid.mar <= 1.0:

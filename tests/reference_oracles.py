@@ -32,7 +32,10 @@ every agent's at once: a loop over the agent's bids, `curve_value` and
 floats, and -inf exactly where `acceptance_feasible` is False.
 `reference_market_volumes` is `market_io.market_volumes` as it was before it
 read `Market.compiled`: a walk over every agent's curve bids and block bids.
-`market_volumes` must give the same floats.
+`market_volumes` must give the same floats.  `dedup_pieces` is the demand
+set's piece dedup as it was before a box screen skipped the subset tests
+that cannot hold: `geometry.piece_subset` on every pair the loop reaches.
+`DemandSet.pieces` must keep the same pieces in the same order.
 """
 
 from __future__ import annotations
@@ -138,6 +141,17 @@ def collinear_model(pieces, tol: float = 1e-9):
             hi_t += max(s * lo, s * hi)
         intervals.append((lo_t, hi_t))
     return origin, unit, intervals
+
+
+def dedup_pieces(pieces, tol: float):
+    kept = []
+    for p in pieces:
+        scale = 1.0 + max((abs(v) for v in p.offset), default=0.0)
+        if any(geometry.piece_subset(p, q, tol * scale) for q in kept):
+            continue
+        kept = [q for q in kept if not geometry.piece_subset(q, p, tol * scale)]
+        kept.append(p)
+    return kept
 
 
 def reference_union_nearest(pieces, x):

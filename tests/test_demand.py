@@ -1,24 +1,28 @@
 """Demand sets, money classes, and the nonconvexity measure."""
 
+import functools
 import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equilab import geometry
+from equilab import demand, geometry
 from equilab.config import vector_norm
 from equilab.convexify import PricedMarket, solve_lp
 from equilab.demand import agent_best_surplus, nonconvexity
 from equilab.geometry import (ComplexityError, merge_intervals, piece_nearest,
                               union_nearest)
+from equilab.market_io import load_market
 from equilab.model import (Agent, BlockBid, HourlyCurveBid, Market, block_components,
                            iter_patterns)
 
+from conftest import FIXTURES
 from market_corpus import random_market, random_price_vector
 from market_helpers import agent_demand_set
 from reference_oracles import (agent_bundle, agent_value, best_surplus, collinear_model,
-                               in_hull, reference_nonconvexity, reference_union_nearest)
+                               dedup_pieces, in_hull, reference_nonconvexity,
+                               reference_union_nearest)
 
 
 def _vertex_set(ds):
@@ -444,3 +448,114 @@ def test_pruned_union_distance_matches_full_loop(seed, K):
             ds = agent_demand_set(agent, lam, K)
             if ds.line is None:
                 _assert_matches_full_loop(ds, (dual.lp_bundles()[i],), rng)
+
+
+# ---------------------------------------------------------------------------
+# Piece dedup and canonical forms
+
+def _grouped_blocks_set(mars, curve: bool):
+    """At lam = (1, 1.5), the demand set of one agent with a block at the
+    money per entry of `mars` (its minimum acceptance ratio), all with q = (1,
+    2) in one exclusive group, and with `curve` a curve at the money in hour
+    0 that takes any of [0, 1].  Identical or nested blocks give pieces that
+    the dedup drops."""
+    bids = [BlockBid(f"b{j}", 4.0, (1.0, 2.0), mar=mar, group="g")
+            for j, mar in enumerate(mars)]
+    if curve:
+        bids.append(HourlyCurveBid("c", 0, ((1.0, 1.0),)))
+    return PricedMarket(Market(2, (Agent("a", tuple(bids)),)), [1.0, 1.5]).demand(0)
+
+
+_GROUPED_MARS = ((1.0, 1.0), (0.25, 0.25), (0.25, 0.5), (0.5, 0.25))
+
+
+def _constructed_sets():
+    return [_grouped_blocks_set(mars, curve) for mars in _GROUPED_MARS
+            for curve in (False, True)]
+
+
+@functools.lru_cache(maxsize=None)
+def _corpus_sets() -> tuple:
+    """The demand sets at lambda* with more than one pattern of thirty corpus
+    markets at each K in 1, 2, 4 and 24."""
+    sets = []
+    for K in (1, 2, 4, 24):
+        for s in range(30):
+            dual = solve_lp(random_market(np.random.default_rng((91, s, K)), K=K,
+                                          max_blocks=8))
+            for i in range(len(dual.market.agents)):
+                ds = dual.demand(i)
+                try:
+                    if len(ds.patterns) > 1:
+                        sets.append(ds)
+                except ComplexityError:
+                    pass
+    return tuple(sets)
+
+
+def test_constructed_sets_drop_pieces():
+    # of two identical blocks the first is kept, of two nested ones the
+    # wider, whether it comes first or second; the off pattern stays
+    for mars in _GROUPED_MARS:
+        for curve in (False, True):
+            ds = _grouped_blocks_set(mars, curve)
+            assert len(ds.patterns) == 3
+            off, block = ds.pieces
+            assert piece_nearest(off, [0.0, 0.0])[0] == 0.0
+            assert piece_nearest(block, [min(mars), 2 * min(mars)])[0] <= 1e-12
+
+
+def test_dedup_keeps_what_the_oracle_keeps(monkeypatch):
+    # the same piece objects in the same order, on sets that drop pieces and
+    # on every multi-pattern set of the corpora (which drop none)
+    dedup = demand._dedup_pieces
+    given_pieces = []
+
+    def recorded(pieces, tol):
+        given_pieces.append((list(pieces), tol))
+        return dedup(pieces, tol)
+
+    monkeypatch.setattr(demand, "_dedup_pieces", recorded)
+    sets = _constructed_sets() + list(_corpus_sets())
+    for ds in sets:
+        given_pieces.clear()
+        vars(ds).pop("pieces", None)
+        try:
+            kept = ds.pieces
+        except ComplexityError:
+            continue
+        [(pieces, tol)] = given_pieces
+        assert [id(p) for p in kept] == [id(p) for p in dedup_pieces(pieces, tol)]
+    assert len(sets) > 100
+
+
+def test_dedup_projects_no_pair_on_the_k24_fixture(monkeypatch):
+    # the box screen rules out every pair of the three off-line sets, so no
+    # pair is projected
+    dual = solve_lp(load_market(FIXTURES / "large_k24.json"))
+    calls = []
+    subset = geometry.piece_subset
+    monkeypatch.setattr(geometry, "piece_subset",
+                        lambda *args: calls.append(1) or subset(*args))
+    sets = [ds for ds in dual.demand_sets() if ds.line is None]
+    assert sorted(len(ds.pieces) for ds in sets) == [4, 4, 8]
+    assert len(calls) == 0
+
+
+def _form_bytes(canonical) -> list:
+    return [(np.asarray(offset).tobytes(),
+             [(unit.tobytes(), np.array([lo, hi]).tobytes()) for unit, lo, hi in gens])
+            for offset, gens in canonical]
+
+
+def test_canonical_forms_are_each_patterns_canonical_generators():
+    # one form per generator, folded per pattern: the bytes of a
+    # `canonical_generators` call per pattern
+    for ds in _constructed_sets() + list(_corpus_sets()):
+        try:
+            got = ds.canonical
+        except ComplexityError:
+            continue
+        want = [geometry.canonical_generators(off, [g[1:] for g in free])
+                for off, _, free in ds.patterns]
+        assert _form_bytes(got) == _form_bytes(want)

@@ -53,8 +53,17 @@ def test_rejects_out_of_range_hour():
 
 
 def test_rejects_non_finite_values():
-    mk = Market(1, (Agent("a", (BlockBid("b", float("nan"), (1.0,)),)),))
-    assert "non-finite" in _codes(mk)
+    # a NaN or an infinity in a curve point's price or quantity, a block's
+    # price or one entry of its profile: one violation, with its message
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for points in (((bad, 1.0),), ((1.0, 2.0), (2.0, bad))):
+            report = validate_market(Market(1, (Agent("a", (HourlyCurveBid("c", 0, points),)),)))
+            assert [(v.code, v.message) for v in report.violations] == [
+                ("non-finite", "c: non-finite breakpoint")]
+        for block in (BlockBid("b", bad, (1.0, 1.0)), BlockBid("b", 1.0, (1.0, bad))):
+            report = validate_market(Market(2, (Agent("a", (block,)),)))
+            assert [(v.code, v.message) for v in report.violations] == [
+                ("non-finite", "b: non-finite entry")]
 
 
 def test_names_bad_buy_curve():

@@ -171,10 +171,12 @@ def test_measure_skips_most_piece_projections(monkeypatch):
 
 def test_one_canonical_form_per_pattern(monkeypatch, market):
     # the carrier line and the pieces read each pattern's canonical
-    # generators from one pass; the pricing reads one more, the on
-    # pattern's, per agent on a line through a lone block at the money
+    # generators from one fold, and each free generator's form is found
+    # once per set; the pricing folds one more, the on pattern's, per agent
+    # on a line through a lone block at the money
     counts: Counter = Counter()
-    count_calls(monkeypatch, counts, "canonical", geometry.canonical_generators)
+    count_calls(monkeypatch, counts, "canonical", geometry.fold_generators)
+    count_calls(monkeypatch, counts, "form", geometry.generator_form)
     sets = []
     axis_lines = PricedMarket._axis_lines
 
@@ -183,9 +185,10 @@ def test_one_canonical_form_per_pattern(monkeypatch, market):
         return sets[-1]
 
     def counted_axis_lines(priced):
-        before = counts["canonical"]
+        before, forms = counts["canonical"], counts["form"]
         axis_lines(priced)
         counts["pricing"] += counts["canonical"] - before
+        counts["pricing forms"] += counts["form"] - forms
         cm = priced.market.compiled
         counts["lone lines"] += sum(priced.on_line[i] for i, comp in zip(cm.component_owner,
                                                                          cm.components)
@@ -200,6 +203,10 @@ def test_one_canonical_form_per_pattern(monkeypatch, market):
     assert shaped
     assert counts["pricing"] == counts["lone lines"]
     assert counts["canonical"] - counts["pricing"] == sum(len(ds.patterns) for ds in shaped)
+    assert counts["pricing forms"] == counts["pricing"]
+    assert counts["form"] - counts["pricing forms"] == sum(
+        len({id(g) for factor in ds.factors for _, _, free in factor for g in free})
+        for ds in shaped)
 
 
 def test_one_pattern_pass_per_component_at_other_prices(monkeypatch, market):
