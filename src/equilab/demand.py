@@ -441,13 +441,12 @@ class DemandSet:
 
     @cached_property
     def canonical(self) -> tuple:
-        patterns = self.patterns
         # A free bid's (bid_id, direction, lo, hi) is one object in every
         # pattern of the product that has it, so its form is found once.
         forms = {id(g): geometry.generator_form(*g[1:])
                  for factor in self.factors for _, _, free in factor for g in free}
         return tuple(geometry.fold_generators(off, [forms[id(g)] for g in free])
-                     for off, _, free in patterns)
+                     for off, _, free in self.patterns)
 
     @cached_property
     def pieces(self) -> tuple[Piece, ...]:
