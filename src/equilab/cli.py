@@ -31,7 +31,7 @@ from .lp import InfeasibleError
 from .model import Market, validate_market
 from .random_markets import (SimpleRandomMarketSpec,
                              monte_carlo_equilibrium_probability)
-from .welfare import NodeBudgetExceeded
+from .welfare import DEFAULT_NODE_BUDGET, NodeBudgetExceeded
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -66,6 +66,9 @@ def _config_echo(args, **extra) -> dict:
 
 
 def cmd_clear(args) -> int:
+    if args.node_budget < 1:       # the root node already counts as one
+        _err(f"not a node budget >= 1: {args.node_budget}")
+        return EXIT_INPUT
     try:
         market = _load(args.input)
     except (OSError, market_io.MarketParseError) as exc:
@@ -278,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="market file (CSV or JSON)")
     p.add_argument("--mode", choices=["exact", "euphemia", "chp"],
                    default="exact", help="exact is an alias of chp")
-    p.add_argument("--node-budget", type=int, default=10**6)
+    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
     common(p)
     norm(p, "the equilibrium certificate's balance check")
 

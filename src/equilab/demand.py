@@ -172,16 +172,17 @@ class PricedMarket:
         width share one hour (it demands a segment of that hour's axis, or a
         point), or it has no such curve and one lone block at the money,
         which keeps its off and its on pattern: it demands origin + ({0} u
-        [mar q, q]), the `_carrier_line` of its off pattern and of the
-        `canonical_generators` form of its on pattern.  The floats are the
-        ones `DemandSet.line` reads off the canonical generators: the origin
-        adds each component's fixed on blocks in block order, then the
-        components in order, then the zero-width curves' midpoints in curve
-        order, as `patterns` and `canonical_generators` add; the interval
-        adds the other curves' ranges in curve order (an hour axis has norm
-        1, so none is rescaled).  Each agent's sums start at +0.0, so no
-        -0.0 survives, a component with no block on changes no bit, and lo
-        <= hi holds in every rounded sum as it does for each curve.
+        [mar q, q]), the `_carrier_line` of its off pattern and of its on
+        pattern's canonical form, folded as `DemandSet.canonical` folds it.
+        The floats are the ones `DemandSet.line` reads off the canonical
+        generators: the origin adds each component's fixed on blocks in
+        block order, then the components in order, then the zero-width
+        curves' midpoints in curve order, as `patterns` and
+        `fold_generators` add; the interval adds the other curves' ranges in
+        curve order (an hour axis has norm 1, so none is rescaled).  Each
+        agent's sums start at +0.0, so no -0.0 survives, a component with no
+        block on changes no bit, and lo <= hi holds in every rounded sum as
+        it does for each curve.
         """
         cm, classes = self.market.compiled, self.classes
         n, K = cm.num_agents, cm.K
@@ -221,8 +222,8 @@ class PricedMarket:
             if off[i]:
                 continue
             o = self.line_origin[i]
-            line = _carrier_line(((o, []), geometry.canonical_generators(
-                o, [(cm.block_q[j], cm.blocks[j].mar, 1.0)])))
+            line = _carrier_line(((o, []), geometry.fold_generators(
+                o, [geometry.generator_form(cm.block_q[j], cm.blocks[j].mar, 1.0)])))
             unit[i * K:(i + 1) * K] = line.unit.tolist()
             for row, v in zip(ends, line.intervals[0] + line.intervals[-1]):
                 row[i] = v
@@ -416,11 +417,11 @@ class DemandSet:
     and `pieces`), `line` and `pieces` are built on first use: only they
     raise ComplexityError.  `canonical` finds each free generator's
     `geometry.generator_form` once, though it lies in every pattern of the
-    product that has it, and folds each pattern from those forms: the bytes
-    of `geometry.canonical_generators` per pattern.  `pieces` drops each
-    pattern piece inside another (`_dedup_pieces`).  `demand_set` fills
-    `line` in at once for an agent on one of its priced market's lines
-    (`PricedMarket.carrier_lines`).
+    product that has it, and folds each pattern from those forms.  `pieces`
+    drops each pattern piece inside another (`_dedup_pieces`).  `demand_set`
+    fills `line` in at once for an agent on one of its priced market's lines
+    (`PricedMarket.carrier_lines`).  x is in the set when its distance to
+    the set is within t * (1 + |x|) (`contains`).
     """
 
     tol: float
@@ -468,26 +469,13 @@ class DemandSet:
         return geometry.union_nearest(self.pieces, x)
 
     def contains(self, x) -> bool:
-        """Is x within t * (1 + |x|) of the set, by its `nearest` distance?
-
-        On a carrier line the distance is the line's.  Off a line the answer
-        is the one `nearest` gives, mostly without calling it: the distance
-        `nearest` returns is at most the smallest piece distance plus the
-        1e-12 tie band once per piece.  So x is in as soon as one piece lies
-        within the bar less that band (and some rounding room), and out when
-        no piece lies within the bar; a piece whose box bound is above the
-        bar is not projected.  Only a smallest distance inside the band
-        below the bar asks `nearest` itself.
-        """
+        """Is x within the bar t * (1 + |x|) of the set: of its carrier line,
+        or else of one of its pieces (`geometry.union_distance`)?"""
         x = np.asarray(x, dtype=float)
         bar = self.tol * (1.0 + math.sqrt(x.dot(x)))
         if self.line is not None:
             return self.line.distance(x) <= bar
-        band = 2e-12 * len(self.pieces) + 1e-15 * bar
-        d = geometry.union_distance(self.pieces, x, within=bar - band, cap=bar)
-        if d is None:
-            return True
-        return d <= bar and self.nearest(x)[0] <= bar
+        return geometry.union_distance(self.pieces, x, within=bar) is None
 
     def is_singleton(self) -> bool:
         vs = self.vertices

@@ -12,20 +12,20 @@ their pieces are built from (`Piece.of`).  A canonical form is found per
 generator (`generator_form`) and folded per piece (`fold_generators`), so a
 generator shared by several pieces is normalized once.
 
-Distances to a union skip the projections that cannot change a bit of the
-answer.  Each piece caches its axis box (`Piece.box`); the distance from a
-point to that box, less a rounding allowance (`box_bounds`), never exceeds
-the distance to the piece, so a piece whose bound is above the best
-distance found so far need not be projected (`union_distance`,
-`union_nearest`).  Points, and segments in l2, are always projected: their
-closed form costs about what a bound does.  The projections that do run
-are the ones the full loop ran, on the same arguments, and the minimum is
-taken in piece order, so every returned float is the one the full loop
-returns.  The same bound screens pairs of pieces: how far one box reaches
-past another, less twice that allowance (`subset_bounds`), is at most the
-distance of one corner from the other piece, so a pair whose bound is above
-the tolerance is no subset and needs no `piece_subset`, which is the plain
-corner projection test.
+The distance to a union skips the projections that cannot change a bit of
+the answer.  Each piece caches its axis box (`Piece.box`); the distance from
+a point to that box, less a rounding allowance (`box_bounds`), never exceeds
+the distance to the piece, so a piece whose bound is above the best distance
+found so far need not be projected (`union_distance`).  Points, and segments
+in l2, are always projected: their closed form costs about what a bound
+does.  The projections that do run are the ones the full loop ran, on the
+same arguments, and the minimum is taken in piece order, so every returned
+float is the one the full loop returns.  `union_nearest` projects every
+piece: its tie rule is not transitive.  The same bound screens pairs of
+pieces: how far one box reaches past another, less twice that allowance
+(`subset_bounds`), is at most the distance of one corner from the other
+piece, so a pair whose bound is above the tolerance is no subset and needs
+no `piece_subset`, the plain corner projection test.
 """
 
 from __future__ import annotations
@@ -83,7 +83,8 @@ class Piece:
 
     @classmethod
     def of(cls, offset, merged) -> Piece:
-        """The piece of a canonical form from `canonical_generators`."""
+        """The piece of a canonical form: the offset and [unit, lo, hi] list
+        `fold_generators` returns."""
         offset = np.array(offset, dtype=float)
         arrays = (offset,
                   np.array([u for u, _, _ in merged], dtype=float).reshape(-1, offset.size),
@@ -92,17 +93,6 @@ class Piece:
         for a in arrays:
             a.flags.writeable = False
         return cls(*arrays)
-
-
-def canonical_generators(offset, gens) -> tuple[np.ndarray, list[list]]:
-    """Offset and [unit, lo, hi] list of a piece: parallel generators merged,
-    zero-width folded into the offset.
-
-    `gens` is an iterable of (direction, lo, hi) with lo <= hi: the
-    `fold_generators` of their `generator_form`s.  More than
-    MAX_GENS_PER_PIECE merged generators raise ComplexityError.
-    """
-    return fold_generators(offset, [generator_form(*g) for g in gens])
 
 
 def generator_form(direction, lo, hi) -> tuple | None:
@@ -132,7 +122,8 @@ def generator_form(direction, lo, hi) -> tuple | None:
 def fold_generators(offset, forms) -> tuple[np.ndarray, list[list]]:
     """Offset and [unit, lo, hi] list of a piece from its generators'
     `generator_form`s, in order: zero-width ranges move a copy of the
-    offset, generators with one key merge into the first one's entry."""
+    offset, generators with one key merge into the first one's entry.
+    More than MAX_GENS_PER_PIECE merged generators raise ComplexityError."""
     offset = np.array(offset, dtype=float)
     merged: dict[tuple, list] = {}
     for form in forms:
@@ -232,10 +223,6 @@ class PieceBoxes(NamedTuple):
         return cls(np.array([b[0] for b in boxes]), np.array([b[1] for b in boxes]),
                    np.array([b[2] for b in boxes]))
 
-    def bounds(self, x, norm: str = "l2") -> list[float]:
-        """Per piece, a lower bound on the norm-distance from x to it."""
-        return box_bounds(self.lo, self.hi, self.size, x, norm).tolist()
-
 
 def box_bounds(lo, hi, size, x, norm: str = "l2") -> np.ndarray:
     """Lower bounds on norm-distances from points to pieces, from their boxes.
@@ -311,19 +298,15 @@ def piece_distance(piece: Piece, x, norm: str = "l2") -> float:
 
 
 def union_distance(pieces, x, norm: str = "l2", *, boxes: PieceBoxes | None = None,
-                   within: float = -math.inf, cap: float = math.inf,
-                   first: int = 0) -> float | None:
+                   within: float = -math.inf, first: int = 0) -> float | None:
     """Distance from x to a union of pieces: the `min` of `piece_distance`
     over the pieces in their order, with no projection that cannot change it.
 
     Piece `first` is projected first, then the others in order.  A piece
-    whose box bound is above the smallest distance found so far, or above
-    `cap`, is skipped: its distance is larger.  Points, and segments in
-    l2, are always projected (`_closed_form`).  None is returned as soon as
-    one piece is within `within` (distance <= within).  Otherwise the value
-    is the min over the projected pieces, in piece order; it is the full
-    `min` whenever that is at most `cap`, and a value above `cap` (inf when
-    every piece was skipped) when it is not.  The bounds are computed only
+    whose box bound is above the smallest distance found so far is skipped:
+    its distance is larger.  Points, and segments in l2, are always
+    projected (`_closed_form`).  None is returned as soon as one piece is
+    within `within` (distance <= within).  The bounds are computed only
     once one is needed, from `boxes` when the caller keeps the pieces'
     stacked boxes across points.
     """
@@ -332,11 +315,11 @@ def union_distance(pieces, x, norm: str = "l2", *, boxes: PieceBoxes | None = No
     found = [math.inf] * len(pieces)
     best = math.inf
     for i in itertools.chain((first,), range(first), range(first + 1, len(pieces))):
-        limit = min(best, cap)
-        if limit < math.inf and not _closed_form(pieces[i], norm):
+        if best < math.inf and not _closed_form(pieces[i], norm):
             if bounds is None:
-                bounds = (PieceBoxes.of(pieces) if boxes is None else boxes).bounds(x, norm)
-            if bounds[i] > limit:
+                lo, hi, size = PieceBoxes.of(pieces) if boxes is None else boxes
+                bounds = box_bounds(lo, hi, size, x, norm).tolist()
+            if bounds[i] > best:
                 continue
         d = piece_distance(pieces[i], x, norm)
         if d <= within:
@@ -349,20 +332,11 @@ def union_distance(pieces, x, norm: str = "l2", *, boxes: PieceBoxes | None = No
 def union_nearest(pieces, x) -> tuple[float, np.ndarray]:
     """Nearest point of a union; ties broken toward smaller norm, then order.
 
-    Pieces are visited in order, since the tie rule is not transitive.  A
-    piece whose box bound exceeds the current best distance by more than
-    the 1e-12 tie band is skipped, unless it is a point or a segment: it
-    could neither beat nor tie the best.
+    Every piece is projected, in order, since the tie rule is not transitive.
     """
     best: tuple[float, float, int, np.ndarray] | None = None
     x = np.asarray(x, dtype=float)
-    bounds = None
     for idx, piece in enumerate(pieces):
-        if best is not None and not _closed_form(piece, "l2"):
-            if bounds is None:
-                bounds = PieceBoxes.of(pieces).bounds(x)
-            if bounds[idx] - best[0] > 1e-12:
-                continue
         d, p = piece_nearest(piece, x)
         key = (d, float(np.linalg.norm(p)), idx)
         if best is None or (key[0] < best[0] - 1e-12) or (

@@ -316,7 +316,10 @@ def emit_outcome(report: OutcomeReport) -> str:
 
 
 def parse_outcome(text: str) -> OutcomeReport:
+    """The outcome in a JSON object; ValueError if it makes no `OutcomeReport`."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("an outcome must be a JSON object")
     kwargs = {}
     for f in fields(OutcomeReport):
         if f.name not in doc:
@@ -329,7 +332,10 @@ def parse_outcome(text: str) -> OutcomeReport:
         else:
             v = _restore_value(v)
         kwargs[f.name] = v
-    return OutcomeReport(**kwargs)
+    try:
+        return OutcomeReport(**kwargs)
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed outcome: {exc}") from None
 
 
 def save_outcome(report: OutcomeReport, path) -> None:

@@ -11,12 +11,12 @@ against it.  All three are kept as they were in the package, except that
 `lp.solve_lp` cut its numpy call overhead: one `np.linalg.solve` per basis
 solve, the basis matrix gathered afresh each pivot, and the ratio test over
 numpy scalars.  `lp.solve_lp` must return the same bytes and raise the same
-errors.  `reference_nonconvexity` and `reference_union_nearest` are the
-measure's max-min loop and the union's nearest point as they were before
-the union distance skipped projections: every candidate hull point
-projected on every piece.  `nonconvexity` and `union_nearest` must return
-the same floats.  `reference_build_convexified`, `reference_demand_set` and
-`reference_classify_money` are the welfare LP build, demand-set build and
+errors.  `reference_nonconvexity` is the measure's max-min loop as it was
+before the union distance skipped projections: every candidate hull point
+projected on every piece.  `nonconvexity` must return the same floats, and
+`_reference_union_distance`, the least distance over every piece, decides
+`DemandSet.contains`.  `reference_build_convexified`, `reference_demand_set`
+and `reference_classify_money` are the welfare LP build, demand-set build and
 money classification as they were before they read `Market.compiled`: one
 agent and one bid at a time, with the per-curve closed forms
 `best_surplus`, `demand_interval` and `curve_margin`; `agent_bundle` is one
@@ -36,6 +36,10 @@ read `Market.compiled`: a walk over every agent's curve bids and block bids.
 set's piece dedup as it was before a box screen skipped the subset tests
 that cannot hold: `geometry.piece_subset` on every pair the loop reaches.
 `DemandSet.pieces` must keep the same pieces in the same order.
+`canonical_generators` is one piece's canonical form from its (direction,
+lo, hi) generators: `geometry.fold_generators` of each one's
+`geometry.generator_form`, the per-pattern reference of
+`DemandSet.canonical`.
 """
 
 from __future__ import annotations
@@ -154,18 +158,8 @@ def dedup_pieces(pieces, tol: float):
     return kept
 
 
-def reference_union_nearest(pieces, x):
-    """Nearest point of a union; ties broken toward smaller norm, then order."""
-    best = None
-    x = np.asarray(x, dtype=float)
-    for idx, piece in enumerate(pieces):
-        d, p = geometry.piece_nearest(piece, x)
-        key = (d, float(np.linalg.norm(p)), idx)
-        if best is None or (key[0] < best[0] - 1e-12) or (
-                abs(key[0] - best[0]) <= 1e-12 and key[1] < best[1] - 1e-12):
-            best = (key[0], key[1], idx, p)
-    assert best is not None, "empty union"
-    return best[0], best[3]
+def canonical_generators(offset, gens):
+    return geometry.fold_generators(offset, [geometry.generator_form(*g) for g in gens])
 
 
 def _reference_union_distance(pieces, x, norm):

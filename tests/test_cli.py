@@ -240,11 +240,13 @@ def test_analyze_wrong_price_dim(capsys):
     ("analyze", FIXTURE_CSV, "--price", "inf"),
     ("simulate", "--n", "6", "--k", "3", "--seed", "-1"),
     ("simulate", "--n", "10000", "--k", "1", "--trials", "1"),
+    ("clear", FIXTURE_CSV, "--node-budget", "0"),
+    ("clear", FIXTURE_CSV, "--node-budget", "-3"),
 ], ids=["unknown-mode", "missing-input", "unknown-option", "simulate-norm",
         "clear-tol-nan", "clear-tol-negative", "clear-tol-zero", "clear-tol-below-eps",
         "clear-tol-not-a-number", "analyze-tol-negative",
         "simulate-tol-nan", "price-nan", "price-inf", "simulate-seed-negative",
-        "simulate-n-too-large"])
+        "simulate-n-too-large", "node-budget-zero", "node-budget-negative"])
 def test_usage_error_or_bad_value_exits_1(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1
@@ -340,6 +342,23 @@ def test_report_empty_dir(capsys, tmp_path):
     code, _, err = run(capsys, "report", str(tmp_path))
     assert code == 1
     assert "no market" in err
+
+
+@pytest.mark.parametrize("edit", [lambda doc: {k: v for k, v in doc.items() if k != "welfare"},
+                                  lambda doc: list(doc),
+                                  lambda doc: {**doc, "welfare": "abc"},
+                                  lambda doc: {**doc, "per_agent_value": [0.0]}],
+                         ids=["missing-field", "json-array", "welfare-not-a-number",
+                              "values-not-a-map"])
+def test_report_malformed_outcome_exits_1(capsys, tmp_path, four_agent_market, edit):
+    # each once ended in a TypeError traceback
+    (tmp_path / "one.market.csv").write_text(emit_market(four_agent_market))
+    outcome = tmp_path / "one.outcome.json"
+    run(capsys, "clear", str(tmp_path / "one.market.csv"), "--out", str(outcome))
+    outcome.write_text(json.dumps(edit(json.loads(outcome.read_text()))))
+    code, out, err = run(capsys, "report", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
 
 
 def test_report_mixed_dimensions(capsys, tmp_path, four_agent_market):

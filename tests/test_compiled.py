@@ -274,7 +274,7 @@ def test_containment_bar_is_inclusive():
 
 def test_zero_width_curve_folds_into_the_line_origin():
     # a step priced at lambda and narrower than 1e-9 is folded in at its
-    # midpoint, as `canonical_generators` folds it
+    # midpoint, as `fold_generators` folds it
     market = Market(1, (Agent("a", (HourlyCurveBid("tiny", 0, ((5.0, 3e-10),)),
                                     HourlyCurveBid("full", 0, ((7.0, 1.0),)))),))
     priced = PricedMarket(market, [5.0])

@@ -11,8 +11,7 @@ from equilab import demand, geometry
 from equilab.config import vector_norm
 from equilab.convexify import PricedMarket, solve_lp
 from equilab.demand import agent_best_surplus, nonconvexity
-from equilab.geometry import (ComplexityError, merge_intervals, piece_nearest,
-                              union_nearest)
+from equilab.geometry import ComplexityError, merge_intervals, piece_nearest
 from equilab.market_io import load_market
 from equilab.model import (Agent, BlockBid, HourlyCurveBid, Market, block_components,
                            iter_patterns)
@@ -20,9 +19,9 @@ from equilab.model import (Agent, BlockBid, HourlyCurveBid, Market, block_compon
 from conftest import FIXTURES
 from market_corpus import random_market, random_price_vector
 from market_helpers import agent_demand_set
-from reference_oracles import (agent_bundle, agent_value, best_surplus, collinear_model,
-                               dedup_pieces, in_hull, reference_nonconvexity,
-                               reference_union_nearest)
+from reference_oracles import (_reference_union_distance, agent_bundle, agent_value,
+                               best_surplus, canonical_generators, collinear_model,
+                               dedup_pieces, in_hull, reference_nonconvexity)
 
 
 def _vertex_set(ds):
@@ -348,7 +347,7 @@ def _oracle_measure(ds, norm, probes=()):
 @given(st.integers(0, 2 ** 31 - 1), st.sampled_from((1, 2, 4)))
 def test_carrier_line_matches_piece_oracles(seed, K):
     """On every collinear set, at lambda* and at random prices, containment
-    gives the verdict of the relative test on the nearest piece, and the
+    gives the verdict of the relative test on the least piece distance, and the
     measure equals the `collinear_model` value exactly."""
     rng = np.random.default_rng(seed)
     market = random_market(rng, K=K, max_blocks=8)
@@ -368,7 +367,7 @@ def test_carrier_line_matches_piece_oracles(seed, K):
             points = [bundle, *vs, vs[0] + 1e-6 * rng.normal(size=K),
                       *(0.5 * (a + b) for a, b in itertools.combinations(vs, 2))]
             for x in points:
-                d, _ = union_nearest(ds.pieces, x)
+                d = _reference_union_distance(ds.pieces, x, "l2")
                 assert ds.contains(x) == (d <= ds.tol * (1.0 + float(np.linalg.norm(x))))
 
 
@@ -420,9 +419,8 @@ def _assert_matches_full_loop(ds, probes, rng):
     points = [*probes, *vs[:8], vs[0] + 1e-10 * rng.normal(size=vs.shape[1]),
               *(0.5 * (a + b) for a, b in itertools.islice(itertools.combinations(vs, 2), 8))]
     for x in points:
-        d, p = union_nearest(ds.pieces, x)
-        d_ref, p_ref = reference_union_nearest(ds.pieces, x)
-        assert (repr(d), p.tobytes()) == (repr(d_ref), p_ref.tobytes())
+        d_ref = _reference_union_distance(ds.pieces, x, "l2")
+        assert repr(geometry.union_distance(ds.pieces, x)) == repr(d_ref)
         bar = ds.tol * (1.0 + float(np.linalg.norm(x)))
         assert ds.contains(x) == (d_ref <= bar)
 
@@ -432,6 +430,23 @@ def test_pruned_union_distance_matches_full_loop_examples(make):
     agent, lam = make()
     ds = agent_demand_set(agent, lam)
     _assert_matches_full_loop(ds, (np.mean(ds.vertices, axis=0),), np.random.default_rng(0))
+
+
+def test_containment_reads_the_least_piece_distance():
+    # three points: a just inside the bar of x, b just outside it on the
+    # other side and nearer 0, c far off.  The nearest point breaks the
+    # 1e-12 tie between a and b toward b, which is outside the bar;
+    # containment reads the least distance, a's.
+    tol = 1e-7
+    x = np.array([1.0, 1.0])
+    bar = tol * (1.0 + np.sqrt(2.0))
+    u = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    points = [x + (bar - 2e-13) * u, x - (bar + 2e-13) * u, np.array([5.0, 0.0])]
+    ds = demand.DemandSet(tol, 0.0, ([(p, (), ()) for p in points],))
+    assert ds.line is None and len(ds.pieces) == 3
+    d, y = ds.nearest(x)
+    assert d > bar and y.tobytes() == points[1].tobytes()
+    assert ds.contains(x)
 
 
 @settings(max_examples=12, deadline=None)
@@ -556,6 +571,6 @@ def test_canonical_forms_are_each_patterns_canonical_generators():
             got = ds.canonical
         except ComplexityError:
             continue
-        want = [geometry.canonical_generators(off, [g[1:] for g in free])
+        want = [canonical_generators(off, [g[1:] for g in free])
                 for off, _, free in ds.patterns]
         assert _form_bytes(got) == _form_bytes(want)

@@ -13,13 +13,12 @@ from equilab.config import DEFAULT_TOL
 from equilab.convexify import solve_lp
 from equilab.demand import DemandSet, nonconvexity
 from equilab.geometry import (ComplexityError, Piece, PieceBoxes, box_bounds,
-                              canonical_generators,
                               closest_pair, merge_intervals, piece_distance,
                               piece_nearest, piece_subset, piece_vertices,
                               subset_bounds, union_nearest)
 
 from market_corpus import random_market
-from reference_oracles import collinear_model, in_hull
+from reference_oracles import canonical_generators, collinear_model, in_hull
 
 
 def make_piece(offset, gens=()) -> Piece:
@@ -278,7 +277,7 @@ def test_box_bound_never_exceeds_the_piece_distance(seed, K):
         for norm in ("l2", "l1", "linf"):
             bound = box_bounds(lo, hi, size, x, norm)
             assert bound <= piece_distance(piece, x, norm)
-            assert PieceBoxes.of([piece]).bounds(x, norm) == [bound]
+            assert box_bounds(*PieceBoxes.of([piece]), x, norm).tolist() == [bound]
         assert box_bounds(lo, hi, size, x) <= piece_nearest(piece, x)[0]
 
 
