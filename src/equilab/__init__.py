@@ -6,6 +6,12 @@ solves the convexified welfare problem with an in-repo simplex, recovers
 uniform prices, computes exact welfare by branch and bound, measures how far
 demand sets are from convex, and builds the classical approximate equilibria
 plus a day-ahead-auction-style clearing for comparison.
+
+scipy is imported at first use, by the three bounded least squares that
+need it (`geometry.piece_nearest` and `geometry.closest_pair` off an axis,
+`DemandSet.acceptances`): importing the package, a Monte Carlo run and a
+uniform-price clearing load no scipy module, which would take most of the
+start-up time.
 """
 
 from .config import DEFAULT_NORM, DEFAULT_TOL, VERSION

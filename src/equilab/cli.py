@@ -2,7 +2,10 @@
 
 Exit codes: 0 success, 1 bad input (parse/validation/usage), 2 no feasible
 clearing, 3 search budget exceeded (branch-and-bound nodes, uniform-price
-combinations, or the demand-set piece cap).  Diagnostics go to stderr; data to
+combinations, or the demand-set piece cap).  `clear` builds a demand set
+only for an agent off a carrier line whose acceptances lose surplus at the
+prices, so the piece cap stops it only there; an agent that best-responds is
+in its demand set by value.  Diagnostics go to stderr; data to
 stdout or the requested output file.  Outputs embed the tool version and the
 effective configuration so runs can be reproduced.
 """
@@ -85,8 +88,9 @@ def cmd_clear(args) -> int:
             # one priced market, so one demand set per agent
             priced = PricedMarket(market, res.lam, args.tol, args.norm)
             lam, allocation, welfare = res.lam, res.allocation, res.welfare
-            equilibrium = detect_equilibrium(priced, allocation).is_equilibrium
+            # the LOC's value pass settles the agents that best-respond
             total_loc, per_agent_loc, per_value = lost_opportunity_cost(priced, allocation)
+            equilibrium = detect_equilibrium(priced, allocation).is_equilibrium
         else:  # exact and chp: the exact allocation priced at lambda*
             cfg["node_budget"] = args.node_budget
             pricing = convex_hull_pricing(solve_lp(market, args.tol, args.norm),

@@ -23,6 +23,11 @@ What is computed when:
   dual sums best surpluses without a demand set, and
   `PricedMarket.containment` decides those agents' containment in one pass
   (`line_contains`), also without one;
+- once per (market, prices, tol) and allocation, `PricedMarket.value_pass`:
+  every agent's bundle, value and shortfall against its best surplus, read
+  by the lost opportunity cost and by containment.  An agent off a line
+  whose acceptances are feasible and lose nothing best-responds, so its
+  bundle is in its demand set, and no set is built for it;
 - once per (agent, prices, tol), for the other agents whose containment is
   asked and for every agent whose measure or demand set is asked:
   `demand_set` builds the `DemandSet` from those arrays, and the
@@ -52,12 +57,11 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import lsq_linear
 
 from . import geometry
 from .config import DEFAULT_NORM, ordered_sum, resolve_tol, vector_norm
 from .geometry import _PAR_TOL, ComplexityError, Piece
-from .model import Agent, CompiledMarket, Market
+from .model import Agent, Allocation, CompiledMarket, Market
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +104,8 @@ class PricedMarket:
 
     Per agent (agent i is `market.agents[i]`), quantities are computed on
     first use and kept for the life of the object: its demand set, its
-    containment of a bundle, and the nonconvexity measures in `norm` and
+    containment of a bundle, an allocation's value pass, and the
+    nonconvexity measures in `norm` and
     their ranking over K that the approximate equilibrium bounds (each
     imbalance in the same norm) and `equilab analyze` read.
     """
@@ -342,14 +347,37 @@ class PricedMarket:
     def demand_sets(self) -> list[DemandSet]:
         return [self.demand(i) for i in range(len(self.market.agents))]
 
-    def containment(self, bundles) -> list[bool]:
+    def value_pass(self, allocation: Allocation, bundles=None) -> ValuePass:
+        """The allocation at these prices, once per allocation object: every
+        agent's bundle (`bundles`, when the caller has them), value
+        (`CompiledMarket.values`, -inf where its acceptances are infeasible)
+        and shortfall best_surplus - (value - lam.x), inf where infeasible.
+        The cache entry holds the allocation, so the id it is kept under is
+        not reused while it is kept."""
+        def compute():
+            rows = allocation.bundles(self.market) if bundles is None else bundles
+            values = self.market.compiled.values(allocation.acceptances, self.tol).tolist()
+            shortfall = [math.inf if val == -math.inf
+                         else best - (val - float(self.lambda_star @ x))
+                         for best, val, x in zip(self.best_surplus, values, rows)]
+            return allocation, ValuePass(rows, values, shortfall)
+        return self._memo(("values", id(allocation)), compute)[1]
+
+    def containment(self, bundles, allocation: Allocation | None = None) -> list[bool]:
         """Is row i of `bundles` in agent i's demand set, for every agent?
 
         An agent whose demand set is an axis line is decided from the
         pricing arrays (`line_contains`, for all rows at once at K = 1, kept
-        per bundle matrix) and builds no demand set.  Every other agent asks
-        its demand set's `contains`, kept per (agent, row bytes), so a
-        question asked again is not decided again.
+        per bundle matrix) and builds no demand set.  The other agents are
+        decided by value first, when `allocation` (acceptances that realise
+        `bundles`) is given: an agent whose acceptances are feasible and
+        whose shortfall (`value_pass`) is at most 0.0, so whose lost
+        opportunity cost is exactly 0.0, best-responds, and its bundle is in
+        its set.  Every agent left asks its demand set's `contains`: an
+        infeasible or positive-loss realisation proves nothing, since
+        another may reach the bundle within the tolerance.  Each verdict is
+        kept per (agent, row bytes), so a question asked again gets the
+        first answer.
         """
         bundles = np.asarray(bundles, dtype=float)
         flags = list(self._memo(("lines", bundles.tobytes()),
@@ -357,8 +385,10 @@ class PricedMarket:
         for i, flag in enumerate(flags):
             if flag is None:
                 x = bundles[i]
-                flags[i] = self._memo(("contains", i, x.tobytes()),
-                                      lambda: self.demand(i).contains(x))
+                flags[i] = self._memo(("contains", i, x.tobytes()), lambda: (
+                    allocation is not None
+                    and self.value_pass(allocation, bundles).shortfall[i] <= 0.0
+                    or self.demand(i).contains(x)))
         return flags
 
     def probes(self, i: int) -> tuple:
@@ -377,6 +407,14 @@ class PricedMarket:
         ranked = sorted(measures, reverse=True)[:K]
         return NonconvexStats(sum(1 for r in measures if r > self.tol),
                               tuple(ranked + [0.0] * (K - len(ranked))), tuple(measures))
+
+
+class ValuePass(NamedTuple):
+    """An allocation at a priced market's prices (`PricedMarket.value_pass`)."""
+
+    bundles: np.ndarray             # row i: agent i
+    values: list[float]             # -inf where infeasible
+    shortfall: list[float]          # best surplus less value - lam.x; inf where infeasible
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +530,7 @@ class DemandSet:
         two surplus-maximal patterns give the same bundle, the first built
         is chosen.  Every result is a best response at the set's prices.
         """
+        from scipy.optimize import lsq_linear  # imported at first use: see `equilab`
         y = np.asarray(y, dtype=float)
         best = None
         for offset, fixed, free in self.patterns:

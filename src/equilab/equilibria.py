@@ -56,11 +56,15 @@ def detect_equilibrium(priced: PricedMarket, allocation: Allocation) -> Equilibr
     """Exact equilibrium iff every bundle is demanded at the priced market's
     prices and trade balances, in its norm and within its tolerance.
 
-    The demand sets and containment checks are those kept on `priced` (such
-    as a DualSolution), so they are reused across calls.
+    Containment is decided by value first (`PricedMarket.containment`): an
+    agent off a line whose acceptances best-respond at the prices, with a
+    lost opportunity cost of exactly 0.0, is demanded without a demand set.
+    The allocation's value pass, demand sets and containment checks are
+    those kept on `priced` (such as a DualSolution), so they are shared with
+    `lost_opportunity_cost` and reused across calls.
     """
-    bundles = allocation.bundles(priced.market)
-    flags = priced.containment(bundles)
+    bundles = priced.value_pass(allocation).bundles
+    flags = priced.containment(bundles, allocation)
     imbalance = vector_norm(bundles.sum(axis=0), priced.norm)
     scale = 1.0 + float(np.max(np.abs(bundles), initial=0.0))
     ok = all(flags) and imbalance <= priced.tol * scale
@@ -89,8 +93,8 @@ def balanced_lp_allocation(dual: DualSolution) -> LpAllocationResult:
     bound would mean the LP solution is not a vertex, so it is asserted.
     """
     market = dual.market
-    bad = tuple(agent.agent_id for agent, ok in
-                zip(market.agents, dual.containment(dual.lp_bundles())) if not ok)
+    inside = dual.containment(dual.lp_bundles(), dual.allocation)
+    bad = tuple(agent.agent_id for agent, ok in zip(market.agents, inside) if not ok)
     ncs = dual.nonconvex_stats()
     limit = min(ncs.count, market.num_commodities)
     if len(bad) > limit:
@@ -123,7 +127,7 @@ def demand_snapped_allocation(dual: DualSolution) -> SnappedAllocationResult:
     acc: dict[str, float] = dict(dual.allocation.acceptances)
     total = np.zeros(market.num_commodities)
     bundles = dual.lp_bundles()
-    for i, (x, inside) in enumerate(zip(bundles, dual.containment(bundles))):
+    for i, (x, inside) in enumerate(zip(bundles, dual.containment(bundles, dual.allocation))):
         if not inside:
             ds = dual.demand(i)
             _, x = ds.nearest(x)
@@ -147,21 +151,15 @@ def lost_opportunity_cost(priced: PricedMarket,
 
     The value is -inf, and the shortfall infinite, for agents whose
     acceptances are outside their true feasible set (within the priced
-    market's tolerance).  The best surpluses are those kept on `priced`
-    (such as a DualSolution), so they are reused.
+    market's tolerance).  The best surpluses and the allocation's value pass
+    (`PricedMarket.value_pass`) are those kept on `priced` (such as a
+    DualSolution), so they are shared with `detect_equilibrium`.
     """
-    lam, market = priced.lambda_star, priced.market
-    bundles = allocation.bundles(market)
-    values = market.compiled.values(allocation.acceptances, priced.tol).tolist()
-    per_agent: dict[str, float] = {}
-    for i, (agent, val) in enumerate(zip(market.agents, values)):
-        if val == float("-inf"):
-            per_agent[agent.agent_id] = float("inf")
-            continue
-        got = val - float(lam @ bundles[i])
-        per_agent[agent.agent_id] = max(0.0, priced.best_surplus[i] - got)
+    agents = priced.market.agents
+    vp = priced.value_pass(allocation)
+    per_agent = {agent.agent_id: max(0.0, short) for agent, short in zip(agents, vp.shortfall)}
     return (ordered_sum(per_agent.values()), per_agent,
-            {agent.agent_id: val for agent, val in zip(market.agents, values)})
+            {agent.agent_id: val for agent, val in zip(agents, vp.values)})
 
 
 @dataclass

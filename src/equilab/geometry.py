@@ -37,7 +37,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import lsq_linear
 
 from . import lp
 from .config import vector_norm
@@ -182,6 +181,7 @@ def piece_nearest(piece: Piece, x) -> tuple[float, np.ndarray]:
             t = float(np.clip(r[k] * sgn, lo, hi))
             p[k] += t * sgn
         return float(np.linalg.norm(x - p)), p
+    from scipy.optimize import lsq_linear      # imported at first use: see `equilab`
     G = piece.units.T
     res = lsq_linear(G, r, bounds=(piece.lo, piece.hi), method="bvls")
     p = base + G @ res.x
@@ -198,6 +198,7 @@ def closest_pair(a: Piece, b: Piece) -> tuple[float, np.ndarray, np.ndarray]:
     if not len(b.units):
         d, p = piece_nearest(a, b.offset)
         return d, p, b.offset
+    from scipy.optimize import lsq_linear      # imported at first use: see `equilab`
     Ga, Gb = a.units.T, b.units.T
     G = np.hstack([Ga, -Gb])
     res = lsq_linear(G, b.offset - a.offset, bounds=(np.concatenate([a.lo, b.lo]),

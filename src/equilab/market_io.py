@@ -275,6 +275,14 @@ class OutcomeReport:
     version: str = VERSION
 
     def __post_init__(self):
+        # the fields `figure_data` reads, so a mistyped one fails here
+        for name, kind in (("label", str), ("equilibrium", bool)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} is not a {kind.__name__}: {getattr(self, name)!r}")
+        for name in ("convex_volume", "nonconvex_volume"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValueError(f"{name} is not a number: {v!r}")
         vals = ordered_sum(self.per_agent_value.values())
         if abs(vals - self.welfare) > 1e-9 * (1.0 + abs(self.welfare)):
             raise ValueError(f"welfare {self.welfare} != agent values {vals}")

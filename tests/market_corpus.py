@@ -41,6 +41,40 @@ def random_block(rng, bid_id: str, K: int, sign: float, **links) -> BlockBid:
     return BlockBid(bid_id, price, tuple(q), mar=mar, **links)
 
 
+def _random_agent(rng, i: int, K: int, seq: int, cap: int,
+                  structured: bool) -> tuple[Agent, int, int]:
+    """Agent i (buyer when i is even) with at most `cap` blocks.
+
+    Returns the agent, the next free bid sequence number and its block count.
+    """
+    sign = 1.0 if i % 2 == 0 else -1.0
+    bids = []
+    for _ in range(int(rng.integers(0, 3))):
+        bids.append(random_curve(rng, f"c{seq}", int(rng.integers(K)), sign))
+        seq += 1
+    n_blocks = int(rng.integers(0, cap + 1)) if cap else 0
+    names = [f"b{seq + j}" for j in range(n_blocks)]
+    seq += n_blocks
+    links: list[dict] = [{} for _ in names]
+    if structured and n_blocks >= 2:
+        style = rng.random()
+        if style < 0.25:
+            gid = f"g{i}"
+            links[0]["group"] = gid
+            links[1]["group"] = gid
+        elif style < 0.5:
+            links[1]["parent"] = names[0]
+        elif style < 0.7:
+            links[0]["loop"] = names[1]
+            links[1]["loop"] = names[0]
+    for name, kw in zip(names, links):
+        bids.append(random_block(rng, name, K, sign, **kw))
+    if not bids:
+        bids.append(random_curve(rng, f"c{seq}", int(rng.integers(K)), sign))
+        seq += 1
+    return Agent(f"agent{i}", tuple(bids)), seq, n_blocks
+
+
 def random_market(rng, K: int = 1, max_blocks: int = 8,
                   one_block_per_agent: bool = False,
                   structured: bool = True) -> Market:
@@ -51,38 +85,26 @@ def random_market(rng, K: int = 1, max_blocks: int = 8,
         agents = []
         seq = 0
         for i in range(n_agents):
-            sign = 1.0 if i % 2 == 0 else -1.0
-            bids = []
-            n_curves = int(rng.integers(0, 3))
-            for _ in range(n_curves):
-                bids.append(random_curve(rng, f"c{seq}", int(rng.integers(K)),
-                                         sign))
-                seq += 1
             cap = 1 if one_block_per_agent else min(3, budget)
-            n_blocks = int(rng.integers(0, cap + 1)) if cap else 0
-            names = [f"b{seq + j}" for j in range(n_blocks)]
-            seq += n_blocks
+            agent, seq, n_blocks = _random_agent(rng, i, K, seq, cap, structured)
             budget -= n_blocks
-            links: list[dict] = [{} for _ in names]
-            if structured and n_blocks >= 2:
-                style = rng.random()
-                if style < 0.25:
-                    gid = f"g{i}"
-                    links[0]["group"] = gid
-                    links[1]["group"] = gid
-                elif style < 0.5:
-                    links[1]["parent"] = names[0]
-                elif style < 0.7:
-                    links[0]["loop"] = names[1]
-                    links[1]["loop"] = names[0]
-            for name, kw in zip(names, links):
-                bids.append(random_block(rng, name, K, sign, **kw))
-            if not bids:
-                bids.append(random_curve(rng, f"c{seq}", int(rng.integers(K)),
-                                         sign))
-                seq += 1
-            agents.append(Agent(f"agent{i}", tuple(bids)))
+            agents.append(agent)
         market = Market(K, tuple(agents), label=f"random-K{K}")
+        if validate_market(market).ok:
+            return market
+
+
+def large_market(rng, n_agents: int, K: int = 24) -> Market:
+    """A valid structured market with exactly `n_agents` agents, each with
+    up to 3 blocks and no market-wide block budget (the benchmark's
+    `clear_large` recipe)."""
+    while True:
+        agents = []
+        seq = 0
+        for i in range(n_agents):
+            agent, seq, _ = _random_agent(rng, i, K, seq, 3, True)
+            agents.append(agent)
+        market = Market(K, tuple(agents), label=f"large-n{n_agents}-K{K}")
         if validate_market(market).ok:
             return market
 

@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from equilab import cli
+from equilab import cli, demand
 from equilab.cli import main
-from equilab.convexify import solve_lp
+from equilab.convexify import PricedMarket, solve_lp
 from equilab.market_io import (emit_market, load_outcome, parse_outcome,
                                save_outcome)
 
 from conftest import FIXTURES
-from market_corpus import random_market
+from market_corpus import large_market, random_market
 
 FIXTURE_CSV = str(FIXTURES / "four_agent.csv")
 
@@ -141,12 +141,73 @@ def seven_blocks(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def capped_loss(tmp_path):
+    # the reference market with a2 also bidding seven all-or-nothing blocks
+    # at the money at price 3 (2**7 = 128 demand pieces): a2 still buys 1
+    # through c2 at a loss of 1, so only its demand set can decide it
+    rows = ["header,1,EUR,MW,capped-loss", "block,a1,b1,12.0,1.0,,,,3.0",
+            "curve,a2,c2,1,stepwise,2.0,1.0"]
+    rows += [f"block,a2,d{k},{3.0 * k},1.0,,,,{float(k)}" for k in range(2, 9)]
+    rows += ["curve,a3,c3,1,stepwise,1.0,-2.0", "block,a4,b4,-6.0,1.0,,,,-2.0"]
+    path = tmp_path / "capped.market.csv"
+    path.write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
 @pytest.mark.parametrize("mode", ["exact", "chp"])
-def test_clear_demand_piece_cap_exits_budget(capsys, seven_blocks, mode):
-    code, out, err = run(capsys, "clear", seven_blocks, "--mode", mode)
+def test_clear_demand_piece_cap_exits_budget(capsys, capped_loss, mode):
+    code, out, err = run(capsys, "clear", capped_loss, "--mode", mode)
     assert code == 3
     assert out == ""
     assert err == "error: 128 demand pieces (cap 64)\n"
+
+
+@pytest.mark.parametrize("mode", ["exact", "chp"])
+def test_clear_settles_a_capped_agent_by_value(capsys, seven_blocks, mode):
+    # every block at 0 is surplus-maximal at price 1, so the agent
+    # best-responds and is in its demand set without its 128 pieces
+    code, out, err = run(capsys, "clear", seven_blocks, "--mode", mode)
+    assert (code, err) == (0, "")
+    rep = parse_outcome(out)
+    assert rep.equilibrium
+    assert rep.prices == (1.0,)
+    assert set(rep.acceptances.values()) == {0.0}
+    assert rep.per_agent_loc == {"a": 0.0, "s": 0.0}
+
+
+def test_clear_euphemia_settles_the_capped_agent_by_value(capsys, capped_loss):
+    # at the uniform price 3, a2 takes d4 and loses nothing, so its 128
+    # pieces are never built; a1, left out in the money, loses 3
+    code, out, err = run(capsys, "clear", capped_loss, "--mode", "euphemia")
+    assert (code, err) == (0, "")
+    rep = parse_outcome(out)
+    assert rep.prices == (3.0,)
+    assert rep.acceptances["d4"] == 1.0
+    assert rep.per_agent_loc == {"a1": 3.0, "a2": 0.0, "a3": 0.0, "a4": 0.0}
+    assert not rep.equilibrium
+
+
+@pytest.mark.parametrize("mode, key, agents, K", [("chp", (1, 0), 12, 24),
+                                                  ("euphemia", (0, 9), 6, 2)])
+def test_clear_builds_no_demand_set_for_a_settled_agent(monkeypatch, tmp_path,
+                                                        mode, key, agents, K):
+    # an agent off a line whose lost opportunity cost is exactly 0.0 is in
+    # its demand set by value, so `clear` builds no demand set for it
+    market = large_market(np.random.default_rng(key), agents, K)
+    path, out = tmp_path / "large.market.json", tmp_path / "outcome.json"
+    path.write_text(emit_market(market, "json"))
+    built = []
+    build = demand.demand_set
+    monkeypatch.setattr(demand, "demand_set",
+                        lambda priced, i: built.append(i) or build(priced, i))
+    assert main(["clear", str(path), "--mode", mode, "--out", str(out)]) == 0
+    rep = load_outcome(out)
+    on_line = PricedMarket(market, rep.prices).on_line
+    settled = {i for i, agent in enumerate(market.agents)
+               if not on_line[i] and rep.per_agent_loc[agent.agent_id] == 0.0}
+    assert settled
+    assert not settled & set(built)
 
 
 @pytest.mark.parametrize("price", [[], ["--price", "1.0"]])
@@ -359,6 +420,22 @@ def test_report_malformed_outcome_exits_1(capsys, tmp_path, four_agent_market, e
     code, out, err = run(capsys, "report", str(tmp_path))
     assert (code, out) == (1, "")
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("field, value", [("label", 7), ("equilibrium", "yes"),
+                                          ("convex_volume", "abc"),
+                                          ("nonconvex_volume", None)])
+def test_report_rejects_a_mistyped_figure_field(capsys, tmp_path, four_agent_market,
+                                                field, value):
+    # `figure_data` reads these; a "convex_volume" of "abc" once ended in a
+    # TypeError traceback there
+    (tmp_path / "one.market.csv").write_text(emit_market(four_agent_market))
+    outcome = tmp_path / "one.outcome.json"
+    run(capsys, "clear", str(tmp_path / "one.market.csv"), "--out", str(outcome))
+    outcome.write_text(json.dumps({**json.loads(outcome.read_text()), field: value}))
+    code, out, err = run(capsys, "report", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {field} is not a ")
 
 
 def test_report_mixed_dimensions(capsys, tmp_path, four_agent_market):

@@ -6,18 +6,22 @@ from hypothesis import given, settings, strategies as st
 
 from equilab.config import ordered_sum, vector_norm
 from equilab.convexify import PricedMarket, solve_lp
-from equilab.demand import nonconvexity
+from equilab.demand import demand_set, nonconvexity
 from equilab.equilibria import (aggregate_demand_convexity_check,
                                 approximate_equilibria,
                                 balanced_lp_allocation, convex_hull_pricing,
                                 demand_snapped_allocation, detect_equilibrium,
                                 lost_opportunity_cost,
                                 singleton_demand_equilibrium_check)
+from equilab.market_io import load_market
 from equilab.model import (Agent, Allocation, BlockBid, HourlyCurveBid,
                            Market, validate_market)
+from equilab.welfare import solve_welfare
 
-from market_corpus import (cross_agent_parent_market, random_balanced_allocation,
-                           random_market, random_price_vector)
+from conftest import FIXTURES
+from market_corpus import (cross_agent_parent_market, large_market,
+                           random_balanced_allocation, random_market,
+                           random_price_vector)
 from market_helpers import agent_demand_set, check_loc_dominance, imbalance, zero_allocation
 
 
@@ -193,6 +197,52 @@ def test_approximate_equilibria_bundle(four_agent_market):
     assert res.lp_result.violations == 1
     assert res.snapped.imbalance == pytest.approx(1.0)
     assert res.pricing.total_loc == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# Containment by value
+
+def value_rule_settled(market) -> int:
+    """Check the value rule on the LP vertex and the exact welfare allocation
+    at lambda*: wherever an agent's acceptances are feasible with a
+    shortfall of at most 0.0, a demand set built afresh contains its bundle.
+    Returns how many (allocation, agent) pairs the rule settled."""
+    dual = solve_lp(market)
+    settled = 0
+    for allocation in (dual.allocation, solve_welfare(dual).allocation):
+        vp = dual.value_pass(allocation)
+        for i, short in enumerate(vp.shortfall):
+            if short <= 0.0:
+                assert demand_set(dual, i).contains(vp.bundles[i])
+                settled += 1
+    return settled
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((1, 2, 4, 24)), st.integers(0, 2 ** 31 - 1))
+def test_value_rule_implies_containment_on_the_corpus(K, seed):
+    value_rule_settled(random_market(np.random.default_rng((K, seed)), K=K, max_blocks=8))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1))
+def test_value_rule_implies_containment_on_large_markets(seed):
+    value_rule_settled(large_market(np.random.default_rng(seed), 12, 24))
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.iterdir()))
+def test_value_rule_implies_containment_on_the_fixtures(name):
+    assert value_rule_settled(load_market(FIXTURES / name)) > 0
+
+
+def test_value_rule_leaves_a_losing_agent_to_its_demand_set(four_agent_market):
+    # a2 buys 1 at price 3 with a marginal value of 2: a shortfall of 1
+    # proves nothing, so containment asks the geometry, which says no
+    dual = solve_lp(four_agent_market)
+    allocation = convex_hull_pricing(dual).allocation
+    assert dual.value_pass(allocation).shortfall == [0.0, 1.0, 0.0, 0.0]
+    assert dual.containment(allocation.bundles(four_agent_market), allocation) == \
+        [True, False, True, True]
 
 
 # ---------------------------------------------------------------------------

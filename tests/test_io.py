@@ -174,6 +174,15 @@ def test_outcome_totals_validated():
         _report(welfare=9.0)
 
 
+@pytest.mark.parametrize("field, value", [("label", None), ("equilibrium", 1),
+                                          ("convex_volume", "abc"),
+                                          ("nonconvex_volume", True)])
+def test_outcome_fields_typed(field, value):
+    with pytest.raises(ValueError, match=f"^{field} is not a "):
+        _report(**{field: value})
+    assert _report(convex_volume=3, nonconvex_volume=float("inf")).convex_volume == 3
+
+
 def test_outcome_infinite_costs():
     rep = _report(total_loc=float("inf"),
                   per_agent_loc={"a1": float("inf"), "a2": 1.0,

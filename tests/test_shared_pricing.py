@@ -90,16 +90,20 @@ def test_one_best_surplus_and_lp_containment_per_agent(monkeypatch, market):
 
     res = approximate_equilibria(market)
 
-    # an agent whose set is an axis line is decided from the pricing arrays;
-    # the others ask `contains` once for the LP bundle and once more when
-    # the exact welfare allocation moves them
-    dual = res.dual
+    # an agent whose set is an axis line is decided from the pricing arrays,
+    # and one whose acceptances lose nothing (lost opportunity cost exactly
+    # 0.0) by value; the others ask `contains` once for the LP bundle and
+    # once more when the exact welfare allocation moves them
+    dual, exact = res.dual, res.pricing.allocation
     off_line = [i for i, on in enumerate(dual.on_line) if not on]
-    moved = sum(not np.array_equal(res.pricing.allocation.bundles(market)[i],
-                                   dual.lp_bundles()[i])
-                for i in off_line)
+    ids = [agent.agent_id for agent in market.agents]
+    lp_loc = lost_opportunity_cost(dual, dual.allocation)[1]
+    exact_loc = lost_opportunity_cost(dual, exact)[1]
+    asked = sum(lp_loc[ids[i]] != 0.0 for i in off_line)
+    moved = sum(not np.array_equal(exact.bundles(market)[i], dual.lp_bundles()[i])
+                and exact_loc[ids[i]] != 0.0 for i in off_line)
     assert counts["patterns"] == components
-    assert counts["contains"] == len(off_line) + moved
+    assert counts["contains"] == asked + moved
 
     # the compiled market keeps its patterns; an equal new market enumerates
     # them once more
