@@ -18,25 +18,24 @@ from .config import DEFAULT_NORM, DEFAULT_TOL, VERSION
 from .convexify import (ConvexifiedProgram, DualSolution, PricedMarket,
                         build_convexified, dual_value, solve_lp)
 from .curves import CurveError, CurveStep, canonical_steps
-from .demand import (DemandSet, MoneyClasses, NonconvexStats,
-                     agent_best_surplus, demand_set, nonconvexity)
+from .demand import (DemandSet, MoneyClasses, NonconvexStats, demand_set,
+                     nonconvexity)
 from .equilibria import (ApproxEquilibria, EquilibriumCertificate,
-                         PricingResult, aggregate_demand_convexity_check,
-                         approximate_equilibria, balanced_lp_allocation,
-                         convex_hull_pricing, demand_snapped_allocation,
-                         detect_equilibrium, lost_opportunity_cost,
+                         PricingResult, approximate_equilibria,
+                         balanced_lp_allocation, convex_hull_pricing,
+                         demand_snapped_allocation, detect_equilibrium,
+                         lost_opportunity_cost,
                          singleton_demand_equilibrium_check)
 from .euphemia import (ClearingComplexityError, EuphemiaResult,
                        clear_euphemia_style)
 from .market_io import (MarketParseError, OutcomeReport, emit_market,
                         emit_outcome, figure_data, load_market, load_outcome,
                         market_volumes, parse_market, parse_outcome,
-                        save_market, save_outcome)
+                        save_market)
 from .model import (Agent, Allocation, BlockBid, HourlyCurveBid, Market,
                     ValidationReport, validate_market)
 from .random_markets import (MonteCarloResult, SimpleRandomMarketSpec,
                              certified_equilibrium, gen_simple_random_market,
-                             gen_tied_cost_market,
                              monte_carlo_equilibrium_probability)
 from .welfare import ExactSolution, NodeBudgetExceeded, solve_welfare
 
@@ -50,18 +49,16 @@ __all__ = [
     "HourlyCurveBid", "Market", "MarketParseError", "MonteCarloResult",
     "MoneyClasses", "NodeBudgetExceeded", "NonconvexStats", "OutcomeReport",
     "PricedMarket", "PricingResult", "SimpleRandomMarketSpec", "VERSION", "ValidationReport",
-    "agent_best_surplus",
-    "aggregate_demand_convexity_check", "approximate_equilibria",
-    "balanced_lp_allocation", "build_convexified",
+    "approximate_equilibria", "balanced_lp_allocation", "build_convexified",
     "canonical_steps", "certified_equilibrium",
     "clear_euphemia_style", "convex_hull_pricing",
     "demand_set",
     "demand_snapped_allocation", "detect_equilibrium", "dual_value",
     "emit_market", "emit_outcome", "figure_data", "gen_simple_random_market",
-    "gen_tied_cost_market", "load_market", "load_outcome",
+    "load_market", "load_outcome",
     "lost_opportunity_cost", "market_volumes",
     "monte_carlo_equilibrium_probability", "nonconvexity", "parse_market",
-    "parse_outcome", "save_market", "save_outcome",
+    "parse_outcome", "save_market",
     "singleton_demand_equilibrium_check", "solve_lp", "solve_welfare",
     "validate_market",
 ]

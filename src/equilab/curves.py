@@ -40,14 +40,6 @@ class CurveStep:
     hi: float
     price: float
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
-    def is_buy(self) -> bool:
-        return self.lo >= 0.0
-
 
 class CurveError(ValueError):
     pass

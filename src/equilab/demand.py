@@ -33,14 +33,15 @@ What is computed when:
   `demand_set` builds the `DemandSet` from those arrays, and the
   `PricedMarket` keeps it.  Its pattern combinations and pieces are built
   on first use, each free generator's canonical form once for the set and
-  each pattern's piece folded from those forms, and `DemandSet.acceptances`
-  turns any demand point back into per-bid acceptances: this module is the
-  one place that decides an agent's best response.
+  one piece per surplus-maximal pattern folded from those forms, and
+  `DemandSet.acceptances` turns any demand point back into per-bid
+  acceptances: this module is the one place that decides an agent's best
+  response.
 
 Most sets (all one-commodity sets) lie on a line: `DemandSet.line` answers
-containment, the measure and the aggregate convexity check for them, and
-`demand_set` fills it in from the line arrays where they hold one
-(`PricedMarket.carrier_lines`, None for an agent off such a line).
+containment and the measure for them, and `demand_set` fills it in from the
+line arrays where they hold one (`PricedMarket.carrier_lines`, None for an
+agent off such a line).
 
 The nonconvexity measure of a demand set D is the one-sided Hausdorff
 distance of D from its convex hull: the largest distance from a hull point to
@@ -456,10 +457,10 @@ class DemandSet:
     raise ComplexityError.  `canonical` finds each free generator's
     `geometry.generator_form` once, though it lies in every pattern of the
     product that has it, and folds each pattern from those forms.  `pieces`
-    drops each pattern piece inside another (`_dedup_pieces`).  `demand_set`
-    fills `line` in at once for an agent on one of its priced market's lines
-    (`PricedMarket.carrier_lines`).  x is in the set when its distance to
-    the set is within t * (1 + |x|) (`contains`).
+    holds one piece per pattern, in build order, also where one lies inside
+    another.  `demand_set` fills `line` in at once for an agent on one of
+    its priced market's lines (`PricedMarket.carrier_lines`).  x is in the
+    set when its distance to the set is within t * (1 + |x|) (`contains`).
     """
 
     tol: float
@@ -489,8 +490,7 @@ class DemandSet:
 
     @cached_property
     def pieces(self) -> tuple[Piece, ...]:
-        return tuple(_dedup_pieces([Piece.of(off, gens) for off, gens in self.canonical],
-                                   self.tol))
+        return tuple(Piece.of(off, gens) for off, gens in self.canonical)
 
     @cached_property
     def line(self) -> CarrierLine | None:
@@ -639,29 +639,6 @@ def _pattern_factor(cm: CompiledMarket, classes: list, comp: tuple, z: tuple):
             offset += b.mar * cm.block_q[j]
             fixed.append((b.bid_id, b.mar))
     return offset, tuple(fixed), tuple(free)
-
-
-def _dedup_pieces(pieces: list[Piece], tol: float) -> list[Piece]:
-    """The pieces, in order, less each one inside a piece kept before it and
-    each kept one inside a later piece, at the later piece's tolerance
-    tol * (1 + |offset|inf).  `piece_subset` runs only on the pairs that
-    `geometry.subset_bounds` leaves open: it is False on the others."""
-    if len(pieces) < 2:
-        return pieces
-    scaled = np.array([tol * (1.0 + max((abs(v) for v in p.offset), default=0.0))
-                       for p in pieces])
-    bounds = geometry.subset_bounds(geometry.PieceBoxes.of(pieces))
-    # [a][b]: is piece a in piece b, and piece b in piece a, ruled out at a's tolerance
-    out = (bounds > scaled[:, None]).tolist()
-    out_t = (bounds.T > scaled[:, None]).tolist()
-    kept: list[int] = []
-    for a, (p, t) in enumerate(zip(pieces, scaled.tolist())):
-        if any(not out[a][b] and geometry.piece_subset(p, pieces[b], t) for b in kept):
-            continue
-        kept = [b for b in kept
-                if out_t[a][b] or not geometry.piece_subset(pieces[b], p, t)]
-        kept.append(a)
-    return [pieces[b] for b in kept]
 
 
 def agent_best_surplus(agent: Agent, lam, tol: float | None = None) -> float:

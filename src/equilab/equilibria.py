@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry
 from .config import ordered_sum, vector_norm
 from .convexify import DualSolution, PricedMarket, solve_lp
 from .demand import NonconvexStats
@@ -201,6 +200,10 @@ def convex_hull_pricing(dual: DualSolution, *,
 
 # ---------------------------------------------------------------------------
 # Existence checks
+#
+# A check here is a sufficient condition only.  `convex_hull_pricing` decides
+# existence exactly: its total lost opportunity cost is zero exactly when an
+# equilibrium exists.
 
 @dataclass(frozen=True)
 class ExistenceCheck:
@@ -222,88 +225,6 @@ def singleton_demand_equilibrium_check(dual: DualSolution) -> ExistenceCheck:
     return ExistenceCheck(True, cert.is_equilibrium, cert, snapped.allocation)
 
 
-@dataclass(frozen=True)
-class AggregateConvexityCheck:
-    convex: bool
-    intervals: tuple[tuple[float, float], ...]   # aggregate demand, merged
-    equilibrium: Allocation | None
-    certificate: EquilibriumCertificate | None
-
-
-def aggregate_demand_convexity_check(dual: DualSolution) -> AggregateConvexityCheck:
-    """Single-commodity check: if the Minkowski sum of all demand sets at
-    lambda* is convex (one interval), select per-agent demand points that
-    balance exactly and certify the equilibrium.
-
-    Each agent's intervals are its demand set's carrier line
-    (`DemandSet.line`) mapped onto the commodity axis.  Raises ValueError for
-    markets with more than one commodity; the exact interval arithmetic used
-    here is one-dimensional.
-    """
-    if dual.market.num_commodities != 1:
-        raise ValueError("aggregate convexity check supports single-commodity "
-                         "markets only")
-    t = dual.tol
-    per_agent: list[list[tuple[float, float]]] = []
-    for ds in dual.demand_sets():
-        line = ds.line  # one dimension is always collinear
-        s, o = float(line.unit[0]), float(line.origin[0])
-        ivs = [(o + min(s * a, s * b), o + max(s * a, s * b)) for a, b in line.intervals]
-        per_agent.append(geometry.merge_intervals(ivs, 1e-12))
-
-    total = [(0.0, 0.0)]
-    for ivs in per_agent:
-        total = geometry.merge_intervals(
-            [(a + c, b + d) for a, b in total for c, d in ivs], t)
-        if len(total) > 4096:
-            raise ValueError("aggregate demand too fragmented for exact check")
-    convex = len(total) == 1
-
-    allocation = None
-    cert = None
-    if convex and total[0][0] <= t and total[0][1] >= -t:
-        allocation = _select_balancing_points(dual, per_agent)
-        if allocation is not None:
-            cert = detect_equilibrium(dual, allocation)
-    return AggregateConvexityCheck(convex, tuple(tuple(iv) for iv in total),
-                                   allocation, cert)
-
-
-def _select_balancing_points(dual: DualSolution, per_agent):
-    """Pick x_i in D_i summing to zero by a reachability sweep (1-D exact)."""
-    tol, n = dual.tol, len(per_agent)
-    reach = [None] * (n + 1)
-    reach[n] = [(0.0, 0.0)]
-    for i in range(n - 1, -1, -1):
-        reach[i] = geometry.merge_intervals(
-            [(a + c, b + d) for a, b in reach[i + 1] for c, d in per_agent[i]], tol)
-    def covered(ivs, x):
-        return any(a - tol <= x <= b + tol for a, b in ivs)
-    if not covered(reach[0], 0.0):
-        return None
-    acc: dict[str, float] = {}
-    target = 0.0
-    for i in range(n):
-        chosen = None
-        for a, b in per_agent[i]:
-            # need x in [a,b] with target - x reachable by the rest
-            for rest_a, rest_b in reach[i + 1]:
-                lo = max(a, target - rest_b)
-                hi = min(b, target - rest_a)
-                if lo <= hi + tol:
-                    chosen = min(max(lo, a), b)
-                    break
-            if chosen is not None:
-                break
-        if chosen is None:
-            return None
-        ds = dual.demand(i)
-        _, y = ds.nearest(np.array([chosen]))
-        acc.update(ds.acceptances(y))
-        target -= chosen
-    return Allocation(acc)
-
-
 # ---------------------------------------------------------------------------
 # Bundled view
 
@@ -321,10 +242,11 @@ class ApproxEquilibria:
         return self.dual.lambda_star
 
 
-def approximate_equilibria(market: Market, tol: float | None = None) -> ApproxEquilibria:
-    """The three allocations at lambda*, in the default norm, sharing one
-    solved convexified LP."""
-    dual = solve_lp(market, tol)
+def approximate_equilibria(market: Market) -> ApproxEquilibria:
+    """The three allocations at lambda*, in the default norm and tolerance,
+    sharing one solved convexified LP.  For another tolerance, pass
+    `solve_lp(market, tol)` to the constructions."""
+    dual = solve_lp(market)
     return ApproxEquilibria(dual, balanced_lp_allocation(dual),
                             demand_snapped_allocation(dual),
                             convex_hull_pricing(dual))

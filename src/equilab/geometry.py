@@ -1,16 +1,17 @@
 """Geometry for structured demand sets.
 
-A demand set is a finite union of *pieces*; each piece is an offset plus a
-Minkowski sum of scaled segments (a zonotope), which is exactly what the bid
-language produces: curve sub-intervals along hour axes and block directions
-with ratio ranges.  Everything here is exact for that class at desk scale:
-distances via bounded-variable least squares (l2) or a small LP (l1, linf)
-and hulls via the piece vertex set (extreme points of a union of polytopes
-are extreme points of the members).  Collinear demand sets are measured on
-their carrier line in `equilab.demand`, from the same canonical generators
-their pieces are built from (`Piece.of`).  A canonical form is found per
-generator (`generator_form`) and folded per piece (`fold_generators`), so a
-generator shared by several pieces is normalized once.
+A demand set is a finite union of *pieces*, one per surplus-maximal
+indicator pattern; each piece is an offset plus a Minkowski sum of scaled
+segments (a zonotope), which is exactly what the bid language produces:
+curve sub-intervals along hour axes and block directions with ratio ranges.
+Everything here is exact for that class at desk scale: distances via
+bounded-variable least squares (l2) or a small LP (l1, linf) and hulls via
+the piece vertex set (extreme points of a union of polytopes are extreme
+points of the members).  Collinear demand sets are measured on their
+carrier line in `equilab.demand`, from the same canonical generators their
+pieces are built from (`Piece.of`).  A canonical form is found per generator
+(`generator_form`) and folded per piece (`fold_generators`), so a generator
+shared by several pieces is normalized once.
 
 The distance to a union skips the projections that cannot change a bit of
 the answer.  Each piece caches its axis box (`Piece.box`); the distance from
@@ -21,11 +22,7 @@ in l2, are always projected: their closed form costs about what a bound
 does.  The projections that do run are the ones the full loop ran, on the
 same arguments, and the minimum is taken in piece order, so every returned
 float is the one the full loop returns.  `union_nearest` projects every
-piece: its tie rule is not transitive.  The same bound screens pairs of
-pieces: how far one box reaches past another, less twice that allowance
-(`subset_bounds`), is at most the distance of one corner from the other
-piece, so a pair whose bound is above the tolerance is no subset and needs
-no `piece_subset`, the plain corner projection test.
+piece: its tie rule is not transitive.
 """
 
 from __future__ import annotations
@@ -345,32 +342,6 @@ def union_nearest(pieces, x) -> tuple[float, np.ndarray]:
             best = (key[0], key[1], idx, p)
     assert best is not None, "empty union"
     return best[0], best[3]
-
-
-def piece_subset(inner: Piece, outer: Piece, tol: float) -> bool:
-    """inner subset of outer, decided on inner's corner set (outer is convex):
-    every corner within tol of outer by `piece_nearest`."""
-    return all(piece_nearest(outer, v)[0] <= tol for v in piece_vertices(inner))
-
-
-def subset_bounds(boxes: PieceBoxes) -> np.ndarray:
-    """Lower bounds on the corner distances `piece_subset` finds: entry [i,
-    j] is below the distance from some corner of piece i to piece j, so
-    `piece_subset(pieces[i], pieces[j], tol)` is False when it exceeds tol.
-
-    Let reach[i, j] be the most that box i extends past box j in one
-    coordinate.  The corner of piece i that attains box i's bound there lies
-    past box j by reach[i, j], up to a few ulps of size i.  Its `box_bounds`
-    to piece j (with d >= reach[i, j] and |corner|inf <= size i), which never
-    exceeds its projected distance, is then above the entry: reach[i, j]
-    less twice the allowance `box_bounds` takes, 2 * _BOX_SLACK * (1 +
-    reach[i, j] + size i + sqrt(K) * size j).
-    """
-    lo, hi, size = boxes
-    ends = np.concatenate((hi, -lo), axis=1)
-    reach = (ends[:, None, :] - ends[None, :, :]).max(axis=-1)
-    return reach - 2.0 * _BOX_SLACK * (1.0 + reach + size[:, None]
-                                       + math.sqrt(lo.shape[-1]) * size[None, :])
 
 
 def merge_intervals(intervals, tol: float) -> list[tuple[float, float]]:

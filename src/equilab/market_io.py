@@ -48,16 +48,11 @@ def _int(line: int, text: str, what: str) -> int:
         _fail(line, f"bad {what} {text!r}")
 
 
-def parse_market(text: str, fmt: str | None = None) -> Market:
+def parse_market(text: str) -> Market:
     """Parse CSV or JSON market text; format sniffed from the first character."""
-    if fmt is None:
-        head = text.lstrip()[:1]
-        fmt = "json" if head == "{" else "csv"
-    if fmt == "json":
+    if text.lstrip()[:1] == "{":
         return _parse_json(text)
-    if fmt == "csv":
-        return _parse_csv(text)
-    raise MarketParseError(f"unknown format {fmt!r}")
+    return _parse_csv(text)
 
 
 def load_market(path) -> Market:
@@ -344,11 +339,6 @@ def parse_outcome(text: str) -> OutcomeReport:
         return OutcomeReport(**kwargs)
     except (TypeError, AttributeError) as exc:
         raise ValueError(f"malformed outcome: {exc}") from None
-
-
-def save_outcome(report: OutcomeReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(emit_outcome(report))
 
 
 def load_outcome(path) -> OutcomeReport:

@@ -385,7 +385,7 @@ class CompiledMarket:
                 lo = hi = 0.0                         # its range holds 0
                 for step in bid.steps:
                     s_lo, s_hi, price = step.lo, step.hi, step.price
-                    buy, width = s_lo >= 0.0, s_hi - s_lo   # `step.is_buy`, `step.width`
+                    buy, width = s_lo >= 0.0, s_hi - s_lo
                     step_rows += (price, width if buy else -width, abs(price), width,
                                   s_lo, s_hi, s_lo if buy else s_hi)
                     step_hour.append(bid.hour)

@@ -9,10 +9,6 @@ k / n.  The exception is a demand that is a whole multiple of the capacity 2:
 the demand / 2 cheapest suppliers then run at full output, any price between
 the last of their costs and the next one clears, and an equilibrium exists
 whoever is convex.
-
-The tied-cost family puts several suppliers at one shared marginal cost so
-that they set the price jointly; one convex supplier among them is enough to
-make the aggregate demand set convex.
 """
 
 from __future__ import annotations
@@ -148,31 +144,3 @@ def monte_carlo_equilibrium_probability(spec: SimpleRandomMarketSpec,
     half = 1.96 * math.sqrt(p * (1.0 - p) / trials)
     return MonteCarloResult(spec, trials, hits, p,
                             max(0.0, p - half), min(1.0, p + half))
-
-
-def gen_tied_cost_market(num_convex_setters: int, num_nonconvex_setters: int,
-                         demand: float, cost: float = 3.0,
-                         reservation: float = 20.0) -> Market:
-    """All suppliers share one marginal cost and jointly set the price.
-
-    Demand must be positive and below total capacity so the tied cost is
-    marginal in the convexified market.
-    """
-    total = num_convex_setters + num_nonconvex_setters
-    if total < 1:
-        raise ValueError("need at least one supplier")
-    cap = SUPPLIER_CAPACITY
-    if not 0.0 < demand < cap * total:
-        raise ValueError("demand must lie strictly inside total capacity")
-    if reservation <= cost:
-        raise ValueError("reservation price must exceed the tied cost")
-    agents = [Agent("demand", (HourlyCurveBid(
-        "load", 0, ((reservation, demand),)),))]
-    for i in range(num_convex_setters):
-        agents.append(Agent(f"conv{i}", (HourlyCurveBid(
-            f"conv{i}", 0, ((cost, -cap),)),)))
-    for i in range(num_nonconvex_setters):
-        agents.append(Agent(f"bin{i}", (BlockBid(
-            f"bin{i}", -cap * cost, (-cap,)),)))
-    return Market(1, tuple(agents),
-                  label=f"tied-c{num_convex_setters}-b{num_nonconvex_setters}")

@@ -63,7 +63,7 @@ def _price_bound(market: Market) -> float:
 def _step_status(step, sit: Situation) -> str:
     """in / out / at for one curve step under one price situation."""
     p = step.price
-    if step.is_buy:
+    if step.lo >= 0.0:
         if sit.is_point:
             if p > sit.lo:
                 return "in"
@@ -179,15 +179,16 @@ def _clear_combo(market: Market, blocks, z, combo, tol: float):
             e[bid.hour] = 1.0
             for idx, st in enumerate(bid.steps):
                 status = _step_status(st, sit)
-                sign = 1.0 if st.is_buy else -1.0
+                sign = 1.0 if st.lo >= 0.0 else -1.0
+                width = st.hi - st.lo
                 if status == "in":
-                    qty += sign * st.width
-                    forced[bid.hour] += sign * st.width
-                    forced_value += st.price * sign * st.width
+                    qty += sign * width
+                    forced[bid.hour] += sign * width
+                    forced_value += st.price * sign * width
                 elif status == "at":
                     cols.append(e * sign)
                     cost.append(st.price * sign)
-                    bounds.append((0.0, st.width))
+                    bounds.append((0.0, width))
                     owners.append((bid.bid_id, sign))
             acc[bid.bid_id] = qty
 

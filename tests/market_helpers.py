@@ -1,6 +1,11 @@
 """Test helpers over the public model: allocation totals, one agent's
-demand set at given prices, the value pass checked against its oracles, and
-the lost-opportunity-cost dominance of hull pricing."""
+demand set at given prices, the value pass checked against its oracles, the
+lost-opportunity-cost dominance of hull pricing, and the tied-cost market
+family.
+
+The tied-cost family puts several suppliers at one shared marginal cost so
+that they set the price jointly; one convex supplier among them is enough to
+make the aggregate demand set convex."""
 
 from __future__ import annotations
 
@@ -10,7 +15,8 @@ from equilab.config import ordered_sum, resolve_tol
 from equilab.convexify import PricedMarket
 from equilab.demand import DemandSet
 from equilab.equilibria import PricingResult, lost_opportunity_cost
-from equilab.model import Agent, Allocation, Market
+from equilab.model import Agent, Allocation, BlockBid, HourlyCurveBid, Market
+from equilab.random_markets import SUPPLIER_CAPACITY
 
 from reference_oracles import acceptance_feasible, agent_value
 
@@ -61,3 +67,31 @@ def agent_demand_set(agent: Agent, lam, K: int | None = None,
     lam = np.asarray(lam, dtype=float)
     market = Market(lam.size if K is None else K, (agent,))
     return PricedMarket(market, lam, tol).demand(0)
+
+
+def gen_tied_cost_market(num_convex_setters: int, num_nonconvex_setters: int,
+                         demand: float, cost: float = 3.0,
+                         reservation: float = 20.0) -> Market:
+    """All suppliers share one marginal cost and jointly set the price.
+
+    Demand must be positive and below total capacity so the tied cost is
+    marginal in the convexified market.
+    """
+    total = num_convex_setters + num_nonconvex_setters
+    if total < 1:
+        raise ValueError("need at least one supplier")
+    cap = SUPPLIER_CAPACITY
+    if not 0.0 < demand < cap * total:
+        raise ValueError("demand must lie strictly inside total capacity")
+    if reservation <= cost:
+        raise ValueError("reservation price must exceed the tied cost")
+    agents = [Agent("demand", (HourlyCurveBid(
+        "load", 0, ((reservation, demand),)),))]
+    for i in range(num_convex_setters):
+        agents.append(Agent(f"conv{i}", (HourlyCurveBid(
+            f"conv{i}", 0, ((cost, -cap),)),)))
+    for i in range(num_nonconvex_setters):
+        agents.append(Agent(f"bin{i}", (BlockBid(
+            f"bin{i}", -cap * cost, (-cap,)),)))
+    return Market(1, tuple(agents),
+                  label=f"tied-c{num_convex_setters}-b{num_nonconvex_setters}")

@@ -32,14 +32,16 @@ every agent's at once: a loop over the agent's bids, `curve_value` and
 floats, and -inf exactly where `acceptance_feasible` is False.
 `reference_market_volumes` is `market_io.market_volumes` as it was before it
 read `Market.compiled`: a walk over every agent's curve bids and block bids.
-`market_volumes` must give the same floats.  `dedup_pieces` is the demand
-set's piece dedup as it was before a box screen skipped the subset tests
-that cannot hold: `geometry.piece_subset` on every pair the loop reaches.
-`DemandSet.pieces` must keep the same pieces in the same order.
-`canonical_generators` is one piece's canonical form from its (direction,
-lo, hi) generators: `geometry.fold_generators` of each one's
-`geometry.generator_form`, the per-pattern reference of
-`DemandSet.canonical`.
+`market_volumes` must give the same floats.  `canonical_generators` is one
+piece's canonical form from its (direction, lo, hi) generators:
+`geometry.fold_generators` of each one's `geometry.generator_form`, the
+per-pattern reference of `DemandSet.canonical`.
+`aggregate_demand_convexity_check` is the single-commodity existence check
+moved here unchanged from `equilab.equilibria`: a convex aggregate demand
+set at lambda* is sufficient for an equilibrium, and the check then builds
+and certifies one.  Hull pricing decides existence exactly (its total lost
+opportunity cost is zero exactly when an equilibrium exists), and the tests
+hold the two against each other.
 """
 
 from __future__ import annotations
@@ -55,8 +57,9 @@ from equilab.config import ordered_sum, vector_norm
 from equilab.lp import (TOL, _REFRESH_EVERY, _STALL_LIMIT, InfeasibleError,
                         LpResult, SimplexError)
 from equilab.config import resolve_tol
-from equilab.convexify import build_convexified
+from equilab.convexify import DualSolution, build_convexified
 from equilab.demand import DemandSet, MoneyClasses
+from equilab.equilibria import EquilibriumCertificate, detect_equilibrium
 from equilab.model import (Agent, Allocation, BlockBid, HourlyCurveBid, Market,
                            block_components, iter_patterns, pattern_feasible)
 from equilab.welfare import ExactSolution
@@ -145,17 +148,6 @@ def collinear_model(pieces, tol: float = 1e-9):
             hi_t += max(s * lo, s * hi)
         intervals.append((lo_t, hi_t))
     return origin, unit, intervals
-
-
-def dedup_pieces(pieces, tol: float):
-    kept = []
-    for p in pieces:
-        scale = 1.0 + max((abs(v) for v in p.offset), default=0.0)
-        if any(geometry.piece_subset(p, q, tol * scale) for q in kept):
-            continue
-        kept = [q for q in kept if not geometry.piece_subset(q, p, tol * scale)]
-        kept.append(p)
-    return kept
 
 
 def canonical_generators(offset, gens):
@@ -402,7 +394,7 @@ def reference_market_volumes(market: Market) -> tuple[float, float]:
     nonconvex = 0.0
     for agent in market.agents:
         for bid in agent.curve_bids:
-            convex += ordered_sum(s.width for s in bid.steps)
+            convex += ordered_sum(s.hi - s.lo for s in bid.steps)
         for bid in agent.block_bids:
             nonconvex += float(np.sum(np.abs(bid.q)))
     return convex, nonconvex
@@ -463,7 +455,8 @@ def reference_build_convexified(market: Market) -> ReferenceProgram:
                 cols = []
                 for step in bid.steps:
                     col = len(c)
-                    contrib = step.width if step.is_buy else -step.width
+                    width = step.hi - step.lo
+                    contrib = width if step.lo >= 0.0 else -width
                     c.append(step.price * contrib)
                     cols_balance.append((bid.hour, col, contrib))
                     cols.append((col, contrib))
@@ -534,16 +527,17 @@ def demand_interval(steps, price: float, tol: float | None = None) -> tuple[floa
     hi_acc = 0.0
     for s in steps:
         slack = t * (1.0 + max(abs(s.price), abs(price)))
-        if s.is_buy:
+        width = s.hi - s.lo
+        if s.lo >= 0.0:
             if s.price >= price - slack:
-                hi_acc += s.width
+                hi_acc += width
             if s.price > price + slack:
-                lo_acc += s.width
+                lo_acc += width
         else:
             if s.price <= price + slack:
-                lo_acc -= s.width
+                lo_acc -= width
             if s.price < price - slack:
-                hi_acc -= s.width
+                hi_acc -= width
     return lo_acc, hi_acc
 
 
@@ -551,10 +545,10 @@ def best_surplus(steps, price: float) -> float:
     """max over x of u(x) - price*x; closed form per step."""
     total = 0.0
     for s in steps:
-        if s.is_buy:
-            total += s.width * max(0.0, s.price - price)
+        if s.lo >= 0.0:
+            total += (s.hi - s.lo) * max(0.0, s.price - price)
         else:
-            total += s.width * max(0.0, price - s.price)
+            total += (s.hi - s.lo) * max(0.0, price - s.price)
     return total
 
 
@@ -562,7 +556,7 @@ def curve_margin(steps, price: float) -> float:
     """Best per-unit margin of the curve at `price` (negative = out of the money)."""
     best = float("-inf")
     for s in steps:
-        m = (s.price - price) if s.is_buy else (price - s.price)
+        m = (s.price - price) if s.lo >= 0.0 else (price - s.price)
         best = max(best, m)
     return best
 
@@ -730,3 +724,88 @@ def agent_value(agent: Agent, acceptances: Mapping[str, float],
         else:
             total += a * bid.price
     return total
+
+
+# ---------------------------------------------------------------------------
+# The aggregate-convexity existence check
+
+@dataclass(frozen=True)
+class AggregateConvexityCheck:
+    convex: bool
+    intervals: tuple[tuple[float, float], ...]   # aggregate demand, merged
+    equilibrium: Allocation | None
+    certificate: EquilibriumCertificate | None
+
+
+def aggregate_demand_convexity_check(dual: DualSolution) -> AggregateConvexityCheck:
+    """Single-commodity check: if the Minkowski sum of all demand sets at
+    lambda* is convex (one interval), select per-agent demand points that
+    balance exactly and certify the equilibrium.
+
+    Each agent's intervals are its demand set's carrier line
+    (`DemandSet.line`) mapped onto the commodity axis.  Raises ValueError for
+    markets with more than one commodity; the exact interval arithmetic used
+    here is one-dimensional.
+    """
+    if dual.market.num_commodities != 1:
+        raise ValueError("aggregate convexity check supports single-commodity "
+                         "markets only")
+    t = dual.tol
+    per_agent: list[list[tuple[float, float]]] = []
+    for ds in dual.demand_sets():
+        line = ds.line  # one dimension is always collinear
+        s, o = float(line.unit[0]), float(line.origin[0])
+        ivs = [(o + min(s * a, s * b), o + max(s * a, s * b)) for a, b in line.intervals]
+        per_agent.append(geometry.merge_intervals(ivs, 1e-12))
+
+    total = [(0.0, 0.0)]
+    for ivs in per_agent:
+        total = geometry.merge_intervals(
+            [(a + c, b + d) for a, b in total for c, d in ivs], t)
+        if len(total) > 4096:
+            raise ValueError("aggregate demand too fragmented for exact check")
+    convex = len(total) == 1
+
+    allocation = None
+    cert = None
+    if convex and total[0][0] <= t and total[0][1] >= -t:
+        allocation = _select_balancing_points(dual, per_agent)
+        if allocation is not None:
+            cert = detect_equilibrium(dual, allocation)
+    return AggregateConvexityCheck(convex, tuple(tuple(iv) for iv in total),
+                                   allocation, cert)
+
+
+def _select_balancing_points(dual: DualSolution, per_agent):
+    """Pick x_i in D_i summing to zero by a reachability sweep (1-D exact)."""
+    tol, n = dual.tol, len(per_agent)
+    reach = [None] * (n + 1)
+    reach[n] = [(0.0, 0.0)]
+    for i in range(n - 1, -1, -1):
+        reach[i] = geometry.merge_intervals(
+            [(a + c, b + d) for a, b in reach[i + 1] for c, d in per_agent[i]], tol)
+    def covered(ivs, x):
+        return any(a - tol <= x <= b + tol for a, b in ivs)
+    if not covered(reach[0], 0.0):
+        return None
+    acc: dict[str, float] = {}
+    target = 0.0
+    for i in range(n):
+        chosen = None
+        for a, b in per_agent[i]:
+            # need x in [a,b] with target - x reachable by the rest
+            for rest_a, rest_b in reach[i + 1]:
+                lo = max(a, target - rest_b)
+                hi = min(b, target - rest_a)
+                if lo <= hi + tol:
+                    chosen = min(max(lo, a), b)
+                    break
+            if chosen is not None:
+                break
+        if chosen is None:
+            return None
+        ds = dual.demand(i)
+        _, y = ds.nearest(np.array([chosen]))
+        acc.update(ds.acceptances(y))
+        target -= chosen
+    return Allocation(acc)

@@ -15,8 +15,7 @@ import pytest
 from equilab import lp
 from equilab.convexify import PricedMarket, build_convexified, solve_lp
 from equilab.demand import agent_best_surplus
-from equilab.equilibria import (aggregate_demand_convexity_check,
-                                balanced_lp_allocation, convex_hull_pricing,
+from equilab.equilibria import (balanced_lp_allocation, convex_hull_pricing,
                                 demand_snapped_allocation, lost_opportunity_cost,
                                 singleton_demand_equilibrium_check)
 from equilab.euphemia import clear_euphemia_style
@@ -25,14 +24,14 @@ from equilab.market_io import (emit_market, emit_outcome, load_outcome,
                                parse_market, parse_outcome)
 from equilab.model import Market
 from equilab.random_markets import (SimpleRandomMarketSpec,
-                                    gen_tied_cost_market,
                                     monte_carlo_equilibrium_probability)
 from equilab.welfare import solve_welfare
 
 from market_corpus import (random_balanced_allocation, random_market,
                            random_price_vector)
-from market_helpers import agent_demand_set, check_loc_dominance, imbalance, zero_allocation
-from reference_oracles import brute_force_welfare, in_hull
+from market_helpers import (agent_demand_set, check_loc_dominance, gen_tied_cost_market,
+                            imbalance, zero_allocation)
+from reference_oracles import aggregate_demand_convexity_check, brute_force_welfare, in_hull
 
 CORPUS_DIMS = (1, 2, 4, 24)
 CORPUS_SIZE = 1000
@@ -191,9 +190,14 @@ def test_tied_cost_family_aggregate_span_and_equilibrium():
         span = 2.0 * (n_binary + 1)
         assert len(totals) == 1
         assert totals[0] == pytest.approx((-span, 0.0), abs=1e-9)
-        chk = aggregate_demand_convexity_check(solve_lp(market))
+        dual = solve_lp(market)
+        chk = aggregate_demand_convexity_check(dual)
         assert chk.convex
         assert chk.certificate is not None and chk.certificate.is_equilibrium
+        # hull pricing decides existence exactly, and agrees
+        pricing = convex_hull_pricing(dual)
+        assert pricing.total_loc == 0.0
+        assert pricing.certificate.is_equilibrium
 
 
 def test_welfare_search_matches_enumeration():

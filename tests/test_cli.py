@@ -11,8 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from equilab import cli, demand
 from equilab.cli import main
 from equilab.convexify import PricedMarket, solve_lp
-from equilab.market_io import (emit_market, load_outcome, parse_outcome,
-                               save_outcome)
+from equilab.market_io import emit_market, load_outcome, parse_outcome
 
 from conftest import FIXTURES
 from market_corpus import large_market, random_market
@@ -269,6 +268,23 @@ def test_analyze_pieces_whose_range_excludes_zero(capsys, tmp_path, norm, top):
     doc = json.loads(out)
     assert doc["top_nonconvexity"] == pytest.approx([top, 0.0])
     assert doc["agents"]["a"]["nonconvexity"] == pytest.approx(top)
+
+
+def test_analyze_lists_a_nested_pieces_corners(capsys, tmp_path):
+    # two at-the-money blocks of one profile in one exclusive group: b2's
+    # piece [0.5, 1] lies inside b1's [0.3, 1], and each pattern keeps its
+    # piece, so b2's corner 0.5 is a vertex; the measure is half b1's gap
+    path = tmp_path / "nested.market.csv"
+    path.write_text("header,1,EUR,MW,nested\n"
+                    "block,a,b1,2.0,0.3,g,,,1.0\n"
+                    "block,a,b2,2.0,0.5,g,,,1.0\n"
+                    "curve,s,c1,1,stepwise,1.0,-2.0\n")
+    code, out, err = run(capsys, "analyze", str(path), "--price", "2.0")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["agents"]["a"]["demand_vertices"] == [[0.0], [0.3], [0.5], [1.0]]
+    assert doc["agents"]["a"]["nonconvexity"] == 0.15
+    assert doc["top_nonconvexity"] == [0.15]
 
 
 def test_analyze_explicit_price(capsys):

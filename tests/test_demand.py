@@ -11,7 +11,7 @@ from equilab import demand, geometry
 from equilab.config import vector_norm
 from equilab.convexify import PricedMarket, solve_lp
 from equilab.demand import agent_best_surplus, nonconvexity
-from equilab.geometry import ComplexityError, merge_intervals, piece_nearest
+from equilab.geometry import ComplexityError, Piece, merge_intervals, piece_nearest
 from equilab.market_io import load_market
 from equilab.model import (Agent, BlockBid, HourlyCurveBid, Market, block_components,
                            iter_patterns)
@@ -21,7 +21,7 @@ from market_corpus import random_market, random_price_vector
 from market_helpers import agent_demand_set
 from reference_oracles import (_reference_union_distance, agent_bundle, agent_value,
                                best_surplus, canonical_generators, collinear_model,
-                               dedup_pieces, in_hull, reference_nonconvexity)
+                               in_hull, reference_nonconvexity)
 
 
 def _vertex_set(ds):
@@ -326,9 +326,9 @@ def test_hull_points_near_measure(seed):
 # The carrier line against the piece-based oracles
 
 def _oracle_measure(ds, norm, probes=()):
-    """The measure of a collinear set as it was taken on the deduplicated
-    pieces: the largest half-gap of `collinear_model`'s intervals merged
-    within 1e-12, and the probes' distances to the nearest piece."""
+    """The measure of a collinear set taken on its pieces: the largest
+    half-gap of `collinear_model`'s intervals merged within 1e-12, and the
+    probes' distances to the nearest piece."""
     pieces = ds.pieces
     if len(pieces) == 1 and not probes:
         return 0.0
@@ -466,14 +466,14 @@ def test_pruned_union_distance_matches_full_loop(seed, K):
 
 
 # ---------------------------------------------------------------------------
-# Piece dedup and canonical forms
+# One piece per pattern, and canonical forms
 
 def _grouped_blocks_set(mars, curve: bool):
     """At lam = (1, 1.5), the demand set of one agent with a block at the
     money per entry of `mars` (its minimum acceptance ratio), all with q = (1,
     2) in one exclusive group, and with `curve` a curve at the money in hour
-    0 that takes any of [0, 1].  Identical or nested blocks give pieces that
-    the dedup drops."""
+    0 that takes any of [0, 1].  Identical or nested blocks give a piece
+    each."""
     bids = [BlockBid(f"b{j}", 4.0, (1.0, 2.0), mar=mar, group="g")
             for j, mar in enumerate(mars)]
     if curve:
@@ -508,53 +508,65 @@ def _corpus_sets() -> tuple:
     return tuple(sets)
 
 
+_GROUPED_POINTS = ((0.1, 0.2), (0.4, 0.75), (0.5, 1.0), (1.5, 1.0))
+# Per (all-or-nothing blocks, curve): the measure in l2, l1 and linf, then per
+# point of _GROUPED_POINTS its containment, distance and nearest point.  Every
+# float is the one the set gave with the inner or repeated block's piece left
+# out of its pieces.
+_GROUPED_VALUES = {
+    (True, False): ((1.1180339887498947, 1.5, 1.0),
+                    ((False, 0.223606797749979, [0.0, 0.0]),
+                     (False, 0.85, [0.0, 0.0]),
+                     (False, 1.118033988749895, [0.0, 0.0]),
+                     (False, 1.118033988749895, [1.0, 2.0]))),
+    (True, True): ((1.0, 1.0, 1.0),
+                   ((False, 0.2, [0.1, 0.0]),
+                    (False, 0.75, [0.4, 0.0]),
+                    (False, 1.0, [0.5, 0.0]),
+                    (False, 1.0, [1.5, 2.0]))),
+    (False, False): ((0.2795084971874737, 0.3750000000000001, 0.25000000000000006),
+                     ((False, 0.223606797749979, [0.0, 0.0]),
+                      (False, 0.022360679774997918, [0.38, 0.76]),
+                      (True, 0.0, [0.5, 1.0]),
+                      (False, 0.8944271909999159, [0.7, 1.4]))),
+    (False, True): ((0.25, 0.25, 0.25),
+                    ((False, 0.2, [0.1, 0.0]),
+                     (True, 5.551115123125783e-17, [0.4000000000000001, 0.75]),
+                     (True, 2.220446049250313e-16, [0.5000000000000002, 1.0]),
+                     (True, 0.0, [1.5, 1.0]))),
+}
+
+
+def _piece_bytes(piece) -> tuple:
+    return tuple(a.tobytes() for a in (piece.offset, piece.units, piece.lo, piece.hi))
+
+
 def test_constructed_sets_drop_pieces():
-    # of two identical blocks the first is kept, of two nested ones the
-    # wider, whether it comes first or second; the off pattern stays
+    # no piece is dropped: one piece per pattern in build order (off, b1
+    # on, b0 on), also where two blocks are identical or one's piece lies
+    # inside the other's; containment, the measure and the nearest point
+    # keep their floats
     for mars in _GROUPED_MARS:
         for curve in (False, True):
             ds = _grouped_blocks_set(mars, curve)
-            assert len(ds.patterns) == 3
-            off, block = ds.pieces
+            assert len(ds.patterns) == len(ds.pieces) == 3
+            assert [_piece_bytes(p) for p in ds.pieces] == \
+                [_piece_bytes(Piece.of(off, gens)) for off, gens in ds.canonical]
+            off, *blocks = ds.pieces
             assert piece_nearest(off, [0.0, 0.0])[0] == 0.0
-            assert piece_nearest(block, [min(mars), 2 * min(mars)])[0] <= 1e-12
-
-
-def test_dedup_keeps_what_the_oracle_keeps(monkeypatch):
-    # the same piece objects in the same order, on sets that drop pieces and
-    # on every multi-pattern set of the corpora (which drop none)
-    dedup = demand._dedup_pieces
-    given_pieces = []
-
-    def recorded(pieces, tol):
-        given_pieces.append((list(pieces), tol))
-        return dedup(pieces, tol)
-
-    monkeypatch.setattr(demand, "_dedup_pieces", recorded)
-    sets = _constructed_sets() + list(_corpus_sets())
-    for ds in sets:
-        given_pieces.clear()
-        vars(ds).pop("pieces", None)
-        try:
-            kept = ds.pieces
-        except ComplexityError:
-            continue
-        [(pieces, tol)] = given_pieces
-        assert [id(p) for p in kept] == [id(p) for p in dedup_pieces(pieces, tol)]
-    assert len(sets) > 100
-
-
-def test_dedup_projects_no_pair_on_the_k24_fixture(monkeypatch):
-    # the box screen rules out every pair of the three off-line sets, so no
-    # pair is projected
+            for piece, mar in zip(blocks, reversed(mars)):
+                assert piece_nearest(piece, [mar, 2 * mar])[0] <= 1e-12
+                assert piece_nearest(piece, [1.0, 2.0])[0] <= 1e-12
+            measures, points = _GROUPED_VALUES[min(mars) == 1.0, curve]
+            assert tuple(nonconvexity(ds, norm) for norm in ("l2", "l1", "linf")) == measures
+            for x, (inside, dist, nearest) in zip(_GROUPED_POINTS, points):
+                d, y = ds.nearest(x)
+                assert (ds.contains(x), d, y.tolist()) == (inside, dist, nearest)
+    # the off-line sets of the K=24 fixture keep one piece per pattern too
     dual = solve_lp(load_market(FIXTURES / "large_k24.json"))
-    calls = []
-    subset = geometry.piece_subset
-    monkeypatch.setattr(geometry, "piece_subset",
-                        lambda *args: calls.append(1) or subset(*args))
     sets = [ds for ds in dual.demand_sets() if ds.line is None]
     assert sorted(len(ds.pieces) for ds in sets) == [4, 4, 8]
-    assert len(calls) == 0
+    assert all(len(ds.pieces) == len(ds.patterns) for ds in sets)
 
 
 def _form_bytes(canonical) -> list:

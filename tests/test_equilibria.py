@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 from equilab.config import ordered_sum, vector_norm
 from equilab.convexify import PricedMarket, solve_lp
 from equilab.demand import demand_set, nonconvexity
-from equilab.equilibria import (aggregate_demand_convexity_check,
-                                approximate_equilibria,
+from equilab.equilibria import (approximate_equilibria,
                                 balanced_lp_allocation, convex_hull_pricing,
                                 demand_snapped_allocation, detect_equilibrium,
                                 lost_opportunity_cost,
@@ -23,6 +22,7 @@ from market_corpus import (cross_agent_parent_market, large_market,
                            random_balanced_allocation, random_market,
                            random_price_vector)
 from market_helpers import agent_demand_set, check_loc_dominance, imbalance, zero_allocation
+from reference_oracles import aggregate_demand_convexity_check
 
 
 # ---------------------------------------------------------------------------

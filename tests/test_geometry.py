@@ -1,21 +1,17 @@
 """Zonotope pieces: nearest points, unions, collinear oracle, hull tests."""
 
-import functools
 import hashlib
-import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import lsq_linear
 
-from equilab.config import DEFAULT_TOL
 from equilab.convexify import solve_lp
 from equilab.demand import DemandSet, nonconvexity
 from equilab.geometry import (ComplexityError, Piece, PieceBoxes, box_bounds,
                               closest_pair, merge_intervals, piece_distance,
-                              piece_nearest, piece_subset, piece_vertices,
-                              subset_bounds, union_nearest)
+                              piece_nearest, piece_vertices, union_nearest)
 
 from market_corpus import random_market
 from reference_oracles import canonical_generators, collinear_model, in_hull
@@ -127,8 +123,9 @@ def test_union_nearest_tie_toward_zero():
 def test_containment_and_subset():
     big = seg(0.0, 4.0)
     small = shift_piece(seg(0.0, 1.0), [1.0])
-    assert piece_subset(small, big, 1e-9)
-    assert not piece_subset(big, small, 1e-9)
+    # a piece lies inside a convex piece when each of its corners does
+    assert all(piece_nearest(big, v)[0] <= 1e-9 for v in piece_vertices(small))
+    assert not all(piece_nearest(small, v)[0] <= 1e-9 for v in piece_vertices(big))
     assert piece_nearest(big, [4.0 + 5e-10])[0] <= 1e-9
     assert not piece_nearest(big, [4.1])[0] <= 1e-9
 
@@ -279,95 +276,6 @@ def test_box_bound_never_exceeds_the_piece_distance(seed, K):
             assert bound <= piece_distance(piece, x, norm)
             assert box_bounds(*PieceBoxes.of([piece]), x, norm).tolist() == [bound]
         assert box_bounds(lo, hi, size, x) <= piece_nearest(piece, x)[0]
-
-
-# ---------------------------------------------------------------------------
-# Subset screen
-
-def _scaled_tol(piece):
-    """The dedup's tolerance at the piece: tol * (1 + |offset|inf)."""
-    return DEFAULT_TOL * (1.0 + float(np.max(np.abs(piece.offset))))
-
-
-def _near_subsets(rng, piece):
-    """A sub-box of the piece's ranges, that sub-box shifted by 0.3, 0.9, 1.1
-    or 3 times its tolerance along one coordinate, and an exact copy."""
-    gens = []
-    for u, lo, hi in generators(piece):
-        a, b = sorted(rng.choice([0.0, 1.0, rng.uniform()], size=2, replace=False))
-        gens.append((u, lo + a * (hi - lo), lo + b * (hi - lo)))
-    sub = Piece.of(piece.offset, gens)
-    delta = np.zeros(piece.offset.size)
-    delta[int(rng.integers(0, delta.size))] = (float(rng.choice([0.3, 0.9, 1.1, 3.0]))
-                                               * float(rng.choice([-1.0, 1.0]))
-                                               * _scaled_tol(sub))
-    return [sub, shift_piece(sub, delta), Piece.of(piece.offset, generators(piece))]
-
-
-@functools.lru_cache(maxsize=None)
-def _corpus_piece_lists(K) -> tuple:
-    """The pieces the dedup is given, per demand set with more than one
-    pattern, at lambda* of twenty corpus markets."""
-    lists = []
-    for s in range(20):
-        dual = solve_lp(random_market(np.random.default_rng((93, s, K)), K=K, max_blocks=8))
-        for i in range(len(dual.market.agents)):
-            ds = dual.demand(i)
-            try:
-                if len(ds.patterns) > 1:
-                    lists.append([Piece.of(off, gens) for off, gens in ds.canonical])
-            except ComplexityError:
-                pass
-    return tuple(lists)
-
-
-def _assert_screen_sound(pieces):
-    """Wherever the screen rules a pair out, at the tolerance of either
-    piece, `piece_subset` is False; returns the number ruled out."""
-    bounds = subset_bounds(PieceBoxes.of(pieces))
-    tols = [_scaled_tol(p) for p in pieces]
-    ruled_out = 0
-    for i, j in itertools.product(range(len(pieces)), repeat=2):
-        for t in {tols[i], tols[j]}:
-            if bounds[i, j] > t:
-                ruled_out += 1
-                assert not piece_subset(pieces[i], pieces[j], t)
-    return ruled_out
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.integers(0, 2 ** 31 - 1), st.sampled_from((1, 2, 4, 24)),
-       st.sampled_from(("bound", "corpus", "near")))
-def test_subset_screen_never_rules_out_a_subset(seed, K, source):
-    """Pairs of `_bound_test_piece`s, of the pieces of one corpus demand set,
-    or of a piece and its near subsets and shifted copies."""
-    rng = np.random.default_rng(seed)
-    if source == "bound":
-        pieces = [_bound_test_piece(rng, K) for _ in range(3)]
-    else:
-        lists = _corpus_piece_lists(K)
-        pieces = list(lists[int(rng.integers(0, len(lists)))])
-        rng.shuffle(pieces)
-        pieces = pieces[:4]
-        if source == "near":
-            base = pieces[0] if rng.random() < 0.5 else _bound_test_piece(rng, K)
-            pieces = [base] + _near_subsets(rng, base)
-    _assert_screen_sound(pieces)
-
-
-def test_subset_screen_on_shifted_copies():
-    # a piece is never ruled out of itself; a segment's copy shifted along
-    # it by 3t sticks out of it and is ruled out (and the segment out of the
-    # copy), one shifted by 0.3t is a subset within t and is not
-    piece = make_piece([4.0, 1.0], [((1.0, 0.0), 0.0, 2.0)])
-    t = _scaled_tol(piece)
-    for c, ruled_out in ((0.3, False), (3.0, True)):
-        pieces = [shift_piece(piece, [c * t, 0.0]), piece]
-        bounds = subset_bounds(PieceBoxes.of(pieces))
-        assert (bounds[0, 1] > t) == ruled_out
-        assert piece_subset(*pieces, t) != ruled_out
-        assert bounds[1, 1] <= t
-        assert (_assert_screen_sound(pieces) > 0) == ruled_out
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ def test_format_sniffing(four_agent_market):
 def test_round_trip_identity(four_agent_market):
     for fmt in ("csv", "json"):
         text = emit_market(four_agent_market, fmt)
-        again = emit_market(parse_market(text, fmt), fmt)
+        again = emit_market(parse_market(text), fmt)
         assert text == again
 
 
@@ -131,7 +131,7 @@ def test_random_market_round_trip(seed):
     market = random_market(rng, K=int(rng.integers(1, 4)))
     for fmt in ("csv", "json"):
         text = emit_market(market, fmt)
-        back = parse_market(text, fmt)
+        back = parse_market(text)
         assert back == market
         assert validate_market(back).ok
         assert emit_market(back, fmt) == text

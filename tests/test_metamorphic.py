@@ -6,7 +6,9 @@ unchanged and scales welfare and the gap by r; reversing the agent order
 changes nothing.  Exact welfare and the gap must agree within 1e-6 of the
 market's welfare scale once the scale is undone.  With the agents reversed
 and the prices and acceptances kept, every agent's value and lost
-opportunity cost, keyed by agent id, keep their bytes.
+opportunity cost, keyed by agent id, keep their bytes, and so do the
+equilibrium verdict and every agent's containment flag, which the value
+rule or the demand set's geometry decides.
 
 The Monte Carlo certificate is checked the same way on `market_from_costs`
 markets: permuting the suppliers, or scaling every money amount by 10^3 or
@@ -20,7 +22,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from equilab.convexify import PricedMarket
-from equilab.equilibria import approximate_equilibria, lost_opportunity_cost
+from equilab.equilibria import (approximate_equilibria, detect_equilibrium,
+                                lost_opportunity_cost)
 from equilab.model import BlockBid, Market
 from equilab.random_markets import (SimpleRandomMarketSpec, certified_equilibrium,
                                     draw_costs, marginal_supplier_is_convex,
@@ -89,12 +92,18 @@ def test_agent_order_reversal(market):
     reversed_market = reverse_agents(market)
     assert_scaled(market, reversed_market, 1.0)
     res = approximate_equilibria(market)
+    ids = [a.agent_id for a in market.agents]
     for allocation in (res.dual.allocation, res.snapped.allocation, res.pricing.allocation):
         _, loc, values = lost_opportunity_cost(res.dual, allocation)
-        _, r_loc, r_values = lost_opportunity_cost(
-            PricedMarket(reversed_market, res.lambda_star, res.dual.tol), allocation)
+        reversed_priced = PricedMarket(reversed_market, res.lambda_star, res.dual.tol)
+        _, r_loc, r_values = lost_opportunity_cost(reversed_priced, allocation)
         assert keyed_bytes(r_values) == keyed_bytes(values)
         assert keyed_bytes(r_loc) == keyed_bytes(loc)
+        cert = detect_equilibrium(res.dual, allocation)
+        r_cert = detect_equilibrium(reversed_priced, allocation)
+        assert r_cert.is_equilibrium == cert.is_equilibrium
+        assert dict(zip(ids[::-1], r_cert.in_demand)) == dict(zip(ids, cert.in_demand))
+    assert res.pricing.certificate == detect_equilibrium(res.dual, res.pricing.allocation)
 
 
 def monte_carlo_market(seed: int, n: int):

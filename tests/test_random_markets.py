@@ -5,18 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from equilab.convexify import solve_lp
-from equilab.equilibria import (aggregate_demand_convexity_check,
-                                convex_hull_pricing)
+from equilab.equilibria import convex_hull_pricing
 from equilab.model import validate_market
 from equilab.random_markets import (SimpleRandomMarketSpec,
                                     certified_equilibrium, draw_costs,
                                     gen_simple_random_market,
-                                    gen_tied_cost_market,
                                     marginal_supplier_is_convex,
                                     market_from_costs,
                                     monte_carlo_equilibrium_probability)
 
-from market_helpers import agent_demand_set
+from market_helpers import agent_demand_set, gen_tied_cost_market
+from reference_oracles import aggregate_demand_convexity_check
 
 
 def test_spec_validation():
@@ -183,8 +182,14 @@ def test_without_convex_setter_no_equilibrium():
     # all-binary tie with fractional residual demand cannot balance exactly
     market = gen_tied_cost_market(0, 3, demand=3.0)
     assert not certified_equilibrium(market)
-    chk = aggregate_demand_convexity_check(solve_lp(market))
+    dual = solve_lp(market)
+    chk = aggregate_demand_convexity_check(dual)
     assert not chk.convex
+    # hull pricing decides existence exactly: a positive total lost
+    # opportunity cost means no equilibrium at any prices
+    pricing = convex_hull_pricing(dual)
+    assert pricing.total_loc > 0.0
+    assert not pricing.certificate.is_equilibrium
 
 
 @settings(max_examples=25, deadline=None)

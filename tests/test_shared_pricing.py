@@ -130,8 +130,8 @@ def at_the_money_agents(market):
 
 def test_monte_carlo_certificate_builds_no_pieces(monkeypatch):
     # every one-commodity demand set lies on its carrier line, so the
-    # certificate tests containment without a piece, a dedup or a nearest
-    # point; every agent, an at-the-money block's too, is decided on its
+    # certificate tests containment without a piece or a nearest point;
+    # every agent, an at-the-money block's too, is decided on its
     # line from the pricing arrays, without a demand set
     spec = SimpleRandomMarketSpec(6, 3, seed=4)
     markets = [gen_simple_random_market(spec, t) for t in range(20)]
@@ -139,7 +139,6 @@ def test_monte_carlo_certificate_builds_no_pieces(monkeypatch):
     counts: Counter = Counter()
     monkeypatch.setattr(geometry.Piece, "of", count_calls(
         monkeypatch, counts, "piece", geometry.Piece.of))
-    count_calls(monkeypatch, counts, "dedup", demand._dedup_pieces)
     count_calls(monkeypatch, counts, "union_nearest", geometry.union_nearest)
     count_calls(monkeypatch, counts, "demand_set", demand.demand_set)
 
