@@ -41,8 +41,11 @@ def _cases() -> dict[str, list[str]]:
     # not in FIXTURE_NAMES because --mode euphemia rejects a market this big.
     cases["clear-chp-large_k24.json"] = ["clear", "large_k24.json", "--mode", "chp"]
     cases["analyze-large_k24.json"] = ["analyze", "large_k24.json"]
-    cases["simulate-n6-k3"] =["simulate", "--n", "6", "--k", "3", "--demand", "5",
-                               "--seed", "4", "--trials", "200"]
+    # Its off-line multi-piece measures in the two LP norms.
+    for norm in ("l1", "linf"):
+        cases[f"analyze-{norm}-large_k24.json"] = ["analyze", "large_k24.json", "--norm", norm]
+    cases["simulate-n6-k3"] = ["simulate", "--n", "6", "--k", "3", "--demand", "5",
+                                "--seed", "4", "--trials", "200"]
     cases["simulate-n40-k13"] = ["simulate", "--n", "40", "--k", "13", "--demand", "5",
                                  "--seed", "4", "--trials", "200"]
     # These lock the one-pass certificate's two routes: at k=0 every marginal
