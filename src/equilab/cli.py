@@ -63,9 +63,9 @@ def _load(path: str) -> Market:
 
 
 def _config_echo(args, **extra) -> dict:
-    cfg = {"tol": args.tol, "norm": getattr(args, "norm", DEFAULT_NORM)}
-    cfg.update(extra)
-    return cfg
+    """The tolerance, then `extra` in order: each subcommand echoes only the
+    options it has."""
+    return {"tol": args.tol, **extra}
 
 
 def cmd_clear(args) -> int:
@@ -78,7 +78,7 @@ def cmd_clear(args) -> int:
         _err(str(exc))
         return EXIT_INPUT
 
-    cfg = _config_echo(args, mode=args.mode, input=args.input)
+    cfg = _config_echo(args, norm=args.norm, mode=args.mode, input=args.input)
     try:
         if args.mode == "euphemia":
             res = clear_euphemia_style(market, args.tol)
@@ -161,7 +161,7 @@ def cmd_analyze(args) -> int:
         "top_nonconvexity": list(stats.top),
         "agents": agents,
         "money_classes": dict(sorted(money.classes.items())),
-        "config": _config_echo(args, input=args.input),
+        "config": _config_echo(args, norm=args.norm, input=args.input),
         "version": VERSION,
     }
     _write(json.dumps(doc, indent=2) + "\n", args.out)

@@ -654,8 +654,9 @@ def nonconvexity(demand: DemandSet, norm: str = DEFAULT_NORM, probes=()) -> floa
     """Largest distance from a hull point of the demand set back to the set.
 
     Exact for a set on a carrier line (`DemandSet.line`): the largest
-    half-gap between its intervals, with the distances of caller-supplied
-    probe points (which must lie in the hull) measured on the pieces.
+    half-gap between its intervals, or the larger distance of a
+    caller-supplied probe point (which must lie in the hull), measured on
+    the pieces.
     Otherwise the value is the maximum over a candidate family of hull
     points: piece corners, pairwise closest-approach midpoints, and the
     probes.  That family is not exhaustive once the set spans two or more
@@ -666,58 +667,34 @@ def nonconvexity(demand: DemandSet, norm: str = DEFAULT_NORM, probes=()) -> floa
     set.
 
     The value is the first maximal candidate distance, each distance the
-    `min` over the pieces in order, but a candidate's pieces are projected
-    only until its distance is known not to be that first maximum
-    (`geometry.union_distance`).  The midpoints and probes go first: their
-    largest distance is a floor the answer reaches, and each stops as soon
-    as one piece is nearer than the floor found so far.  The corners follow
-    in order, each from its own piece (which holds it, so usually that one
-    projection decides), and stop once a piece is nearer than the floor or
-    no farther than the largest corner distance before them.  A stopped
-    candidate cannot be the first maximum, and one not stopped takes its
-    minimum in piece order, so the float, signed zeros included, is the one
-    the full max-min loop returns.
+    `min` over the pieces in order (`geometry.union_distance`).  The
+    candidates are taken in order: the corners piece by piece, each
+    projected on its own piece first (which holds it, so usually that one
+    projection decides), then the midpoints, each from its pair's first
+    piece, then the probes.  A candidate stops, and is not the first
+    maximum, as soon as a piece is no farther than the largest distance
+    before it, and one not stopped takes its minimum in piece order, so
+    the float, signed zeros included, is the one the full max-min loop
+    returns.
     """
     line = demand.line
+    candidates = []
     if line is not None:
         worst = line.gap_radius() * vector_norm(line.unit, norm)
-        for x in probes:
-            d = geometry.union_distance(demand.pieces, x, norm, within=worst)
-            if d is not None:
-                worst = d
-        return worst
-    pieces = demand.pieces
-    if len(pieces) == 1 and not probes:
+    elif len(demand.pieces) == 1 and not probes:
         return 0.0
-    boxes = geometry.PieceBoxes.of(pieces)
-
-    def distance(x, below, first):
-        """The distance of x, or None once a piece is nearer than `below`."""
-        return geometry.union_distance(pieces, x, norm, boxes=boxes, first=first,
-                                       within=math.nextafter(below, -math.inf))
-
-    # The midpoints and probes follow the corners in candidate order, but
-    # are measured first: their largest distance is the floor.
-    later = []
-    for (i, a), (_, b) in itertools.combinations(enumerate(pieces), 2):
-        _, pa, pb = geometry.closest_pair(a, b)
-        later.append((i, 0.5 * (pa + pb)))
-    later.extend((0, np.asarray(x, dtype=float)) for x in probes)
-    floor = -math.inf
-    values = []
-    for first, x in later:
-        d = distance(x, floor, first)
-        values.append(d)
+    else:
+        worst = -math.inf
+        pieces = demand.pieces
+        candidates = [(i, v) for i, piece in enumerate(pieces)
+                      for v in geometry.piece_vertices(piece)]
+        for (i, a), (_, b) in itertools.combinations(enumerate(pieces), 2):
+            _, pa, pb = geometry.closest_pair(a, b)
+            candidates.append((i, 0.5 * (pa + pb)))
+    candidates.extend((0, x) for x in probes)
+    for first, x in candidates:
+        d = geometry.union_distance(demand.pieces, x, norm, within=worst, first=first)
         if d is not None:
-            floor = max(floor, d)
-    worst = -math.inf
-    for i, piece in enumerate(pieces):
-        for v in geometry.piece_vertices(piece):
-            d = distance(v, max(math.nextafter(worst, math.inf), floor), i)
-            if d is not None:
-                worst = d
-    for d in values:
-        if d is not None and d > worst:
             worst = d
     return worst
 

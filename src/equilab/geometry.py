@@ -13,25 +13,16 @@ pieces are built from (`Piece.of`).  A canonical form is found per generator
 (`generator_form`) and folded per piece (`fold_generators`), so a generator
 shared by several pieces is normalized once.
 
-The distance to a union skips the projections that cannot change a bit of
-the answer.  Each piece caches its axis box (`Piece.box`); the distance from
-a point to that box, less a rounding allowance (`box_bounds`), never exceeds
-the distance to the piece, so a piece whose bound is above the best distance
-found so far need not be projected (`union_distance`).  Points, and segments
-in l2, are always projected: their closed form costs about what a bound
-does.  The projections that do run are the ones the full loop ran, on the
-same arguments, and the minimum is taken in piece order, so every returned
-float is the one the full loop returns.  `union_nearest` projects every
-piece: its tie rule is not transitive.
+The distance to a union (`union_distance`) is the least piece distance,
+taken in piece order; it stops early only once a piece is within a caller's
+bar, and then returns no distance.  `union_nearest` projects every piece:
+its tie rule is not transitive.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -41,10 +32,6 @@ from .config import vector_norm
 MAX_GENS_PER_PIECE = 12
 MAX_PIECES = 64
 _PAR_TOL = 1e-9
-# Relative rounding allowance of a box bound: ten times both the 1e-9
-# phase-1 tolerance of the l1/linf distance LPs and the 1e-9 off-axis
-# components `piece_nearest` drops from a near-axis unit.
-_BOX_SLACK = 1e-8
 
 
 class ComplexityError(RuntimeError):
@@ -63,19 +50,6 @@ class Piece:
     units: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-
-    @cached_property
-    def box(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """Axis box (lo, hi) holding the piece, and the piece's size
-        |offset|inf + sum of max(|lo_g|, |hi_g|), which bounds every
-        coordinate of the piece."""
-        lo = hi = self.offset
-        size = max((abs(v) for v in self.offset), default=0.0)
-        for u, a, b in zip(self.units, self.lo.tolist(), self.hi.tolist()):
-            lo = lo + np.minimum(u * a, u * b)
-            hi = hi + np.maximum(u * a, u * b)
-            size += max(abs(a), abs(b))
-        return lo, hi, size
 
     @classmethod
     def of(cls, offset, merged) -> Piece:
@@ -207,51 +181,6 @@ def closest_pair(a: Piece, b: Piece) -> tuple[float, np.ndarray, np.ndarray]:
     return float(np.linalg.norm(pa - pb)), pa, pb
 
 
-class PieceBoxes(NamedTuple):
-    """The axis boxes of a sequence of pieces, stacked: lo and hi (one row
-    per piece) and each piece's size (see `Piece.box`)."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-    size: np.ndarray
-
-    @classmethod
-    def of(cls, pieces) -> PieceBoxes:
-        boxes = [p.box for p in pieces]
-        return cls(np.array([b[0] for b in boxes]), np.array([b[1] for b in boxes]),
-                   np.array([b[2] for b in boxes]))
-
-
-def box_bounds(lo, hi, size, x, norm: str = "l2") -> np.ndarray:
-    """Lower bounds on norm-distances from points to pieces, from their boxes.
-
-    Broadcasts over leading axes: points `x` (..., K) against boxes `lo`,
-    `hi` (..., K) of sizes `size`.  The distance d to the box is at most the
-    distance to the piece; the bound is d less _BOX_SLACK * (1 + d + |x|inf
-    + sqrt(K) * size), which covers the rounding of the box, the snapped
-    units of `piece_nearest` and the tolerance of `piece_distance`'s LPs.
-    """
-    x = np.asarray(x, dtype=float)
-    gap = np.maximum(lo - x, x - hi)
-    np.maximum(gap, 0.0, out=gap)
-    if norm == "l2":
-        d = np.sqrt((gap * gap).sum(axis=-1))
-    elif norm == "l1":
-        d = gap.sum(axis=-1)
-    elif norm == "linf":
-        d = gap.max(axis=-1)
-    else:
-        raise ValueError(f"unknown norm {norm!r}")
-    reach = np.abs(x).max(axis=-1)
-    return d - _BOX_SLACK * (1.0 + d + reach + math.sqrt(x.shape[-1]) * size)
-
-
-def _closed_form(piece: Piece, norm: str) -> bool:
-    """Is the piece a point, or a segment in l2?  Its distance is then a
-    closed form that costs about what its box bound does."""
-    return len(piece.units) <= (1 if norm == "l2" else 0)
-
-
 def piece_distance(piece: Piece, x, norm: str = "l2") -> float:
     """Distance from x to the piece: `piece_nearest` for l2, a small LP on
     the residual r - G t for l1 and linf.
@@ -295,35 +224,24 @@ def piece_distance(piece: Piece, x, norm: str = "l2") -> float:
     raise ValueError(f"unknown norm {norm!r}")
 
 
-def union_distance(pieces, x, norm: str = "l2", *, boxes: PieceBoxes | None = None,
-                   within: float = -math.inf, first: int = 0) -> float | None:
+def union_distance(pieces, x, norm: str = "l2", *, within: float = -math.inf,
+                   first: int = 0) -> float | None:
     """Distance from x to a union of pieces: the `min` of `piece_distance`
-    over the pieces in their order, with no projection that cannot change it.
+    over the pieces, taken in piece order, or None as soon as one piece is
+    within `within` (distance <= within).
 
-    Piece `first` is projected first, then the others in order.  A piece
-    whose box bound is above the smallest distance found so far is skipped:
-    its distance is larger.  Points, and segments in l2, are always
-    projected (`_closed_form`).  None is returned as soon as one piece is
-    within `within` (distance <= within).  The bounds are computed only
-    once one is needed, from `boxes` when the caller keeps the pieces'
-    stacked boxes across points.
+    Piece `first` is projected first, then the others in order; the order
+    of projection decides only how soon None is returned.  The l1 and linf
+    distances are -0.0 inside a piece and a point's is 0.0, so the minimum
+    is taken in piece order, not as a running minimum.
     """
     x = np.asarray(x, dtype=float)
-    bounds = None
     found = [math.inf] * len(pieces)
-    best = math.inf
-    for i in itertools.chain((first,), range(first), range(first + 1, len(pieces))):
-        if best < math.inf and not _closed_form(pieces[i], norm):
-            if bounds is None:
-                lo, hi, size = PieceBoxes.of(pieces) if boxes is None else boxes
-                bounds = box_bounds(lo, hi, size, x, norm).tolist()
-            if bounds[i] > best:
-                continue
+    for i in (first, *range(first), *range(first + 1, len(pieces))):
         d = piece_distance(pieces[i], x, norm)
         if d <= within:
             return None
         found[i] = d
-        best = min(best, d)
     return min(found)
 
 

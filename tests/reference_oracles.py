@@ -11,11 +11,11 @@ against it.  All three are kept as they were in the package, except that
 `lp.solve_lp` cut its numpy call overhead: one `np.linalg.solve` per basis
 solve, the basis matrix gathered afresh each pivot, and the ratio test over
 numpy scalars.  `lp.solve_lp` must return the same bytes and raise the same
-errors.  `reference_nonconvexity` is the measure's max-min loop as it was
-before the union distance skipped projections: every candidate hull point
-projected on every piece.  `nonconvexity` must return the same floats, and
-`_reference_union_distance`, the least distance over every piece, decides
-`DemandSet.contains`.  `reference_build_convexified`, `reference_demand_set`
+errors.  `reference_nonconvexity` is the measure's full max-min loop:
+every candidate hull point projected on every piece.  `nonconvexity`, which
+stops a candidate once it cannot be the first maximum, must return the same
+floats, and `_reference_union_distance`, the least distance over every
+piece, decides `DemandSet.contains`.  `reference_build_convexified`, `reference_demand_set`
 and `reference_classify_money` are the welfare LP build, demand-set build and
 money classification as they were before they read `Market.compiled`: one
 agent and one bid at a time, with the per-curve closed forms

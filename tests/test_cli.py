@@ -362,6 +362,14 @@ def test_simulate_convex_share_at_whole_multiples_of_capacity(capsys):
     assert doc["convex_share"] == 1.0
 
 
+def test_simulate_config_echoes_no_norm(capsys):
+    """simulate has no --norm, so its config names no norm."""
+    code, out, _ = run(capsys, "simulate", "--n", "4", "--k", "2", "--trials", "5",
+                       "--tol", "1e-6")
+    assert code == 0
+    assert json.loads(out)["config"] == {"tol": 1e-6}
+
+
 def test_parser_built_once_dispatches_to_the_current_handler(monkeypatch):
     assert cli.build_parser() is cli.build_parser()
     seen = []

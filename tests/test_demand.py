@@ -372,7 +372,7 @@ def test_carrier_line_matches_piece_oracles(seed, K):
 
 
 # ---------------------------------------------------------------------------
-# The pruned union distance against the full max-min loop
+# The early-stopping union distance against the full max-min loop
 
 def _triangle_agent():
     """Two at-the-money all-or-nothing blocks in one exclusive group at

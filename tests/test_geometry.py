@@ -9,12 +9,13 @@ from scipy.optimize import lsq_linear
 
 from equilab.convexify import solve_lp
 from equilab.demand import DemandSet, nonconvexity
-from equilab.geometry import (ComplexityError, Piece, PieceBoxes, box_bounds,
-                              closest_pair, merge_intervals, piece_distance,
-                              piece_nearest, piece_vertices, union_nearest)
+from equilab.geometry import (ComplexityError, Piece, closest_pair, merge_intervals,
+                              piece_distance, piece_nearest, piece_vertices,
+                              union_distance, union_nearest)
 
 from market_corpus import random_market
-from reference_oracles import canonical_generators, collinear_model, in_hull
+from reference_oracles import (_reference_union_distance, canonical_generators,
+                               collinear_model, in_hull)
 
 
 def make_piece(offset, gens=()) -> Piece:
@@ -233,9 +234,24 @@ def test_vertices_lie_in_piece_and_span_hull(seed):
 
 
 # ---------------------------------------------------------------------------
-# Box bounds
+# The union distance
 
-def _bound_test_piece(rng, dim):
+def test_union_distance_keeps_the_sign_of_zero_in_piece_order():
+    # inside the square the l1 and linf LPs give -0.0, at the point 0.0;
+    # the minimum is taken in piece order, whichever piece goes first
+    point = make_piece([0.5, 0.5])
+    square = make_piece([0.0, 0.0], [([1.0, 0.0], 0.0, 1.0), ([0.0, 1.0], 0.0, 1.0)])
+    x = np.array([0.5, 0.5])
+    for norm in ("l1", "linf"):
+        for pieces, want in (([point, square], "0.0"), ([square, point], "-0.0")):
+            d = union_distance(pieces, x, norm, first=1)
+            assert repr(d) == want == repr(_reference_union_distance(pieces, x, norm))
+
+
+# ---------------------------------------------------------------------------
+# Byte lock
+
+def _random_lock_piece(rng, dim):
     """A piece with random, axis, near-axis (off-axis parts of 1e-10) and
     opposite-axis generators, ranges that may exclude 0, or no generator."""
     gens = []
@@ -256,34 +272,9 @@ def _bound_test_piece(rng, dim):
     return make_piece(rng.uniform(-50.0, 50.0, size=dim), gens)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2 ** 31 - 1), st.sampled_from((1, 2, 3, 24)))
-def test_box_bound_never_exceeds_the_piece_distance(seed, K):
-    """In every norm the box bound is at most the computed distance: for
-    points far off, just outside a box face, on a corner and inside."""
-    rng = np.random.default_rng(seed)
-    piece = _bound_test_piece(rng, K)
-    lo, hi, size = piece.box
-    corners = piece_vertices(piece)
-    points = [rng.uniform(-300.0, 300.0, size=K),
-              hi + rng.uniform(0.0, 1e-6, size=K),
-              lo - rng.uniform(0.0, 1.0, size=K),
-              corners[int(rng.integers(0, len(corners)))],
-              np.mean(corners, axis=0)]
-    for x in points:
-        for norm in ("l2", "l1", "linf"):
-            bound = box_bounds(lo, hi, size, x, norm)
-            assert bound <= piece_distance(piece, x, norm)
-            assert box_bounds(*PieceBoxes.of([piece]), x, norm).tolist() == [bound]
-        assert box_bounds(lo, hi, size, x) <= piece_nearest(piece, x)[0]
-
-
-# ---------------------------------------------------------------------------
-# Byte lock
-
 def _lock_pieces(K):
     """Every piece of the demand sets at lambda* of six seeded corpus
-    markets, then a seeded point and twelve `_bound_test_piece`s: segments,
+    markets, then a seeded point and twelve `_random_lock_piece`s: segments,
     axis-aligned, near-axis and skew pieces."""
     pieces = []
     for s in range(6):
@@ -295,7 +286,7 @@ def _lock_pieces(K):
                 pass
     rng = np.random.default_rng((78, K))
     pieces.append(make_piece(rng.uniform(-5.0, 5.0, size=K)))
-    pieces.extend(_bound_test_piece(rng, K) for _ in range(12))
+    pieces.extend(_random_lock_piece(rng, K) for _ in range(12))
     return pieces
 
 
@@ -303,10 +294,22 @@ def _lock_pieces(K):
 PIECE_RESULTS_SHA256 = "7ff5098d5a9e352a579eefb8c8ad04fac2714830bf5bf063c2f44b24c4f3d967"
 
 
+def _axis_box(piece):
+    """The piece's axis box (lo, hi) and its size |offset|inf + sum of
+    max(|lo_g|, |hi_g|), which `PIECE_RESULTS_SHA256` hashes."""
+    lo = hi = piece.offset
+    size = max((abs(v) for v in piece.offset), default=0.0)
+    for u, a, b in zip(piece.units, piece.lo.tolist(), piece.hi.tolist()):
+        lo = lo + np.minimum(u * a, u * b)
+        hi = hi + np.maximum(u * a, u * b)
+        size += max(abs(a), abs(b))
+    return lo, hi, size
+
+
 def test_piece_results_keep_their_bytes():
-    """Box, corners, nearest point and l1/linf distances at three points
-    per piece, and the closest pair of each two consecutive pieces, hashed
-    over K = 1, 2, 4 and 24."""
+    """Axis box, corners, nearest point and l1/linf distances at three
+    points per piece, and the closest pair of each two consecutive pieces,
+    hashed over K = 1, 2, 4 and 24."""
     h = hashlib.sha256()
 
     def put(*values):
@@ -317,7 +320,7 @@ def test_piece_results_keep_their_bytes():
         pieces = _lock_pieces(K)
         rng = np.random.default_rng((79, K))
         for piece in pieces:
-            lo, hi, size = piece.box
+            lo, hi, size = _axis_box(piece)
             corners = piece_vertices(piece)
             put(lo, hi, size, corners)
             for x in (rng.uniform(-6.0, 6.0, size=K), corners[-1], np.mean(corners, axis=0)):
