@@ -45,12 +45,17 @@ class CurveError(ValueError):
     pass
 
 
+class CurveShapeError(CurveError):
+    """Breakpoints that give no concave buy or convex sell curve."""
+
+
 def canonical_steps(points, mode: str) -> tuple[CurveStep, ...]:
     """Convert breakpoints to the canonical step list.
 
-    Raises CurveError on malformed input (unsorted prices, non-monotone
-    quantities, unknown mode).  Zero-width segments are dropped; a segment
-    straddling zero is split so every step lies on one side of zero.
+    Raises CurveError on an unknown mode or no points, and its subclass
+    CurveShapeError on unsorted prices or non-monotone quantities or
+    marginal prices.  Zero-width segments are dropped; a segment straddling
+    zero is split so every step lies on one side of zero.
     """
     if mode not in ("stepwise", "interpolated"):
         raise CurveError(f"unknown curve mode {mode!r}")
@@ -62,9 +67,9 @@ def canonical_steps(points, mode: str) -> tuple[CurveStep, ...]:
         return (CurveStep(0.0, q, p),) if q > 0.0 else (CurveStep(q, 0.0, p),) if q < 0.0 else ()
     for (p0, q0), (p1, q1) in zip(pts, pts[1:]):
         if p1 < p0:
-            raise CurveError("curve prices must be nondecreasing")
+            raise CurveShapeError("curve prices must be nondecreasing")
         if q1 > q0:
-            raise CurveError("curve quantities must be nonincreasing in price")
+            raise CurveShapeError("curve quantities must be nonincreasing in price")
 
     raw: list[tuple[float, float, float, float]] = []  # (lo, hi, step, interp)
     for (p0, q0), (p1, q1) in zip(pts, pts[1:]):
@@ -94,5 +99,5 @@ def canonical_steps(points, mode: str) -> tuple[CurveStep, ...]:
     steps.sort(key=lambda s: (s.lo, s.hi))
     for a, b in zip(steps, steps[1:]):
         if b.price > a.price + 1e-12 * (1.0 + abs(a.price)):
-            raise CurveError("marginal price must be nonincreasing in quantity")
+            raise CurveShapeError("marginal price must be nonincreasing in quantity")
     return tuple(steps)

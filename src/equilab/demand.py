@@ -93,15 +93,13 @@ class PricedMarket:
     from the compiled market (`Market.compiled`).  Per block: the margin
     p_b - lam.q_b and its in / at / out class, the at-the-money band
     relative to the money scale |p_b| + |lam.q_b|.  Per curve: best surplus
-    and demand interval.  Per linked component: best surplus and
-    surplus-maximal patterns.  Per agent: `best_surplus`, its curves' and
-    then its components' in order, and the line arrays (`_axis_lines`).
-    Each float is the one a loop over one agent's bids gives: the
-    elementwise operations round the same way, and every sum adds in the
-    loop's order (`np.add.at` or `np.bincount` over the compiled owner
-    indices; a numpy reduction would sum pairwise).  At K >= 2 each margin
-    is its own `lam @ q` dot, since a matrix-vector product may round
-    differently.  `demand_set` reads these arrays.
+    and demand interval.  Per component: best surplus and surplus-maximal
+    patterns (`kept`).  Per agent: `best_surplus`, its curves' and then its
+    components' in order, and the line arrays (`_axis_lines`).  The pricing
+    is one pass of plain loops over the compiled tables, blocks, then curve
+    steps, then components, and every sum adds left to right from +0.0.
+    At K >= 2 each margin is its own `lam @ q` dot, since a matrix-vector
+    product may round differently.  `demand_set` reads these lists.
 
     Per agent (agent i is `market.agents[i]`), quantities are computed on
     first use and kept for the life of the object: its demand set, its
@@ -121,51 +119,82 @@ class PricedMarket:
         self.lambda_star = lam = np.asarray(self.lambda_star, dtype=float)
         self.tol = tol = resolve_tol(self.tol)
         cm = self.market.compiled
-        n, K, C = cm.num_agents, cm.K, len(cm.curves)
+        prices = lam.tolist()
 
-        block_price, mar, abs_price = cm.block_table[:, :3].T
-        if K == 1:
-            lq = cm.block_table[:, 3] * lam[0] + 0.0   # `@` adds to +0.0 as well
+        # Blocks: an active block adds m if m > 0 else mar*m to a pattern's
+        # surplus, and m (in the money), mar*m (out of it) or 0 to its
+        # banded score.
+        rows = cm.block_table[:, :4].tolist()
+        if cm.K == 1:
+            lqs = [row[3] * prices[0] + 0.0 for row in rows]   # `@` adds to +0.0 as well
         else:
-            lq = np.array([lam @ q for q in cm.block_q], dtype=float)
-        m = self.margin = block_price - lq
-        slack = tol * (1.0 + (abs_price + np.abs(lq)))
-        is_in, is_out = m > slack, m < -slack
-        self.classes = (is_in.astype(int) - is_out).tolist()     # _IN 1, _AT 0, _OUT -1
-        # An active block adds m if m > 0 else mar*m to a pattern's surplus,
-        # and m (in the money), mar*m (out of it) or 0 to its banded score.
-        mar_m = mar * m
-        self._on_banded = np.where(is_in, m, np.where(is_out, mar_m, 0.0)).tolist()
-        positive = m > 0.0
+            lqs = [float(lam @ q) for q in cm.block_q]
+        self.margin, self.classes, on_best, on_banded = [], [], [], []
+        for row, lq in zip(rows, lqs):
+            m = row[0] - lq
+            mar_m = row[1] * m
+            slack = tol * (1.0 + (row[2] + abs(lq)))
+            cls = _IN if m > slack else _OUT if m < -slack else _AT
+            self.margin.append(m)
+            self.classes.append(cls)
+            on_best.append(m if m > 0.0 else mar_m)
+            on_banded.append(m if cls == _IN else mar_m if cls == _OUT else 0.0)
 
         # Curve steps: a buy step is taken below its price, a sell step
-        # above it; one within the band of the price is optional.  A step
-        # left out adds a zero (its sign is lost in a sum onto +0.0).
-        p, width, abs_p, abs_width = cm.step_table[:, :4].T
-        hour, _, curve = cm.step_index
-        price = lam[hour]
-        buy = width > 0.0
-        self._step_gain = gain = np.where(buy, p - price, price - p)
-        band = tol * (1.0 + np.maximum(abs_p, np.abs(price)))
-        best = np.bincount(curve, abs_width * (gain * (gain > 0.0)), C)
-        lo = np.bincount(curve, width * ((p > price + band) == buy), C)
-        hi = np.bincount(curve, width * ((p >= price - band) == buy), C)
-        self.curve_interval = list(zip(lo.tolist(), hi.tolist()))
+        # above it; one within the band of the price is optional.
+        C = len(cm.curves)
+        best, lo, hi = [0.0] * C, [0.0] * C, [0.0] * C
+        self._step_gain = []
+        hours, _, owners = cm.step_index.tolist()
+        for (p, width, abs_p, abs_width), h, c in zip(cm.step_table[:, :4].tolist(),
+                                                      hours, owners):
+            price = prices[h]
+            buy = width > 0.0
+            gain = p - price if buy else price - p
+            self._step_gain.append(gain)
+            band = tol * (1.0 + max(abs_p, abs(price)))
+            if gain > 0.0:
+                best[c] += abs_width * gain
+            if (p > price + band) == buy:
+                lo[c] += width
+            if (p >= price - band) == buy:
+                hi[c] += width
+        self.curve_interval = list(zip(lo, hi))
 
-        # Term values: every curve's best surplus, then every component's;
-        # a lone block's is its margin when positive.
-        values = np.empty(C + len(cm.components))
-        values[:C] = best
-        lone_block, lone_term = cm.lone
-        values[lone_term] = np.where(positive, m, 0.0)[lone_block]
-        self._linked_kept: dict[int, tuple] = {}
-        if cm.linked_components:
-            on_best = np.where(positive, m, mar_m).tolist()
-            for k in cm.linked_components:
-                values[C + k] = self._score_linked(k, on_best)
-        total = np.zeros(n)
-        np.add.at(total, cm.term_owner, values)
-        self.best_surplus = total.tolist()
+        # Components: the best surplus is the max, and at least 0, over the
+        # feasible patterns of the sum of the active blocks' surpluses in
+        # block order; the kept patterns are those whose banded score ties
+        # the best within the band, in `iter_patterns` order.  A lone block
+        # keeps its off pattern (scored 0) and its on pattern within the
+        # band of the better of the two.
+        values, self.kept = [], []
+        for comp, patterns in zip(cm.components, cm.patterns):
+            if len(comp) == 1:
+                m, banded = self.margin[comp[0]], on_banded[comp[0]]
+                top = banded if banded > 0.0 else 0.0
+                floor = top - tol * (1.0 + abs(top))
+                values.append(m if m > 0.0 else 0.0)
+                self.kept.append(((0,),) * (0.0 >= floor) + ((1,),) * (banded >= floor))
+                continue
+            value, scored = 0.0, []
+            for z in patterns:
+                s = banded = 0.0
+                for j, on in zip(comp, z):
+                    if on:
+                        s += on_best[j]
+                        banded += on_banded[j]
+                value = max(value, s)
+                scored.append((banded, z))
+            top = max(banded for banded, _ in scored)
+            floor = top - tol * (1.0 + abs(top))
+            values.append(value)
+            self.kept.append(tuple(z for banded, z in scored if banded >= floor))
+
+        # Each agent's best surplus: its curves' and then its components'.
+        total = [0.0] * cm.num_agents
+        for i, v in zip(cm.curve_owner + cm.component_owner, best + values):
+            total[i] += v
+        self.best_surplus = total
         self._axis_lines()
 
     def _axis_lines(self) -> None:
@@ -200,7 +229,7 @@ class PricedMarket:
                 off[i] |= i in at_the_money
                 at_the_money[i] = comp[0]
                 continue
-            kept = self.kept_patterns(k)
+            kept = self.kept[k]
             on = [j for j, z in zip(comp, kept[0]) if z]
             off[i] |= len(kept) > 1 or any(classes[j] == _AT for j in on)
             offset = None
@@ -236,42 +265,6 @@ class PricedMarket:
         self.line_unit = np.array(unit, dtype=float).reshape(n, K)
         self.line_intervals = np.array(ends, dtype=float)
         self.on_line = [not flag for flag in off]
-
-    def _score_linked(self, k: int, on_best: list) -> float:
-        """Best surplus of linked component k; keeps its surplus-maximal patterns.
-
-        The best surplus is the max, and at least 0, over feasible patterns
-        of the sum of the active blocks' surpluses in block order.  The kept
-        patterns are those whose banded score ties the best within the
-        relative tolerance, in `iter_patterns` order.
-        """
-        cm = self.market.compiled
-        best = 0.0
-        scored = []
-        for z in cm.patterns[k]:
-            s = banded = 0.0
-            for j, zi in zip(cm.components[k], z):
-                if zi:
-                    s += on_best[j]
-                    banded += self._on_banded[j]
-            best = max(best, s)
-            scored.append((banded, z))
-        top = max(f[0] for f in scored)
-        slack = self.tol * (1.0 + abs(top))
-        self._linked_kept[k] = tuple(z for banded, z in scored if banded >= top - slack)
-        return best
-
-    def kept_patterns(self, k: int) -> tuple:
-        """Surplus-maximal patterns of component k, in `iter_patterns` order:
-        for a lone block, the off pattern (scored 0) and the on pattern that
-        lie within the band of the better of the two."""
-        cm = self.market.compiled
-        if len(cm.components[k]) > 1:
-            return self._linked_kept[k]
-        banded = self._on_banded[cm.components[k][0]]
-        top = banded if banded > 0.0 else 0.0
-        floor = top - self.tol * (1.0 + abs(top))
-        return ((0,),) * (0.0 >= floor) + ((1,),) * (banded >= floor)
 
     @cached_property
     def carrier_lines(self) -> list:
@@ -326,7 +319,7 @@ class PricedMarket:
         slack = self.tol * (1.0 + (scale + np.abs(self.lambda_star[cm.curve_hour])))
         curve_money = np.where(margin > slack, _IN, np.where(margin < -slack, _OUT, _AT))
         bids = (cm.blocks, cm.curves)
-        margins = (self.margin.tolist(), margin.tolist())
+        margins = (self.margin, margin.tolist())
         money = (self.classes, curve_money.tolist())
         classes: dict[str, str] = {}
         out: dict[str, float] = {}
@@ -580,7 +573,7 @@ def demand_set(priced: PricedMarket, i: int) -> DemandSet:
         for c in curves)),)]
     for k in range(cm.component_start[i], cm.component_start[i + 1]):
         factors.append(tuple(_pattern_factor(cm, priced.classes, cm.components[k], z)
-                             for z in priced.kept_patterns(k)))
+                             for z in priced.kept[k]))
     ds = DemandSet(priced.tol, priced.best_surplus[i], tuple(factors))
     line = priced.carrier_lines[i]
     if line is not None:

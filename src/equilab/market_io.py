@@ -92,8 +92,7 @@ def _parse_csv(text: str) -> Market:
             key = (agent, bid)
             entry = curves.get(key)
             if entry is None:
-                curves[key] = {"hour": hour - 1, "mode": mode, "points": [point],
-                               "line": line_no}
+                curves[key] = {"hour": hour - 1, "mode": mode, "points": [point]}
                 order.append(key)
             else:
                 if entry["hour"] != hour - 1 or entry["mode"] != mode:
@@ -130,11 +129,8 @@ def _parse_csv(text: str) -> Market:
             bids_by_agent[agent].append(block_map[agent, bid])
         else:
             e = curves[agent, bid]
-            try:
-                bids_by_agent[agent].append(
-                    HourlyCurveBid(bid, e["hour"], tuple(e["points"]), e["mode"]))
-            except ValueError as exc:
-                _fail(e["line"], str(exc))
+            bids_by_agent[agent].append(
+                HourlyCurveBid(bid, e["hour"], tuple(e["points"]), e["mode"]))
     agents = tuple(Agent(a, tuple(bids_by_agent[a])) for a in agent_order)
     return Market(num_hours, agents, currency=currency, quantity_unit=unit,
                   label=label)

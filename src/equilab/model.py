@@ -19,7 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .curves import CurveError, canonical_steps
+from .curves import CurveError, CurveShapeError, canonical_steps
 
 MAR_FLOOR = 0.01
 
@@ -195,11 +195,13 @@ def _check_curve(market: Market, bid: HourlyCurveBid, out: list[Violation]) -> N
         return
     try:
         bid.steps
-    except CurveError as exc:
+    except CurveShapeError as exc:
         side = "buy" if any(q > 0 for _, q in bid.points) else "sell"
         kind = "non-concave buy curve" if side == "buy" else "non-convex sell curve"
         out.append(Violation("bad-curve", f"{bid.bid_id}: {kind} ({exc})",
                              (bid.bid_id,)))
+    except CurveError as exc:                  # an unknown mode or no points
+        out.append(Violation("bad-curve", f"{bid.bid_id}: {exc}", (bid.bid_id,)))
 
 
 def _check_block(market: Market, bid: BlockBid, out: list[Violation]) -> None:
@@ -328,25 +330,24 @@ class CompiledMarket:
       `step_index` rows: hour, column, curve;
     - `curve_table`, one row per curve: the lo and hi of its range, and
       1 + max(|lo|, |hi|), the scale of its tolerance;
-    - `term_owner`: the owner of each best-surplus term, every curve's
-      and then every component's (`curve_owner + component_owner`); `lone`
-      rows: block and term number of each lone component (one block, whose
-      patterns are `LONE_PATTERNS`, off then on), and `linked_components`
-      the others;
     - `bid_index` rows: owner and value (block j as j, curve c as ~c) of
       each bid, in market order.
 
-    Sums over a curve's steps, an agent's terms and an agent's bids run for
-    all owners at once with `np.add.at` or `np.bincount`, which add in index
-    order; the owners are listed in the order of the one-owner loops, so
-    every sum adds in that loop's order.
+    `linked_components` lists the components of more than one block; a
+    lone block's patterns are `LONE_PATTERNS`, off then on.
+    `demand.PricedMarket` prices every agent in one pass of loops over
+    these tables.  `values`, `bundles_of` and `columns_accepted` sum over a
+    curve's steps and an agent's bids for all owners at once with
+    `np.add.at` or `np.bincount`, which add in index order; the owners are
+    listed in the order of the one-owner loops, so every sum adds in that
+    loop's order.
     """
 
     __slots__ = ("K", "num_agents", "num_columns", "blocks", "curves", "components",
                  "patterns", "linked_components", "curve_start", "component_start",
                  "curve_hour", "block_table", "block_col", "step_table", "curve_table",
-                 "step_index", "term_owner", "lone", "bid_index", "curve_owner",
-                 "component_owner", "groups", "parent", "loop")
+                 "step_index", "bid_index", "curve_owner", "component_owner", "groups",
+                 "parent", "loop")
 
     def __init__(self, market: Market):
         K = market.num_commodities
@@ -355,7 +356,6 @@ class CompiledMarket:
         curves: list[HourlyCurveBid] = []
         components: list[tuple[int, ...]] = []
         patterns: list[tuple[tuple[int, ...], ...]] = []
-        lone: list[tuple[int, int]] = []                    # (block, component)
         linked: list[int] = []
         block_rows, block_col, step_rows, step_hour, step_col = [], [], [], [], []
         curve_rows, step_curve = [], []
@@ -404,9 +404,7 @@ class CompiledMarket:
                     if b.group is not None:
                         groups.setdefault((b.group, i), []).append(j)
                 for comp in block_components(tuple(mine)) if len(mine) > 1 else [(0,)]:
-                    if len(comp) == 1:
-                        lone.append((first_block + comp[0], len(components)))
-                    else:
+                    if len(comp) > 1:
                         linked.append(len(components))
                     component_owner.append(i)
                     components.append(tuple([first_block + j for j in comp]))
@@ -426,12 +424,7 @@ class CompiledMarket:
 
         self.components = components
         self.patterns = patterns
-        # A lone block free of links is scored for all such blocks at once.
         self.linked_components = linked
-        self.lone = np.array(lone, dtype=int).reshape(-1, 2).T
-        self.lone[1] += len(curves)                        # component k is term C + k
-        # Terms: every curve's, then every component's.
-        self.term_owner = np.array(curve_owner + component_owner, dtype=int)
 
         self.curves = curves
         self.curve_hour = [c.hour for c in curves]

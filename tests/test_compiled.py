@@ -35,8 +35,9 @@ from equilab.model import Agent, BlockBid, HourlyCurveBid, Market
 from equilab.random_markets import SimpleRandomMarketSpec, draw_costs, market_from_costs
 from equilab.welfare import solve_welfare
 
-from market_corpus import (cross_agent_parent_market, random_balanced_allocation,
-                           random_market, random_price_vector, split_group_market)
+from market_corpus import (cross_agent_parent_market, large_market,
+                           random_balanced_allocation, random_market, random_price_vector,
+                           split_group_market)
 from market_helpers import checked_values
 from reference_oracles import (agent_bundle, quantity_range, reference_build_convexified,
                                reference_classify_money, reference_demand_set,
@@ -143,6 +144,15 @@ def test_compiled_market_is_byte_identical_to_per_agent_builds(market, seed, tol
     lam = random_price_vector(np.random.default_rng(seed), market)
     assert_priced_like_oracle(PricedMarket(market, lam, tol), bundles)
 
+
+@pytest.mark.parametrize("i", range(6))
+def test_large_market_is_priced_like_per_agent_builds(i):
+    # the 12-agent K = 24 markets `equilab clear` meets in the benchmark,
+    # which `markets` never draws, at lambda* under two tolerances
+    market = large_market(np.random.default_rng((1, i)), 12, 24)
+    bundles = list(solve_lp(market).lp_bundles())
+    for tol in (None, 0.05):
+        assert_priced_like_oracle(solve_lp(market, tol), bundles)
 
 
 def line_ends(line):

@@ -426,7 +426,7 @@ def _assert_matches_full_loop(ds, probes, rng):
 
 
 @pytest.mark.parametrize("make", [_triangle_agent, _l_shape_agent, _offset_range_agent])
-def test_pruned_union_distance_matches_full_loop_examples(make):
+def test_measure_and_union_distance_match_full_loop_examples(make):
     agent, lam = make()
     ds = agent_demand_set(agent, lam)
     _assert_matches_full_loop(ds, (np.mean(ds.vertices, axis=0),), np.random.default_rng(0))
@@ -451,7 +451,7 @@ def test_containment_reads_the_least_piece_distance():
 
 @settings(max_examples=12, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1), st.sampled_from((2, 4, 24)))
-def test_pruned_union_distance_matches_full_loop(seed, K):
+def test_measure_and_union_distance_match_full_loop(seed, K):
     """At lambda* and at random prices, the measure in every norm, probed by
     the LP bundle and unprobed, the nearest point and containment are the
     bytes of the full max-min loop."""

@@ -78,6 +78,17 @@ def test_names_bad_sell_curve():
     assert any("non-convex sell curve" in v.message for v in report.violations)
 
 
+@pytest.mark.parametrize("points, mode, message", [
+    (((1.0, 1.0),), "bogus", "c: unknown curve mode 'bogus'"),
+    ((), "stepwise", "c: curve has no points"),
+], ids=["unknown-mode", "no-points"])
+def test_reports_a_curve_without_shape_as_it_is(points, mode, message):
+    # neither error is about the curve's shape, so neither names one
+    mk = Market(1, (Agent("a", (HourlyCurveBid("c", 0, points, mode),)),))
+    report = validate_market(mk)
+    assert [(v.code, v.message) for v in report.violations] == [("bad-curve", message)]
+
+
 def test_rejects_mar_outside_floor():
     mk = Market(1, (Agent("a", (BlockBid("b", 1.0, (1.0,), mar=0.001),)),))
     assert "bad-mar" in _codes(mk)
