@@ -1,5 +1,7 @@
 """Synthetic market families and the Monte Carlo equilibrium study."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -139,6 +141,33 @@ def test_monte_carlo_deterministic():
     a = monte_carlo_equilibrium_probability(spec, 60)
     b = monte_carlo_equilibrium_probability(spec, 60)
     assert a.successes == b.successes
+
+
+# sha256 of the bytes below, recorded before the simplex, the compiled
+# market and the carrier lines were last made faster.
+TRIAL_FLOATS_SHA256 = "14b7019a1b305f463cbb128a271b3224401189f77bf010f375dc47a9f877bbd0"
+
+
+def test_trial_floats_keep_their_bytes():
+    """Every float a Monte Carlo trial computes on its way to a verdict:
+    lambda*, the LP's column values, the primal value and dual objective,
+    each agent's best surplus and line arrays, the LP bundles and the
+    containment flags, hashed over n = 5, 10, 20, 40, five seeds and five
+    trials each.  The success counts alone miss a float that moves without
+    flipping a verdict."""
+    h = hashlib.sha256()
+    for n in (5, 10, 20, 40):
+        for seed in range(5):
+            spec = SimpleRandomMarketSpec(n, max(1, n // 3), seed=seed)
+            for trial in range(5):
+                dual = solve_lp(gen_simple_random_market(spec, trial))
+                bundles = dual.lp_bundles()
+                for v in (dual.lambda_star, dual.var_values, dual.best_surplus,
+                          dual.line_origin, dual.line_unit, dual.line_intervals, bundles):
+                    h.update(np.asarray(v, dtype=float).tobytes())
+                h.update(repr((dual.primal_value, dual.dual_objective,
+                               dual.containment(bundles))).encode())
+    assert h.hexdigest() == TRIAL_FLOATS_SHA256
 
 
 # ---------------------------------------------------------------------------
