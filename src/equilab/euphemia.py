@@ -358,6 +358,8 @@ def clear_euphemia_style(market: Market, tol: float | None = None) -> EuphemiaRe
     best = None
     bar = -np.inf                   # the welfare a combination must beat
     for z, scale, kept in zip(patterns, *_prefilter(cm, patterns, steps, t)):
+        if not all(kept):           # an hour with no situation: no combination
+            continue
         pattern = _Pattern.of(cm, z, scale)
         for idx in itertools.product(*kept):
             out = _clear_combo(pattern, steps, idx, t, bar)

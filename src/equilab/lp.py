@@ -4,8 +4,8 @@ Solves   max c'x   s.t.   A_eq x = b_eq,  A_ub x <= b_ub,  lo <= x <= hi.
 
 Deterministic by construction: Dantzig pricing with lowest-index tie-breaks,
 switching to Bland's rule after a degenerate stall, so identical inputs always
-produce the identical vertex and the identical row multipliers.  Dense numpy
-throughout; intended for desk-scale instances (tens of rows, hundreds of
+produce the identical vertex and the identical row multipliers.  Dense
+arrays; intended for desk-scale instances (tens of rows, hundreds of
 columns), not industrial LPs.
 
 Each pivot solves with the basis matrix B twice: B'y = c_B for the row
@@ -21,6 +21,19 @@ only goes without numpy's warning.  B is updated by one column copy per basis
 change.  It is not factored once per pivot and reused for both solves: `dgesv`
 on B' pivots on B' and so rounds differently from a solve with the LU factors
 of B, which would move vertices and duals in their last bits.
+
+Numpy computes every float that reaches a result: both basis solves, the
+reduced costs c - y A, the step of the basic values, the objective c'x that
+detects a stall, and the final clip of x into its bounds.  What only feeds
+comparisons is held in Python lists, which cost less than an array call at
+these sizes: the start values and bound states, the bounds of the basis in
+basis order, and each basic value's room to its bounds in the ratio test
+(one subtraction, the same bits as numpy's).  One sign per column, +1 if a
+pivot may move it up from its lower bound, -1 down from its upper one, 0 if
+it is basic or fixed, turns the search for an entering column into one
+product d * sign: the column enters whose product is the largest (under
+Bland's rule, the first) above the tolerance.  The signs stay an array, so
+that the search is two array calls rather than a loop over the columns.
 """
 
 from __future__ import annotations
@@ -93,11 +106,17 @@ def solve_lp(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None,
 
     # Start: structural at a finite bound, slacks at zero, artificials carry
     # the residual with a sign-matched column so the identity basis is feasible.
-    lo_finite, hi_finite = np.isfinite(lo), np.isfinite(hi)
+    start, at_upper = [], [False] * N
+    for j, (l, h) in enumerate(zip(lo.tolist(), hi.tolist())):
+        if math.isfinite(l):
+            start.append(l)
+        elif math.isfinite(h):
+            start.append(h)
+            at_upper[j] = True
+        else:
+            start.append(0.0)
     values = np.zeros(N)
-    values[:n] = np.where(lo_finite, lo, np.where(hi_finite, hi, 0.0))
-    at_upper = np.zeros(N, dtype=bool)
-    at_upper[:n] = ~lo_finite & hi_finite
+    values[:n] = start
     resid = b - A[:, :art] @ values[:art]
     flat[art::N + 1] = np.where(resid >= 0, 1.0, -1.0)   # artificial columns
     values[art:] = np.abs(resid)
@@ -157,16 +176,21 @@ class _State:
 
     def optimize(self, c):
         """Run the pivot loop for cost vector c; returns row multipliers."""
-        A, B, L, U, tol = self.A, self.B, self.L, self.U, TOL
+        A, B, tol = self.A, self.B, TOL
         values, at_upper, basis = self.values, self.at_upper, self.basis
+        lower, upper = self.L.tolist(), self.U.tolist()
         solve = self._solve
         order = basis.tolist()
-        wide = U - L > tol           # the variables a pivot may move
-        movable = wide.copy()
-        movable[basis] = False
+        # Per column, the way a pivot may move it: +1 up from its lower
+        # bound, -1 down from its upper one, 0 if basic or fixed.
+        sign = np.array([0.0 if not h - l > tol else -1.0 if up else 1.0
+                         for l, h, up in zip(lower, upper, at_upper)])
+        sign[basis] = 0.0
+        basic_lo = [lower[j] for j in order]
+        basic_hi = [upper[j] for j in order]
         bland = False
         stall = 0
-        best = -np.inf
+        best = -math.inf
         it = 0
         while True:
             if it >= self.max_iter:
@@ -175,40 +199,46 @@ class _State:
                 self._refresh()
             y = solve(B.T, c[basis])
             d = c - y @ A
-            cand = (movable & np.where(at_upper, d < -tol, d > tol)).nonzero()[0]
-            if cand.size == 0:
+            # Entering: the first column whose score d * sign is above tol
+            # under Bland's rule, else the first of the highest such (the
+            # largest |d| that improves).  A nan score (non-finite data)
+            # would win `argmax`, so that case scans for the best number.
+            score = d * sign
+            e = int((score > tol).argmax() if bland else score.argmax())
+            top = score[e]
+            if top != top:
+                e, top = -1, tol
+                for j, v in enumerate(score.tolist()):
+                    if v > top:
+                        e, top = j, v
+            if not top > tol:
                 self.total_iters += it
                 return y
-            if bland or cand.size == 1:
-                e = int(cand[0])
-            else:
-                e = int(cand[np.abs(d[cand]).argmax()])
             sigma = -1.0 if at_upper[e] else 1.0
 
             w = solve(B, A[:, e])
             # Ratio test: entering moves by sigma*t, basics by -sigma*t*w.
             basic = values[basis]
-            rise = (U[basis] - basic).tolist()
-            fall = (basic - L[basis]).tolist()
+            now = basic.tolist()
             ws = w.tolist()
-            t_best = float(U[e] - L[e])
+            t_best = upper[e] - lower[e]
             leave_pos = -1
             hit_upper = False
             for pos, wp in enumerate(ws):
                 delta = -sigma * wp
                 if delta > tol:
-                    room, upper = rise[pos], True
+                    room, up = basic_hi[pos] - now[pos], True
                 elif delta < -tol:
-                    room, upper = fall[pos], False
+                    room, up = now[pos] - basic_lo[pos], False
                 else:
                     continue
                 t = room / abs(delta)
                 if t < t_best - 1e-12:
-                    t_best, leave_pos, hit_upper = t, pos, upper
+                    t_best, leave_pos, hit_upper = t, pos, up
                 elif t <= t_best + 1e-12 and leave_pos >= 0:
                     if (bland and order[pos] < order[leave_pos]) or (
                             not bland and abs(wp) > abs(ws[leave_pos]) + 1e-12):
-                        t_best, leave_pos, hit_upper = min(t, t_best), pos, upper
+                        t_best, leave_pos, hit_upper = min(t, t_best), pos, up
             if not math.isfinite(t_best):
                 raise SimplexError("unbounded")
             t_best = max(t_best, 0.0)
@@ -217,19 +247,22 @@ class _State:
             values[basis] = basic - sigma * t_best * w
             if leave_pos < 0:
                 # Bound flip, basis unchanged.
-                at_upper[e] = not at_upper[e]
-                values[e] = U[e] if at_upper[e] else L[e]
+                at_upper[e] = up = not at_upper[e]
+                sign[e] = -sigma
+                values[e] = upper[e] if up else lower[e]
             else:
                 j = order[leave_pos]
-                movable[j] = wide[j]
                 at_upper[j] = hit_upper
-                values[j] = U[j] if hit_upper else L[j]
+                if upper[j] - lower[j] > tol:
+                    sign[j] = -1.0 if hit_upper else 1.0
+                values[j] = upper[j] if hit_upper else lower[j]
                 basis[leave_pos] = order[leave_pos] = e
-                movable[e] = False
+                basic_lo[leave_pos], basic_hi[leave_pos] = lower[e], upper[e]
+                sign[e] = 0.0
                 B[:, leave_pos] = A[:, e]
 
             obj = float(c @ values)
-            if best == -np.inf or obj > best + 1e-12 * (1.0 + abs(best)):
+            if best == -math.inf or obj > best + 1e-12 * (1.0 + abs(best)):
                 best = obj
                 stall = 0
             else:

@@ -334,13 +334,18 @@ class CompiledMarket:
       each bid, in market order.
 
     `linked_components` lists the components of more than one block; a
-    lone block's patterns are `LONE_PATTERNS`, off then on.
+    lone block's patterns are `LONE_PATTERNS`, off then on.  An agent with
+    one block j (every seller of the Monte Carlo study) skips the component
+    search: its component is (j,), and its parent and loop partner are j
+    where the bid names its own id, else -1, as the search finds them.
     `demand.PricedMarket` prices every agent in one pass of loops over
     these tables.  `values`, `bundles_of` and `columns_accepted` sum over a
     curve's steps and an agent's bids for all owners at once with
     `np.add.at` or `np.bincount`, which add in index order; the owners are
     listed in the order of the one-owner loops, so every sum adds in that
-    loop's order.
+    loop's order.  At K = 1 `bundles_of` is that loop: the bids in market
+    order, each added to its agent's total from 0.0, the sums `np.add.at`
+    makes without its per-call cost.
     """
 
     __slots__ = ("K", "num_agents", "num_columns", "blocks", "curves", "components",
@@ -395,15 +400,26 @@ class CompiledMarket:
                     lo, hi = min(lo, s_lo), max(hi, s_hi)
                 curve_rows += (lo, hi, 1.0 + max(-lo, hi))
                 curves.append(bid)
-            mine = blocks[first_block:]
-            if mine:
+            if len(blocks) == first_block + 1:
+                # A lone block: its component is itself, and only its own id
+                # can name a parent or loop partner among its agent's blocks.
+                b = blocks[first_block]
+                parent.append(first_block if b.parent == b.bid_id else -1)
+                loop.append(first_block if b.loop == b.bid_id else -1)
+                if b.group is not None:
+                    groups.setdefault((b.group, i), []).append(first_block)
+                component_owner.append(i)
+                components.append((first_block,))
+                patterns.append(iter_patterns((b,)))
+            elif len(blocks) > first_block:
+                mine = blocks[first_block:]
                 by_id = {b.bid_id: j for j, b in enumerate(mine, first_block)}
                 for j, b in enumerate(mine, first_block):
                     parent.append(by_id.get(b.parent, -1))
                     loop.append(by_id.get(b.loop, -1))
                     if b.group is not None:
                         groups.setdefault((b.group, i), []).append(j)
-                for comp in block_components(tuple(mine)) if len(mine) > 1 else [(0,)]:
+                for comp in block_components(tuple(mine)):
                     if len(comp) > 1:
                         linked.append(len(components))
                     component_owner.append(i)
@@ -462,6 +478,17 @@ class CompiledMarket:
 
     def bundles_of(self, ratio: np.ndarray, quantity: np.ndarray) -> np.ndarray:
         """`bundles` of every block's ratio and every curve's quantity."""
+        if self.K == 1:
+            # The sums `np.add.at` makes below: each agent's bids in market
+            # order, added to 0.0.
+            ratio, quantity = ratio.tolist(), quantity.tolist()
+            q = self.block_table[:, 3].tolist()
+            total = [0.0] * self.num_agents
+            for i, v in zip(*self.bid_index.tolist()):
+                total[i] += ratio[v] * q[v] if v >= 0 else quantity[~v]
+            x = np.array(total, dtype=float).reshape(-1, 1)
+            x.flags.writeable = False
+            return x
         owner, value = self.bid_index
         block = value >= 0
         rows = np.zeros((value.size, self.K))

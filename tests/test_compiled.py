@@ -31,7 +31,7 @@ from hypothesis import given, settings, strategies as st
 from equilab.config import resolve_tol
 from equilab.convexify import PricedMarket, build_convexified, solve_lp
 from equilab.geometry import ComplexityError
-from equilab.model import Agent, BlockBid, HourlyCurveBid, Market
+from equilab.model import MAR_FLOOR, Agent, BlockBid, HourlyCurveBid, Market
 from equilab.random_markets import SimpleRandomMarketSpec, draw_costs, market_from_costs
 from equilab.welfare import solve_welfare
 
@@ -337,6 +337,30 @@ def test_at_the_money_lone_block_is_on_a_line(q, mar, fixed, pieces):
     bundles = [np.zeros((3, K)), rng.normal(0.0, 2.0, (3, K))]
     bundles += (bar_points if K == 1 else hour_bar_points)(priced, np.zeros((3, K)))
     assert_containment_like_contains(priced, bundles)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-10.0, 3.0).map(lambda e: 10.0 ** e), st.sampled_from((1.0, -1.0)),
+       st.one_of(st.just(1.0), st.floats(MAR_FLOOR, 1.0),
+                 st.floats(1e-16, 1e-11).map(lambda gap: 1.0 - gap)),
+       st.one_of(st.floats(0.0, 10.0), st.floats(1e6, 1e8)),
+       st.sampled_from((None, 0.05)))
+def test_at_the_money_lone_block_line_at_one_commodity(size, side, mar, fixed, tol):
+    # the closed form of the line at K = 1 gives the oracle's floats on
+    # both sides of the direction cut-off 1e-9, at mar = 1 and on ranges
+    # narrower than 1e-12 (both then folded to a point), and next to a
+    # fixed quantity large enough to swallow the fold
+    q = side * size
+    market = Market(1, (
+        Agent("a", (BlockBid("b", q * 3.0, (q,), mar=mar),
+                    HourlyCurveBid("fixed", 0, ((5.0, fixed),)))),
+        Agent("s", (HourlyCurveBid("s", 0, ((1.0, -1.0),)),)),
+    ))
+    priced = PricedMarket(market, [3.0], tol)
+    assert priced.classes == [0] and priced.on_line[0]
+    ref = reference_demand_set(market.agents[0], priced.lambda_star, 1, priced.tol)
+    assert exact(priced.carrier_lines[0]) == exact(ref.line)
+    assert_containment_like_contains(priced, bar_points(priced, np.zeros((2, 1))))
 
 
 @settings(max_examples=200, deadline=None)

@@ -354,17 +354,21 @@ def test_cap_is_checked_before_any_pattern(monkeypatch):
     assert not calls
 
 
-def _visited_patterns(monkeypatch, market):
-    """The block patterns `clear_euphemia_style(market)` visits, in order."""
+def _cleared_patterns(monkeypatch, market):
+    """The block patterns whose combinations `clear_euphemia_style(market)`
+    clears, in the order it reaches them, one entry per run of combinations."""
     seen = []
-    of = euphemia._Pattern.of
+    clear = euphemia._clear_combo
+    blocks = market.compiled.blocks
 
-    def spy(cm, z, price_scale):
-        seen.append(z)
-        return of(cm, z, price_scale)
+    def spy(pattern, *args):
+        z = tuple(int(b.bid_id in pattern.names) for b in blocks)
+        if not seen or seen[-1] != z:
+            seen.append(z)
+        return clear(pattern, *args)
 
     with monkeypatch.context() as m:
-        m.setattr(euphemia._Pattern, "of", spy)
+        m.setattr(euphemia, "_clear_combo", spy)
         clear_euphemia_style(market)
     return seen
 
@@ -387,16 +391,24 @@ def _interleaved_market():
 
 
 def test_patterns_are_visited_in_bitmask_order(monkeypatch):
+    # the patterns are listed as `iter_patterns` lists them, and those with
+    # a combination are cleared in that order, each in one run
     markets = ([_interleaved_market()]
                + [random_market(np.random.default_rng((2027, i)), K=K, max_blocks=6)
                   for K in (1, 2, 4) for i in range(15)]
                + [split_group_market(np.random.default_rng((2028, i)), K=K)
                   for K in (1, 2, 4) for i in range(3)])
+    runs = 0
     for market in markets:
         blocks = tuple(b for a in market.agents for b in a.block_bids)
-        assert _visited_patterns(monkeypatch, market) == list(iter_patterns(blocks))
+        patterns = list(iter_patterns(blocks))
+        assert _block_patterns(market.compiled) == patterns
+        at = [patterns.index(z) for z in _cleared_patterns(monkeypatch, market)]
+        assert at == sorted(set(at))
+        runs += len(at)
+    assert runs > 2 * len(markets)
     market = _interleaved_market()
-    assert len(_visited_patterns(monkeypatch, market)) == 3 * 2 * 4 * 2
+    assert len(_block_patterns(market.compiled)) == 3 * 2 * 4 * 2
     _assert_same_as_oracle(market)
 
 
