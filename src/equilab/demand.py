@@ -218,15 +218,6 @@ class PricedMarket:
         agent's sums start at +0.0, so no -0.0 survives, a component with no
         block on changes no bit, and lo <= hi holds in every rounded sum as
         it does for each curve.
-
-        At K = 1 the lone block's line is written in closed form: unit +1.0,
-        and its on range [mar |q|, |q|], or [-|q|, -mar |q|] for q < 0,
-        merged with the off point 0.0 within 1e-12.  These are the floats
-        of `_carrier_line`, because sqrt(q * q) rounds to exactly |q| and
-        q / |q| is exactly +-1.  Where that range is no wider than
-        `_PAR_TOL` allows (so also where |q| <= `_PAR_TOL`), `generator_form`
-        folds it to a point, and `_carrier_line` builds the line, as it
-        does at K >= 2.
         """
         cm, classes = self.market.compiled, self.classes
         n, K = cm.num_agents, cm.K
@@ -265,22 +256,9 @@ class PricedMarket:
             off[i] |= line_hour[i] >= 0
             if off[i]:
                 continue
-            mar = cm.blocks[j].mar
-            if K == 1:
-                q = q_rows[j][0]
-                size = math.sqrt(q * q)                # |q|, as `generator_form` finds it
-                lo, hi = (-size, -(mar * size)) if q < 0.0 else (mar * size, size)
-                if hi - lo > _PAR_TOL * (1.0 + abs(lo) + abs(hi)):
-                    start = origin[i] - origin[i]      # +0.0 on a finite origin
-                    unit[i] = 1.0
-                    intervals = geometry.merge_intervals(
-                        [(start, start), (start + lo, start + hi)], 1e-12)
-                    for row, v in zip(ends, intervals[0] + intervals[-1]):
-                        row[i] = v
-                    continue
             o = self.line_origin[i]
             line = _carrier_line(((o, []), geometry.fold_generators(
-                o, [geometry.generator_form(cm.block_q[j], mar, 1.0)])))
+                o, [geometry.generator_form(cm.block_q[j], cm.blocks[j].mar, 1.0)])))
             unit[i * K:(i + 1) * K] = line.unit.tolist()
             for row, v in zip(ends, line.intervals[0] + line.intervals[-1]):
                 row[i] = v

@@ -346,10 +346,10 @@ def test_at_the_money_lone_block_is_on_a_line(q, mar, fixed, pieces):
        st.one_of(st.floats(0.0, 10.0), st.floats(1e6, 1e8)),
        st.sampled_from((None, 0.05)))
 def test_at_the_money_lone_block_line_at_one_commodity(size, side, mar, fixed, tol):
-    # the closed form of the line at K = 1 gives the oracle's floats on
-    # both sides of the direction cut-off 1e-9, at mar = 1 and on ranges
-    # narrower than 1e-12 (both then folded to a point), and next to a
-    # fixed quantity large enough to swallow the fold
+    # the line at K = 1 gives the oracle's floats on both sides of the
+    # direction cut-off 1e-9, at mar = 1 and on ranges narrower than 1e-12
+    # (both then folded to a point), and next to a fixed quantity large
+    # enough to swallow the fold
     q = side * size
     market = Market(1, (
         Agent("a", (BlockBid("b", q * 3.0, (q,), mar=mar),
