@@ -10,7 +10,7 @@ import numpy as np
 
 from equilab import (PricedMarket, approximate_equilibria,
                      clear_euphemia_style, detect_equilibrium,
-                     lost_opportunity_cost, singleton_demand_equilibrium_check)
+                     lost_opportunity_cost)
 from equilab.model import Agent, BlockBid, HourlyCurveBid, Market
 
 
@@ -36,7 +36,8 @@ def main() -> None:
 
     print("demand sets at the clearing price:")
     priced = PricedMarket(market, lam)
-    for agent, ds in zip(market.agents, priced.demand_sets()):
+    demand_sets = priced.demand_sets()
+    for agent, ds in zip(market.agents, demand_sets):
         pts = ", ".join(f"{v[0]:+.1f}" for v in ds.vertices)
         tag = "singleton" if ds.is_singleton() else "nonconvex gap"
         print(f"  {agent.agent_id}: {{{pts}}}  ({tag})")
@@ -69,9 +70,11 @@ def main() -> None:
           f"{sorted(k for k, v in per.items() if v > 1e-12)} pay the cost")
 
     cert = detect_equilibrium(priced, res.pricing.allocation)
-    chk = singleton_demand_equilibrium_check(res.dual)
+    # sufficient for an equilibrium: every agent with blocks demands one bundle
+    singleton = all(ds.is_singleton()
+                    for agent, ds in zip(market.agents, demand_sets) if agent.block_bids)
     print(f"\nexact equilibrium found: {cert.is_equilibrium}")
-    print(f"singleton-demand condition applies: {chk.applies}")
+    print(f"singleton-demand condition applies: {singleton}")
 
 
 if __name__ == "__main__":

@@ -24,8 +24,7 @@ from .equilibria import (ApproxEquilibria, EquilibriumCertificate,
                          PricingResult, approximate_equilibria,
                          balanced_lp_allocation, convex_hull_pricing,
                          demand_snapped_allocation, detect_equilibrium,
-                         lost_opportunity_cost,
-                         singleton_demand_equilibrium_check)
+                         lost_opportunity_cost)
 from .euphemia import (ClearingComplexityError, EuphemiaResult,
                        clear_euphemia_style)
 from .market_io import (MarketParseError, OutcomeReport, emit_market,
@@ -59,6 +58,6 @@ __all__ = [
     "lost_opportunity_cost", "market_volumes",
     "monte_carlo_equilibrium_probability", "nonconvexity", "parse_market",
     "parse_outcome", "save_market",
-    "singleton_demand_equilibrium_check", "solve_lp", "solve_welfare",
+    "solve_lp", "solve_welfare",
     "validate_market",
 ]

@@ -13,16 +13,17 @@ What is computed when:
   the block and curve-step tables, each agent's block components and their
   feasible indicator patterns;
 - once per (market, prices, tol), for all agents at once, when a
-  `PricedMarket` is built: block margins and money classes, curve best
-  surpluses and demand intervals, the best surplus and surplus-maximal
-  patterns of each component, each agent's best surplus, and the per-agent
-  line arrays (`on_line`, `line_origin`, `line_unit`, `line_intervals`) of
-  every agent whose set is one pattern with only curves of one hour free
-  (an axis segment or a point), or whose only freedom is one lone block at
-  the money (two intervals, or one, on the block's line).  So the price
-  dual sums best surpluses without a demand set, and
-  `PricedMarket.containment` decides those agents' containment in one pass
-  (`line_contains`), also without one;
+  `PricedMarket` is built, in one walk over the compiled tables: block
+  margins and money classes, curve best surpluses and demand intervals,
+  the best surplus and surplus-maximal patterns of each component, each
+  agent's best surplus, and the per-agent line arrays (`on_line`,
+  `line_origin`, `line_unit`, `line_intervals`) of every agent whose set
+  is one pattern with only curves of one hour free (an axis segment or a
+  point), or whose only freedom is one lone block at the money (two
+  intervals, or one, on the block's line).  So the price dual sums best
+  surpluses without a demand set, and `PricedMarket.containment` decides
+  those agents' containment in one pass (`line_contains`), also without
+  one;
 - once per (market, prices, tol) and allocation, `PricedMarket.value_pass`:
   every agent's bundle, value and shortfall against its best surplus, read
   by the lost opportunity cost and by containment.  An agent off a line
@@ -95,11 +96,32 @@ class PricedMarket:
     relative to the money scale |p_b| + |lam.q_b|.  Per curve: best surplus
     and demand interval.  Per component: best surplus and surplus-maximal
     patterns (`kept`).  Per agent: `best_surplus`, its curves' and then its
-    components' in order, and the line arrays (`_axis_lines`).  The pricing
-    is one pass of plain loops over the compiled tables, blocks, then curve
-    steps, then components, and every sum adds left to right from +0.0.
-    At K >= 2 each margin is its own `lam @ q` dot, since a matrix-vector
-    product may round differently.  `demand_set` reads these lists.
+    components' in order, and the line arrays below.  The pricing is one
+    pass of plain loops over the compiled tables, each read as a list
+    once: blocks, then curve steps, then components, each component's line
+    bookkeeping in the loop that scores it, then the curves' again for the
+    lines.  Every sum adds left to right from +0.0.  At K >= 2 each margin
+    is its own `lam @ q` dot, since a matrix-vector product may round
+    differently.  `demand_set` reads these lists.
+
+    The line arrays are `on_line`, `line_origin`, `line_unit` and
+    `line_intervals`, whose rows are the lo and hi of each agent's first
+    interval and then of its last (the first again on a line of one).  An
+    agent is on a line when each of its components keeps one pattern with
+    no at-the-money block on, and either its curves of nonzero width share
+    one hour (it demands a segment of that hour's axis, or a point), or it
+    has no such curve and one lone block at the money, which keeps its off
+    and its on pattern: it demands origin + ({0} u [mar q, q]), the
+    `_carrier_line` of its off pattern and of its on pattern's canonical
+    form, folded as `DemandSet.canonical` folds it.  The floats are the
+    ones `DemandSet.line` reads off the canonical generators: the origin
+    adds each component's fixed on blocks in block order, then the
+    components in order, then the zero-width curves' midpoints in curve
+    order, as `patterns` and `fold_generators` add; the interval adds the
+    other curves' ranges in curve order (an hour axis has norm 1, so none
+    is rescaled).  Each agent's sums start at +0.0, so no -0.0 survives, a
+    component with no block on changes no bit, and lo <= hi holds in every
+    rounded sum as it does for each curve.
 
     Per agent (agent i is `market.agents[i]`), quantities are computed on
     first use and kept for the life of the object: its demand set, its
@@ -119,13 +141,14 @@ class PricedMarket:
         self.lambda_star = lam = np.asarray(self.lambda_star, dtype=float)
         self.tol = tol = resolve_tol(self.tol)
         cm = self.market.compiled
+        n, K = cm.num_agents, cm.K
         prices = lam.tolist()
 
         # Blocks: an active block adds m if m > 0 else mar*m to a pattern's
         # surplus, and m (in the money), mar*m (out of it) or 0 to its
         # banded score.
-        rows = cm.block_table[:, :4].tolist()
-        if cm.K == 1:
+        rows = cm.block_table.tolist()                     # price, mar, |price|, then q
+        if K == 1:
             lqs = [row[3] * prices[0] + 0.0 for row in rows]   # `@` adds to +0.0 as well
         else:
             lqs = [float(lam @ q) for q in cm.block_q]
@@ -139,6 +162,7 @@ class PricedMarket:
             self.classes.append(cls)
             on_best.append(m if m > 0.0 else mar_m)
             on_banded.append(m if cls == _IN else mar_m if cls == _OUT else 0.0)
+        classes = self.classes
 
         # Curve steps: a buy step is taken below its price, a sell step
         # above it; one within the band of the price is optional.
@@ -166,79 +190,59 @@ class PricedMarket:
         # block order; the kept patterns are those whose banded score ties
         # the best within the band, in `iter_patterns` order.  A lone block
         # keeps its off pattern (scored 0) and its on pattern within the
-        # band of the better of the two.
+        # band of the better of the two.  Then the component's part of its
+        # agent's line (the class docstring): its fixed on blocks' q (mar q
+        # out of the money) go to the origin.
         values, self.kept = [], []
-        for comp, patterns in zip(cm.components, cm.patterns):
+        origin = [0.0] * (n * K)                           # agent i's from i * K
+        off, at_the_money = [False] * n, {}                # agent: its lone block at the money
+        for i, comp, patterns in zip(cm.component_owner, cm.components, cm.patterns):
             if len(comp) == 1:
-                m, banded = self.margin[comp[0]], on_banded[comp[0]]
+                j = comp[0]
+                m, banded = self.margin[j], on_banded[j]
                 top = banded if banded > 0.0 else 0.0
                 floor = top - tol * (1.0 + abs(top))
                 values.append(m if m > 0.0 else 0.0)
-                self.kept.append(((0,),) * (0.0 >= floor) + ((1,),) * (banded >= floor))
-                continue
-            value, scored = 0.0, []
-            for z in patterns:
-                s = banded = 0.0
-                for j, on in zip(comp, z):
-                    if on:
-                        s += on_best[j]
-                        banded += on_banded[j]
-                value = max(value, s)
-                scored.append((banded, z))
-            top = max(banded for banded, _ in scored)
-            floor = top - tol * (1.0 + abs(top))
-            values.append(value)
-            self.kept.append(tuple(z for banded, z in scored if banded >= floor))
-
-        # Each agent's best surplus: its curves' and then its components'.
-        total = [0.0] * cm.num_agents
-        for i, v in zip(cm.curve_owner + cm.component_owner, best + values):
-            total[i] += v
-        self.best_surplus = total
-        self._axis_lines()
-
-    def _axis_lines(self) -> None:
-        """The line arrays: `on_line`, `line_origin`, `line_unit` and
-        `line_intervals`, whose rows are the lo and hi of each agent's first
-        interval and then of its last (the first again on a line of one).
-
-        An agent is on a line when each of its components keeps one pattern
-        with no at-the-money block on, and either its curves of nonzero
-        width share one hour (it demands a segment of that hour's axis, or a
-        point), or it has no such curve and one lone block at the money,
-        which keeps its off and its on pattern: it demands origin + ({0} u
-        [mar q, q]), the `_carrier_line` of its off pattern and of its on
-        pattern's canonical form, folded as `DemandSet.canonical` folds it.
-        The floats are the ones `DemandSet.line` reads off the canonical
-        generators: the origin adds each component's fixed on blocks in
-        block order, then the components in order, then the zero-width
-        curves' midpoints in curve order, as `patterns` and
-        `fold_generators` add; the interval adds the other curves' ranges in
-        curve order (an hour axis has norm 1, so none is rescaled).  Each
-        agent's sums start at +0.0, so no -0.0 survives, a component with no
-        block on changes no bit, and lo <= hi holds in every rounded sum as
-        it does for each curve.
-        """
-        cm, classes = self.market.compiled, self.classes
-        n, K = cm.num_agents, cm.K
-        q_rows = cm.block_q.tolist()
-        origin = [0.0] * (n * K)                           # agent i's from i * K
-        off, at_the_money = [False] * n, {}                # agent: its lone block at the money
-        for k, (i, comp) in enumerate(zip(cm.component_owner, cm.components)):
-            if len(comp) == 1 and classes[comp[0]] == _AT:
-                off[i] |= i in at_the_money
-                at_the_money[i] = comp[0]
-                continue
-            kept = self.kept[k]
-            on = [j for j, z in zip(comp, kept[0]) if z]
-            off[i] |= len(kept) > 1 or any(classes[j] == _AT for j in on)
+                kept = ((0,),) * (0.0 >= floor) + ((1,),) * (banded >= floor)
+                self.kept.append(kept)
+                if classes[j] == _AT:
+                    off[i] |= i in at_the_money
+                    at_the_money[i] = j
+                    continue
+            else:
+                value, scored = 0.0, []
+                for z in patterns:
+                    s = banded = 0.0
+                    for j, on in zip(comp, z):
+                        if on:
+                            s += on_best[j]
+                            banded += on_banded[j]
+                    value = max(value, s)
+                    scored.append((banded, z))
+                top = max(banded for banded, _ in scored)
+                floor = top - tol * (1.0 + abs(top))
+                values.append(value)
+                kept = tuple(z for banded, z in scored if banded >= floor)
+                self.kept.append(kept)
+            off[i] |= len(kept) > 1
             offset = None
-            for j in on:
-                q = q_rows[j] if classes[j] == _IN else [cm.blocks[j].mar * v for v in q_rows[j]]
-                offset = q if offset is None else [a + b for a, b in zip(offset, q)]
+            for j, on in zip(comp, kept[0]):
+                if on:
+                    off[i] |= classes[j] == _AT
+                    row = rows[j]
+                    q = row[3:] if classes[j] == _IN else [row[1] * v for v in row[3:]]
+                    offset = q if offset is None else [a + b for a, b in zip(offset, q)]
             if offset is not None:
                 at = i * K
                 origin[at:at + K] = [a + b for a, b in zip(origin[at:at + K], offset)]
+
+        # Each agent's best surplus: its curves' and then its components'.
+        total = [0.0] * n
+        for i, v in zip(cm.curve_owner + cm.component_owner, best + values):
+            total[i] += v
+        self.best_surplus = total
+
+        # The curves' part of the lines, then each lone block at the money's.
         line_hour, lo_sum, hi_sum = [-1] * n, [0.0] * n, [0.0] * n
         unit = [0.0] * (n * K)                             # a point's unit is 0
         for i, h, (lo, hi) in zip(cm.curve_owner, cm.curve_hour, self.curve_interval):
@@ -258,7 +262,7 @@ class PricedMarket:
                 continue
             o = self.line_origin[i]
             line = _carrier_line(((o, []), geometry.fold_generators(
-                o, [geometry.generator_form(cm.block_q[j], cm.blocks[j].mar, 1.0)])))
+                o, [geometry.generator_form(cm.block_q[j], rows[j][1], 1.0)])))
             unit[i * K:(i + 1) * K] = line.unit.tolist()
             for row, v in zip(ends, line.intervals[0] + line.intervals[-1]):
                 row[i] = v
@@ -268,8 +272,8 @@ class PricedMarket:
 
     @cached_property
     def carrier_lines(self) -> list:
-        """Per agent, its demand set as a line (`_axis_lines`), or None off
-        such a line."""
+        """Per agent, its demand set as a line (the line arrays), or None
+        off such a line."""
         return [CarrierLine(origin, unit, ((a, b),) if (a, b) == (c, d) else ((a, b), (c, d)))
                 if on else None
                 for on, origin, unit, (a, b, c, d) in zip(self.on_line, self.line_origin,

@@ -12,7 +12,11 @@ Three allocations matter at the convexified optimum prices lambda*:
   total lost opportunity cost equals the duality gap and is minimal among all
   balanced allocation/price pairs.
 
-Every agent the snap or an existence check moves takes its acceptances from
+Hull pricing decides existence exactly: its total lost opportunity cost is
+zero exactly when an equilibrium exists, and then the allocation it prices
+is one.
+
+Every agent the snap moves takes its acceptances from
 `DemandSet.acceptances`, so it lands on a surplus-maximal indicator pattern
 and best-responds at lambda*.  When two surplus-maximal patterns give the
 same bundle, the first in the demand set's build order wins.
@@ -196,33 +200,6 @@ def convex_hull_pricing(dual: DualSolution, *,
     cert = detect_equilibrium(dual, exact.allocation)
     return PricingResult(tuple(float(v) for v in dual.lambda_star), exact.allocation,
                          exact, dual, total, per_agent, values, cert)
-
-
-# ---------------------------------------------------------------------------
-# Existence checks
-#
-# A check here is a sufficient condition only.  `convex_hull_pricing` decides
-# existence exactly: its total lost opportunity cost is zero exactly when an
-# equilibrium exists.
-
-@dataclass(frozen=True)
-class ExistenceCheck:
-    applies: bool              # sufficient condition holds at lambda*
-    equilibrium_found: bool
-    certificate: EquilibriumCertificate | None
-    allocation: Allocation | None   # the allocation certified
-
-
-def singleton_demand_equilibrium_check(dual: DualSolution) -> ExistenceCheck:
-    """If every block-owning agent demands a single bundle at lambda*, an
-    equilibrium exists: the snapped allocation, certified and returned."""
-    start = dual.market.compiled.component_start   # agent i owns blocks iff components
-    if not all(dual.demand(i).is_singleton()
-               for i, (a, b) in enumerate(zip(start, start[1:])) if b > a):
-        return ExistenceCheck(False, False, None, None)
-    snapped = demand_snapped_allocation(dual)
-    cert = detect_equilibrium(dual, snapped.allocation)
-    return ExistenceCheck(True, cert.is_equilibrium, cert, snapped.allocation)
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,11 @@ def parse_market(text: str) -> Market:
 
 def load_market(path) -> Market:
     with open(path, encoding="utf-8") as fh:
-        return parse_market(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise MarketParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    return parse_market(text)
 
 
 def _parse_csv(text: str) -> Market:
@@ -136,6 +140,14 @@ def _parse_csv(text: str) -> Market:
                   label=label)
 
 
+def _objects(entries, what: str):
+    """The entries of a JSON list, each of which must be an object."""
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise MarketParseError(f"{what} entry {entry!r:.40} is not an object")
+        yield entry
+
+
 def _parse_json(text: str) -> Market:
     try:
         doc = json.loads(text)
@@ -144,9 +156,9 @@ def _parse_json(text: str) -> Market:
     try:
         num_hours = int(doc["num_commodities"])
         agents = []
-        for a in doc["agents"]:
+        for a in _objects(doc["agents"], "agent"):
             bids = []
-            for c in a.get("curve_bids", ()):
+            for c in _objects(a.get("curve_bids", ()), "curve bid"):
                 hour = int(c["hour"])
                 if not 1 <= hour <= num_hours:
                     raise MarketParseError(
@@ -155,7 +167,7 @@ def _parse_json(text: str) -> Market:
                     c["id"], hour - 1, tuple((float(p), float(q))
                                              for p, q in c["points"]),
                     c.get("mode", "stepwise")))
-            for b in a.get("block_bids", ()):
+            for b in _objects(a.get("block_bids", ()), "block bid"):
                 bids.append(BlockBid(
                     b["id"], float(b["price"]), tuple(float(v) for v in b["quantity"]),
                     mar=float(b.get("mar", 1.0)), group=b.get("group"),

@@ -145,26 +145,6 @@ def split_group_market(rng, K: int = 1) -> Market:
     return market
 
 
-def single_agent_market(rng, K: int = 1, max_blocks: int = 4) -> Market:
-    """One agent with curves and blocks, for demand-set level properties."""
-    while True:
-        sign = 1.0 if rng.random() < 0.5 else -1.0
-        bids = []
-        seq = 0
-        for _ in range(int(rng.integers(0, 3))):
-            bids.append(random_curve(rng, f"c{seq}", int(rng.integers(K)), sign))
-            seq += 1
-        for _ in range(int(rng.integers(0, max_blocks + 1))):
-            bids.append(random_block(rng, f"b{seq}", K,
-                                     1.0 if rng.random() < 0.5 else -1.0))
-            seq += 1
-        if not bids:
-            continue
-        market = Market(K, (Agent("solo", tuple(bids)),))
-        if validate_market(market).ok:
-            return market
-
-
 def random_price_vector(rng, market: Market) -> np.ndarray:
     """Prices that frequently hit curve breakpoints exactly."""
     prices = [s.price for a in market.agents for b in a.curve_bids

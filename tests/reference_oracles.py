@@ -39,9 +39,12 @@ per-pattern reference of `DemandSet.canonical`.
 `aggregate_demand_convexity_check` is the single-commodity existence check
 moved here unchanged from `equilab.equilibria`: a convex aggregate demand
 set at lambda* is sufficient for an equilibrium, and the check then builds
-and certifies one.  Hull pricing decides existence exactly (its total lost
-opportunity cost is zero exactly when an equilibrium exists), and the tests
-hold the two against each other.
+and certifies one.  `singleton_demand_equilibrium_check` is the
+singleton-demand existence check moved here unchanged from the same module:
+if every block-owning agent demands one bundle at lambda*, the snapped
+allocation is an equilibrium.  Hull pricing decides existence exactly (its
+total lost opportunity cost is zero exactly when an equilibrium exists), and
+the tests hold both checks against it.
 """
 
 from __future__ import annotations
@@ -59,7 +62,8 @@ from equilab.lp import (TOL, _REFRESH_EVERY, _STALL_LIMIT, InfeasibleError,
 from equilab.config import resolve_tol
 from equilab.convexify import DualSolution, build_convexified
 from equilab.demand import DemandSet, MoneyClasses
-from equilab.equilibria import EquilibriumCertificate, detect_equilibrium
+from equilab.equilibria import (EquilibriumCertificate, demand_snapped_allocation,
+                                detect_equilibrium)
 from equilab.model import (Agent, Allocation, BlockBid, HourlyCurveBid, Market,
                            block_components, iter_patterns, pattern_feasible)
 from equilab.welfare import ExactSolution
@@ -809,3 +813,30 @@ def _select_balancing_points(dual: DualSolution, per_agent):
         acc.update(ds.acceptances(y))
         target -= chosen
     return Allocation(acc)
+
+
+# ---------------------------------------------------------------------------
+# The singleton-demand existence check
+#
+# A sufficient condition only.  `convex_hull_pricing` decides existence
+# exactly: its total lost opportunity cost is zero exactly when an
+# equilibrium exists.
+
+@dataclass(frozen=True)
+class ExistenceCheck:
+    applies: bool              # sufficient condition holds at lambda*
+    equilibrium_found: bool
+    certificate: EquilibriumCertificate | None
+    allocation: Allocation | None   # the allocation certified
+
+
+def singleton_demand_equilibrium_check(dual: DualSolution) -> ExistenceCheck:
+    """If every block-owning agent demands a single bundle at lambda*, an
+    equilibrium exists: the snapped allocation, certified and returned."""
+    start = dual.market.compiled.component_start   # agent i owns blocks iff components
+    if not all(dual.demand(i).is_singleton()
+               for i, (a, b) in enumerate(zip(start, start[1:])) if b > a):
+        return ExistenceCheck(False, False, None, None)
+    snapped = demand_snapped_allocation(dual)
+    cert = detect_equilibrium(dual, snapped.allocation)
+    return ExistenceCheck(True, cert.is_equilibrium, cert, snapped.allocation)

@@ -16,8 +16,7 @@ from equilab import lp
 from equilab.convexify import PricedMarket, build_convexified, solve_lp
 from equilab.demand import agent_best_surplus
 from equilab.equilibria import (balanced_lp_allocation, convex_hull_pricing,
-                                demand_snapped_allocation, lost_opportunity_cost,
-                                singleton_demand_equilibrium_check)
+                                demand_snapped_allocation, lost_opportunity_cost)
 from equilab.euphemia import clear_euphemia_style
 from equilab.geometry import merge_intervals, piece_vertices
 from equilab.market_io import (emit_market, emit_outcome, load_outcome,
@@ -31,7 +30,8 @@ from market_corpus import (random_balanced_allocation, random_market,
                            random_price_vector)
 from market_helpers import (agent_demand_set, check_loc_dominance, gen_tied_cost_market,
                             imbalance, zero_allocation)
-from reference_oracles import aggregate_demand_convexity_check, brute_force_welfare, in_hull
+from reference_oracles import (aggregate_demand_convexity_check, brute_force_welfare, in_hull,
+                               singleton_demand_equilibrium_check)
 
 CORPUS_DIMS = (1, 2, 4, 24)
 CORPUS_SIZE = 1000

@@ -115,6 +115,33 @@ def test_clear_rejects_a_group_across_agents(capsys, tmp_path, mode):
     assert err == "error: bad-group: b1: group 'g' belongs to another agent\n"
 
 
+MALFORMED_MARKETS = {
+    "not-utf8": ("csv", b"\xff\xfe", "error: not UTF-8 text: invalid start byte at byte 0\n"),
+    "agent-not-an-object": ("json", b'{"num_commodities": 1, "agents": [1]}',
+                            "error: agent entry 1 is not an object\n"),
+    "bid-not-an-object": ("json", b'{"num_commodities": 1, "agents": '
+                                  b'[{"id": "a", "block_bids": ["b"]}]}',
+                          "error: block bid entry 'b' is not an object\n"),
+}
+
+
+@pytest.mark.parametrize("command", ["clear", "analyze", "report"])
+@pytest.mark.parametrize("case", MALFORMED_MARKETS)
+def test_a_malformed_market_file_exits_1(capsys, tmp_path, four_agent_market, command, case):
+    # each once ended in a traceback: a UnicodeDecodeError from reading the
+    # file, an AttributeError from reading an entry as an object
+    suffix, content, message = MALFORMED_MARKETS[case]
+    market = tmp_path / f"one.market.{suffix}"
+    if command == "report":
+        (tmp_path / "good.market.csv").write_text(emit_market(four_agent_market))
+        run(capsys, "clear", str(tmp_path / "good.market.csv"),
+            "--out", str(tmp_path / "one.outcome.json"))
+        (tmp_path / "good.market.csv").unlink()
+    market.write_bytes(content)
+    code, out, err = run(capsys, command, str(tmp_path if command == "report" else market))
+    assert (code, out, err) == (1, "", message)
+
+
 def test_clear_budget_exceeded(capsys, tmp_path):
     # odd seller capacity against 2-unit buy blocks keeps the root fractional
     rows = ["header,1,EUR,MW,frac", "curve,s,c,1,stepwise,5.0,-9.0"]

@@ -339,28 +339,40 @@ def test_at_the_money_lone_block_is_on_a_line(q, mar, fixed, pieces):
     assert_containment_like_contains(priced, bundles)
 
 
+def lone_block_quantities(K):
+    """K hours of a block's q, each 0 or of either sign with |q| in
+    1e-10..1e3."""
+    nonzero = st.tuples(st.sampled_from((1.0, -1.0)), st.floats(-10.0, 3.0)).map(
+        lambda t: t[0] * 10.0 ** t[1])
+    return st.lists(st.one_of(st.just(0.0), nonzero), min_size=K, max_size=K).map(tuple)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.floats(-10.0, 3.0).map(lambda e: 10.0 ** e), st.sampled_from((1.0, -1.0)),
+@given(st.sampled_from((1, 2, 4, 24)).flatmap(lone_block_quantities),
        st.one_of(st.just(1.0), st.floats(MAR_FLOOR, 1.0),
                  st.floats(1e-16, 1e-11).map(lambda gap: 1.0 - gap)),
        st.one_of(st.floats(0.0, 10.0), st.floats(1e6, 1e8)),
        st.sampled_from((None, 0.05)))
-def test_at_the_money_lone_block_line_at_one_commodity(size, side, mar, fixed, tol):
-    # the line at K = 1 gives the oracle's floats on both sides of the
-    # direction cut-off 1e-9, at mar = 1 and on ranges narrower than 1e-12
-    # (both then folded to a point), and next to a fixed quantity large
-    # enough to swallow the fold
-    q = side * size
-    market = Market(1, (
-        Agent("a", (BlockBid("b", q * 3.0, (q,), mar=mar),
-                    HourlyCurveBid("fixed", 0, ((5.0, fixed),)))),
+def test_at_the_money_lone_block_line(q, mar, fixed, tol):
+    # the line gives the oracle's floats at K = 1 and K >= 2, on both sides
+    # of the direction cut-off 1e-9, with hours of q at zero, at mar = 1 and
+    # on ranges narrower than 1e-12 (both then folded to a point), and next
+    # to a fixed quantity large enough to swallow the fold
+    K = len(q)
+    lam = np.linspace(3.0, 1.5, K)
+    price = float(lam @ q) if K > 1 else q[0] * lam[0]
+    market = Market(K, (
+        Agent("a", (BlockBid("b", price, q, mar=mar),
+                    HourlyCurveBid("fixed", K - 1, ((lam[-1] + 2.0, fixed),)))),
         Agent("s", (HourlyCurveBid("s", 0, ((1.0, -1.0),)),)),
     ))
-    priced = PricedMarket(market, [3.0], tol)
+    priced = PricedMarket(market, lam, tol)
     assert priced.classes == [0] and priced.on_line[0]
-    ref = reference_demand_set(market.agents[0], priced.lambda_star, 1, priced.tol)
+    ref = reference_demand_set(market.agents[0], priced.lambda_star, K, priced.tol)
     assert exact(priced.carrier_lines[0]) == exact(ref.line)
-    assert_containment_like_contains(priced, bar_points(priced, np.zeros((2, 1))))
+    bundles = np.zeros((2, K))
+    assert_containment_like_contains(
+        priced, bar_points(priced, bundles) if K == 1 else hour_bar_points(priced, bundles))
 
 
 @settings(max_examples=200, deadline=None)

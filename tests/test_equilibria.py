@@ -10,8 +10,7 @@ from equilab.demand import demand_set, nonconvexity
 from equilab.equilibria import (approximate_equilibria,
                                 balanced_lp_allocation, convex_hull_pricing,
                                 demand_snapped_allocation, detect_equilibrium,
-                                lost_opportunity_cost,
-                                singleton_demand_equilibrium_check)
+                                lost_opportunity_cost)
 from equilab.market_io import load_market
 from equilab.model import (Agent, Allocation, BlockBid, HourlyCurveBid,
                            Market, validate_market)
@@ -22,7 +21,7 @@ from market_corpus import (cross_agent_parent_market, large_market,
                            random_balanced_allocation, random_market,
                            random_price_vector)
 from market_helpers import agent_demand_set, check_loc_dominance, imbalance, zero_allocation
-from reference_oracles import aggregate_demand_convexity_check
+from reference_oracles import aggregate_demand_convexity_check, singleton_demand_equilibrium_check
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +309,14 @@ def test_dominance_over_sampled_pairs(seed):
 def test_singleton_check_soundness(seed):
     rng = np.random.default_rng(seed)
     market = random_market(rng, K=1, max_blocks=4)
-    chk = singleton_demand_equilibrium_check(solve_lp(market))
+    dual = solve_lp(market)
+    chk = singleton_demand_equilibrium_check(dual)
     if chk.applies:
         assert chk.equilibrium_found
         assert chk.certificate.is_equilibrium
+        # hull pricing finds the equilibrium too, so it decides existence
+        # wherever the sufficient check would
+        assert convex_hull_pricing(dual).certificate.is_equilibrium
 
 
 def test_the_priced_markets_norm_reaches_every_imbalance_and_bound():

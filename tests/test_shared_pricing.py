@@ -181,15 +181,15 @@ def test_one_canonical_form_per_pattern(monkeypatch, market):
     count_calls(monkeypatch, counts, "canonical", geometry.fold_generators)
     count_calls(monkeypatch, counts, "form", geometry.generator_form)
     sets = []
-    axis_lines = PricedMarket._axis_lines
+    build = PricedMarket.__post_init__
 
     def recorded(*args, **kwargs):
         sets.append(demand_set(*args, **kwargs))
         return sets[-1]
 
-    def counted_axis_lines(priced):
+    def counted_build(priced):
         before, forms = counts["canonical"], counts["form"]
-        axis_lines(priced)
+        build(priced)
         counts["pricing"] += counts["canonical"] - before
         counts["pricing forms"] += counts["form"] - forms
         cm = priced.market.compiled
@@ -198,7 +198,7 @@ def test_one_canonical_form_per_pattern(monkeypatch, market):
                                     if len(comp) == 1 and priced.classes[comp[0]] == 0)
 
     monkeypatch.setattr(demand, "demand_set", recorded)
-    monkeypatch.setattr(PricedMarket, "_axis_lines", counted_axis_lines)
+    monkeypatch.setattr(PricedMarket, "__post_init__", counted_build)
 
     approximate_equilibria(market)
 
